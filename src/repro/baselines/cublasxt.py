@@ -122,9 +122,13 @@ class CublasXtScheduler(_PipelineBase):
         # Workers are capped by the device memory the slot pools need
         # (real cuBLASXt sizes its stream pool the same way); at least
         # one worker is always attempted — a genuinely oversized tile
-        # then OOMs, as it would on hardware.
+        # then OOMs, as it would on hardware.  Device-resident operands
+        # are tiled in place later, so their bytes are spoken for.
         pool = _Worker.pool_bytes(problem.dims, self.t, problem.elem_size)
-        mem_cap = max(int(ctx.device.mem_free * 0.9) // max(pool, 1), 1)
+        resident = sum(op.elements() for op in problem.operands
+                       if op.loc is Loc.DEVICE) * problem.elem_size
+        mem_free = ctx.device.mem_free - resident
+        mem_cap = max(int(mem_free * 0.9) // max(pool, 1), 1)
         n_workers = max(min(nstreams, n_tasks, mem_cap), 1)
         self.workers = [
             _Worker(ctx, w, problem.dims, self.t, problem.dtype, with_data)

@@ -214,10 +214,6 @@ def cmd_profile(args) -> int:
     from .obs import (MetricsRegistry, merge_chrome_traces, merge_traces,
                       profile_document, profile_trace)
 
-    from contextlib import nullcontext
-
-    from .sim.engine import use_scheduler
-
     machine, models = _models_for(args)
     plan = resolve_plan(args.faults)
     if plan is not None:
@@ -225,8 +221,6 @@ def cmd_profile(args) -> int:
     problem = _build_problem(args)
     registry = MetricsRegistry()
     dtype = np.float64 if args.dtype == "d" else np.float32
-    sched_ctx = (use_scheduler(args.scheduler) if args.scheduler
-                 else nullcontext())
 
     if args.gpus > 1:
         if args.routine != "gemm":
@@ -236,12 +230,9 @@ def cmd_profile(args) -> int:
         from .runtime.multigpu import MultiGpuCoCoPeLia, predict_multi_gpu
 
         m, n, k = args.dims
-        with sched_ctx:
-            lib = MultiGpuCoCoPeLia(machine, args.gpus, models,
-                                    trace=True, metrics=registry,
-                                    sim_mode=args.sim_mode)
-            result = lib.gemm(m=m, n=n, k=k, dtype=dtype,
-                              tile_size=args.tile)
+        lib = MultiGpuCoCoPeLia(machine, args.gpus, models,
+                                trace=True, metrics=registry)
+        result = lib.gemm(m=m, n=n, k=k, dtype=dtype, tile_size=args.tile)
         seconds, tile = result.seconds, result.shards[0].tile_size
         predicted = (predict_multi_gpu(problem, args.gpus, models,
                                        model=args.model)
@@ -249,21 +240,10 @@ def cmd_profile(args) -> int:
         traces = lib.last_traces
         events = merge_traces(traces)
     else:
-        with sched_ctx:
-            lib = CoCoPeLiaLibrary(machine, models, model=args.model,
-                                   trace=True, metrics=registry,
-                                   sim_mode=args.sim_mode)
-            calls = {
-                "gemm": lambda: lib.gemm(*args.dims, dtype=dtype,
-                                         tile_size=args.tile),
-                "gemv": lambda: lib.gemv(*args.dims, dtype=dtype,
-                                         tile_size=args.tile),
-                "syrk": lambda: lib.syrk(*args.dims, dtype=dtype,
-                                         tile_size=args.tile),
-                "axpy": lambda: lib.axpy(*args.dims, dtype=dtype,
-                                         tile_size=args.tile),
-            }
-            result = calls[args.routine]()
+        lib = CoCoPeLiaLibrary(machine, models, model=args.model,
+                               trace=True, metrics=registry)
+        routine = getattr(lib, args.routine)
+        result = routine(*args.dims, dtype=dtype, tile_size=args.tile)
         seconds, tile = result.seconds, result.tile_size
         predicted = result.predicted_seconds
         traces = [lib.last_trace]
@@ -331,8 +311,6 @@ def cmd_summa(args) -> int:
         latency=args.latency,
         depth=args.depth,
         seed=args.seed,
-        scheduler=args.scheduler,
-        sim_mode=args.sim_mode,
         parallel=args.parallel,
     )
     summa_exp.validate_summa_json(doc)
@@ -380,8 +358,6 @@ def cmd_serve(args) -> int:
         batching=not args.no_batching,
         host_offload=not args.no_host_offload,
         seed=args.seed,
-        sim_mode=args.sim_mode,
-        scheduler=args.scheduler,
     )
     registry = MetricsRegistry()
     server = BlasServer(machine, models, config, metrics=registry)
@@ -453,8 +429,6 @@ def cmd_chaos(args) -> int:
         placement=args.placement,
         hedging=args.hedging,
         seed=args.seed,
-        sim_mode=args.sim_mode,
-        scheduler=args.scheduler,
     )
     doc = run_chaos(
         machine, models, args.scenario, spec=spec, config=config,
@@ -562,8 +536,6 @@ def cmd_cluster(args) -> int:
         admission=args.admission,
         admission_percentile=args.admission_percentile,
         seed=args.seed,
-        sim_mode=args.sim_mode,
-        scheduler=args.scheduler,
     )
     kills = [_parse_kill(v) for v in (args.kill_node or [])]
     coordinator = ClusterCoordinator(machine, models, cluster_config,
@@ -661,13 +633,6 @@ def cmd_experiment(args) -> int:
     kwargs = {"scale": args.scale}
     if "parallel" in params:
         kwargs["parallel"] = workers
-    # Simulator-core knobs, honored by the experiments that run the
-    # DES directly (fig7/table4/summa); defaults reproduce historical
-    # outputs byte-for-byte.
-    if "scheduler" in params:
-        kwargs["scheduler"] = getattr(args, "scheduler", None)
-    if "sim_mode" in params:
-        kwargs["sim_mode"] = getattr(args, "sim_mode", "exact")
     result = module.run(**kwargs)
     print(module.render(result))
     return 0
@@ -676,18 +641,6 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_sim_args(parser) -> None:
-    """Simulator-core knobs shared by the DES-driving subcommands."""
-    parser.add_argument("--sim-mode", default="exact",
-                        choices=("exact", "fluid"),
-                        help="transfer simulation: per-event 'exact' or "
-                             "hybrid fluid-flow 'fluid' (default: exact)")
-    parser.add_argument("--scheduler", default=None,
-                        choices=("calendar", "heap"),
-                        help="event-queue implementation (default: "
-                             "auto-select by workload size)")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -755,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--loc-a", type=_loc, default=Loc.HOST)
     p_prof.add_argument("--loc-b", type=_loc, default=Loc.HOST)
     p_prof.add_argument("--loc-c", type=_loc, default=Loc.HOST)
-    _add_sim_args(p_prof)
 
     p_summa = sub.add_parser(
         "summa", help="distributed SUMMA gemm + streaming gemv over a "
@@ -782,7 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: serial)")
     p_summa.add_argument("--out-dir", default=".",
                          help="directory for summa.json (default: .)")
-    _add_sim_args(p_summa)
 
     p_serve = sub.add_parser("serve", help="serve a generated BLAS "
                              "workload on N simulated GPUs")
@@ -840,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--out-dir", default=".",
                          help="directory for serve.json (default: current "
                               "directory)")
-    _add_sim_args(p_serve)
 
     from .serve.chaos import SCENARIOS as _CHAOS_SCENARIOS
     p_chaos = sub.add_parser("chaos", help="serve a workload under a "
@@ -874,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--out-dir", default=".",
                          help="directory for chaos.json (default: current "
                               "directory)")
-    _add_sim_args(p_chaos)
 
     p_cluster = sub.add_parser("cluster", help="serve a phased trace on a "
                                "sharded multi-node fleet with a "
@@ -922,7 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--out-dir", default=".",
                            help="directory for cluster.json (default: "
                                 "current directory)")
-    _add_sim_args(p_cluster)
 
     p_sel = sub.add_parser("select", help="show per-tile predictions and "
                            "the selected tiling size")
@@ -944,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="processes for the per-problem sweeps; reported "
                             "numbers are identical for any count "
                             "(default: 1 = serial)")
-    _add_sim_args(p_exp)
 
     return parser
 

@@ -12,7 +12,6 @@ testbeds, across the paper's three highlighted scenarios:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +21,6 @@ from ..baselines import BlasXLibrary, CublasXtLibrary
 from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..parallel import ParallelConfig, pmap, task_seed
 from ..runtime import CoCoPeLiaLibrary
-from ..sim.engine import use_scheduler
 from ..sim.machine import MachineConfig
 from . import workloads
 from .harness import (models_for, prime_worker, run_gemm, testbeds,
@@ -86,28 +84,15 @@ class Fig7Result:
 
 
 def _fig7_task(machine: MachineConfig, scale: str, problem: CoCoProblem,
-               xt_tiles: Tuple[int, ...], seed_base: int,
-               scheduler: Optional[str] = None,
-               sim_mode: str = "exact") -> Fig7Point:
+               xt_tiles: Tuple[int, ...], seed_base: int) -> Fig7Point:
     """Measure one problem under all three libraries, self-contained.
 
     Libraries are rebuilt per task with seeds derived from the task's
     grid coordinates (never from a shared call counter), so the point
-    is identical wherever and whenever it runs.  ``scheduler`` /
-    ``sim_mode`` select the simulator-core implementation for the
-    CoCoPeLia runs; the defaults are the historical configuration.
+    is identical wherever and whenever it runs.
     """
     models = models_for(machine, scale)
-    with (use_scheduler(scheduler) if scheduler else nullcontext()):
-        return _fig7_point(machine, scale, problem, xt_tiles, seed_base,
-                           models, sim_mode)
-
-
-def _fig7_point(machine: MachineConfig, scale: str, problem: CoCoProblem,
-                xt_tiles: Tuple[int, ...], seed_base: int, models,
-                sim_mode: str) -> Fig7Point:
-    cc = CoCoPeLiaLibrary(machine, models, seed=task_seed(seed_base, "cc"),
-                          sim_mode=sim_mode)
+    cc = CoCoPeLiaLibrary(machine, models, seed=task_seed(seed_base, "cc"))
     xt = CublasXtLibrary(machine, seed=task_seed(seed_base, "xt"))
     bx = BlasXLibrary(machine, seed=task_seed(seed_base, "bx"))
     point = Fig7Point(problem=problem.describe())
@@ -134,8 +119,7 @@ def _fig7_point(machine: MachineConfig, scale: str, problem: CoCoProblem,
 def run(scale: str = "quick",
         machines: Optional[Sequence[MachineConfig]] = None,
         dtypes: Sequence = (np.float64, np.float32),
-        parallel=None, scheduler: Optional[str] = None,
-        sim_mode: str = "exact") -> Fig7Result:
+        parallel=None) -> Fig7Result:
     machines = list(machines) if machines is not None else testbeds()
     result = Fig7Result(scale=scale)
     xt_tiles = XT_SWEEP[scale]
@@ -151,7 +135,7 @@ def run(scale: str = "quick",
                     seed_base = task_seed(_SEED_ROOT, machine.name,
                                           routine, scenario, i)
                     tasks.append((machine, scale, problem, xt_tiles,
-                                  seed_base, scheduler, sim_mode))
+                                  seed_base))
                     keys.append((machine.name, routine, scenario))
     cfg = ParallelConfig.resolve(parallel)
     payload = warm_payload(machines, scale) if cfg.enabled else []

@@ -29,8 +29,7 @@ byte-identical for any worker count — the same discipline as fig7.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from ..obs import merge_traces, profile_trace
 from ..parallel import ParallelConfig, pmap, task_seed
 from ..runtime.streaming import StreamingGemv
 from ..runtime.summa import SummaGemm
-from ..sim.engine import use_scheduler
 from ..sim.interconnect import (
     TopologySpec,
     all_to_all_topology,
@@ -96,10 +94,6 @@ def make_topology(kind: str, n_gpus: int, gb_per_s: float,
     raise ReproError(f"unknown topology kind {kind!r}")
 
 
-def _sched_ctx(scheduler: Optional[str]):
-    return use_scheduler(scheduler) if scheduler else nullcontext()
-
-
 # ---------------------------------------------------------------------------
 # pmap point tasks (self-contained: rebuild everything from primitives)
 # ---------------------------------------------------------------------------
@@ -107,26 +101,20 @@ def _sched_ctx(scheduler: Optional[str]):
 def _summa_point(machine: MachineConfig, kind: str, n_gpus: int,
                  gb_per_s: float, latency: float,
                  dims: Tuple[int, int, int], panel: int, variant: str,
-                 depth: int, seed: int, scheduler: Optional[str],
-                 sim_mode: str) -> float:
+                 depth: int, seed: int) -> float:
     """Achieved makespan of one (problem, panel, variant) grid point."""
     topology = make_topology(kind, n_gpus, gb_per_s, latency)
-    with _sched_ctx(scheduler):
-        lib = SummaGemm(machine, topology, seed=seed, sim_mode=sim_mode)
-        return lib.gemm(*dims, panel=panel, variant=variant,
-                        depth=depth).seconds
+    lib = SummaGemm(machine, topology, seed=seed)
+    return lib.gemm(*dims, panel=panel, variant=variant, depth=depth).seconds
 
 
 def _gemv_point(machine: MachineConfig, kind: str, n_gpus: int,
                 gb_per_s: float, latency: float, dims: Tuple[int, int],
-                chunk: int, seed: int, scheduler: Optional[str],
-                sim_mode: str) -> float:
+                chunk: int, seed: int) -> float:
     """Achieved makespan of one (problem, chunk) grid point."""
     topology = make_topology(kind, n_gpus, gb_per_s, latency)
-    with _sched_ctx(scheduler):
-        lib = StreamingGemv(machine, topology, seed=seed,
-                            sim_mode=sim_mode)
-        return lib.gemv(*dims, chunk=chunk).seconds
+    lib = StreamingGemv(machine, topology, seed=seed)
+    return lib.gemv(*dims, chunk=chunk).seconds
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +138,6 @@ def run(
     latency: float = 5e-6,
     depth: int = 2,
     seed: int = 0,
-    scheduler: Optional[str] = None,
-    sim_mode: str = "exact",
     parallel=None,
     models=None,
 ) -> dict:
@@ -183,14 +169,12 @@ def run(
             point_seed = task_seed(_SEED_ROOT, seed, config.name,
                                    "summa", *dims, "pipelined", panel)
             tasks.append((config, topology, n_gpus, gb_per_s, latency,
-                          dims, panel, "pipelined", depth, point_seed,
-                          scheduler, sim_mode))
+                          dims, panel, "pipelined", depth, point_seed))
             keys.append(("summa", dims, "pipelined", panel))
         point_seed = task_seed(_SEED_ROOT, seed, config.name, "summa",
                                *dims, "blocking", choice_b.value)
         tasks.append((config, topology, n_gpus, gb_per_s, latency, dims,
-                      choice_b.value, "blocking", depth, point_seed,
-                      scheduler, sim_mode))
+                      choice_b.value, "blocking", depth, point_seed))
         keys.append(("summa", dims, "blocking", choice_b.value))
     n_summa_tasks = len(tasks)
     for dims in gemv_dims:
@@ -203,7 +187,7 @@ def run(
             point_seed = task_seed(_SEED_ROOT, seed, config.name, "gemv",
                                    *dims, chunk)
             tasks.append((config, topology, n_gpus, gb_per_s, latency,
-                          dims, chunk, point_seed, scheduler, sim_mode))
+                          dims, chunk, point_seed))
             keys.append(("gemv", dims, chunk))
 
     summa_times = pmap(_summa_point, tasks[:n_summa_tasks], parallel=cfg)
@@ -235,11 +219,9 @@ def run(
         # exact timeline the sweep measured.
         point_seed = task_seed(_SEED_ROOT, seed, config.name, "summa",
                                *dims, "pipelined", p_pipe)
-        with _sched_ctx(scheduler):
-            lib = SummaGemm(config, topo, seed=point_seed, trace=True,
-                            sim_mode=sim_mode)
-            traced = lib.gemm(m, n, k, panel=p_pipe, variant="pipelined",
-                              depth=depth)
+        lib = SummaGemm(config, topo, seed=point_seed, trace=True)
+        traced = lib.gemm(m, n, k, panel=p_pipe, variant="pipelined",
+                          depth=depth)
         labels = [f"gpu{g}" for g in range(n_gpus)] + ["net"]
         report = profile_trace(merge_traces(lib.last_traces, labels=labels),
                                predicted_seconds=pick["predicted_pipelined"],
@@ -289,10 +271,8 @@ def run(
         within.append(picked_within)
         point_seed = task_seed(_SEED_ROOT, seed, config.name, "gemv",
                                *dims, chunk)
-        with _sched_ctx(scheduler):
-            lib = StreamingGemv(config, topo, seed=point_seed, trace=True,
-                                sim_mode=sim_mode)
-            traced = lib.gemv(m, n, chunk=chunk)
+        lib = StreamingGemv(config, topo, seed=point_seed, trace=True)
+        traced = lib.gemv(m, n, chunk=chunk)
         labels = [f"gpu{g}" for g in range(n_gpus)] + ["net"]
         report = profile_trace(merge_traces(lib.last_traces, labels=labels),
                                predicted_seconds=pick["predicted"],
@@ -321,8 +301,6 @@ def run(
                          "latency": latency},
             "depth": depth,
             "seed": seed,
-            "scheduler": scheduler,
-            "sim_mode": sim_mode,
         },
         "gemm": {
             "problems": gemm_reports,
@@ -422,8 +400,6 @@ def validate_summa_json(doc: object) -> None:
         _fail("$.context.topology.kind", f"unknown kind {kind!r}")
     _expect_number(topo, "$.context.topology", "gb_per_s")
     _expect_number(topo, "$.context.topology", "latency")
-    _expect(context, "$.context", "scheduler", str, allow_none=True)
-    _expect(context, "$.context", "sim_mode", str)
 
     gemm = _expect(doc, "$", "gemm", dict)
     problems = _expect(gemm, "$.gemm", "problems", list)

@@ -10,7 +10,6 @@ ratios, reported as percentages.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +19,6 @@ from ..baselines import BlasXLibrary, CublasXtLibrary, UnifiedMemoryLibrary
 from ..core.params import CoCoProblem
 from ..parallel import ParallelConfig, pmap, task_seed
 from ..runtime import CoCoPeLiaLibrary
-from ..sim.engine import use_scheduler
 from ..sim.machine import MachineConfig
 from . import workloads
 from .fig7_performance import XT_SWEEP
@@ -66,29 +64,17 @@ def _best_competitor_gemm(problem: CoCoProblem, xt: CublasXtLibrary,
 
 
 def _table4_task(machine: MachineConfig, scale: str, problem: CoCoProblem,
-                 xt_tiles: Sequence[int], seed_base: int,
-                 scheduler: Optional[str] = None, sim_mode: str = "exact"
+                 xt_tiles: Sequence[int], seed_base: int
                  ) -> Tuple[float, float]:
     """(t_CoCoPeLia, t_best_competitor) for one problem, self-contained.
 
     gemm problems compete against the best of cuBLASXt's sweep and
     BLASX; axpy problems against unified memory, as in Section V-E.
     Libraries are rebuilt per task with grid-derived seeds, so the
-    measurement is execution-order independent.  ``scheduler`` /
-    ``sim_mode`` select the simulator-core implementation for the
-    CoCoPeLia runs; the defaults are the historical configuration.
+    measurement is execution-order independent.
     """
     models = models_for(machine, scale)
-    with (use_scheduler(scheduler) if scheduler else nullcontext()):
-        return _table4_point(machine, problem, xt_tiles, seed_base,
-                             models, sim_mode)
-
-
-def _table4_point(machine: MachineConfig, problem: CoCoProblem,
-                  xt_tiles: Sequence[int], seed_base: int, models,
-                  sim_mode: str) -> Tuple[float, float]:
-    cc = CoCoPeLiaLibrary(machine, models, seed=task_seed(seed_base, "cc"),
-                          sim_mode=sim_mode)
+    cc = CoCoPeLiaLibrary(machine, models, seed=task_seed(seed_base, "cc"))
     if problem.routine.name == "axpy":
         um = UnifiedMemoryLibrary(machine, seed=task_seed(seed_base, "um"))
         return run_axpy(cc, problem).seconds, run_axpy(um, problem).seconds
@@ -101,8 +87,7 @@ def _table4_point(machine: MachineConfig, problem: CoCoProblem,
 def run(scale: str = "quick",
         machines: Optional[Sequence[MachineConfig]] = None,
         dtypes: Sequence = (np.float64, np.float32),
-        parallel=None, scheduler: Optional[str] = None,
-        sim_mode: str = "exact") -> Table4Result:
+        parallel=None) -> Table4Result:
     machines = list(machines) if machines is not None else testbeds()
     result = Table4Result(scale=scale)
     xt_tiles = XT_SWEEP[scale]
@@ -116,14 +101,13 @@ def run(scale: str = "quick",
                 seed_base = task_seed(_SEED_ROOT, machine.name,
                                       f"{prefix}gemm", i)
                 tasks.append((machine, scale, problem, xt_tiles,
-                              seed_base, scheduler, sim_mode))
+                              seed_base))
                 meta.append((machine.name, f"{prefix}gemm",
                              "full" if workloads.is_full_offload(problem)
                              else "partial"))
         for i, problem in enumerate(workloads.daxpy_evaluation_set(scale)):
             seed_base = task_seed(_SEED_ROOT, machine.name, "daxpy", i)
-            tasks.append((machine, scale, problem, xt_tiles,
-                          seed_base, scheduler, sim_mode))
+            tasks.append((machine, scale, problem, xt_tiles, seed_base))
             meta.append((machine.name, "daxpy",
                          "full" if workloads.is_full_offload(problem)
                          else "partial"))

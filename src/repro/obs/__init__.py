@@ -43,7 +43,6 @@ from .verify import (
     find_conservation_violations,
     find_request_violations,
     find_violations,
-    fluid_span,
     kernel_deps,
     split_fault,
     transfer_tile,
@@ -77,7 +76,6 @@ __all__ = [
     "find_request_violations",
     "find_violations",
     "kernel_deps",
-    "fluid_span",
     "split_fault",
     "transfer_tile",
     "verify_requests",

@@ -10,17 +10,7 @@ or fault plan.  This module checks them:
 ``completion-order``
     The recorder appends events at their completion time on one shared
     simulated clock, so event ``end`` times are non-decreasing in
-    record order.  Collapsed fluid spans (below) are exempt: a window
-    that bails is recorded at bail time, after events that completed
-    later than the span's analytic end.
-``fluid-span``
-    A fluid-mode simulator records each collapsed transfer window as
-    one synthetic marker event tagged ``fluid:<engine>#<count>``
-    spanning the whole window.  The embedded engine name must match
-    the recording engine and the collapsed count must be positive.
-    Fluid spans are real busy intervals (``engine-exclusive`` still
-    applies) but carry no per-tile tags, so ``tile-order`` and
-    ``fault-matched`` skip them by construction.
+    record order.
 ``engine-exclusive``
     Each engine runs one job at a time: busy intervals on one engine
     never overlap.
@@ -67,18 +57,6 @@ FAULT_SUFFIX = "!fault"
 _KERNEL_2D = re.compile(r"^(\w+)\((\d+),(\d+)\)$")
 _KERNEL_3D = re.compile(r"^(\w+)\((\d+),(\d+),(\d+)\)$")
 _KERNEL_1D = re.compile(r"^(\w+)\[(\d+)\]$")
-_FLUID_SPAN = re.compile(r"^fluid:(\w+)#(\d+)$")
-
-
-def fluid_span(tag: str) -> Optional[Tuple[str, int]]:
-    """``("h2d", 12)`` for the collapsed-window marker ``"fluid:h2d#12"``.
-
-    Returns ``None`` for ordinary (per-transfer / per-kernel) tags.
-    """
-    m = _FLUID_SPAN.match(tag)
-    if m:
-        return m.group(1), int(m.group(2))
-    return None
 
 
 def split_fault(tag: str) -> Tuple[str, bool]:
@@ -165,37 +143,14 @@ def find_violations(
                 f"event #{idx} ({ev.tag!r} on {ev.engine}) has negative "
                 f"flops: {ev.flops}"))
 
-    # -- fluid-span -----------------------------------------------------
-    for idx, ev in enumerate(events):
-        span = fluid_span(ev.tag)
-        if span is None:
-            continue
-        engine, count = span
-        if engine != ev.engine:
-            violations.append((
-                "fluid-span",
-                f"event #{idx} ({ev.tag!r}) recorded on engine "
-                f"{ev.engine!r} but names engine {engine!r}"))
-        if count < 1:
-            violations.append((
-                "fluid-span",
-                f"event #{idx} ({ev.tag!r}) collapses {count} transfers "
-                f"(expected >= 1)"))
-
     # -- completion-order ----------------------------------------------
-    # Collapsed fluid spans are recorded at window close/bail, which can
-    # postdate later-completing events; they are exempt on both sides.
-    prev = None
-    for idx, cur in enumerate(events):
-        if fluid_span(cur.tag) is not None:
-            continue
-        if prev is not None and cur.end < prev.end - eps:
+    for idx, (prev, cur) in enumerate(zip(events, events[1:]), start=1):
+        if cur.end < prev.end - eps:
             violations.append((
                 "completion-order",
                 f"event #{idx} ({cur.tag!r} on {cur.engine}) completed at "
                 f"{cur.end} but was recorded after "
                 f"({prev.tag!r}) completing at {prev.end}"))
-        prev = cur
 
     # -- engine-exclusive -----------------------------------------------
     by_engine = {}

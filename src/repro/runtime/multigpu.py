@@ -103,7 +103,6 @@ class MultiGpuCoCoPeLia:
         trace: bool = False,
         metrics=None,
         topology: Optional[TopologySpec] = None,
-        sim_mode: str = "exact",
     ) -> None:
         if n_gpus <= 0:
             raise SchedulerError(f"need at least one GPU, got {n_gpus}")
@@ -124,7 +123,6 @@ class MultiGpuCoCoPeLia:
         #: traces show collective spans and host-side A traffic drops
         #: to a single copy.
         self.topology = topology
-        self.sim_mode = sim_mode
         #: Record per-device timelines; the most recent call's streams
         #: are exposed as ``last_traces`` (one recorder per shard, all
         #: on the shared clock, so they merge into one timeline).
@@ -166,7 +164,7 @@ class MultiGpuCoCoPeLia:
         if self.metrics is not None:
             self.metrics.counter("multigpu.calls").inc()
             self.metrics.counter("multigpu.shards").inc(len(shards))
-        sim = Simulator(mode=self.sim_mode)
+        sim = Simulator()
         devices = [
             GpuDevice(self.machine, sim=sim,
                       seed=self._seed + 100 * self._calls + g,

@@ -93,16 +93,12 @@ class CoCoPeLiaLibrary:
         trace: bool = False,
         metrics=None,
         prediction_cache: Optional[PredictionCache] = None,
-        sim_mode: str = "exact",
     ) -> None:
         self.machine = machine
         self.models = models
         self.model = model
         self._seed = seed
         self._calls = 0
-        #: simulator regime for every device this library creates:
-        #: "exact" DES (default) or hybrid "fluid" (see sim/fluid.py)
-        self.sim_mode = sim_mode
         #: Record engine timelines on every device this library creates;
         #: the most recent call's stream is exposed as ``last_trace``.
         self.trace = trace
@@ -122,7 +118,7 @@ class CoCoPeLiaLibrary:
         self._calls += 1
         device = GpuDevice(self.machine, seed=self._seed + self._calls,
                            faults=faults, trace=self.trace,
-                           metrics=self.metrics, sim_mode=self.sim_mode)
+                           metrics=self.metrics)
         if self.trace:
             self.last_trace = device.trace
         return device

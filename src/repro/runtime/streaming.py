@@ -71,7 +71,6 @@ class StreamingGemv:
         seed: int = 67,
         trace: bool = False,
         metrics=None,
-        sim_mode: str = "exact",
     ) -> None:
         self.machine = machine
         self.topology = topology
@@ -81,7 +80,6 @@ class StreamingGemv:
         self._calls = 0
         self.trace = trace
         self.metrics = metrics
-        self.sim_mode = sim_mode
         #: most recent call's recorders (one per GPU, plus the fabric's
         #: when a topology is attached).
         self.last_traces: Optional[List] = None
@@ -111,7 +109,7 @@ class StreamingGemv:
         if self.metrics is not None:
             self.metrics.counter("streaming_gemv.calls").inc()
 
-        sim = Simulator(mode=self.sim_mode)
+        sim = Simulator()
         n_gpus = self.n_gpus
         devices = [
             GpuDevice(self.machine, sim=sim,

@@ -84,7 +84,6 @@ class SummaGemm:
         seed: int = 61,
         trace: bool = False,
         metrics=None,
-        sim_mode: str = "exact",
     ) -> None:
         self.machine = machine
         self.topology = topology
@@ -94,7 +93,6 @@ class SummaGemm:
         self._calls = 0
         self.trace = trace
         self.metrics = metrics
-        self.sim_mode = sim_mode
         #: most recent call's recorders: one per GPU plus the fabric's
         #: (merge with ``repro.obs.merge_traces`` and labels
         #: ``gpu0..gpuG-1, net``).
@@ -135,7 +133,7 @@ class SummaGemm:
         if self.metrics is not None:
             self.metrics.counter("summa.calls").inc()
 
-        sim = Simulator(mode=self.sim_mode)
+        sim = Simulator()
         devices = [
             GpuDevice(self.machine, sim=sim,
                       seed=self._seed + 100 * self._calls + g,

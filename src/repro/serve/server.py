@@ -91,14 +91,6 @@ class ServerConfig:
     timeout_floor: float = 0.05
     seed: int = 0
     trace: bool = False               #: record per-batch device traces
-    #: Simulator regime for the shared clock: "exact" DES (default) or
-    #: hybrid "fluid" (collapses saturated-link transfer runs into
-    #: analytic completion times; see sim/fluid.py for the error model).
-    sim_mode: str = "exact"
-    #: Event scheduler behind the clock: "calendar", "heap", or None
-    #: for the process default (see sim/engine.py).  Both orders are
-    #: event-for-event identical; the knob exists for equivalence runs.
-    scheduler: Optional[str] = None
     # -- fault-domain health (see serve/resilience.py) ------------------
     #: EWMA smoothing of observed/predicted service-time inflation.
     health_alpha: float = 0.25
@@ -132,11 +124,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENT_POLICIES:
             raise ServeError(f"unknown placement policy {self.placement!r}")
-        if self.sim_mode not in ("exact", "fluid"):
-            raise ServeError(f"unknown sim_mode {self.sim_mode!r}")
-        if self.scheduler is not None and self.scheduler not in (
-                "calendar", "heap"):
-            raise ServeError(f"unknown scheduler {self.scheduler!r}")
         if self.admission not in ADMISSION_MODES:
             raise ServeError(f"unknown admission mode {self.admission!r}")
         if self.batch_max < 1:
@@ -274,8 +261,7 @@ class BlasServer:
             self.tail_bank = tail_bank
         else:
             self.tail_bank = None
-        self.sim = Simulator(mode=self.config.sim_mode,
-                             scheduler=self.config.scheduler)
+        self.sim = Simulator()
         self.monitor = HealthMonitor(
             self.config.n_gpus,
             alpha=self.config.health_alpha,

@@ -8,14 +8,7 @@ device memory accounting.  See DESIGN.md section 2 for the substitution
 rationale.
 """
 
-from .calendar import CalendarQueue
-from .engine import (
-    Simulator,
-    get_default_scheduler,
-    set_default_scheduler,
-    use_scheduler,
-)
-from .fluid import FLUID_MIN_FLOW_RATIO, FLUID_MIN_WINDOW, FluidFlow, FluidStats
+from .engine import Simulator
 from .faults import (
     DeviceDegradation,
     DeviceFailure,
@@ -49,14 +42,6 @@ from .trace import TraceRecorder, TraceEvent, render_timeline
 
 __all__ = [
     "Simulator",
-    "CalendarQueue",
-    "get_default_scheduler",
-    "set_default_scheduler",
-    "use_scheduler",
-    "FLUID_MIN_FLOW_RATIO",
-    "FLUID_MIN_WINDOW",
-    "FluidFlow",
-    "FluidStats",
     "DeviceDegradation",
     "DeviceFailure",
     "FaultInjector",

@@ -53,13 +53,9 @@ class GpuDevice:
         faults: "FaultPlan | FaultInjector | None" = None,
         retry: Optional[RetryPolicy] = None,
         metrics=None,
-        sim_mode: str = "exact",
     ) -> None:
         self.config = config
-        #: ``sim_mode`` selects exact DES or hybrid fluid-flow for a
-        #: device-owned clock; ignored when a shared ``sim`` is passed
-        #: (the owner already chose).
-        self.sim = sim if sim is not None else Simulator(mode=sim_mode)
+        self.sim = sim if sim is not None else Simulator()
         self.noise = NoiseModel(seed=seed, sigma=config.noise_sigma)
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
         #: duck-typed MetricsRegistry (repro.obs.metrics); default None

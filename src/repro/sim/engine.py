@@ -1,46 +1,20 @@
 """Discrete-event simulation core.
 
-A :class:`Simulator` owns a virtual clock and an event queue.
-Components schedule callbacks at absolute or relative virtual times;
-running the simulator pops events in time order (FIFO among equal
-timestamps) and invokes them.  Events can be cancelled, which is how
-the duplex link re-plans in-flight transfers when contention changes.
-
-Two event schedulers are available behind one queue interface
-(``push/pop/peek/pop_batch``):
-
-* ``"calendar"`` (default) — a :class:`~repro.sim.calendar.CalendarQueue`
-  with O(1) amortized enqueue/dequeue;
-* ``"heap"`` — the historical binary heap, kept as the reference
-  implementation for the equivalence suite.
-
-Both order entries by the identical ``(time, seq)`` key, so every
-observable firing order — and therefore every trace byte — is the same
-under either scheduler.  ``use_scheduler("heap")`` swaps the default
-for code (tests) that builds simulators indirectly.
-
-Exact mode additionally drains all events at one timestamp in a single
-batch (:meth:`Simulator.run`): a batch pop is one queue operation
-instead of one per event, and FIFO order within the batch is preserved
-because batches come out already sorted by ``seq``.
-
-``Simulator(mode="fluid")`` enables the hybrid fluid-flow regime: a
-component (the duplex link) may register *flows* — objects exposing
-analytic completion times for a whole run of work — and the run loop
-interleaves their completions with discrete events, firing whichever
-comes first (ties go to the discrete event).  A collapsed run of k
-transfers costs zero queue operations instead of ~3k.  Exact mode never
-consults flows, so its hot loop pays nothing for the feature.
+A :class:`Simulator` owns a virtual clock and an event queue: one
+binary heap of ``(time, seq, event)`` entries.  Components schedule
+callbacks at absolute or relative virtual times; running the simulator
+pops events in time order (FIFO among equal timestamps, by ``seq``) and
+invokes them.  Events can be cancelled, which is how the duplex link
+re-plans in-flight transfers when contention changes: a cancelled entry
+stays in the heap and is skipped when it reaches the top.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .calendar import CalendarQueue
 
 
 class ScheduledEvent:
@@ -66,117 +40,20 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time:.9f} seq={self.seq} {state}>"
 
 
-#: One queue entry: (time, seq, handle).  seq values are unique, so
-#: tuple comparison never reaches the (uncomparable-by-design) handle.
-_QueueEntry = Tuple[float, int, ScheduledEvent]
-
-
-class _HeapQueue:
-    """Binary-heap scheduler: the pre-calendar engine, verbatim.
-
-    Kept as the reference implementation the equivalence suite compares
-    the calendar queue against.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_QueueEntry] = []
-
-    def push(self, entry: _QueueEntry) -> None:
-        heappush(self._heap, entry)
-
-    def pop(self) -> Optional[_QueueEntry]:
-        heap = self._heap
-        return heappop(heap) if heap else None
-
-    def peek(self) -> Optional[_QueueEntry]:
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def pop_batch(self) -> List[_QueueEntry]:
-        heap = self._heap
-        if not heap:
-            return []
-        batch = [heappop(heap)]
-        t0 = batch[0][0]
-        while heap and heap[0][0] == t0:
-            batch.append(heappop(heap))
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self) -> Iterator[_QueueEntry]:
-        return iter(self._heap)
-
-
-_SCHEDULERS = {"calendar": CalendarQueue, "heap": _HeapQueue}
-_MODES = ("exact", "fluid")
-
-_default_scheduler = "calendar"
-
-
-def get_default_scheduler() -> str:
-    """Scheduler used by ``Simulator()`` when none is requested."""
-    return _default_scheduler
-
-
-def set_default_scheduler(kind: str) -> None:
-    """Set the process-wide default event scheduler."""
-    global _default_scheduler
-    if kind not in _SCHEDULERS:
-        raise SimulationError(
-            f"unknown scheduler {kind!r}; expected one of {sorted(_SCHEDULERS)}"
-        )
-    _default_scheduler = kind
-
-
-@contextmanager
-def use_scheduler(kind: str):
-    """Temporarily swap the default scheduler (equivalence testing)."""
-    previous = _default_scheduler
-    set_default_scheduler(kind)
-    try:
-        yield
-    finally:
-        set_default_scheduler(previous)
-
-
 class Simulator:
     """Virtual-time event loop.
 
     The clock only moves forward, and only while :meth:`run` (or one of
     its bounded variants) is executing.  Determinism: two events at the
     same timestamp fire in scheduling order.
-
-    mode
-        ``"exact"`` (default) fires every scheduled event; ``"fluid"``
-        additionally lets components collapse event runs into analytic
-        *flows* (see module docstring).
-    scheduler
-        ``"calendar"`` or ``"heap"``; None picks the process default.
     """
 
-    def __init__(self, mode: str = "exact", scheduler: Optional[str] = None) -> None:
-        if mode not in _MODES:
-            raise SimulationError(
-                f"unknown simulator mode {mode!r}; expected one of {_MODES}"
-            )
-        if scheduler is None:
-            scheduler = _default_scheduler
-        if scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {sorted(_SCHEDULERS)}"
-            )
-        self.mode = mode
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue = _SCHEDULERS[scheduler]()
-        #: registered fluid flows (fluid mode only); duck-typed objects
-        #: with .next_time, .pending and .fire()
-        self._flows: list = []
+        #: (time, seq, handle) entries; seq values are unique, so tuple
+        #: comparison never reaches the (uncomparable-by-design) handle
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._running = False
 
     @property
@@ -186,11 +63,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Scheduled, not-yet-cancelled events (incl. collapsed flows)."""
-        count = sum(1 for entry in self._queue if not entry[2].cancelled)
-        for flow in self._flows:
-            count += flow.pending
-        return count
+        """Scheduled, not-yet-cancelled events."""
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -200,7 +74,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, callback)
-        self._queue.push((time, seq, ev))
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
@@ -212,24 +86,17 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, callback)
-        self._queue.push((time, seq, ev))
+        heappush(self._heap, (time, seq, ev))
         return ev
-
-    # ------------------------------------------------------------------
-    # fluid-flow registry
-    # ------------------------------------------------------------------
-
-    def register_flow(self, flow) -> None:
-        """Register an analytic flow; its completions join the run loop."""
-        self._flows.append(flow)
-
-    def unregister_flow(self, flow) -> None:
-        """Remove a flow (closed or bailed back to exact events)."""
-        self._flows.remove(flow)
 
     # ------------------------------------------------------------------
     # run loops
     # ------------------------------------------------------------------
+
+    def _enter(self) -> None:
+        if self._running:
+            raise SimulationError("simulator is already running (re-entrant run)")
+        self._running = True
 
     def run(self, max_events: int = 50_000_000) -> int:
         """Run until no events remain.  Returns the number fired.
@@ -237,28 +104,17 @@ class Simulator:
         ``max_events`` is a runaway guard: a cycle of self-rescheduling
         events raises instead of hanging forever.
         """
-        if self.mode != "exact" or self._flows:
-            return self._run_fluid(None, max_events)
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
+        self._enter()
         fired = 0
-        pop_batch = self._queue.pop_batch
+        heap = self._heap
         try:
-            while True:
-                batch = pop_batch()
-                if not batch:
-                    break
-                # All entries share one timestamp and arrive sorted by
-                # seq, so firing in order preserves FIFO exactly; any
-                # events a callback schedules at this same timestamp
-                # form the next (minimum-time) batch.
-                self._now = batch[0][0]
-                for entry in batch:
-                    ev = entry[2]
-                    if not ev.cancelled:
-                        ev.callback()
-                        fired += 1
+            while heap:
+                time, _, ev = heappop(heap)
+                if ev.cancelled:
+                    continue
+                self._now = time
+                ev.callback()
+                fired += 1
                 if fired > max_events:
                     raise SimulationError(
                         f"event budget exhausted after {max_events} events; "
@@ -268,62 +124,25 @@ class Simulator:
             self._running = False
         return fired
 
-    def run_until(self, predicate: Callable[[], bool], max_events: int = 50_000_000) -> int:
-        """Run until ``predicate()`` is true or no events remain.
-
-        Single-steps (no batch drain): the predicate must be observed
-        between events at the same timestamp, exactly as historically.
-        """
-        if self.mode != "exact" or self._flows:
-            return self._run_fluid(predicate, max_events)
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        fired = 0
-        pop = self._queue.pop
-        try:
-            while not predicate():
-                entry = pop()
-                while entry is not None and entry[2].cancelled:
-                    entry = pop()
-                if entry is None:
-                    break
-                self._now = entry[0]
-                entry[2].callback()
-                fired += 1
-                if fired > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events"
-                    )
-        finally:
-            self._running = False
-        return fired
-
     def run_done(self, handle, max_events: int = 50_000_000) -> int:
-        """``run_until(lambda: handle.done)`` without the per-event
-        closure call: the loop reads ``handle.done`` directly.
+        """Run until ``handle.done`` is true or no events remain.
 
         ``handle`` is anything with a ``done`` attribute (e.g. a
-        :class:`~repro.sim.stream.Operation`).  Event-for-event
-        identical to the ``run_until`` formulation; it exists because
-        stream synchronization is the hottest bounded-run call site.
+        :class:`~repro.sim.stream.Operation`).  The flag is checked
+        between every two events, including events at the same
+        timestamp, so the run stops at the exact event that completes
+        the handle.
         """
-        if self.mode != "exact" or self._flows:
-            return self._run_fluid(lambda: handle.done, max_events)
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
+        self._enter()
         fired = 0
-        pop = self._queue.pop
+        heap = self._heap
         try:
-            while not handle.done:
-                entry = pop()
-                while entry is not None and entry[2].cancelled:
-                    entry = pop()
-                if entry is None:
-                    break
-                self._now = entry[0]
-                entry[2].callback()
+            while heap and not handle.done:
+                time, _, ev = heappop(heap)
+                if ev.cancelled:
+                    continue
+                self._now = time
+                ev.callback()
                 fired += 1
                 if fired > max_events:
                     raise SimulationError(
@@ -340,48 +159,23 @@ class Simulator:
         The lock-step epoch barrier the cluster coordinator leans on:
         each node's simulator is driven to one shared instant before
         the router observes its backlog, so cross-node comparisons are
-        always between clocks at the same virtual time.  Batch-drains
-        exact mode like :meth:`run` (FIFO within a timestamp is
-        preserved); fluid mode routes through the interleaved loop so
-        flow completions inside the window fire too.
+        always between clocks at the same virtual time.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot run to t={time} before now={self._now}"
             )
-        if self.mode != "exact" or self._flows:
-            def _past_window() -> bool:
-                nxt = self.peek_next_time()
-                return nxt is None or nxt > time
-            fired = self._run_fluid(_past_window, max_events)
-            self._now = time
-            return fired
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
+        self._enter()
         fired = 0
-        queue = self._queue
+        heap = self._heap
         try:
-            while True:
-                nxt: Optional[float] = None
-                while True:
-                    head = queue.peek()
-                    if head is None:
-                        break
-                    if head[2].cancelled:
-                        queue.pop()
-                        continue
-                    nxt = head[0]
-                    break
-                if nxt is None or nxt > time:
-                    break
-                batch = queue.pop_batch()
-                self._now = batch[0][0]
-                for entry in batch:
-                    ev = entry[2]
-                    if not ev.cancelled:
-                        ev.callback()
-                        fired += 1
+            while heap and heap[0][0] <= time:
+                t, _, ev = heappop(heap)
+                if ev.cancelled:
+                    continue
+                self._now = t
+                ev.callback()
+                fired += 1
                 if fired > max_events:
                     raise SimulationError(
                         f"event budget exhausted after {max_events} events; "
@@ -392,94 +186,6 @@ class Simulator:
         self._now = time
         return fired
 
-    def _run_fluid(self, predicate: Optional[Callable[[], bool]], max_events: int) -> int:
-        """Interleave discrete events with analytic flow completions.
-
-        The next thing to happen is the earlier of the queue head and
-        the earliest registered flow completion; a tie goes to the
-        discrete event (it carries an explicit seq, the flow does not).
-        """
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        fired = 0
-        queue = self._queue
-        flows = self._flows
-        try:
-            while predicate is None or not predicate():
-                # A drained-or-empty queue is the steady state while
-                # windows are open; len() is O(1) where peek is a
-                # bucket scan, so gate the peek on it.  (A queue
-                # holding only cancelled entries takes the peek path,
-                # which discards them.)
-                t_queue: Optional[float] = None
-                if len(queue):
-                    while True:
-                        head = queue.peek()
-                        if head is None:
-                            break
-                        if head[2].cancelled:
-                            queue.pop()
-                            continue
-                        t_queue = head[0]
-                        break
-                if flows:
-                    # Bulk pre-pass: while every open window is pure
-                    # (no un-fired callbacks), completions strictly
-                    # before the next side-effectful instant — the
-                    # queue head or the earliest window close, whose
-                    # close handler can bail a neighbouring window —
-                    # are pure per-direction bookkeeping, so each link
-                    # drains them in one pass instead of one loop trip
-                    # per completion.  Ties and the closes themselves
-                    # fall through to the exact single-step below.
-                    pure = True
-                    for flow in flows:
-                        if not flow.pure:
-                            pure = False
-                            break
-                    if pure:
-                        limit = min(flow.ends[-1] for flow in flows)
-                        if t_queue is not None and t_queue < limit:
-                            limit = t_queue
-                        drained = 0
-                        for flow in flows:
-                            t = flow.next_time
-                            if t is not None and t < limit:
-                                drained += flow.drain(limit)
-                        if drained:
-                            fired += drained
-                            if fired > max_events:
-                                raise SimulationError(
-                                    f"event budget exhausted after "
-                                    f"{max_events} events"
-                                )
-                            continue
-                best_flow = None
-                t_flow: Optional[float] = None
-                for flow in flows:
-                    t = flow.next_time
-                    if t is not None and (t_flow is None or t < t_flow):
-                        t_flow = t
-                        best_flow = flow
-                if t_flow is not None and (t_queue is None or t_flow < t_queue):
-                    self._now = t_flow
-                    best_flow.fire()
-                elif t_queue is not None:
-                    entry = queue.pop()
-                    self._now = t_queue
-                    entry[2].callback()
-                else:
-                    break
-                fired += 1
-                if fired > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events"
-                    )
-        finally:
-            self._running = False
-        return fired
-
     # ------------------------------------------------------------------
     # clock introspection
     # ------------------------------------------------------------------
@@ -487,26 +193,15 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None if idle.
 
-        Amortized O(1): cancelled entries at the queue head are
-        discarded on the way (they would be skipped at pop time
-        anyway).  Includes registered flow completions.
+        Amortized O(1): cancelled entries at the heap top are discarded
+        on the way (they would be skipped at pop time anyway).
         """
-        queue = self._queue
-        nxt: Optional[float] = None
-        while True:
-            head = queue.peek()
-            if head is None:
-                break
-            if head[2].cancelled:
-                queue.pop()
-                continue
-            nxt = head[0]
-            break
-        for flow in self._flows:
-            t = flow.next_time
-            if t is not None and (nxt is None or t < nxt):
-                nxt = t
-        return nxt
+        heap = self._heap
+        while heap:
+            if not heap[0][2].cancelled:
+                return heap[0][0]
+            heappop(heap)
+        return None
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward with no events (only valid when idle).
@@ -527,6 +222,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={self._now:.9f} pending={self.pending_events} "
-            f"mode={self.mode} scheduler={self.scheduler}>"
+            f"<Simulator now={self._now:.9f} pending={self.pending_events}>"
         )

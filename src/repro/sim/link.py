@@ -24,14 +24,6 @@ latency/flow/completion callbacks are bound once per direction instead
 of a fresh lambda per event, and metric handles are resolved at
 construction.  The event timing and firing order are identical to the
 original implementation.
-
-Fluid regime: on a ``Simulator(mode="fluid")`` with no fault injector,
-a direction whose backlog reaches ``FLUID_MIN_WINDOW`` large transfers
-collapses the whole run into a :class:`~repro.sim.fluid.FluidFlow` —
-analytic completion times, zero per-chunk events — and bails back to
-exact DES whenever the opposite direction's contention state changes
-(see ``fluid.py`` for the error model).  Exact mode never takes any of
-these branches.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from ..errors import InvalidTransferError, SimulationError
 from .engine import ScheduledEvent, Simulator
 from .faults import FaultInjector
-from .fluid import FLUID_MIN_WINDOW, FLUID_MIN_FLOW_RATIO, FluidFlow, FluidStats
 from .noise import NoiseModel
 
 
@@ -159,8 +150,6 @@ class _DirectionState:
         "last_update",
         "rate",
         "stats",
-        "flow",
-        "fluid_min_bytes",
         "begin_flow_cb",
         "complete_cb",
         "m_transfers",
@@ -184,10 +173,6 @@ class _DirectionState:
         self.last_update = 0.0
         self.rate = 0.0
         self.stats = DirectionStats()
-        #: open analytic window (fluid mode only)
-        self.flow: Optional[FluidFlow] = None
-        #: smallest transfer the fluid regime will collapse
-        self.fluid_min_bytes = 0.0
         # Bound per-direction callbacks (one allocation per link, not
         # one per event) and prefetched metric handles (None = off).
         self.begin_flow_cb: Callable[[], None] = lambda: None
@@ -232,14 +217,6 @@ class DuplexLink:
         self._faults = faults
         #: duck-typed MetricsRegistry (repro.obs.metrics); None = off
         self._metrics = metrics
-        #: hybrid fluid-flow collapse: only on fluid-mode simulators,
-        #: and structurally never with a fault injector attached (a
-        #: mid-window fault could not be replayed exactly)
-        self._fluid_ok = faults is None and getattr(sim, "mode", "exact") == "fluid"
-        self.fluid_stats = FluidStats()
-        max_latency = max(self._h2d.latency, self._d2h.latency)
-        for st in (self._h2d, self._d2h):
-            st.fluid_min_bytes = FLUID_MIN_FLOW_RATIO * max_latency * st.bandwidth
         for st in (self._h2d, self._d2h):
             st.begin_flow_cb = partial(self._begin_flow, st)
             st.complete_cb = partial(self._complete, st)
@@ -258,10 +235,7 @@ class DuplexLink:
 
     def queue_depth(self, direction: Direction) -> int:
         st = self._dirs[direction]
-        depth = len(st.queue) + (1 if st.active is not None else 0)
-        if st.flow is not None:
-            depth += st.flow.pending
-        return depth
+        return len(st.queue) + (1 if st.active is not None else 0)
 
     def is_flowing(self, direction: Direction) -> bool:
         return self._dirs[direction].phase == _FLOW
@@ -295,22 +269,6 @@ class DuplexLink:
             job.on_fault = on_fault
         job.submit_time = self._sim.now
         st = self._h2d if direction is Direction.H2D else self._d2h
-        flow = st.flow
-        if flow is not None:
-            # Mid-window: extend the analytic window when FIFO order
-            # allows (nothing queued behind it and the job is large
-            # enough to collapse), else queue for after the window.
-            if not st.queue and job.nbytes >= st.fluid_min_bytes:
-                latency = st.latency
-                if self._noise is not None:
-                    latency *= self._noise.latency_factor()
-                flow.extend(job, latency, flow.rate_base * job.rate_scale)
-                stats = self.fluid_stats
-                stats.extensions += 1
-                stats.jobs_collapsed += 1
-            else:
-                st.queue.append(job)
-            return
         st.queue.append(job)
         if st.active is None:
             self._try_start(st)
@@ -321,13 +279,6 @@ class DuplexLink:
 
     def _try_start(self, st: _DirectionState) -> None:
         if st.active is not None or not st.queue:
-            return
-        if (
-            self._fluid_ok
-            and st.flow is None
-            and len(st.queue) >= FLUID_MIN_WINDOW
-            and self._open_flow(st)
-        ):
             return
         job = st.queue.popleft()
         st.active = job
@@ -350,18 +301,13 @@ class DuplexLink:
             raise SimulationError("flow began with no active transfer")
         st.phase = _FLOW
         st.last_update = self._sim.now
-        other = st.other
-        if other.flow is not None and not other.flow.contended:
-            # This direction is about to contend; the neighbour's
-            # analytic window assumed it stayed idle.
-            self._fluid_bail(other, "contention")
         if st.active.remaining <= 0.0:
             # Zero-byte transfer: latency only.
             self._complete(st)
             return
         self._reschedule(st)
         # The opposite direction just gained a contender: slow it down.
-        self._replan(other)
+        self._replan(st.other)
 
     def _reschedule(self, st: _DirectionState) -> None:
         """(Re)compute the completion event from current remaining bytes."""
@@ -434,246 +380,10 @@ class DuplexLink:
                 nbytes=job.nbytes,
             )
         # The opposite direction lost its contender: speed it up.
-        other = st.other
-        if other.flow is not None and other.flow.contended and not st.queue:
-            # This direction is going durably idle; the neighbour's
-            # window priced in our contention.  (A non-empty queue
-            # means _try_start below restarts us immediately — the
-            # momentary gap is exactly what the window approximates.)
-            self._fluid_bail(other, "contention")
-        self._replan(other)
+        self._replan(st.other)
         if job.fail:
             if job.on_fault is not None:
                 job.on_fault()
         elif job.on_complete is not None:
             job.on_complete()
         self._try_start(st)
-
-    # ------------------------------------------------------------------
-    # fluid regime (Simulator(mode="fluid") only; see sim/fluid.py)
-    # ------------------------------------------------------------------
-
-    def _open_flow(self, st: _DirectionState) -> bool:
-        """Collapse the eligible FIFO prefix of the backlog, if deep
-        enough, into an analytic window.  Returns True on success."""
-        floor = st.fluid_min_bytes
-        k = 0
-        pure = True
-        for job in st.queue:
-            if job.nbytes < floor:
-                break
-            if job.on_complete is not None:
-                pure = False
-            k += 1
-        if k < FLUID_MIN_WINDOW:
-            return False
-        other = st.other
-        if other.flow is not None and not other.flow.contended:
-            # The neighbour's window assumed this direction stays idle.
-            self._fluid_bail(other, "contention")
-        queue = st.queue
-        if k == len(queue):
-            jobs = list(queue)
-            queue.clear()
-        else:
-            jobs = [queue.popleft() for _ in range(k)]
-        contended = other.active is not None or other.flow is not None
-        rate_base = st.bandwidth / st.slowdown if contended else st.bandwidth
-        noise = self._noise
-        if noise is not None:
-            latencies = [st.latency * noise.latency_factor() for _ in jobs]
-            rates = None  # per-job rate_scale varies; let open() derive
-        else:
-            latencies = [st.latency] * k
-            rates = [rate_base] * k
-        flow = FluidFlow.open(
-            self._sim.now, jobs, latencies, rate_base, contended,
-            partial(self._flow_fire, st),
-            rates=rates, pure=pure,
-        )
-        flow.drain = partial(self._flow_drain, st)
-        st.flow = flow
-        st.phase = _FLOW
-        st.last_update = self._sim.now
-        self._sim.register_flow(flow)
-        stats = self.fluid_stats
-        stats.windows += 1
-        stats.jobs_collapsed += k
-        # The opposite direction just gained a (fluid) contender.
-        self._replan(other)
-        return True
-
-    def _flow_fire(self, st: _DirectionState) -> None:
-        """Fire the next collapsed completion.  The engine's fluid run
-        loop calls this with the clock already at the analytic time."""
-        flow = st.flow
-        # FluidFlow.take_next, inlined: this is the one per-transfer
-        # call in a collapsed window, and the indirection costs more
-        # than the bookkeeping.  The pointer moves before the callback
-        # so a re-entrant bail never replays the fired job.
-        i = flow.idx
-        flow.idx = i + 1
-        ends = flow.ends
-        flow.next_time = ends[i + 1] if i + 1 < len(ends) else None
-        job = flow.jobs[i]
-        start = flow.starts[i]
-        end = ends[i]
-        nbytes = job.nbytes
-        # Per-fire stats use the same operand floats and accumulation
-        # order as exact mode, so an uncontended window leaves the
-        # counters bit-identical to exact DES.
-        stats = st.stats
-        stats.transfers += 1
-        stats.bytes_moved += nbytes
-        stats.busy_time += end - start
-        flow_time = end - flow.begins[i]
-        stats.flow_time += flow_time
-        if flow.contended:
-            stats.bid_overlap_time += flow_time
-        if st.m_transfers is not None:
-            st.m_transfers.inc()
-            st.m_bytes.inc(nbytes)
-            st.m_queue_wait.observe(start - job.submit_time)
-        cb = job.on_complete
-        if cb is not None:
-            cb()
-        # The callback may have extended the window or bailed it (a
-        # re-entrant submit to the opposite direction); only close if
-        # this window is still ours and drained.  next_time is None
-        # exactly when every collapsed job has fired (an extend would
-        # have refreshed it).
-        if st.flow is flow and flow.next_time is None:
-            self._close_flow(st)
-
-    def _flow_drain(self, st: _DirectionState, limit: float) -> int:
-        """Bulk-fire every collapsed completion strictly before
-        ``limit``.  Returns the number fired.
-
-        Only called by the run loop while the window is *pure* (no
-        un-fired job carries a completion callback), so each fire is
-        nothing but this direction's bookkeeping: no re-entrant
-        submits, extends, or bails can occur, and the per-fire trip
-        through the run loop would be wasted motion.  The limit is the
-        next side-effectful instant (a discrete event or some window's
-        last completion, whose close can bail a neighbour), so every
-        cross-direction interaction still happens at its exact time.
-
-        The accumulation below performs the same float additions in
-        the same order as per-fire ``_flow_fire`` — running them in
-        locals and writing back changes nothing bitwise.
-        """
-        flow = st.flow
-        jobs = flow.jobs
-        starts = flow.starts
-        begins = flow.begins
-        ends = flow.ends
-        contended = flow.contended
-        m = st.m_transfers
-        stats = st.stats
-        transfers = stats.transfers
-        bytes_moved = stats.bytes_moved
-        busy_time = stats.busy_time
-        flow_time = stats.flow_time
-        overlap_time = stats.bid_overlap_time
-        i = flow.idx
-        first = i
-        n = len(ends)
-        while i < n and ends[i] < limit:
-            end = ends[i]
-            job = jobs[i]
-            nbytes = job.nbytes
-            transfers += 1
-            bytes_moved += nbytes
-            busy_time += end - starts[i]
-            ft = end - begins[i]
-            flow_time += ft
-            if contended:
-                overlap_time += ft
-            if m is not None:
-                m.inc()
-                st.m_bytes.inc(nbytes)
-                st.m_queue_wait.observe(starts[i] - job.submit_time)
-            i += 1
-        stats.transfers = transfers
-        stats.bytes_moved = bytes_moved
-        stats.busy_time = busy_time
-        stats.flow_time = flow_time
-        stats.bid_overlap_time = overlap_time
-        flow.idx = i
-        flow.next_time = ends[i] if i < n else None
-        return i - first
-
-    def _close_flow(self, st: _DirectionState) -> None:
-        """Normal end of a drained window: back to exact machinery."""
-        flow = st.flow
-        st.flow = None
-        self._sim.unregister_flow(flow)
-        self._flush_flow(st, flow)
-        st.phase = _IDLE
-        other = st.other
-        if other.flow is not None and other.flow.contended and not st.queue:
-            self._fluid_bail(other, "contention")
-        self._replan(other)
-        self._try_start(st)
-
-    def _fluid_bail(self, st: _DirectionState, reason: str) -> None:
-        """Abandon the analytic window: flush the fired prefix and
-        reconstruct the exact DES state of the remainder."""
-        flow = st.flow
-        st.flow = None
-        self._sim.unregister_flow(flow)
-        self._flush_flow(st, flow)
-        self.fluid_stats.record_bail(reason)
-        state = flow.bail_state()
-        queue = st.queue
-        for job in reversed(state.requeue):
-            queue.appendleft(job)
-        job = state.active
-        if job is None:
-            # Bailed exactly at a window boundary: nothing in flight.
-            st.phase = _IDLE
-            self._try_start(st)
-            return
-        sim = self._sim
-        now = sim.now
-        st.active = job
-        job.start_time = state.active_start
-        if st.completion is not None:
-            st.completion.cancelled = True
-        if now < state.active_begin:
-            # Still in the setup phase: re-issue the begin-flow event.
-            st.phase = _LATENCY
-            st.completion = sim.schedule_at(state.active_begin, st.begin_flow_cb)
-            return
-        # Mid-flow: integrate analytic progress at the window rate.
-        rate = state.active_rate
-        done = (now - state.active_begin) * rate
-        job.remaining = max(0.0, float(job.nbytes) - done)
-        st.phase = _FLOW
-        st.last_update = now
-        st.rate = rate
-        st.completion = sim.schedule(job.remaining / rate, st.complete_cb)
-
-    def _flush_flow(self, st: _DirectionState, flow: FluidFlow) -> None:
-        """Record the collapsed trace span for a window's fired prefix.
-
-        Per-transfer stats and metrics accrue at fire time (see
-        ``_flow_fire``); only the synthetic trace marker is deferred to
-        window close/bail.
-        """
-        if self._trace is None:
-            return
-        k = flow.idx
-        if k == 0:
-            return
-        # One synthetic span per window; obs.verify treats "fluid:"
-        # tags as collapsed markers (exempt from the per-transfer
-        # completion-order invariant).  The fired byte total is summed
-        # here — once per window — instead of per fire.
-        self._trace.record(
-            engine=st.name,
-            tag=f"fluid:{st.name}#{k}",
-            start=flow.t_open,
-            end=flow.ends[k - 1],
-            nbytes=sum(job.nbytes for job in flow.jobs[:k]),
-        )

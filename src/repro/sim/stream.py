@@ -308,8 +308,6 @@ class Stream:
         last = self._last
         if last is None:
             return
-        # run_done is run_until(lambda: last.done) minus the per-event
-        # closure call; firing order is identical.
         self._device.sim.run_done(last)
         if not last.done:
             failures = getattr(self._device, "_fault_failures", None)

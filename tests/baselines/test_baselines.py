@@ -1,6 +1,8 @@
 """Tests for the comparator libraries: cuBLASXt-like, BLASX-like,
 unified-memory daxpy, serial offload."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.blas import assert_allclose_blas, ref_axpy, ref_gemm
 from repro.core import Loc
 from repro.errors import BlasError
 from repro.runtime import CoCoPeLiaLibrary
-from repro.sim.machine import custom_machine
+from repro.sim.machine import custom_machine, get_testbed
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,17 @@ class TestCublasXtTraffic:
     def test_dims_required(self, machine):
         with pytest.raises(BlasError):
             CublasXtLibrary(machine).gemm(m=None)
+
+    def test_worker_pool_leaves_room_for_resident_operands(self):
+        """Device-resident A and B (64 MiB) plus four 12 MiB worker
+        pools overflow a 100 MiB GPU; the pool must shrink to fit."""
+        tb = dataclasses.replace(get_testbed("testbed_i"),
+                                 gpu_mem_bytes=100 << 20)
+        xt = CublasXtLibrary(tb)
+        res = xt.gemm(2048, 2048, 2048, tile_size=512,
+                      loc_a=Loc.DEVICE, loc_b=Loc.DEVICE)
+        assert res.kernels == 4 ** 3
+        assert res.h2d_transfers == res.d2h_transfers == 4 ** 3
 
 
 class TestBlasX:

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation core."""
 
+import types
+
 import pytest
 
 from repro.errors import SimulationError
@@ -93,12 +95,18 @@ def test_zero_delay_event_fires_at_current_time():
     assert times == [2.0]
 
 
-def test_run_until_predicate():
+def test_run_done_stops_at_the_completing_event():
     sim = Simulator()
     counter = []
+    handle = types.SimpleNamespace(done=False)
+
+    def tick(i):
+        counter.append(i)
+        handle.done = len(counter) >= 3
+
     for i in range(10):
-        sim.schedule(float(i + 1), lambda i=i: counter.append(i))
-    sim.run_until(lambda: len(counter) >= 3)
+        sim.schedule(float(i + 1), lambda i=i: tick(i))
+    assert sim.run_done(handle) == 3
     assert len(counter) == 3
     assert sim.pending_events == 7
     sim.run()

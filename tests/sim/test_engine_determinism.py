@@ -1,0 +1,138 @@
+"""Same-seed determinism of the simulation core, end to end.
+
+Every committed trace, document and benchmark digest assumes that a
+workload run twice with the same seed produces the same bytes, and that
+a :class:`Simulator` carries no state beyond its own heap — no module
+global, no default picked up from an earlier run.  These tests run each
+workload class the repo ships (the golden dgemm, a fig7-style noisy
+tile sweep, a served workload, a chaos scenario) twice, with unrelated
+simulations in between, and require identical observables; plus the
+lock-step property the cluster coordinator relies on: independent
+simulators stepped in interleaved epochs behave as if run alone.
+"""
+
+import json
+
+from repro.obs import verify_requests
+from repro.runtime.routines import CoCoPeLiaLibrary
+from repro.serve import (
+    BlasServer,
+    ServerConfig,
+    WorkloadSpec,
+    generate_workload,
+    serve_document,
+)
+from repro.serve.chaos import build_scenario, run_chaos
+from repro.sim import Direction, DuplexLink, LinkDirectionConfig, Simulator
+
+from tests.obs.test_golden_trace import run_golden_workload
+
+
+def _trace_rows(trace):
+    return [(ev.engine, ev.tag, ev.start, ev.end, ev.nbytes, ev.flops)
+            for ev in trace.events]
+
+
+def _doc_bytes(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def _noisy_sweep(machine, seed):
+    lib = CoCoPeLiaLibrary(machine, seed=seed, trace=True)
+    seconds, rows = [], []
+    for t in (256, 512):
+        res = lib.gemm(m=1024, n=1024, k=1024, tile_size=t)
+        seconds.append(res.seconds)
+        rows.extend(_trace_rows(lib.last_trace))
+    return seconds, rows
+
+
+class TestRepeatedRunsAreIdentical:
+    def test_golden_workload_repeats_with_other_runs_in_between(self, tb2):
+        first, trace = run_golden_workload()
+        rows = _trace_rows(trace)
+        _noisy_sweep(tb2, seed=99)  # unrelated simulation in between
+        again, trace_again = run_golden_workload()
+        assert again.seconds == first.seconds
+        assert _trace_rows(trace_again) == rows
+
+    def test_fig7_style_noisy_sweep_repeats(self, tb2):
+        assert _noisy_sweep(tb2, seed=13) == _noisy_sweep(tb2, seed=13)
+
+    def test_noisy_sweep_depends_on_the_seed(self, tb2):
+        # Keeps the repeat test honest: the noise is live, so identity
+        # above is determinism, not a constant timeline.
+        assert _noisy_sweep(tb2, seed=13)[0] != _noisy_sweep(tb2, seed=14)[0]
+
+    def test_serving_document_repeats(self, tb2, models_tb2):
+        spec = WorkloadSpec(n_requests=24, rate=4000.0, seed=5)
+
+        def serve():
+            server = BlasServer(tb2, models_tb2,
+                                ServerConfig(n_gpus=2, seed=5))
+            return _doc_bytes(serve_document(
+                server.serve(generate_workload(spec))))
+
+        assert serve() == serve()
+
+    def test_chaos_document_repeats(self, tb2, models_tb2):
+        spec = WorkloadSpec(n_requests=24, rate=8000.0, seed=11)
+        config = ServerConfig(n_gpus=4, seed=11)
+
+        def chaos():
+            return _doc_bytes(run_chaos(tb2, models_tb2, "kill-one-gpu",
+                                        spec=spec, config=config, seed=11))
+
+        assert chaos() == chaos()
+
+
+class TestLifecycleChaosConservation:
+    def test_kill_one_gpu_conserves_every_request(self, tb2, models_tb2):
+        # Device failure + recovery drains a domain and requeues its
+        # work mid-run; every request must still reach exactly one
+        # terminal state, and the fleet must keep completing work.
+        spec = WorkloadSpec(n_requests=24, rate=8000.0, seed=11)
+        scenario = build_scenario("kill-one-gpu", spec, 4, seed=11)
+        server = BlasServer(tb2.with_faults(scenario.plan()), models_tb2,
+                            ServerConfig(n_gpus=4, seed=11))
+        outcome = server.serve(generate_workload(spec))
+        verify_requests(outcome.requests)
+        assert len(outcome.requests) == 24
+        assert any(r.completion_t is not None for r in outcome.requests)
+
+
+_H2D = LinkDirectionConfig(latency=1e-5, bandwidth=8e9, bid_slowdown=1.3)
+_D2H = LinkDirectionConfig(latency=1e-5, bandwidth=6e9, bid_slowdown=1.8)
+
+
+def _loaded_link(n_h2d, n_d2h, nbytes):
+    sim = Simulator()
+    link = DuplexLink(sim, _H2D, _D2H)
+    done = []
+    for i in range(n_h2d):
+        link.submit(Direction.H2D, nbytes,
+                    on_complete=lambda i=i: done.append(("h2d", i, sim.now)))
+    for i in range(n_d2h):
+        link.submit(Direction.D2H, nbytes,
+                    on_complete=lambda i=i: done.append(("d2h", i, sim.now)))
+    return sim, done
+
+
+class TestIndependentSimulators:
+    def test_interleaved_epochs_match_isolated_runs(self):
+        shapes = [(30, 10, 4 << 20), (5, 25, 1 << 20), (12, 12, 16 << 20)]
+        isolated = []
+        for shape in shapes:
+            sim, done = _loaded_link(*shape)
+            sim.run()
+            isolated.append(done)
+
+        # Lock-step: advance every simulator to the same barrier in
+        # turn, as the cluster coordinator does with its nodes.
+        fleet = [_loaded_link(*shape) for shape in shapes]
+        t = 0.0
+        while any(sim.peek_next_time() is not None for sim, _ in fleet):
+            t += 2.5e-3
+            for sim, _ in fleet:
+                sim.run_to(t)
+        assert [done for _, done in fleet] == isolated

@@ -12,51 +12,65 @@ ordering comments in ``repro/serve/server.py`` reference this module:
   decision;
 * equal-time arrivals dispatch in ``(arrival, req_id)`` order.
 
-Every contract is checked under both event schedulers: the tie
-resolution must be a property of the ``(time, seq)`` key, not of heap
-or calendar internals.
+The simulator-level contracts are checked under each of the engine's
+three run loops (``run``, ``run_to`` and ``run_done``): each pops the
+heap itself, so the tie resolution must hold in every one of them.
 """
+
+import types
 
 import numpy as np
 import pytest
 
 from repro.core import gemm_problem
 from repro.serve import BlasServer, Request, ServerConfig
-from repro.sim import Simulator, use_scheduler
+from repro.sim import Simulator
 from repro.sim.faults import DeviceFailure, FaultPlan
 
-SCHEDULERS = ("heap", "calendar")
+
+@pytest.fixture()
+def sim():
+    return Simulator()
 
 
-@pytest.fixture(params=SCHEDULERS)
-def sim(request):
-    return Simulator(scheduler=request.param)
+_NEVER_DONE = types.SimpleNamespace(done=False)
+
+DRIVERS = {
+    "run": lambda sim: sim.run(),
+    "run_to": lambda sim: sim.run_to(10.0),
+    "run_done": lambda sim: sim.run_done(_NEVER_DONE),
+}
+
+
+@pytest.fixture(params=sorted(DRIVERS))
+def drive(request):
+    """Drain a simulator through one of the engine's run loops."""
+    return DRIVERS[request.param]
 
 
 class TestFifoWithinTimestamp:
-    def test_equal_time_events_fire_in_scheduling_order(self, sim):
+    def test_equal_time_events_fire_in_scheduling_order(self, sim, drive):
         order = []
         for name in "abcde":
             sim.schedule(1.0, lambda n=name: order.append(n))
-        sim.run()
+        drive(sim)
         assert order == list("abcde")
 
-    def test_zero_delay_chain_runs_after_the_current_batch(self, sim):
-        # An event scheduled *during* a timestamp's batch at that same
-        # timestamp joins the back of the line, not the middle.
+    def test_zero_delay_chain_runs_after_the_current_batch(self, sim, drive):
+        # An event scheduled *during* a timestamp at that same timestamp
+        # joins the back of the line, not the middle.
         order = []
         def first():
             order.append("first")
             sim.schedule(0.0, lambda: order.append("chained"))
         sim.schedule(1.0, first)
         sim.schedule(1.0, lambda: order.append("second"))
-        sim.run()
+        drive(sim)
         assert order == ["first", "second", "chained"]
 
-    def test_cancellation_within_a_batch_is_honoured(self, sim):
+    def test_cancellation_within_a_batch_is_honoured(self, sim, drive):
         # An earlier event at the same timestamp cancels a later one:
-        # the victim must be skipped even though both were popped into
-        # the same batch.
+        # the victim must be skipped.
         fired = []
         ev_victim = None
 
@@ -67,16 +81,22 @@ class TestFifoWithinTimestamp:
         sim.schedule(1.0, killer)
         ev_victim = sim.schedule(1.0, lambda: fired.append("victim"))
         sim.schedule(1.0, lambda: fired.append("after"))
-        sim.run()
+        drive(sim)
         assert fired == ["killer", "after"]
 
-    def test_run_until_observes_between_equal_time_events(self, sim):
-        # run_until's predicate must be evaluated between events at one
-        # timestamp (it single-steps; no batch drain).
+    def test_run_done_observes_between_equal_time_events(self, sim):
+        # run_done must check the handle between events at one
+        # timestamp, so it stops right after the event that finishes it.
         fired = []
-        sim.schedule(1.0, lambda: fired.append("a"))
+        handle = types.SimpleNamespace(done=False)
+
+        def first():
+            fired.append("a")
+            handle.done = True
+
+        sim.schedule(1.0, first)
         sim.schedule(1.0, lambda: fired.append("b"))
-        sim.run_until(lambda: bool(fired))
+        assert sim.run_done(handle) == 1
         assert fired == ["a"]
 
 
@@ -90,9 +110,7 @@ class TestWatchdogDeadlineTie:
     and a completed batch become schedule-dependent.
     """
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_watchdog_scheduled_first_wins_the_tie(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_watchdog_scheduled_first_wins_the_tie(self, sim, drive):
         outcome = []
         settled = []
 
@@ -108,12 +126,10 @@ class TestWatchdogDeadlineTie:
 
         sim.schedule(1.0, timeout)        # watchdog, at launch
         sim.schedule(1.0, completion)     # stream done, same instant
-        sim.run()
+        drive(sim)
         assert outcome == ["timeout"]
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_earlier_completion_cancels_the_watchdog(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_earlier_completion_cancels_the_watchdog(self, sim, drive):
         outcome = []
         watchdog = sim.schedule(2.0, lambda: outcome.append("timeout"))
 
@@ -122,7 +138,7 @@ class TestWatchdogDeadlineTie:
             watchdog.cancel()
 
         sim.schedule(1.0, completion)
-        sim.run()
+        drive(sim)
         assert outcome == ["completed"]
 
 
@@ -132,9 +148,8 @@ class TestLifecycleArrivalTie:
                        problem=gemm_problem(512, 512, 512, np.float64),
                        arrival=arrival)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_failure_at_arrival_instant_is_seen_by_placement(
-            self, scheduler, tb2, models_tb2):
+            self, tb2, models_tb2):
         # gpu0 dies at exactly t=0.005; the request arriving at that
         # same instant must be placed against the post-fault health
         # state — it never touches the dead device and needs no
@@ -143,24 +158,20 @@ class TestLifecycleArrivalTie:
         t = 0.005
         plan = FaultPlan(name="tie", lifecycle=(
             DeviceFailure(device=0, onset=t),))
-        with use_scheduler(scheduler):
-            server = BlasServer(tb2.with_faults(plan), models_tb2,
-                                ServerConfig(n_gpus=1, seed=0))
-            outcome = server.serve([self._request(0, t)])
+        server = BlasServer(tb2.with_faults(plan), models_tb2,
+                            ServerConfig(n_gpus=1, seed=0))
+        outcome = server.serve([self._request(0, t)])
         (req,) = outcome.requests
         assert req.completion_t is not None
         assert req.worker != "gpu0"
         assert req.requeues == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_equal_time_arrivals_dispatch_in_req_id_order(
-            self, scheduler, tb2, models_tb2):
+            self, tb2, models_tb2):
         t = 0.002
         requests = [self._request(1, t), self._request(0, t)]
-        with use_scheduler(scheduler):
-            server = BlasServer(tb2, models_tb2,
-                                ServerConfig(n_gpus=1, seed=0))
-            outcome = server.serve(requests)
+        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=1, seed=0))
+        outcome = server.serve(requests)
         by_id = {r.req_id: r for r in outcome.requests}
         assert by_id[0].enqueue_t == by_id[1].enqueue_t == t
         # req 0 is admitted first, so its service can never start after

@@ -123,6 +123,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("argv", [
+        ("profile", "gemm", "512", "512", "512"),
+        ("summa",),
+        ("serve",),
+        ("chaos",),
+        ("cluster",),
+        ("experiment", "table4"),
+    ])
+    def test_simulation_mode_flags_are_gone(self, capsys, argv):
+        # The simulator has one event queue and one exact mode, so no
+        # subcommand offers a choice of either.
+        build_parser().parse_args(list(argv))
+        for flag in ("--sim-mode=exact", "--scheduler=heap"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestSyrkCli:
     def test_run_syrk(self, capsys, db_dir):
@@ -237,30 +255,3 @@ class TestSummaCli:
             "--db-dir", db_dir, "--out-dir", str(tmp_path))
         assert code == 0
         assert "all_to_all" in out
-
-
-class TestProfileScheduler:
-    def test_profile_documents_identical_calendar_vs_heap(
-            self, capsys, db_dir, tmp_path):
-        """Satellite pin: the event-queue implementation is invisible
-        in profile output, down to the byte, including multi-GPU."""
-        docs = {}
-        for sched in ("calendar", "heap"):
-            out_dir = tmp_path / sched
-            code, _, _ = run_cli(
-                capsys, "profile", "gemm", "512", "512", "512",
-                "--gpus", "2", "--scheduler", sched,
-                "--scale", "tiny", "--db-dir", db_dir,
-                "--out-dir", str(out_dir))
-            assert code == 0
-            docs[sched] = ((out_dir / "profile.json").read_bytes(),
-                           (out_dir / "trace.json").read_bytes())
-        assert docs["calendar"] == docs["heap"]
-
-    def test_profile_accepts_sim_mode(self, capsys, db_dir, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "profile", "gemm", "512", "512", "512",
-            "--sim-mode", "fluid", "--scale", "tiny",
-            "--db-dir", db_dir, "--out-dir", str(tmp_path))
-        assert code == 0
-        assert "overlap" in out
