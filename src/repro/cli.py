@@ -16,6 +16,8 @@ like the paper's once-per-machine offline deployment.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import List, Optional
 
@@ -72,6 +74,76 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="model database directory (default: .cocopelia)")
 
 
+def _add_problem_args(parser: argparse.ArgumentParser,
+                      tile: bool = True) -> None:
+    """One BLAS invocation: routine, dims, dtype, model, locations."""
+    parser.add_argument("routine", choices=tuple(_PROBLEMS))
+    parser.add_argument("dims", type=int, nargs="+",
+                        help="problem dims: " + " / ".join(
+                            f"{name} {dims}"
+                            for name, (dims, _) in _PROBLEMS.items()))
+    parser.add_argument("--dtype", default="d", choices=("d", "s"))
+    parser.add_argument("--model", default="auto",
+                        help="prediction model for selection (default: auto)")
+    if tile:
+        parser.add_argument("--tile", type=int, default=None,
+                            help="explicit tiling size "
+                                 "(default: model-selected)")
+    for name, operands in (("a", "A/x"), ("b", "B/x/y"), ("c", "C/y")):
+        parser.add_argument(f"--loc-{name}", type=_loc, default=Loc.HOST,
+                            help=f"location of {operands}: host|device")
+
+
+def _add_workload_args(parser: argparse.ArgumentParser, arrival: str,
+                       rate: float, requests: int,
+                       scales=("tiny", "quick", "paper")) -> None:
+    """A generated request trace: arrival process, size, mix, seed."""
+    parser.add_argument("--arrival", default=arrival,
+                        choices=("poisson", "bursty"),
+                        help=f"arrival process (default: {arrival})")
+    parser.add_argument("--rate", type=float, default=rate,
+                        help=f"mean arrival rate in req/s (default: {rate:g})")
+    parser.add_argument("--requests", type=int, default=requests,
+                        help=f"number of requests (default: {requests})")
+    parser.add_argument("--workload-scale", default="tiny", choices=scales,
+                        help="problem-size mix scale (default: tiny)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload + simulation seed (default: 0)")
+
+
+def _workload_fields(args) -> dict:
+    """The workload-spec fields :func:`_add_workload_args` parses."""
+    return dict(arrival=args.arrival, rate=args.rate,
+                n_requests=args.requests, scale=args.workload_scale,
+                seed=args.seed)
+
+
+def _add_admission_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--admission", default="shed",
+                        choices=("none", "shed", "downgrade"),
+                        help="admission control (default: shed)")
+    parser.add_argument("--admission-percentile", type=float, default=None,
+                        metavar="P",
+                        help="judge admission against the predicted latency "
+                             "at this percentile (e.g. 99) instead of the "
+                             "mean; default: mean-based")
+
+
+def _add_out_dir(parser: argparse.ArgumentParser, names: str) -> None:
+    parser.add_argument("--out-dir", default=".",
+                        help=f"directory for {names} "
+                             f"(default: current directory)")
+
+
+def _write_document(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name`` (creating the directory)."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def _loc(value: str) -> Loc:
     try:
         return Loc(value)
@@ -101,27 +173,24 @@ def _models_for(args):
     return machine, models
 
 
+#: Routine -> (the dims it takes, problem builder).
+_PROBLEMS = {
+    "gemm": ("M N K", lambda args, dtype: gemm_problem(
+        *args.dims, dtype, args.loc_a, args.loc_b, args.loc_c)),
+    "gemv": ("M N", lambda args, dtype: gemv_problem(
+        *args.dims, dtype, args.loc_a, args.loc_b, args.loc_c)),
+    "syrk": ("N K", lambda args, dtype: syrk_problem(
+        *args.dims, dtype, args.loc_a, args.loc_c)),
+    "axpy": ("N", lambda args, dtype: axpy_problem(
+        *args.dims, dtype, args.loc_a, args.loc_b)),
+}
+
+
 def _build_problem(args) -> CoCoProblem:
-    dtype = np.float64 if args.dtype == "d" else np.float32
-    if args.routine == "gemm":
-        if len(args.dims) != 3:
-            raise ReproError("gemm needs M N K")
-        return gemm_problem(*args.dims, dtype, args.loc_a, args.loc_b,
-                            args.loc_c)
-    if args.routine == "gemv":
-        if len(args.dims) != 2:
-            raise ReproError("gemv needs M N")
-        return gemv_problem(*args.dims, dtype, args.loc_a, args.loc_b,
-                            args.loc_c)
-    if args.routine == "syrk":
-        if len(args.dims) != 2:
-            raise ReproError("syrk needs N K")
-        return syrk_problem(*args.dims, dtype, args.loc_a, args.loc_c)
-    if args.routine == "axpy":
-        if len(args.dims) != 1:
-            raise ReproError("axpy needs N")
-        return axpy_problem(args.dims[0], dtype, args.loc_a, args.loc_b)
-    raise ReproError(f"unknown routine {args.routine!r}")
+    dims, build = _PROBLEMS[args.routine]
+    if len(args.dims) != len(dims.split()):
+        raise ReproError(f"{args.routine} needs {dims}")
+    return build(args, np.float64 if args.dtype == "d" else np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +277,6 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run one traced routine and emit profile.json + trace.json."""
-    import json
-    import os
-
     from .obs import (MetricsRegistry, merge_chrome_traces, merge_traces,
                       profile_document, profile_trace)
 
@@ -265,13 +331,10 @@ def cmd_profile(args) -> int:
         "faults": plan.name if plan is not None else None,
     })
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    profile_path = os.path.join(args.out_dir, "profile.json")
-    trace_path = os.path.join(args.out_dir, "trace.json")
-    with open(profile_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    with open(trace_path, "w") as fh:
-        json.dump(merge_chrome_traces(traces), fh)
+    profile_path = _write_document(args.out_dir, "profile.json",
+                                   json.dumps(doc, indent=2))
+    trace_path = _write_document(args.out_dir, "trace.json",
+                                 json.dumps(merge_chrome_traces(traces)))
 
     print(f"{problem.describe()} on {machine.display_name} "
           f"({args.gpus} GPU{'s' if args.gpus > 1 else ''}, T={tile})")
@@ -295,9 +358,6 @@ def cmd_profile(args) -> int:
 
 def cmd_summa(args) -> int:
     """Run the distributed SUMMA/streaming-gemv suite; emit summa.json."""
-    import json
-    import os
-
     from .experiments import summa as summa_exp
 
     _machine, models = _models_for(args)
@@ -314,21 +374,23 @@ def cmd_summa(args) -> int:
         parallel=args.parallel,
     )
     summa_exp.validate_summa_json(doc)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, "summa.json")
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_document(
+        args.out_dir, "summa.json",
+        json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(summa_exp.render(doc))
     print(f"  wrote {out_path}")
     return 0
 
 
+def _print_latency(latency) -> None:
+    if latency is not None:
+        print(f"  latency   p50 {latency['p50'] * 1e3:.2f} ms  "
+              f"p95 {latency['p95'] * 1e3:.2f} ms  "
+              f"p99 {latency['p99'] * 1e3:.2f} ms")
+
+
 def cmd_serve(args) -> int:
     """Serve a generated workload on N simulated GPUs; emit serve.json."""
-    import json
-    import os
-
     from .obs import MetricsRegistry
     from .serve import (BlasServer, ServerConfig, WorkloadSpec,
                         dump_serve_document, generate_workload,
@@ -339,11 +401,7 @@ def cmd_serve(args) -> int:
     if plan is not None:
         machine = machine.with_faults(plan)
     spec = WorkloadSpec(
-        arrival=args.arrival,
-        rate=args.rate,
-        n_requests=args.requests,
-        scale=args.workload_scale,
-        seed=args.seed,
+        **_workload_fields(args),
         deadline_fraction=args.deadline_fraction,
         slack_lo=args.slack_lo,
         slack_hi=args.slack_hi,
@@ -378,10 +436,8 @@ def cmd_serve(args) -> int:
         context["admission_percentile"] = args.admission_percentile
     doc = serve_document(outcome, metrics=registry, context=context)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    serve_path = os.path.join(args.out_dir, "serve.json")
-    with open(serve_path, "w") as fh:
-        fh.write(dump_serve_document(doc))
+    serve_path = _write_document(args.out_dir, "serve.json",
+                                 dump_serve_document(doc))
 
     report = doc["report"]
     counts = report["requests"]
@@ -394,11 +450,7 @@ def cmd_serve(args) -> int:
           f"host-fallbacks {counts['fallbacks']}")
     print(f"  throughput {report['throughput_rps']:.1f} req/s over "
           f"{report['makespan'] * 1e3:.1f} ms")
-    latency = report["latency"]
-    if latency is not None:
-        print(f"  latency   p50 {latency['p50'] * 1e3:.2f} ms  "
-              f"p95 {latency['p95'] * 1e3:.2f} ms  "
-              f"p99 {latency['p99'] * 1e3:.2f} ms")
+    _print_latency(report["latency"])
     print(f"  SLO       {slo['met']}/{slo['with_deadline']} deadlines met "
           f"({slo['attainment']:.1%})")
     for worker in report["workers"]:
@@ -411,19 +463,11 @@ def cmd_serve(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run a chaos scenario against the serving layer; emit chaos.json."""
-    import os
-
     from .serve import ServerConfig, WorkloadSpec
     from .serve.chaos import SCENARIOS, dump_chaos_document, run_chaos
 
     machine, models = _models_for(args)
-    spec = WorkloadSpec(
-        arrival=args.arrival,
-        rate=args.rate,
-        n_requests=args.requests,
-        scale=args.workload_scale,
-        seed=args.seed,
-    )
+    spec = WorkloadSpec(**_workload_fields(args))
     config = ServerConfig(
         n_gpus=args.gpus,
         placement=args.placement,
@@ -440,10 +484,8 @@ def cmd_chaos(args) -> int:
             "hedging": args.hedging,
         })
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    chaos_path = os.path.join(args.out_dir, "chaos.json")
-    with open(chaos_path, "w") as fh:
-        fh.write(dump_chaos_document(doc))
+    chaos_path = _write_document(args.out_dir, "chaos.json",
+                                 dump_chaos_document(doc))
 
     scenario = doc["scenario"]
     base, chaos = doc["baseline"], doc["chaos"]
@@ -507,8 +549,6 @@ def _parse_kill(value: str):
 
 def cmd_cluster(args) -> int:
     """Serve a trace on a sharded multi-node fleet; emit cluster.json."""
-    import os
-
     from .cluster import (AutoscalerConfig, ClusterConfig,
                           ClusterCoordinator, ClusterWorkloadSpec,
                           cluster_document, cluster_spec_as_dict,
@@ -516,13 +556,7 @@ def cmd_cluster(args) -> int:
     from .serve import ServerConfig
 
     machine, models = _models_for(args)
-    spec = ClusterWorkloadSpec(
-        arrival=args.arrival,
-        rate=args.rate,
-        n_requests=args.requests,
-        scale=args.workload_scale,
-        seed=args.seed,
-    )
+    spec = ClusterWorkloadSpec(**_workload_fields(args))
     scaler = AutoscalerConfig(min_nodes=args.min_nodes,
                               max_nodes=args.max_nodes)
     cluster_config = ClusterConfig(
@@ -557,10 +591,8 @@ def cmd_cluster(args) -> int:
         context["admission_percentile"] = args.admission_percentile
     doc = cluster_document(outcome, context=context)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    cluster_path = os.path.join(args.out_dir, "cluster.json")
-    with open(cluster_path, "w") as fh:
-        fh.write(dump_cluster_document(doc))
+    cluster_path = _write_document(args.out_dir, "cluster.json",
+                                   dump_cluster_document(doc))
 
     report = doc["report"]
     fleet = report["fleet"]
@@ -575,11 +607,7 @@ def cmd_cluster(args) -> int:
           f"failed {counts['failed']}  migrations {counts['migrations']}")
     print(f"  throughput {fleet['throughput_rps']:.1f} req/s over "
           f"{fleet['makespan']:.3f} s")
-    latency = fleet["latency"]
-    if latency is not None:
-        print(f"  latency   p50 {latency['p50'] * 1e3:.2f} ms  "
-              f"p95 {latency['p95'] * 1e3:.2f} ms  "
-              f"p99 {latency['p99'] * 1e3:.2f} ms")
+    _print_latency(fleet["latency"])
     print(f"  SLO       {slo['met']}/{slo['met'] + slo['missed']} "
           f"deadlines met ({slo['attainment']:.1%})")
     print(f"  scaling   {scaling['scale_ups']} up  "
@@ -663,51 +691,26 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 1 = serial)")
 
     p_run = sub.add_parser("run", help="offload one BLAS invocation")
-    p_run.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_run.add_argument("dims", type=int, nargs="+",
-                       help="problem dims: gemm M N K / gemv M N / axpy N")
+    _add_problem_args(p_run)
     _add_machine_args(p_run)
     p_run.add_argument("--library", default="cocopelia",
                        choices=sorted(LIBRARIES))
-    p_run.add_argument("--dtype", default="d", choices=("d", "s"))
-    p_run.add_argument("--tile", type=int, default=None,
-                       help="explicit tiling size (default: model-selected)")
-    p_run.add_argument("--model", default="auto",
-                       help="prediction model for selection (default: auto)")
     p_run.add_argument("--faults", default=None, metavar="PLAN",
                        help="inject faults: a named plan "
                             f"({'/'.join(sorted(NAMED_PLANS))}) or "
                             "'key=value,...' overrides, e.g. "
                             "'transfer_fail_rate=0.05,seed=7'")
-    p_run.add_argument("--loc-a", type=_loc, default=Loc.HOST,
-                       help="location of A/x: host|device")
-    p_run.add_argument("--loc-b", type=_loc, default=Loc.HOST,
-                       help="location of B/x/y: host|device")
-    p_run.add_argument("--loc-c", type=_loc, default=Loc.HOST,
-                       help="location of C/y: host|device")
 
     p_prof = sub.add_parser("profile", help="run one traced invocation and "
                             "emit a metrics/overlap report + Chrome trace")
-    p_prof.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_prof.add_argument("dims", type=int, nargs="+",
-                        help="problem dims: gemm M N K / gemv M N / axpy N")
+    _add_problem_args(p_prof)
     _add_machine_args(p_prof)
-    p_prof.add_argument("--dtype", default="d", choices=("d", "s"))
-    p_prof.add_argument("--tile", type=int, default=None,
-                        help="explicit tiling size (default: model-selected)")
-    p_prof.add_argument("--model", default="auto",
-                        help="prediction model for selection (default: auto)")
     p_prof.add_argument("--gpus", type=int, default=1,
                         help="simulated GPUs (gemm only; default: 1)")
     p_prof.add_argument("--faults", default=None, metavar="PLAN",
                         help="inject faults while profiling (named plan or "
                              "'key=value,...'; single-GPU only)")
-    p_prof.add_argument("--out-dir", default=".",
-                        help="directory for profile.json + trace.json "
-                             "(default: current directory)")
-    p_prof.add_argument("--loc-a", type=_loc, default=Loc.HOST)
-    p_prof.add_argument("--loc-b", type=_loc, default=Loc.HOST)
-    p_prof.add_argument("--loc-c", type=_loc, default=Loc.HOST)
+    _add_out_dir(p_prof, "profile.json + trace.json")
 
     p_summa = sub.add_parser(
         "summa", help="distributed SUMMA gemm + streaming gemv over a "
@@ -732,37 +735,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the sweep grid; "
                               "results are byte-identical for any count "
                               "(default: serial)")
-    p_summa.add_argument("--out-dir", default=".",
-                         help="directory for summa.json (default: .)")
+    _add_out_dir(p_summa, "summa.json")
 
     p_serve = sub.add_parser("serve", help="serve a generated BLAS "
                              "workload on N simulated GPUs")
     _add_machine_args(p_serve)
     p_serve.add_argument("--gpus", type=int, default=4,
                          help="simulated GPU workers (default: 4)")
-    p_serve.add_argument("--arrival", default="poisson",
-                         choices=("poisson", "bursty"),
-                         help="arrival process (default: poisson)")
-    p_serve.add_argument("--rate", type=float, default=50.0,
-                         help="mean arrival rate in req/s (default: 50)")
-    p_serve.add_argument("--requests", type=int, default=64,
-                         help="number of requests (default: 64)")
-    p_serve.add_argument("--workload-scale", default="tiny",
-                         choices=("tiny", "quick", "paper"),
-                         help="problem-size mix scale (default: tiny)")
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="workload + serving seed (default: 0)")
+    _add_workload_args(p_serve, arrival="poisson", rate=50.0, requests=64)
     p_serve.add_argument("--placement", default="model",
                          choices=("model", "round_robin"),
                          help="placement policy (default: model)")
-    p_serve.add_argument("--admission", default="shed",
-                         choices=("none", "shed", "downgrade"),
-                         help="admission control (default: shed)")
-    p_serve.add_argument("--admission-percentile", type=float, default=None,
-                         metavar="P",
-                         help="judge admission against the predicted latency "
-                              "at this percentile (e.g. 99) instead of the "
-                              "mean; default: mean-based")
+    _add_admission_args(p_serve)
     # Workload shaping (defaults match WorkloadSpec, so omitting them
     # reproduces historical documents byte-for-byte).
     p_serve.add_argument("--deadline-fraction", type=float, default=0.75,
@@ -788,9 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--faults", default=None, metavar="PLAN",
                          help="inject faults while serving (named plan or "
                               "'key=value,...')")
-    p_serve.add_argument("--out-dir", default=".",
-                         help="directory for serve.json (default: current "
-                              "directory)")
+    _add_out_dir(p_serve, "serve.json")
 
     from .serve.chaos import SCENARIOS as _CHAOS_SCENARIOS
     p_chaos = sub.add_parser("chaos", help="serve a workload under a "
@@ -802,28 +784,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chaos scenario (default: kill-one-gpu)")
     p_chaos.add_argument("--gpus", type=int, default=4,
                          help="simulated GPU count (default: 4)")
-    p_chaos.add_argument("--arrival", default="poisson",
-                         choices=("poisson", "bursty"),
-                         help="arrival process (default: poisson)")
-    p_chaos.add_argument("--rate", type=float, default=8000.0,
-                         help="arrival rate, requests/s (default: 8000)")
-    p_chaos.add_argument("--requests", type=int, default=48,
-                         help="workload size (default: 48)")
-    p_chaos.add_argument("--workload-scale", default="tiny",
-                         choices=("tiny", "quick"),
-                         help="problem-size mix (default: tiny)")
+    _add_workload_args(p_chaos, arrival="poisson", rate=8000.0, requests=48,
+                       scales=("tiny", "quick"))
     p_chaos.add_argument("--placement", default="model",
                          choices=("model", "round_robin"),
                          help="placement policy (default: model)")
     p_chaos.add_argument("--hedging", action="store_true",
                          help="mirror near-deadline solo requests onto a "
                               "second worker (first completion wins)")
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="scenario + workload + noise seed "
-                              "(default: 0)")
-    p_chaos.add_argument("--out-dir", default=".",
-                         help="directory for chaos.json (default: current "
-                              "directory)")
+    _add_out_dir(p_chaos, "chaos.json")
 
     p_cluster = sub.add_parser("cluster", help="serve a phased trace on a "
                                "sharded multi-node fleet with a "
@@ -836,28 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--router", default="predicted",
                            choices=("predicted", "least_connections"),
                            help="routing policy (default: predicted)")
-    p_cluster.add_argument("--arrival", default="bursty",
-                           choices=("poisson", "bursty"),
-                           help="arrival process (default: bursty)")
-    p_cluster.add_argument("--rate", type=float, default=400.0,
-                           help="base arrival rate, requests/s "
-                                "(default: 400)")
-    p_cluster.add_argument("--requests", type=int, default=20000,
-                           help="trace length (default: 20000)")
-    p_cluster.add_argument("--workload-scale", default="tiny",
-                           choices=("tiny", "quick", "paper"),
-                           help="problem-size mix (default: tiny)")
-    p_cluster.add_argument("--admission", default="shed",
-                           choices=("none", "shed", "downgrade"),
-                           help="per-node admission control "
-                                "(default: shed)")
-    p_cluster.add_argument("--admission-percentile", type=float,
-                           default=None, metavar="P",
-                           help="judge per-node admission against the "
-                                "predicted latency at this percentile "
-                                "(e.g. 99); default: mean-based")
-    p_cluster.add_argument("--seed", type=int, default=0,
-                           help="trace + fleet seed (default: 0)")
+    _add_workload_args(p_cluster, arrival="bursty", rate=400.0,
+                       requests=20000)
+    _add_admission_args(p_cluster)
     p_cluster.add_argument("--no-autoscale", action="store_true",
                            help="freeze the fleet at --nodes")
     p_cluster.add_argument("--min-nodes", type=int, default=2,
@@ -868,20 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="nodeN@T",
                            help="hard-kill a node at simulated time T "
                                 "(repeatable, e.g. node1@0.5)")
-    p_cluster.add_argument("--out-dir", default=".",
-                           help="directory for cluster.json (default: "
-                                "current directory)")
+    _add_out_dir(p_cluster, "cluster.json")
 
     p_sel = sub.add_parser("select", help="show per-tile predictions and "
                            "the selected tiling size")
-    p_sel.add_argument("routine", choices=("gemm", "gemv", "syrk", "axpy"))
-    p_sel.add_argument("dims", type=int, nargs="+")
+    _add_problem_args(p_sel, tile=False)
     _add_machine_args(p_sel)
-    p_sel.add_argument("--dtype", default="d", choices=("d", "s"))
-    p_sel.add_argument("--model", default="auto")
-    p_sel.add_argument("--loc-a", type=_loc, default=Loc.HOST)
-    p_sel.add_argument("--loc-b", type=_loc, default=Loc.HOST)
-    p_sel.add_argument("--loc-c", type=_loc, default=Loc.HOST)
 
     p_exp = sub.add_parser("experiment", help="reproduce a paper "
                            "table/figure")

@@ -2,7 +2,7 @@
 model-guided autoscaler.
 
 One node = one of today's single-node servers (own simulator clock,
-dispatcher, health monitor), opened in incremental mode.  The layers
+dispatcher, health monitor), fed one request at a time.  The layers
 on top:
 
 * :mod:`repro.cluster.router` — consistent-hash sharding by weight

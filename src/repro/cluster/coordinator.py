@@ -25,8 +25,9 @@ re-routed as a fresh copy with the original arrival/deadline (and
 folds the node-local views by ``req_id`` — a migrated request must be
 served exactly once *somewhere*.
 
-Memory discipline: nodes run ``retain=False`` and the coordinator
-keeps floats/ints per terminal request, so a million-request trace
+Memory discipline: node servers keep no request list (terminals
+surface through ``on_terminal``) and the coordinator keeps floats/ints
+per terminal request, so a million-request trace
 holds only its in-flight window of Request objects.  The only
 per-request records kept to the end are the (rare) migration views and
 inline-check anomalies the conservation verdict needs.

@@ -1,13 +1,14 @@
 """One fleet member: a :class:`BlasServer` wrapped for cluster duty.
 
 A node owns its *own* simulator clock, dispatcher and health monitor —
-exactly today's single-node server, opened in incremental mode
-(``begin(retain=False)``) so the coordinator can feed it arrivals one
-epoch at a time and drive its clock with ``Simulator.run_to``.  The
-node keeps lightweight accounting (latency floats, counters) instead
-of request objects, so a million-request trace never piles up in
-memory; terminal requests surface through the server's ``on_terminal``
-hook and are dropped immediately after.
+exactly today's single-node server.  The coordinator feeds it arrivals
+one epoch at a time through ``BlasServer.submit`` (the path
+``BlasServer.serve`` takes for a whole workload) and drives its clock
+with ``Simulator.run_to``.  The node keeps lightweight accounting
+(latency floats, counters) instead of request objects, so a
+million-request trace never piles up in memory; terminal requests
+surface through the server's ``on_terminal`` hook and are dropped
+immediately after.
 
 Node lifecycle::
 
@@ -35,7 +36,7 @@ _NODE_SEED_PRIME = 1_000_003
 
 
 class ClusterNode:
-    """A named fleet member owning one incremental :class:`BlasServer`."""
+    """A named fleet member owning one :class:`BlasServer`."""
 
     def __init__(self, index: int, machine, models, config: ServerConfig,
                  provisioned_t: float, warmup: float,
@@ -51,8 +52,8 @@ class ClusterNode:
         # it the bank's count-scheduled refits — is deterministic.
         self.server = BlasServer(machine, models, self.config,
                                  prediction_cache=prediction_cache,
-                                 tail_bank=tail_bank)
-        self.server.begin(retain=False, on_terminal=self._on_terminal)
+                                 tail_bank=tail_bank,
+                                 on_terminal=self._on_terminal)
         self.state = "warming" if warmup > 0 else "active"
         self.provisioned_t = provisioned_t
         #: Simulated instant the node starts taking traffic.
@@ -135,19 +136,18 @@ class ClusterNode:
         """Begin graceful scale-down: stop routing, hand queued work
         back (MIGRATED, arrival/deadline preserved)."""
         self.state = "draining"
-        moved = self.server.drain_queued()
-        for request in moved:
-            self._settle(request)
-        self.migrated_out += len(moved)
-        return moved
+        return self._hand_back(self.server.drain_queued())
 
     def evacuate(self) -> List[Request]:
         """Hard kill: queued AND in-flight work comes back MIGRATED."""
-        moved = self.server.evacuate()
+        moved = self._hand_back(self.server.evacuate())
+        self.stop(self.server.sim.now)
+        return moved
+
+    def _hand_back(self, moved: List[Request]) -> List[Request]:
         for request in moved:
             self._settle(request)
         self.migrated_out += len(moved)
-        self.stop(self.server.sim.now)
         return moved
 
     def stop(self, now: float) -> None:

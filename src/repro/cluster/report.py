@@ -1,31 +1,8 @@
 """The versioned ``repro.cluster/v1`` fleet report.
 
-Shape (validated by :func:`validate_cluster_json`):
-
-.. code-block:: text
-
-    {
-      "schema": "repro.cluster/v1",
-      "context": {...},                     # caller-supplied (CLI args)
-      "report": {
-        "fleet": {
-          "requests": {total, completed, shed, failed, migrations,
-                       slo: {met, missed, attainment}},
-          "latency": {n, mean, min, max, p50, p95, p99} | null,
-          "throughput_rps": float, "makespan": float,
-          "nodes_provisioned": int, "nodes_final": int,
-          "prediction": {tail: {...}}?,   # percentile-admission runs
-        },
-        "nodes": [{node, state, provisioned_t, available_t, stopped_t,
-                   routed, completed, shed, failed, migrated_out,
-                   slo: {met, missed}, latency | null, busy_seconds,
-                   batches}, ...],
-        "scaling": {events: [{t, action, node?, reason}, ...],
-                    scale_ups, scale_downs, kills},
-        "routing": {policy, spills},
-        "conservation": {ok, accounted, conserved, violations: [...]},
-      },
-    }
+The document's shape is written once, as data: :data:`CLUSTER_SCHEMA`
+at the bottom of this module, checked by :func:`validate_cluster_json`
+through :mod:`repro.obs.schema`.
 
 Like the serve document: emitted with ``sort_keys=True`` and repr
 floats, so one seed produces one byte sequence — the property the
@@ -38,10 +15,21 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
+from ..obs.schema import (
+    COUNT,
+    FRACTION,
+    NON_NEGATIVE,
+    Null,
+    Opt,
+    Rule,
+    const,
+    one_of,
+    validate,
+)
 from ..obs.stats import latency_summary
-from ..serve.report import validate_tail_block
+from ..serve.report import LATENCY_SUMMARY, TAIL_SCHEMA
 from .coordinator import ClusterOutcome
+from .node import NODE_STATES
 from .router import ROUTER_POLICIES
 
 CLUSTER_SCHEMA_VERSION = "repro.cluster/v1"
@@ -127,151 +115,77 @@ def dump_cluster_document(doc: Dict[str, object]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schema validation (mirrors serve/report.py: JSON-path error messages)
+# schema (checked by obs/schema.py; JSON-path error messages)
 # ---------------------------------------------------------------------------
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid cluster document at {path}: {message}")
+def _terminals_within_total(requests: dict):
+    if (requests["completed"] + requests["shed"] + requests["failed"]
+            > requests["total"]):
+        return "", "completed + shed + failed exceeds total"
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) and types is not bool:
-        _fail(f"{path}.{key}", f"expected {types}, got bool")
-    if not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
+def _final_within_provisioned(fleet: dict):
+    final, provisioned = fleet["nodes_final"], fleet["nodes_provisioned"]
+    if final > provisioned:
+        return (".nodes_final",
+                f"exceeds nodes_provisioned ({final} > {provisioned})")
 
 
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
+def _one_entry_per_node(report: dict):
+    n, provisioned = len(report["nodes"]), report["fleet"]["nodes_provisioned"]
+    if n != provisioned:
+        return ".nodes", f"length {n} != nodes_provisioned {provisioned}"
 
 
-def _expect_count(doc: dict, path: str, key: str) -> int:
-    value = _expect(doc, path, key, int)
-    if value < 0:
-        _fail(f"{path}.{key}", f"must be >= 0, got {value}")
-    return value
+def _ok_without_violations(conservation: dict):
+    if conservation["ok"] and conservation["violations"]:
+        return "", "ok is true but violations are present"
 
 
-def _expect_summary(parent: dict, path: str, key: str) -> None:
-    summary = _expect(parent, path, key, dict, allow_none=True)
-    if summary is None:
-        return
-    spath = f"{path}.{key}"
-    _expect(summary, spath, "n", int)
-    for fld in ("mean", "min", "max", "p50", "p95", "p99"):
-        _expect_number(summary, spath, fld)
+CLUSTER_SCHEMA = {
+    "schema": const(CLUSTER_SCHEMA_VERSION),
+    "context": dict,
+    "report": Rule({
+        "fleet": Rule({
+            "requests": Rule({
+                "total": COUNT, "completed": COUNT, "shed": COUNT,
+                "failed": COUNT, "migrations": COUNT,
+                "slo": {"met": COUNT, "missed": COUNT,
+                        "attainment": FRACTION},
+            }, _terminals_within_total),
+            "latency": LATENCY_SUMMARY,
+            "throughput_rps": NON_NEGATIVE,
+            "makespan": NON_NEGATIVE,
+            "nodes_provisioned": COUNT,
+            "nodes_final": COUNT,
+            "prediction": Opt({"tail": TAIL_SCHEMA}),
+        }, _final_within_provisioned),
+        "nodes": [{
+            "node": str, "state": one_of("node state", NODE_STATES),
+            "provisioned_t": float, "available_t": float,
+            "stopped_t": Null(float),
+            "routed": COUNT, "completed": COUNT, "shed": COUNT,
+            "failed": COUNT, "migrated_out": COUNT, "batches": COUNT,
+            "slo": {"met": COUNT, "missed": COUNT},
+            "latency": LATENCY_SUMMARY,
+            "busy_seconds": float,
+        }],
+        "scaling": {
+            "events": [{"t": NON_NEGATIVE,
+                        "action": one_of("action", ("up", "down", "kill")),
+                        "reason": dict}],
+            "scale_ups": COUNT, "scale_downs": COUNT, "kills": COUNT,
+        },
+        "routing": {"policy": one_of("policy", ROUTER_POLICIES),
+                    "spills": COUNT},
+        "conservation": Rule({
+            "ok": bool, "accounted": COUNT, "conserved": COUNT,
+            "violations": [str],
+        }, _ok_without_violations),
+    }, _one_entry_per_node),
+}
 
 
 def validate_cluster_json(doc: object) -> None:
     """Check a cluster document against schema v1; raise on mismatch."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
-    if schema != CLUSTER_SCHEMA_VERSION:
-        _fail("$.schema",
-              f"expected {CLUSTER_SCHEMA_VERSION!r}, got {schema!r}")
-    _expect(doc, "$", "context", dict)
-
-    report = _expect(doc, "$", "report", dict)
-
-    fleet = _expect(report, "$.report", "fleet", dict)
-    requests = _expect(fleet, "$.report.fleet", "requests", dict)
-    for key in ("total", "completed", "shed", "failed", "migrations"):
-        _expect_count(requests, "$.report.fleet.requests", key)
-    slo = _expect(requests, "$.report.fleet.requests", "slo", dict)
-    for key in ("met", "missed"):
-        _expect_count(slo, "$.report.fleet.requests.slo", key)
-    attainment = _expect_number(slo, "$.report.fleet.requests.slo",
-                                "attainment")
-    if not 0.0 <= attainment <= 1.0:
-        _fail("$.report.fleet.requests.slo.attainment",
-              f"must be in [0, 1], got {attainment}")
-    total = requests["total"]
-    if requests["completed"] + requests["shed"] + requests["failed"] > total:
-        _fail("$.report.fleet.requests",
-              "completed + shed + failed exceeds total")
-    _expect_summary(fleet, "$.report.fleet", "latency")
-    for key in ("throughput_rps", "makespan"):
-        value = _expect_number(fleet, "$.report.fleet", key)
-        if value < 0:
-            _fail(f"$.report.fleet.{key}", f"must be >= 0, got {value}")
-    provisioned = _expect_count(fleet, "$.report.fleet", "nodes_provisioned")
-    final = _expect_count(fleet, "$.report.fleet", "nodes_final")
-    if final > provisioned:
-        _fail("$.report.fleet.nodes_final",
-              f"exceeds nodes_provisioned ({final} > {provisioned})")
-    if "prediction" in fleet:
-        prediction = _expect(fleet, "$.report.fleet", "prediction", dict)
-        tail = _expect(prediction, "$.report.fleet.prediction", "tail", dict)
-        validate_tail_block(tail, "$.report.fleet.prediction.tail",
-                            fail=_fail)
-
-    nodes = _expect(report, "$.report", "nodes", list)
-    if len(nodes) != provisioned:
-        _fail("$.report.nodes",
-              f"length {len(nodes)} != nodes_provisioned {provisioned}")
-    for i, node in enumerate(nodes):
-        path = f"$.report.nodes[{i}]"
-        if not isinstance(node, dict):
-            _fail(path, "expected an object")
-        _expect(node, path, "node", str)
-        state = _expect(node, path, "state", str)
-        if state not in ("warming", "active", "draining", "stopped"):
-            _fail(f"{path}.state", f"unknown node state {state!r}")
-        for key in ("provisioned_t", "available_t"):
-            _expect_number(node, path, key)
-        _expect_number(node, path, "stopped_t", allow_none=True)
-        for key in ("routed", "completed", "shed", "failed",
-                    "migrated_out", "batches"):
-            _expect_count(node, path, key)
-        nslo = _expect(node, path, "slo", dict)
-        for key in ("met", "missed"):
-            _expect_count(nslo, f"{path}.slo", key)
-        _expect_summary(node, path, "latency")
-        _expect_number(node, path, "busy_seconds")
-
-    scaling = _expect(report, "$.report", "scaling", dict)
-    events = _expect(scaling, "$.report.scaling", "events", list)
-    for i, event in enumerate(events):
-        path = f"$.report.scaling.events[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected an object")
-        t = _expect_number(event, path, "t")
-        if t < 0:
-            _fail(f"{path}.t", f"must be >= 0, got {t}")
-        action = _expect(event, path, "action", str)
-        if action not in ("up", "down", "kill"):
-            _fail(f"{path}.action", f"unknown action {action!r}")
-        _expect(event, path, "reason", dict)
-    for key in ("scale_ups", "scale_downs", "kills"):
-        _expect_count(scaling, "$.report.scaling", key)
-
-    routing = _expect(report, "$.report", "routing", dict)
-    policy = _expect(routing, "$.report.routing", "policy", str)
-    if policy not in ROUTER_POLICIES:
-        _fail("$.report.routing.policy", f"unknown policy {policy!r}")
-    _expect_count(routing, "$.report.routing", "spills")
-
-    conservation = _expect(report, "$.report", "conservation", dict)
-    _expect(conservation, "$.report.conservation", "ok", bool)
-    for key in ("accounted", "conserved"):
-        _expect_count(conservation, "$.report.conservation", key)
-    violations = _expect(conservation, "$.report.conservation",
-                         "violations", list)
-    for i, message in enumerate(violations):
-        if not isinstance(message, str):
-            _fail(f"$.report.conservation.violations[{i}]",
-                  "expected a string")
-    if conservation["ok"] and violations:
-        _fail("$.report.conservation",
-              "ok is true but violations are present")
+    validate(doc, CLUSTER_SCHEMA, "cluster")

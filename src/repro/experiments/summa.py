@@ -45,6 +45,18 @@ from ..deploy import DeploymentConfig
 from ..deploy.pipeline import DEFAULT_ROUTINES
 from ..errors import ReproError
 from ..obs import merge_traces, profile_trace
+from ..obs.schema import (
+    FRACTION,
+    POSITIVE,
+    Each,
+    at_least,
+    const,
+    non_empty,
+    of_length,
+    one_of,
+    positive,
+    validate,
+)
 from ..parallel import ParallelConfig, pmap, task_seed
 from ..runtime.streaming import StreamingGemv
 from ..runtime.summa import SummaGemm
@@ -359,122 +371,52 @@ def render(doc: dict) -> str:
 # schema validation (the CI smoke gate)
 # ---------------------------------------------------------------------------
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid summa document at {path}: {message}")
+_GEMM_PROBLEM = {
+    "dims": of_length(3, list, "expected [m, n, k]"),
+    "panel": {"pipelined": positive(int), "blocking": positive(int),
+              "sweep_best": positive(int)},
+    "achieved_seconds": {"pipelined": POSITIVE, "blocking": POSITIVE,
+                         "sweep_best": POSITIVE},
+    "predicted_seconds": {"pipelined": float, "blocking": float},
+    "prediction_error_pct": {"pipelined": float, "blocking": float},
+    "panel_sweep": non_empty(Each(float)),
+    "picked_within_pct": float,
+    "speedup": POSITIVE,
+    "overlap": {"achieved_fraction": FRACTION,
+                "achieved_efficiency": float,
+                "hidden_seconds_achieved": float,
+                "hidden_seconds_predicted": float,
+                "overlap_error_pct": float},
+}
 
+_GEMV_PROBLEM = {
+    "dims": of_length(2, list, "expected [m, n]"),
+    "chunk": {"picked": positive(int), "sweep_best": positive(int)},
+    "achieved_seconds": POSITIVE,
+    "predicted_seconds": float,
+    "prediction_error_pct": float,
+    "chunk_sweep": non_empty(dict),
+    "picked_within_pct": float,
+    "overlap_fraction": FRACTION,
+    "overlap_efficiency": float,
+}
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) or not isinstance(value, types):
-        _fail(f"{path}.{key}",
-              f"expected {types}, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
+SUMMA_SCHEMA = {
+    "schema": const(SUMMA_SCHEMA_VERSION),
+    "context": {
+        "machine": str,
+        "scale": str,
+        "n_gpus": at_least(1),
+        "topology": {"kind": one_of("kind", ("ring", "all_to_all")),
+                     "gb_per_s": float, "latency": float},
+    },
+    "gemm": {"problems": non_empty([_GEMM_PROBLEM]),
+             "speedup_geomean": POSITIVE},
+    "gemv": {"problems": non_empty([_GEMV_PROBLEM])},
+    "selection": {"worst_picked_within_pct": float},
+}
 
 
 def validate_summa_json(doc: object) -> None:
     """Check a summa document against ``repro.summa/v1``; raise on drift."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
-    if schema != SUMMA_SCHEMA_VERSION:
-        _fail("$.schema", f"expected {SUMMA_SCHEMA_VERSION!r}, got {schema!r}")
-    context = _expect(doc, "$", "context", dict)
-    _expect(context, "$.context", "machine", str)
-    _expect(context, "$.context", "scale", str)
-    n_gpus = _expect(context, "$.context", "n_gpus", int)
-    if n_gpus < 1:
-        _fail("$.context.n_gpus", f"must be >= 1, got {n_gpus}")
-    topo = _expect(context, "$.context", "topology", dict)
-    kind = _expect(topo, "$.context.topology", "kind", str)
-    if kind not in ("ring", "all_to_all"):
-        _fail("$.context.topology.kind", f"unknown kind {kind!r}")
-    _expect_number(topo, "$.context.topology", "gb_per_s")
-    _expect_number(topo, "$.context.topology", "latency")
-
-    gemm = _expect(doc, "$", "gemm", dict)
-    problems = _expect(gemm, "$.gemm", "problems", list)
-    if not problems:
-        _fail("$.gemm.problems", "must not be empty")
-    for i, p in enumerate(problems):
-        path = f"$.gemm.problems[{i}]"
-        if not isinstance(p, dict):
-            _fail(path, "expected an object")
-        dims = _expect(p, path, "dims", list)
-        if len(dims) != 3:
-            _fail(f"{path}.dims", "expected [m, n, k]")
-        panel = _expect(p, path, "panel", dict)
-        for key in ("pipelined", "blocking", "sweep_best"):
-            if _expect(panel, f"{path}.panel", key, int) <= 0:
-                _fail(f"{path}.panel.{key}", "must be positive")
-        ach = _expect(p, path, "achieved_seconds", dict)
-        for key in ("pipelined", "blocking", "sweep_best"):
-            if _expect_number(ach, f"{path}.achieved_seconds", key) <= 0:
-                _fail(f"{path}.achieved_seconds.{key}", "must be positive")
-        pred = _expect(p, path, "predicted_seconds", dict)
-        for key in ("pipelined", "blocking"):
-            _expect_number(pred, f"{path}.predicted_seconds", key)
-        err = _expect(p, path, "prediction_error_pct", dict)
-        for key in ("pipelined", "blocking"):
-            _expect_number(err, f"{path}.prediction_error_pct", key)
-        sweep = _expect(p, path, "panel_sweep", dict)
-        if not sweep:
-            _fail(f"{path}.panel_sweep", "must not be empty")
-        for t, seconds in sweep.items():
-            if (isinstance(seconds, bool)
-                    or not isinstance(seconds, (int, float))):
-                _fail(f"{path}.panel_sweep[{t}]", "expected a number")
-        _expect_number(p, path, "picked_within_pct")
-        if _expect_number(p, path, "speedup") <= 0:
-            _fail(f"{path}.speedup", "must be positive")
-        overlap = _expect(p, path, "overlap", dict)
-        frac = _expect_number(overlap, f"{path}.overlap",
-                              "achieved_fraction")
-        if not 0.0 <= frac <= 1.0:
-            _fail(f"{path}.overlap.achieved_fraction",
-                  f"must be in [0, 1], got {frac}")
-        for key in ("achieved_efficiency", "hidden_seconds_achieved",
-                    "hidden_seconds_predicted", "overlap_error_pct"):
-            _expect_number(overlap, f"{path}.overlap", key)
-    if _expect_number(gemm, "$.gemm", "speedup_geomean") <= 0:
-        _fail("$.gemm.speedup_geomean", "must be positive")
-
-    gemv = _expect(doc, "$", "gemv", dict)
-    problems = _expect(gemv, "$.gemv", "problems", list)
-    if not problems:
-        _fail("$.gemv.problems", "must not be empty")
-    for i, p in enumerate(problems):
-        path = f"$.gemv.problems[{i}]"
-        if not isinstance(p, dict):
-            _fail(path, "expected an object")
-        dims = _expect(p, path, "dims", list)
-        if len(dims) != 2:
-            _fail(f"{path}.dims", "expected [m, n]")
-        chunk = _expect(p, path, "chunk", dict)
-        for key in ("picked", "sweep_best"):
-            if _expect(chunk, f"{path}.chunk", key, int) <= 0:
-                _fail(f"{path}.chunk.{key}", "must be positive")
-        if _expect_number(p, path, "achieved_seconds") <= 0:
-            _fail(f"{path}.achieved_seconds", "must be positive")
-        _expect_number(p, path, "predicted_seconds")
-        _expect_number(p, path, "prediction_error_pct")
-        if not _expect(p, path, "chunk_sweep", dict):
-            _fail(f"{path}.chunk_sweep", "must not be empty")
-        _expect_number(p, path, "picked_within_pct")
-        frac = _expect_number(p, path, "overlap_fraction")
-        if not 0.0 <= frac <= 1.0:
-            _fail(f"{path}.overlap_fraction",
-                  f"must be in [0, 1], got {frac}")
-        _expect_number(p, path, "overlap_efficiency")
-
-    selection = _expect(doc, "$", "selection", dict)
-    _expect_number(selection, "$.selection", "worst_picked_within_pct")
+    validate(doc, SUMMA_SCHEMA, "summa")

@@ -37,6 +37,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from ..sim.trace import TraceEvent, TraceRecorder
+from .schema import (
+    COUNT,
+    FRACTION,
+    Each,
+    Null,
+    Opt,
+    Rule,
+    const,
+    of_length,
+    validate,
+)
 
 Span = Tuple[float, float]
 
@@ -363,36 +374,51 @@ def profile_document(
     return doc
 
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid profile document at {path}: {message}")
+def _non_negative_counter(value: float):
+    if value < 0:
+        return "", f"counters are non-negative, got {value}"
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
+def _buckets_match(hist: dict):
+    buckets, bounds = hist["bucket_counts"], hist["bounds"]
+    if len(buckets) != len(bounds) + 1:
+        return (".bucket_counts",
+                f"expected {len(bounds) + 1} buckets "
+                f"(len(bounds) + overflow), got {len(buckets)}")
+    if sum(buckets) != hist["count"]:
+        return (".count", f"bucket counts sum to {sum(buckets)}, "
+                          f"count says {hist['count']}")
 
 
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
+_SPANS = [of_length(2, [float], "expected a [start, end] number pair")]
 
-
-def _expect_spans(doc: dict, path: str, key: str) -> None:
-    spans = _expect(doc, path, key, list)
-    for i, span in enumerate(spans):
-        if (not isinstance(span, list) or len(span) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in span)):
-            _fail(f"{path}.{key}[{i}]", "expected a [start, end] number pair")
+PROFILE_SCHEMA = {
+    "schema": const(PROFILE_SCHEMA_VERSION),
+    "context": dict,
+    "report": {
+        "t_start": float, "t_end": float, "t_total": float,
+        "total_busy_time": float, "overlap_time": float,
+        "overlap_fraction": FRACTION, "overlap_efficiency": FRACTION,
+        "engines": Each({"events": int, "busy_time": float,
+                         "idle_time": float, "utilization": float,
+                         "busy_spans": _SPANS, "idle_spans": _SPANS}),
+        "critical_path": {"compute": float, "exposed_transfer": float,
+                          "idle": float},
+        "traffic": {"events": float, "h2d_bytes": float,
+                    "d2h_bytes": float, "flops": float},
+        "prediction": Opt(Null({"predicted_seconds": float,
+                                "model": Null(str),
+                                "error_pct": Null(float)})),
+    },
+    "metrics": {
+        "counters": Each(Rule(float, _non_negative_counter)),
+        "gauges": Each(float),
+        "histograms": Each(Rule({
+            "bounds": list, "bucket_counts": [COUNT], "count": int,
+            "sum": float, "min": Null(float), "max": Null(float),
+        }, _buckets_match)),
+    },
+}
 
 
 def validate_profile_json(doc: object) -> None:
@@ -401,75 +427,4 @@ def validate_profile_json(doc: object) -> None:
     The error message carries the JSON path of the first offending
     field, so CI smoke jobs report precisely what drifted.
     """
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
-    if schema != PROFILE_SCHEMA_VERSION:
-        _fail("$.schema", f"expected {PROFILE_SCHEMA_VERSION!r}, "
-                          f"got {schema!r}")
-    _expect(doc, "$", "context", dict)
-
-    report = _expect(doc, "$", "report", dict)
-    for key in ("t_start", "t_end", "t_total", "total_busy_time",
-                "overlap_time", "overlap_fraction", "overlap_efficiency"):
-        _expect_number(report, "$.report", key)
-    for key in ("overlap_fraction", "overlap_efficiency"):
-        value = report[key]
-        if not 0.0 <= value <= 1.0:
-            _fail(f"$.report.{key}", f"must be in [0, 1], got {value}")
-    engines = _expect(report, "$.report", "engines", dict)
-    for name, prof in engines.items():
-        path = f"$.report.engines.{name}"
-        if not isinstance(prof, dict):
-            _fail(path, "expected an object")
-        _expect(prof, path, "events", int)
-        for key in ("busy_time", "idle_time", "utilization"):
-            _expect_number(prof, path, key)
-        _expect_spans(prof, path, "busy_spans")
-        _expect_spans(prof, path, "idle_spans")
-    critical = _expect(report, "$.report", "critical_path", dict)
-    for key in ("compute", "exposed_transfer", "idle"):
-        _expect_number(critical, "$.report.critical_path", key)
-    traffic = _expect(report, "$.report", "traffic", dict)
-    for key in ("events", "h2d_bytes", "d2h_bytes", "flops"):
-        _expect_number(traffic, "$.report.traffic", key)
-    prediction = report.get("prediction")
-    if prediction is not None:
-        if not isinstance(prediction, dict):
-            _fail("$.report.prediction", "expected an object or null")
-        _expect_number(prediction, "$.report.prediction", "predicted_seconds")
-        _expect(prediction, "$.report.prediction", "model", str,
-                allow_none=True)
-        _expect_number(prediction, "$.report.prediction", "error_pct",
-                       allow_none=True)
-
-    metrics = _expect(doc, "$", "metrics", dict)
-    counters = _expect(metrics, "$.metrics", "counters", dict)
-    for name, value in counters.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"$.metrics.counters.{name}", "expected a number")
-        if value < 0:
-            _fail(f"$.metrics.counters.{name}",
-                  f"counters are non-negative, got {value}")
-    gauges = _expect(metrics, "$.metrics", "gauges", dict)
-    for name, value in gauges.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"$.metrics.gauges.{name}", "expected a number")
-    histograms = _expect(metrics, "$.metrics", "histograms", dict)
-    for name, hist in histograms.items():
-        path = f"$.metrics.histograms.{name}"
-        if not isinstance(hist, dict):
-            _fail(path, "expected an object")
-        bounds = _expect(hist, path, "bounds", list)
-        buckets = _expect(hist, path, "bucket_counts", list)
-        if len(buckets) != len(bounds) + 1:
-            _fail(f"{path}.bucket_counts",
-                  f"expected {len(bounds) + 1} buckets "
-                  f"(len(bounds) + overflow), got {len(buckets)}")
-        count = _expect(hist, path, "count", int)
-        if sum(buckets) != count:
-            _fail(f"{path}.count",
-                  f"bucket counts sum to {sum(buckets)}, count says {count}")
-        _expect_number(hist, path, "sum")
-        _expect_number(hist, path, "min", allow_none=True)
-        _expect_number(hist, path, "max", allow_none=True)
+    validate(doc, PROFILE_SCHEMA, "profile")

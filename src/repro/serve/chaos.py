@@ -31,8 +31,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.instantiation import MachineModels
-from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
+from ..obs.schema import (
+    COUNT,
+    FRACTION,
+    METRIC_FAMILIES,
+    NON_NEGATIVE,
+    Null,
+    Rule,
+    const,
+    non_empty,
+    one_of,
+    validate,
+)
 from ..obs.verify import find_conservation_violations
 from ..sim.faults import (
     DeviceDegradation,
@@ -309,119 +320,62 @@ def dump_chaos_document(doc: Dict[str, object]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schema validation (mirrors serve/report.py: JSON-path error messages)
+# schema (checked by obs/schema.py; JSON-path error messages)
 # ---------------------------------------------------------------------------
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid chaos document at {path}: {message}")
+def _outages_partitioned(recovery: dict):
+    if (recovery["n_recovered"] + recovery["n_unrecovered"]
+            != recovery["n_outages"]):
+        return "", "recovered + unrecovered must equal outages"
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) and types is not bool:
-        _fail(f"{path}.{key}", f"expected {types}, got bool")
-    if not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
+def _verdict_matches_violations(conservation: dict):
+    if conservation["ok"] and conservation["violations"]:
+        return "", "ok=true but violations listed"
+    if not conservation["ok"] and not conservation["violations"]:
+        return "", "ok=false requires violations"
 
 
-def _expect_summary(parent: dict, path: str, key: str) -> None:
-    summary = _expect(parent, path, key, dict)
-    spath = f"{path}.{key}"
-    for field in ("total", "completed", "shed", "failed", "fallbacks",
-                  "requeued", "hedged"):
-        value = _expect(summary, spath, field, int)
-        if value < 0:
-            _fail(f"{spath}.{field}", f"must be >= 0, got {value}")
-    for field in ("makespan", "throughput_rps"):
-        value = _expect(summary, spath, field, (int, float))
-        if value < 0:
-            _fail(f"{spath}.{field}", f"must be >= 0, got {value}")
-    _expect(summary, spath, "p99_latency", (int, float), allow_none=True)
-    attainment = _expect(summary, spath, "slo_attainment", (int, float),
-                         allow_none=True)
-    if attainment is not None and not 0.0 <= attainment <= 1.0:
-        _fail(f"{spath}.slo_attainment",
-              f"must be in [0, 1], got {attainment}")
+_RUN_SUMMARY = {
+    "total": COUNT, "completed": COUNT, "shed": COUNT, "failed": COUNT,
+    "fallbacks": COUNT, "requeued": COUNT, "hedged": COUNT,
+    "makespan": NON_NEGATIVE, "throughput_rps": NON_NEGATIVE,
+    "p99_latency": Null(float),
+    "slo_attainment": Null(FRACTION),
+}
+
+CHAOS_SCHEMA = {
+    "schema": const(CHAOS_SCHEMA_VERSION),
+    "context": dict,
+    "scenario": {
+        "name": one_of("scenario", SCENARIOS),
+        "description": str,
+        "seed": int,
+        "events": non_empty([{"kind": str, "device": COUNT,
+                              "onset": NON_NEGATIVE,
+                              "duration": Null(float)}],
+                            "must schedule at least one fault"),
+    },
+    "workload": dict,
+    "baseline": _RUN_SUMMARY,
+    "chaos": _RUN_SUMMARY,
+    "slo_retention": Null(NON_NEGATIVE),
+    "recovery": Rule({
+        "n_outages": COUNT, "n_recovered": COUNT, "n_unrecovered": COUNT,
+        "mean_recovery_seconds": Null(float),
+        "max_recovery_seconds": Null(float),
+    }, _outages_partitioned),
+    "resilience": {"counters": dict, "stats": dict, "health": list,
+                   "transitions": list},
+    "conservation": Rule({"ok": bool, "violations": list},
+                         _verdict_matches_violations),
+    "metrics": METRIC_FAMILIES,
+}
 
 
 def validate_chaos_json(doc: object) -> None:
     """Check a chaos document against schema v1; raise on mismatch."""
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
-    if schema != CHAOS_SCHEMA_VERSION:
-        _fail("$.schema",
-              f"expected {CHAOS_SCHEMA_VERSION!r}, got {schema!r}")
-    _expect(doc, "$", "context", dict)
-
-    scenario = _expect(doc, "$", "scenario", dict)
-    name = _expect(scenario, "$.scenario", "name", str)
-    if name not in SCENARIOS:
-        _fail("$.scenario.name",
-              f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}")
-    _expect(scenario, "$.scenario", "description", str)
-    _expect(scenario, "$.scenario", "seed", int)
-    events = _expect(scenario, "$.scenario", "events", list)
-    if not events:
-        _fail("$.scenario.events", "must schedule at least one fault")
-    for i, event in enumerate(events):
-        path = f"$.scenario.events[{i}]"
-        if not isinstance(event, dict):
-            _fail(path, "expected an object")
-        _expect(event, path, "kind", str)
-        device = _expect(event, path, "device", int)
-        if device < 0:
-            _fail(f"{path}.device", f"must be >= 0, got {device}")
-        onset = _expect(event, path, "onset", (int, float))
-        if onset < 0:
-            _fail(f"{path}.onset", f"must be >= 0, got {onset}")
-        _expect(event, path, "duration", (int, float), allow_none=True)
-
-    _expect(doc, "$", "workload", dict)
-    _expect_summary(doc, "$", "baseline")
-    _expect_summary(doc, "$", "chaos")
-    retention = _expect(doc, "$", "slo_retention", (int, float),
-                        allow_none=True)
-    if retention is not None and retention < 0:
-        _fail("$.slo_retention", f"must be >= 0, got {retention}")
-
-    recovery = _expect(doc, "$", "recovery", dict)
-    for key in ("n_outages", "n_recovered", "n_unrecovered"):
-        value = _expect(recovery, "$.recovery", key, int)
-        if value < 0:
-            _fail(f"$.recovery.{key}", f"must be >= 0, got {value}")
-    if (recovery["n_recovered"] + recovery["n_unrecovered"]
-            != recovery["n_outages"]):
-        _fail("$.recovery", "recovered + unrecovered must equal outages")
-    for key in ("mean_recovery_seconds", "max_recovery_seconds"):
-        _expect(recovery, "$.recovery", key, (int, float), allow_none=True)
-
-    resilience = _expect(doc, "$", "resilience", dict)
-    _expect(resilience, "$.resilience", "counters", dict)
-    _expect(resilience, "$.resilience", "stats", dict)
-    _expect(resilience, "$.resilience", "health", list)
-    _expect(resilience, "$.resilience", "transitions", list)
-
-    conservation = _expect(doc, "$", "conservation", dict)
-    ok = _expect(conservation, "$.conservation", "ok", bool)
-    violations = _expect(conservation, "$.conservation", "violations", list)
-    if ok and violations:
-        _fail("$.conservation", "ok=true but violations listed")
-    if not ok and not violations:
-        _fail("$.conservation", "ok=false requires violations")
-
-    metrics = _expect(doc, "$", "metrics", dict)
-    for key in ("counters", "gauges", "histograms"):
-        _expect(metrics, "$.metrics", key, dict)
+    validate(doc, CHAOS_SCHEMA, "chaos")
 
 
 __all__ = [

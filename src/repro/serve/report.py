@@ -1,29 +1,8 @@
 """The versioned ``repro.serve/v1`` serving report.
 
-Shape (validated by :func:`validate_serve_json`):
-
-.. code-block:: text
-
-    {
-      "schema": "repro.serve/v1",
-      "context": {...},                     # caller-supplied (CLI args)
-      "report": {
-        "requests": {total, completed, shed, failed, downgraded,
-                     fallbacks, batched, slo: {with_deadline, met,
-                     missed, attainment,
-                     downgraded: {with_deadline, met, missed}?}},
-        "throughput_rps": float, "makespan": float,
-        "latency": {n, mean, min, max, p50, p95, p99},
-        "wait": {...same...},
-        "prediction": {n, mean_abs_pct_error, p95_abs_pct_error,
-                       tail: {...}?} | null,
-        "workers": [{worker, busy_seconds, utilization, batches,
-                     requests, h2d_bytes, d2h_bytes, kernels,
-                     locality_hits}, ...],   # gpus then host
-        "resilience": {counters, stats, health, transitions},  # faulted
-      },                                     # runs only (see below)
-      "metrics": {counters, gauges, histograms},
-    }
+The document's shape is written once, as data: :data:`SERVE_SCHEMA` at
+the bottom of this module, checked by :func:`validate_serve_json`
+through :mod:`repro.obs.schema`.
 
 The optional ``resilience`` block appears only when the run carried an
 active fault plan or the resilience machinery actually did something
@@ -48,9 +27,24 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
+from ..obs.schema import (
+    COUNT,
+    FRACTION,
+    METRIC_FAMILIES,
+    NON_NEGATIVE,
+    POSITIVE,
+    Each,
+    Null,
+    Opt,
+    Rule,
+    const,
+    non_empty,
+    one_of,
+    validate,
+)
 from ..obs.stats import latency_summary, percentiles
 from .request import RequestState
+from .resilience import HealthState
 from .server import ServeOutcome, WorkerStats
 
 SERVE_SCHEMA_VERSION = "repro.serve/v1"
@@ -210,98 +204,106 @@ def dump_serve_document(doc: Dict[str, object]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schema validation (mirrors obs/profiler.py: JSON-path error messages)
+# schema (checked by obs/schema.py; JSON-path error messages)
 # ---------------------------------------------------------------------------
 
-def _fail(path: str, message: str) -> None:
-    raise ReproError(f"invalid serve document at {path}: {message}")
+def _met_missed_within_deadlines(slo: dict):
+    if slo["met"] + slo["missed"] > slo["with_deadline"]:
+        return "", "met + missed exceeds with_deadline"
 
 
-def _expect(doc: dict, path: str, key: str, types, allow_none=False):
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if value is None:
-        if allow_none:
-            return None
-        _fail(f"{path}.{key}", "must not be null")
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = getattr(types, "__name__", None) or "/".join(
-            t.__name__ for t in types)
-        _fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    return value
+def _downgraded_within_slo(slo: dict):
+    downgraded = slo.get("downgraded")
+    if (downgraded is not None
+            and downgraded["with_deadline"] > slo["with_deadline"]):
+        return ".downgraded", "downgraded with_deadline exceeds the slo total"
 
 
-def _expect_number(doc: dict, path: str, key: str, allow_none=False):
-    return _expect(doc, path, key, (int, float), allow_none=allow_none)
+def _errors_when_measured(prediction: dict):
+    if prediction["n"] > 0:
+        for key in ("mean_abs_pct_error", "p95_abs_pct_error"):
+            if key not in prediction:
+                return f".{key}", "missing required field"
 
 
-def _expect_summary(parent: dict, path: str, key: str) -> None:
-    summary = _expect(parent, path, key, dict, allow_none=True)
-    if summary is None:
-        return
-    spath = f"{path}.{key}"
-    _expect(summary, spath, "n", int)
-    for field in ("mean", "min", "max", "p50", "p95", "p99"):
-        _expect_number(summary, spath, field)
+def _utilization(util: float):
+    # busy_seconds / makespan may round a hair above 1 on a busy worker.
+    if not 0.0 <= util <= 1.0 + 1e-9:
+        return "", f"must be in [0, 1], got {util}"
 
 
-def validate_tail_block(tail: object, path: str, fail=None) -> None:
-    """Validate a ``prediction.tail`` block (shared with the cluster
-    report, which embeds the same bank snapshot shape; ``fail``
-    overrides the error prefix so each document names itself).
+def _percentile(value: float):
+    if not 0.0 < value <= 100.0:
+        return "", f"must be in (0, 100], got {value}"
 
-    Self-contained on purpose: every check routes through ``fail``, so
-    a cluster document's tail errors say "cluster", not "serve"."""
-    fail = fail if fail is not None else _fail
 
-    def expect(parent, key, types):
-        if key not in parent:
-            fail(f"{path}.{key}", "missing required field")
-        value = parent[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            names = getattr(types, "__name__", None) or "/".join(
-                t.__name__ for t in types)
-            fail(f"{path}.{key}",
-                 f"expected {names}, got {type(value).__name__}")
-        return value
+#: A :func:`~repro.obs.stats.latency_summary` block, or null when no
+#: request contributed (shared with the cluster report).
+LATENCY_SUMMARY = Null({"n": int, "mean": float, "min": float, "max": float,
+                        "p50": float, "p95": float, "p99": float})
 
-    if not isinstance(tail, dict):
-        fail(path, f"expected an object, got {type(tail).__name__}")
-    percentile = expect(tail, "percentile", (int, float))
-    if not 0.0 < percentile <= 100.0:
-        fail(f"{path}.percentile",
-             f"must be in (0, 100], got {percentile}")
-    ps = expect(tail, "percentiles", list)
-    if not ps:
-        fail(f"{path}.percentiles", "must list at least one percentile")
-    for key in ("observations", "refits", "tail_rejections"):
-        value = expect(tail, key, int)
-        if value < 0:
-            fail(f"{path}.{key}", f"must be >= 0, got {value}")
-    buckets = expect(tail, "buckets", list)
-    for i, bucket in enumerate(buckets):
-        bpath = f"{path}.buckets[{i}]"
-        if not isinstance(bucket, dict):
-            fail(bpath, "expected an object")
-        for key, types in (("routine", str), ("dtype", str),
-                           ("flops_decade", int), ("n", int),
-                           ("quantiles", dict)):
-            if key not in bucket:
-                fail(f"{bpath}.{key}", "missing required field")
-            value = bucket[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                fail(f"{bpath}.{key}",
-                     f"expected {types.__name__}, "
-                     f"got {type(value).__name__}")
-        if bucket["n"] < 0:
-            fail(f"{bpath}.n", f"must be >= 0, got {bucket['n']}")
-        for key, value in bucket["quantiles"].items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                fail(f"{bpath}.quantiles.{key}", "expected a number")
-            if value <= 0:
-                fail(f"{bpath}.quantiles.{key}",
-                     f"ratio quantile must be > 0, got {value}")
+#: The tail bank snapshot in ``prediction.tail`` (shared with the
+#: cluster report's ``fleet.prediction.tail``).
+TAIL_SCHEMA = {
+    "percentile": Rule(float, _percentile),
+    "percentiles": non_empty(list, "must list at least one percentile"),
+    "observations": COUNT,
+    "refits": COUNT,
+    "tail_rejections": COUNT,
+    "buckets": [{"routine": str, "dtype": str, "flops_decade": int,
+                 "n": COUNT, "quantiles": Each(POSITIVE)}],
+}
+
+SERVE_SCHEMA = {
+    "schema": const(SERVE_SCHEMA_VERSION),
+    "context": dict,
+    "report": {
+        "requests": {
+            "total": COUNT, "completed": COUNT, "shed": COUNT,
+            "failed": COUNT, "downgraded": COUNT, "fallbacks": COUNT,
+            "batched": COUNT, "batches": COUNT,
+            "slo": Rule({
+                "with_deadline": int, "met": int, "missed": int,
+                "attainment": FRACTION,
+                "downgraded": Opt(Rule(
+                    {"with_deadline": COUNT, "met": COUNT, "missed": COUNT},
+                    _met_missed_within_deadlines)),
+            }, _met_missed_within_deadlines, _downgraded_within_slo),
+        },
+        "throughput_rps": NON_NEGATIVE,
+        "makespan": NON_NEGATIVE,
+        "latency": LATENCY_SUMMARY,
+        "wait": LATENCY_SUMMARY,
+        "prediction": Null(Rule({
+            "n": COUNT,
+            "mean_abs_pct_error": Opt(float),
+            "p95_abs_pct_error": Opt(float),
+            "tail": Opt(TAIL_SCHEMA),
+        }, _errors_when_measured)),
+        "workers": non_empty([{
+            "worker": str, "busy_seconds": float,
+            "utilization": Rule(float, _utilization),
+            "batches": int, "requests": int, "h2d_bytes": int,
+            "d2h_bytes": int, "kernels": int, "locality_hits": int,
+        }], "must list at least one worker"),
+        "resilience": Opt({
+            "counters": Each(COUNT),
+            "stats": Each(COUNT),
+            "health": [{"index": int,
+                        "state": one_of("health state",
+                                        [s.value for s in HealthState]),
+                        "ewma_inflation": float}],
+            "transitions": [{"t": NON_NEGATIVE, "device": int,
+                             "event": str}],
+        }),
+    },
+    "metrics": METRIC_FAMILIES,
+}
+
+
+def validate_tail_block(tail: object, path: str) -> None:
+    """Check a ``prediction.tail`` block on its own; raise on mismatch."""
+    validate(tail, TAIL_SCHEMA, "serve", path)
 
 
 def validate_serve_json(doc: object) -> None:
@@ -310,114 +312,4 @@ def validate_serve_json(doc: object) -> None:
     The error message carries the JSON path of the first offending
     field, so the CI smoke job reports precisely what drifted.
     """
-    if not isinstance(doc, dict):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _expect(doc, "$", "schema", str)
-    if schema != SERVE_SCHEMA_VERSION:
-        _fail("$.schema",
-              f"expected {SERVE_SCHEMA_VERSION!r}, got {schema!r}")
-    _expect(doc, "$", "context", dict)
-
-    report = _expect(doc, "$", "report", dict)
-    requests = _expect(report, "$.report", "requests", dict)
-    for key in ("total", "completed", "shed", "failed", "downgraded",
-                "fallbacks", "batched", "batches"):
-        value = _expect(requests, "$.report.requests", key, int)
-        if value < 0:
-            _fail(f"$.report.requests.{key}", f"must be >= 0, got {value}")
-    slo = _expect(requests, "$.report.requests", "slo", dict)
-    for key in ("with_deadline", "met", "missed"):
-        _expect(slo, "$.report.requests.slo", key, int)
-    attainment = _expect_number(slo, "$.report.requests.slo", "attainment")
-    if not 0.0 <= attainment <= 1.0:
-        _fail("$.report.requests.slo.attainment",
-              f"must be in [0, 1], got {attainment}")
-    if slo["met"] + slo["missed"] > slo["with_deadline"]:
-        _fail("$.report.requests.slo", "met + missed exceeds with_deadline")
-    if "downgraded" in slo:
-        dpath = "$.report.requests.slo.downgraded"
-        downgraded = _expect(slo, "$.report.requests.slo", "downgraded", dict)
-        for key in ("with_deadline", "met", "missed"):
-            value = _expect(downgraded, dpath, key, int)
-            if value < 0:
-                _fail(f"{dpath}.{key}", f"must be >= 0, got {value}")
-        if downgraded["met"] + downgraded["missed"] > downgraded["with_deadline"]:
-            _fail(dpath, "met + missed exceeds with_deadline")
-        if downgraded["with_deadline"] > slo["with_deadline"]:
-            _fail(dpath, "downgraded with_deadline exceeds the slo total")
-
-    for key in ("throughput_rps", "makespan"):
-        value = _expect_number(report, "$.report", key)
-        if value < 0:
-            _fail(f"$.report.{key}", f"must be >= 0, got {value}")
-    _expect_summary(report, "$.report", "latency")
-    _expect_summary(report, "$.report", "wait")
-    prediction = _expect(report, "$.report", "prediction", dict,
-                         allow_none=True)
-    if prediction is not None:
-        n = _expect(prediction, "$.report.prediction", "n", int)
-        if n > 0:
-            for key in ("mean_abs_pct_error", "p95_abs_pct_error"):
-                _expect_number(prediction, "$.report.prediction", key)
-        elif n < 0:
-            _fail("$.report.prediction.n", f"must be >= 0, got {n}")
-        if "tail" in prediction:
-            validate_tail_block(prediction["tail"], "$.report.prediction.tail")
-
-    workers = _expect(report, "$.report", "workers", list)
-    if not workers:
-        _fail("$.report.workers", "must list at least one worker")
-    for i, worker in enumerate(workers):
-        path = f"$.report.workers[{i}]"
-        if not isinstance(worker, dict):
-            _fail(path, "expected an object")
-        _expect(worker, path, "worker", str)
-        for key in ("busy_seconds", "utilization"):
-            _expect_number(worker, path, key)
-        util = worker["utilization"]
-        if not 0.0 <= util <= 1.0 + 1e-9:
-            _fail(f"{path}.utilization", f"must be in [0, 1], got {util}")
-        for key in ("batches", "requests", "h2d_bytes", "d2h_bytes",
-                    "kernels", "locality_hits"):
-            _expect(worker, path, key, int)
-
-    if "resilience" in report:
-        resilience = _expect(report, "$.report", "resilience", dict)
-        path = "$.report.resilience"
-        counters = _expect(resilience, path, "counters", dict)
-        for key, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail(f"{path}.counters.{key}", "expected int")
-            if value < 0:
-                _fail(f"{path}.counters.{key}",
-                      f"must be >= 0, got {value}")
-        stats = _expect(resilience, path, "stats", dict)
-        for key, value in stats.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail(f"{path}.stats.{key}", "expected int")
-            if value < 0:
-                _fail(f"{path}.stats.{key}", f"must be >= 0, got {value}")
-        health = _expect(resilience, path, "health", list)
-        for i, device in enumerate(health):
-            dpath = f"{path}.health[{i}]"
-            if not isinstance(device, dict):
-                _fail(dpath, "expected an object")
-            _expect(device, dpath, "index", int)
-            state = _expect(device, dpath, "state", str)
-            if state not in ("healthy", "degraded", "failed", "recovering"):
-                _fail(f"{dpath}.state", f"unknown health state {state!r}")
-            _expect_number(device, dpath, "ewma_inflation")
-        transitions = _expect(resilience, path, "transitions", list)
-        for i, tr in enumerate(transitions):
-            tpath = f"{path}.transitions[{i}]"
-            if not isinstance(tr, dict):
-                _fail(tpath, "expected an object")
-            t = _expect_number(tr, tpath, "t")
-            if t < 0:
-                _fail(f"{tpath}.t", f"must be >= 0, got {t}")
-            _expect(tr, tpath, "device", int)
-            _expect(tr, tpath, "event", str)
-
-    metrics = _expect(doc, "$", "metrics", dict)
-    for key in ("counters", "gauges", "histograms"):
-        _expect(metrics, "$.metrics", key, dict)
+    validate(doc, SERVE_SCHEMA, "serve")

@@ -61,7 +61,6 @@ from .dispatcher import (
     PLACEMENT_POLICIES,
     Dispatcher,
     GpuState,
-    Placement,
     _with_device_a,
     batchable,
     coalesce,
@@ -245,7 +244,9 @@ class BlasServer:
     def __init__(self, machine: MachineConfig, models: MachineModels,
                  config: Optional[ServerConfig] = None,
                  metrics=None, prediction_cache=None,
-                 tail_bank=None) -> None:
+                 tail_bank=None, on_terminal=None) -> None:
+        """``on_terminal`` is called with each request as it reaches a
+        real terminal state (done/shed/failed; *not* migrated)."""
         self.machine = machine
         self.models = models
         self.config = config if config is not None else ServerConfig()
@@ -284,24 +285,19 @@ class BlasServer:
         #: never perturbs the GPU devices' draws.
         self._host_noise = NoiseModel(seed=self.config.seed + 7919,
                                       sigma=machine.noise_sigma)
-        self._placements: Dict[int, Placement] = {}
         self._next_batch = 0
         self._stats = [WorkerStats(gpu_worker(i))
                        for i in range(self.config.n_gpus)]
         self._host_stats = WorkerStats(HOST_WORKER)
         self._gpu_traces: List[List[list]] = [
             [] for _ in range(self.config.n_gpus)]
-        self._served = False
-        # -- incremental (cluster-node) serving ----------------------
-        #: True between begin() and finish(); serve() keeps it False.
-        self._incremental = False
-        self._retain = True
-        self._on_terminal = None
+        #: Set by serve() and by the first submit(); serve() then
+        #: refuses to run.
+        self._submitted = False
+        self._on_terminal = on_terminal
         self._outstanding = 0
-        self._requests: List[Request] = []
         #: In-flight host batch and its completion event, tracked so a
-        #: cluster evacuation can cancel host work mid-service.  Pure
-        #: bookkeeping: the one-shot serve() path never reads it.
+        #: cluster evacuation can cancel host work mid-service.
         self._host_inflight: Optional[Tuple[_Batch, object]] = None
         # -- fault-domain state --------------------------------------
         #: In-flight batch per GPU index (drains cancel through this).
@@ -317,30 +313,39 @@ class BlasServer:
         self._device_counters = ResilienceCounters()
         plan = machine.fault_plan
         self._faulted = plan is not None and plan.any_faults
+        self._schedule_lifecycle()
 
     # -- public entry ---------------------------------------------------
 
     def serve(self, requests: List[Request]) -> ServeOutcome:
-        """Run the workload to completion and return the outcome."""
-        if self._served:
+        """Submit the whole workload, run it to completion, and return
+        the outcome.  A server serves once, and only if nothing was
+        submitted to it before."""
+        if self._submitted:
             raise ServeError("a BlasServer instance serves exactly once")
-        self._served = True
-        self._requests = sorted(requests, key=lambda r: (r.arrival, r.req_id))
+        self._submitted = True
+        requests = sorted(requests, key=lambda r: (r.arrival, r.req_id))
         # Ordering contract (pinned, not accidental): lifecycle events
-        # are scheduled before arrivals, so a fault onset at exactly an
-        # arrival time gets the lower seq and fires first — the arrival
-        # then dispatches against the post-fault health state.  Equal-
-        # time arrivals fire in (arrival, req_id) order via the sort
-        # above.  Regression: tests/sim/test_tie_ordering.py.
-        self._schedule_lifecycle()
-        for request in self._requests:
-            self.sim.schedule_at(request.arrival,
-                                 lambda r=request: self._on_arrival(r))
+        # were scheduled by __init__, before any arrival, so a fault
+        # onset at exactly an arrival time gets the lower seq and fires
+        # first — the arrival then dispatches against the post-fault
+        # health state.  Equal-time arrivals fire in (arrival, req_id)
+        # order via the sort above.  Regression:
+        # tests/sim/test_tie_ordering.py.
+        for request in requests:
+            self.submit(request)
         self.sim.run()
-        end = max((r.completion_t for r in self._requests
+        end = max((r.completion_t for r in requests
                    if r.completion_t is not None), default=0.0)
+        # Tail-bank state + admission counters (percentile mode only;
+        # None keeps mean-mode documents byte-identical).
+        tail = None
+        if self.tail_bank is not None:
+            tail = self.tail_bank.snapshot()
+            tail["percentile"] = self.config.admission_percentile
+            tail["tail_rejections"] = self.dispatcher.tail_rejections
         return ServeOutcome(
-            requests=self._requests,
+            requests=requests,
             config=self.config,
             gpu_stats=self._stats,
             host_stats=self._host_stats,
@@ -352,72 +357,33 @@ class BlasServer:
             resilience_stats=self._stats_res,
             health=self.monitor.snapshot(),
             health_transitions=list(self.monitor.transitions),
-            tail=self._tail_snapshot(),
+            tail=tail,
         )
 
-    def _tail_snapshot(self) -> Optional[dict]:
-        """Bank state + admission counters for the outcome (tail mode
-        only; None keeps mean-mode documents byte-identical)."""
-        if self.tail_bank is None:
-            return None
-        snap = self.tail_bank.snapshot()
-        snap["percentile"] = self.config.admission_percentile
-        snap["tail_rejections"] = self.dispatcher.tail_rejections
-        return snap
-
-    # -- incremental serving (cluster-node mode) ------------------------
+    # -- request-at-a-time drive (cluster nodes) ------------------------
     #
     # A cluster node cannot hand the server a complete request list up
     # front: the router feeds it arrivals one epoch at a time while a
-    # coordinator drives its clock with Simulator.run_to().  begin() /
-    # submit() / finish() expose exactly that — the same arrival,
-    # dispatch and recovery machinery as serve(), minus the outer
-    # sim.run().  The one-shot serve() path never touches any of this
-    # (``_incremental`` stays False), so single-node documents stay
-    # byte-identical.
+    # coordinator drives its clock with Simulator.run_to().  submit()
+    # is the same path serve() takes, minus the outer sim.run(); the
+    # node accounts terminals through ``on_terminal`` instead of
+    # keeping request objects.
 
     def _terminal(self, request: Request) -> None:
-        """One request reached done/shed/failed: incremental-mode
-        accounting plus the cluster's terminal callback.  No-op on the
-        one-shot serve() path."""
-        if not self._incremental:
-            return
+        """One request reached done/shed/failed."""
         self._outstanding -= 1
         if self._on_terminal is not None:
             self._on_terminal(request)
 
-    def begin(self, retain: bool = True, on_terminal=None) -> None:
-        """Open an incremental session (mutually exclusive with serve).
-
-        retain
-            Keep submitted requests in an internal list for
-            :meth:`finish`.  Cluster nodes pass False and account
-            terminals through ``on_terminal`` instead, so a million
-            requests never pile up in memory.
-        on_terminal
-            Callback invoked with each request as it reaches a real
-            terminal state (done/shed/failed; *not* migrated).
-        """
-        if self._served:
-            raise ServeError("a BlasServer instance serves exactly once")
-        self._served = True
-        self._incremental = True
-        self._retain = retain
-        self._on_terminal = on_terminal
-        self._schedule_lifecycle()
-
     def submit(self, request: Request) -> None:
-        """Schedule one request's arrival on the node clock.
+        """Schedule one request's arrival on the server clock.
 
         A migrated request keeps its original ``arrival`` (its EDF
         slack and latency accounting stay honest) but cannot arrive in
-        the node's past, so it lands at ``max(arrival, now)``.
+        the server's past, so it lands at ``max(arrival, now)``.
         """
-        if not self._incremental:
-            raise ServeError("submit() requires begin() first")
+        self._submitted = True
         self._outstanding += 1
-        if self._retain:
-            self._requests.append(request)
         self.sim.schedule_at(max(request.arrival, self.sim.now),
                              lambda r=request: self._on_arrival(r))
 
@@ -437,6 +403,23 @@ class BlasServer:
             total += gpu.backlog(now)
         return total
 
+    def _migrate(self, request: Request) -> Request:
+        """Hand one request back to the caller, MIGRATED, with its
+        arrival and deadline untouched."""
+        request.state = RequestState.MIGRATED
+        request.worker = None
+        request.dispatch_t = None
+        request.first_t = None
+        request.batch_id = None
+        self._outstanding -= 1
+        return request
+
+    def _migrate_running(self, batch: _Batch) -> List[Request]:
+        # Hedge twins share one members list; the RUNNING check keeps
+        # the second copy from migrating a member twice.
+        return [self._migrate(m) for m in batch.members
+                if m.state is RequestState.RUNNING]
+
     def drain_queued(self) -> List[Request]:
         """Graceful scale-down: hand back all *queued* work, migrated.
 
@@ -445,19 +428,10 @@ class BlasServer:
         marked MIGRATED with arrival/deadline untouched, for the caller
         to re-place elsewhere.
         """
-        if not self._incremental:
-            raise ServeError("drain_queued() requires begin() first")
         moved: List[Request] = []
         for state in (*self.dispatcher.gpus, self.dispatcher.host):
             while state.queue:
-                moved.append(state.queue.pop())
-        for request in moved:
-            request.state = RequestState.MIGRATED
-            request.worker = None
-            request.dispatch_t = None
-            request.first_t = None
-            request.batch_id = None
-            self._outstanding -= 1
+                moved.append(self._migrate(state.queue.pop()))
         return moved
 
     def evacuate(self) -> List[Request]:
@@ -469,76 +443,28 @@ class BlasServer:
         survives but nothing new will fire for these requests.
         """
         moved = self.drain_queued()
-        now = self.sim.now
         for index in sorted(self._inflight):
             batch = self._inflight[index]
             if batch.settled:
                 continue
-            batch.settled = True
             batch.cancelled = True
-            if batch.watchdog is not None:
-                batch.watchdog.cancel()
-            stats = self._stats[index]
-            stats.busy_seconds += now - batch.t0
-            stats.batches += 1
-            if batch.device is not None:
-                self._device_counters.add(batch.device.resilience)
+            self._settle_gpu_batch(index, batch)
             state = self.dispatcher.gpus[index]
             state.busy = False
             state.running_pred_end = 0.0
-            # Hedge twins share one members list; the RUNNING check
-            # keeps the second copy from migrating a member twice.
-            for member in batch.members:
-                if member.state is RequestState.RUNNING:
-                    member.state = RequestState.MIGRATED
-                    member.worker = None
-                    member.dispatch_t = None
-                    member.first_t = None
-                    member.batch_id = None
-                    self._outstanding -= 1
-                    moved.append(member)
+            moved.extend(self._migrate_running(batch))
         self._inflight.clear()
         if self._host_inflight is not None:
             batch, ev = self._host_inflight
             ev.cancel()
             self._host_inflight = None
-            self._host_stats.busy_seconds += now - batch.t0
+            self._host_stats.busy_seconds += self.sim.now - batch.t0
             self._host_stats.batches += 1
             host = self.dispatcher.host
             host.busy = False
             host.running_pred_end = 0.0
-            for member in batch.members:
-                if member.state is RequestState.RUNNING:
-                    member.state = RequestState.MIGRATED
-                    member.worker = None
-                    member.dispatch_t = None
-                    member.first_t = None
-                    member.batch_id = None
-                    self._outstanding -= 1
-                    moved.append(member)
+            moved.extend(self._migrate_running(batch))
         return moved
-
-    def finish(self) -> ServeOutcome:
-        """Close an incremental session and aggregate the outcome."""
-        if not self._incremental:
-            raise ServeError("finish() requires begin() first")
-        end = max((r.completion_t for r in self._requests
-                   if r.completion_t is not None), default=self.sim.now)
-        return ServeOutcome(
-            requests=self._requests,
-            config=self.config,
-            gpu_stats=self._stats,
-            host_stats=self._host_stats,
-            n_batches=self._next_batch,
-            end_time=end,
-            gpu_traces=self._gpu_traces,
-            faulted=self._faulted,
-            resilience=self._device_counters,
-            resilience_stats=self._stats_res,
-            health=self.monitor.snapshot(),
-            health_transitions=list(self.monitor.transitions),
-            tail=self._tail_snapshot(),
-        )
 
     # -- fault-domain lifecycle ----------------------------------------
 
@@ -661,8 +587,6 @@ class BlasServer:
         request.predicted_seconds = placement.predicted_seconds
         request.predicted_completion = placement.predicted_completion
         request.predicted_tail_seconds = placement.tail_seconds
-        if self._retain:
-            self._placements[request.req_id] = placement
         self.dispatcher.state_for(placement.worker).queue.push(request)
         self._gauge_depth()
         self._maybe_dispatch(placement.worker)
@@ -814,22 +738,15 @@ class BlasServer:
             self._finish_gpu_batch(state, batch)
 
     def _finish_gpu_batch(self, state: GpuState, batch: _Batch) -> None:
-        batch.settled = True
-        if batch.watchdog is not None:
-            batch.watchdog.cancel()
-        if self._inflight.get(state.index) is batch:
-            del self._inflight[state.index]
+        self._settle_gpu_batch(state.index, batch)
         end = self.sim.now
         service = end - batch.t0
         device = batch.device
         stats = self._stats[state.index]
-        stats.busy_seconds += service
-        stats.batches += 1
         if device is not None:
             stats.h2d_bytes += device.bytes_moved(Direction.H2D)
             stats.d2h_bytes += device.bytes_moved(Direction.D2H)
             stats.kernels += device.compute.kernels_run
-            self._device_counters.add(device.resilience)
         events = (list(device.trace.events)
                   if device is not None and device.trace is not None else None)
         if events is not None:
@@ -879,25 +796,16 @@ class BlasServer:
         """The batch wedged (fault retries exhausted): abandon & recover."""
         if batch.settled:
             return
-        batch.settled = True
-        if self._inflight.get(state.index) is batch:
-            del self._inflight[state.index]
+        self._settle_gpu_batch(state.index, batch)
         end = self.sim.now
-        stats = self._stats[state.index]
-        stats.busy_seconds += end - batch.t0
-        stats.batches += 1
         self._count("serve.timeouts")
         failures = (len(batch.device._fault_failures)
                     if batch.device is not None else 0)
         self._count("serve.fault_failures", max(failures, 1))
-        if batch.device is not None:
-            self._device_counters.add(batch.device.resilience)
+        # Members that finished (or still run) on a hedge twin are left
+        # alone: only this wedged copy is abandoned.
         twin = batch.twin
-        if batch.cancelled or (twin is not None and not twin.settled):
-            # The members finished (or are still running) on the hedge
-            # twin; this wedged copy is abandoned without touching them.
-            pass
-        else:
+        if not batch.cancelled and (twin is None or twin.settled):
             for member in batch.members:
                 self._fallback_to_host(member)
         opened = self.monitor.on_fault(state.index, end)
@@ -949,27 +857,17 @@ class BlasServer:
         surviving workers with arrival/deadline preserved.  The weight
         cache is invalidated: residency on a failed device is gone.
         """
-        now = self.sim.now
         self._stats_res.drains += 1
         self._count("serve.drains")
         moved: List[Request] = []
         batch = self._inflight.pop(state.index, None)
         if batch is not None and not batch.settled:
-            batch.settled = True
             batch.cancelled = True
-            if batch.watchdog is not None:
-                batch.watchdog.cancel()
-            stats = self._stats[state.index]
-            stats.busy_seconds += now - batch.t0
-            stats.batches += 1
-            if batch.device is not None:
-                self._device_counters.add(batch.device.resilience)
+            self._settle_gpu_batch(state.index, batch)
+            # A hedge copy still running elsewhere becomes the sole
+            # runner; only without one are the members requeued.
             twin = batch.twin
-            if twin is not None and not twin.settled:
-                # The hedge copy still runs elsewhere and becomes the
-                # sole runner; nothing to requeue for these members.
-                pass
-            else:
+            if twin is None or twin.settled:
                 moved.extend(m for m in batch.members
                              if m.state is RequestState.RUNNING)
         while state.queue:
@@ -988,6 +886,20 @@ class BlasServer:
         self._gauge_depth()
         for worker in targets:
             self._maybe_dispatch(worker)
+
+    def _settle_gpu_batch(self, index: int, batch: _Batch) -> None:
+        """Take a GPU batch out of flight, however it ended: charge its
+        device time so far and fold in its fault counters."""
+        batch.settled = True
+        if batch.watchdog is not None:
+            batch.watchdog.cancel()
+        if self._inflight.get(index) is batch:
+            del self._inflight[index]
+        stats = self._stats[index]
+        stats.busy_seconds += self.sim.now - batch.t0
+        stats.batches += 1
+        if batch.device is not None:
+            self._device_counters.add(batch.device.resilience)
 
     def _requeue(self, request: Request) -> Optional[str]:
         """Re-place one drained request on a surviving worker.
@@ -1020,8 +932,6 @@ class BlasServer:
         request.predicted_seconds = placement.predicted_seconds
         request.predicted_completion = placement.predicted_completion
         request.predicted_tail_seconds = placement.tail_seconds
-        if self._retain:
-            self._placements[request.req_id] = placement
         self.dispatcher.state_for(placement.worker).queue.push(request)
         self._stats_res.requeues += 1
         self._count("serve.requeues")

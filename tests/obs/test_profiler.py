@@ -196,6 +196,16 @@ class TestProfileDocument:
         with pytest.raises(ReproError, match="buckets"):
             validate_profile_json(doc)
 
+    @pytest.mark.parametrize("buckets", [["a", "b"], [None, 1]])
+    def test_malformed_bucket_counts_rejected(self, buckets):
+        doc = self._doc()
+        doc["metrics"]["histograms"]["sim.h2d.queue_wait"][
+            "bucket_counts"] = buckets
+        with pytest.raises(ReproError, match=(
+                r"\$\.metrics\.histograms\.sim\.h2d\.queue_wait"
+                r"\.bucket_counts\[0\]")):
+            validate_profile_json(doc)
+
     def test_wrong_schema_version_rejected(self):
         doc = self._doc()
         doc["schema"] = "repro.profile/v0"

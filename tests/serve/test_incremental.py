@@ -1,15 +1,13 @@
-"""Incremental serving API tests: begin / submit / drain / evacuate.
+"""Serving-loop tests: serve / submit / on_terminal / drain / evacuate.
 
-The cluster layer drives each node's server one request at a time
-(``begin`` + ``submit`` + ``run_to``) instead of the one-shot
-``serve``.  These tests pin the contract the coordinator relies on:
-the two drive modes produce identical outcomes for the same trace, the
-modes are mutually exclusive, drains hand queued work back MIGRATED
-with arrivals preserved, and evacuation cancels in-flight batches
-without losing anything.
+``serve`` submits a whole workload and runs it; the cluster layer
+drives each node's server one request at a time (``submit`` +
+``run_to``) on the same path.  These tests pin the contract the
+coordinator relies on: a server serves once, ``on_terminal`` fires
+once per request, drains hand queued work back MIGRATED with arrivals
+preserved, and evacuation cancels in-flight batches without losing
+anything.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from repro.serve import (
     ServerConfig,
     WorkloadSpec,
     generate_workload,
+    serve_report,
 )
 
 
@@ -32,80 +31,73 @@ def big_request(req_id, arrival=0.0):
                    problem=gemm_problem(2048, 2048, 2048, np.float64))
 
 
-class TestModeExclusivity:
-    def test_submit_requires_begin(self, tb2, models_tb2):
+class TestServeOnce:
+    def test_serve_twice_rejected(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        with pytest.raises(ServeError, match="begin"):
-            server.submit(big_request(0))
-
-    def test_drain_requires_begin(self, tb2, models_tb2):
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        with pytest.raises(ServeError, match="begin"):
-            server.drain_queued()
-
-    def test_finish_requires_begin(self, tb2, models_tb2):
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        with pytest.raises(ServeError, match="begin"):
-            server.finish()
-
-    def test_serve_after_begin_rejected(self, tb2, models_tb2):
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        server.begin()
+        server.serve([big_request(0)])
         with pytest.raises(ServeError, match="exactly once"):
-            server.serve([big_request(0)])
+            server.serve([big_request(1)])
 
-    def test_begin_after_serve_rejected(self, tb2, models_tb2):
+    def test_empty_serve_twice_rejected(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
         server.serve([])
         with pytest.raises(ServeError, match="exactly once"):
-            server.begin()
+            server.serve([])
+
+    def test_serve_after_submit_rejected(self, tb2, models_tb2):
+        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
+        server.submit(big_request(0))
+        with pytest.raises(ServeError, match="exactly once"):
+            server.serve([big_request(1)])
 
 
-class TestIncrementalMatchesOneShot:
-    def test_same_trace_same_outcome(self, tb2, models_tb2):
-        spec = WorkloadSpec(n_requests=24, rate=4000.0, seed=7)
+class TestOnTerminal:
+    TERMINAL = (RequestState.DONE, RequestState.SHED, RequestState.FAILED)
 
-        one_shot = BlasServer(tb2, models_tb2,
-                              ServerConfig(n_gpus=2, seed=7)).serve(
-            generate_workload(spec))
-
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=7))
-        server.begin()
-        for request in generate_workload(spec):
-            server.submit(request)
-        server.sim.run()
-        incremental = server.finish()
-
-        assert len(incremental.requests) == len(one_shot.requests)
-        by_id = {r.req_id: r for r in one_shot.requests}
-        for r in incremental.requests:
-            ref = by_id[r.req_id]
-            assert r.state is ref.state
-            assert r.worker == ref.worker
-            assert r.completion_t == ref.completion_t
-            assert r.latency == ref.latency
-        assert incremental.n_batches == one_shot.n_batches
-
-    def test_on_terminal_fires_per_request(self, tb2, models_tb2):
+    def test_fires_per_submitted_request(self, tb2, models_tb2):
         spec = WorkloadSpec(n_requests=12, rate=4000.0, seed=3)
         seen = []
-        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=3))
-        server.begin(retain=False, on_terminal=seen.append)
+        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=3),
+                            on_terminal=seen.append)
         for request in generate_workload(spec):
             server.submit(request)
         server.sim.run()
         assert len(seen) == 12
         assert server.outstanding == 0
-        assert all(r.state in (RequestState.DONE, RequestState.SHED,
-                               RequestState.FAILED) for r in seen)
-        # retain=False means finish() aggregates nothing.
-        assert server.finish().requests == []
+        assert all(r.state in self.TERMINAL for r in seen)
+
+    def test_fires_once_per_request_on_serve(self, tb2, models_tb2):
+        spec = WorkloadSpec(n_requests=24, rate=4000.0, seed=7)
+        seen = []
+        server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=7),
+                            on_terminal=seen.append)
+        outcome = server.serve(generate_workload(spec))
+        assert sorted(r.req_id for r in seen) == sorted(
+            r.req_id for r in outcome.requests)
+        assert server.outstanding == 0
+        assert all(r.state in self.TERMINAL for r in seen)
+
+
+class TestAllShed:
+    def test_makespan_and_throughput_stay_zero(self, tb2, models_tb2):
+        # Near-zero slack: no placement can meet any deadline, so
+        # admission sheds everything and nothing ever completes.
+        spec = WorkloadSpec(n_requests=12, rate=2000.0, seed=3,
+                            deadline_fraction=1.0,
+                            slack_lo=1e-6, slack_hi=2e-6)
+        server = BlasServer(tb2, models_tb2,
+                            ServerConfig(n_gpus=2, admission="shed", seed=3))
+        outcome = server.serve(generate_workload(spec))
+        assert all(r.state is RequestState.SHED for r in outcome.requests)
+        assert outcome.end_time == 0.0
+        report = serve_report(outcome)
+        assert report["makespan"] == 0.0
+        assert report["throughput_rps"] == 0.0
 
 
 class TestRunTo:
     def test_clock_advances_exactly_to_barrier(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        server.begin()
         server.submit(big_request(0, arrival=0.5))
         server.sim.run_to(0.25)
         assert server.sim.now == 0.25
@@ -120,7 +112,6 @@ class TestDrainQueued:
         # rest are queued when we drain.
         server = BlasServer(tb2, models_tb2,
                             ServerConfig(n_gpus=1, host_offload=False))
-        server.begin()
         deadline = 60.0
         for i in range(4):
             req = big_request(i)
@@ -146,7 +137,6 @@ class TestDrainQueued:
 
     def test_drain_on_idle_server_is_empty(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        server.begin()
         assert server.drain_queued() == []
 
 
@@ -154,7 +144,6 @@ class TestEvacuate:
     def test_evacuate_cancels_in_flight_too(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2,
                             ServerConfig(n_gpus=1, host_offload=False))
-        server.begin()
         for i in range(3):
             server.submit(big_request(i))
         server.sim.run_to(1e-4)
@@ -172,14 +161,12 @@ class TestEvacuate:
         # conserved request — the exact pattern the cluster relies on.
         source = BlasServer(tb2, models_tb2,
                             ServerConfig(n_gpus=1, host_offload=False))
-        source.begin()
         for i in range(3):
             source.submit(big_request(i))
         source.sim.run_to(1e-4)
         moved = source.evacuate()
 
         target = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2))
-        target.begin()
         fresh = []
         for old in moved:
             req = Request(req_id=old.req_id, problem=old.problem,
@@ -195,7 +182,6 @@ class TestEvacuate:
                                                       models_tb2):
         server = BlasServer(tb2, models_tb2,
                             ServerConfig(n_gpus=1, host_offload=False))
-        server.begin()
         for i in range(3):
             server.submit(big_request(i))
         server.sim.run_to(1e-4)

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.params import Loc
 
 
 @pytest.fixture()
@@ -255,3 +258,134 @@ class TestSummaCli:
             "--db-dir", db_dir, "--out-dir", str(tmp_path))
         assert code == 0
         assert "all_to_all" in out
+
+
+_MACHINE = {
+    "machine": ("testbed_ii", ("testbed_i", "testbed_ii")),
+    "scale": ("quick", ("tiny", "quick", "paper")),
+    "db_dir": (None, None),
+}
+_PROBLEM = {
+    "routine": (None, ("gemm", "gemv", "syrk", "axpy")),
+    "dims": (None, None),
+    "dtype": ("d", ("d", "s")),
+    "model": ("auto", None),
+    "loc_a": (Loc.HOST, None),
+    "loc_b": (Loc.HOST, None),
+    "loc_c": (Loc.HOST, None),
+}
+_ADMISSION = {
+    "admission": ("shed", ("none", "shed", "downgrade")),
+    "admission_percentile": (None, None),
+}
+
+#: Subcommand -> option dest -> (default, choices), as the CLI has
+#: always parsed them.
+OPTIONS = {
+    "machines": {},
+    "deploy": {**_MACHINE, "force": (False, None), "workers": (1, None)},
+    "run": {
+        **_MACHINE, **_PROBLEM,
+        "library": ("cocopelia",
+                    ("blasx", "cocopelia", "cublasxt", "serial", "unified")),
+        "tile": (None, None),
+        "faults": (None, None),
+    },
+    "profile": {
+        **_MACHINE, **_PROBLEM,
+        "tile": (None, None),
+        "gpus": (1, None),
+        "faults": (None, None),
+        "out_dir": (".", None),
+    },
+    "summa": {
+        **_MACHINE,
+        "gpus": (4, None),
+        "topology": ("ring", ("ring", "all_to_all")),
+        "gb_per_s": (8.0, None),
+        "latency": (5e-06, None),
+        "depth": (2, None),
+        "seed": (0, None),
+        "parallel": (None, None),
+        "out_dir": (".", None),
+    },
+    "serve": {
+        **_MACHINE, **_ADMISSION,
+        "gpus": (4, None),
+        "arrival": ("poisson", ("poisson", "bursty")),
+        "rate": (50.0, None),
+        "requests": (64, None),
+        "workload_scale": ("tiny", ("tiny", "quick", "paper")),
+        "seed": (0, None),
+        "placement": ("model", ("model", "round_robin")),
+        "deadline_fraction": (0.75, None),
+        "slack_lo": (2.0, None),
+        "slack_hi": (8.0, None),
+        "burst_size": (8, None),
+        "model": ("auto", None),
+        "no_batching": (False, None),
+        "no_host_offload": (False, None),
+        "faults": (None, None),
+        "out_dir": (".", None),
+    },
+    "chaos": {
+        **_MACHINE,
+        "scenario": ("kill-one-gpu",
+                     ("all-gpus-degraded", "flapping-device",
+                      "kill-one-gpu", "rolling-brownout")),
+        "gpus": (4, None),
+        "arrival": ("poisson", ("poisson", "bursty")),
+        "rate": (8000.0, None),
+        "requests": (48, None),
+        "workload_scale": ("tiny", ("tiny", "quick")),
+        "placement": ("model", ("model", "round_robin")),
+        "hedging": (False, None),
+        "seed": (0, None),
+        "out_dir": (".", None),
+    },
+    "cluster": {
+        **_MACHINE, **_ADMISSION,
+        "nodes": (4, None),
+        "gpus_per_node": (2, None),
+        "router": ("predicted", ("predicted", "least_connections")),
+        "arrival": ("bursty", ("poisson", "bursty")),
+        "rate": (400.0, None),
+        "requests": (20000, None),
+        "workload_scale": ("tiny", ("tiny", "quick", "paper")),
+        "seed": (0, None),
+        "no_autoscale": (False, None),
+        "min_nodes": (2, None),
+        "max_nodes": (8, None),
+        "kill_node": (None, None),
+        "out_dir": (".", None),
+    },
+    "select": {**_MACHINE, **_PROBLEM},
+    "experiment": {
+        "name": (None, ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+                        "fig7", "table2", "table3", "table4", "all")),
+        "scale": ("quick", ("tiny", "quick", "paper")),
+        "workers": (1, None),
+    },
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionTable:
+    def test_subcommands(self):
+        assert sorted(_subparsers()) == sorted(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_defaults_and_choices(self, command):
+        sub = _subparsers()[command]
+        seen = {
+            a.dest: (a.default,
+                     tuple(a.choices) if a.choices is not None else None)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert seen == OPTIONS[command]
