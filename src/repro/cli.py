@@ -153,13 +153,13 @@ def _loc(value: str) -> Loc:
         ) from None
 
 
-def _deployment_config(scale: str, workers: int = 1) -> DeploymentConfig:
+def _deployment_config(scale: str) -> DeploymentConfig:
     routines = [("gemm", np.float64), ("gemm", np.float32),
                 ("axpy", np.float64), ("gemv", np.float64),
                 ("syrk", np.float64)]
     if scale == "paper":
-        return DeploymentConfig(routines=tuple(routines), workers=workers)
-    return DeploymentConfig.quick(routines=routines, workers=workers)
+        return DeploymentConfig(routines=tuple(routines))
+    return DeploymentConfig.quick(routines=routines)
 
 
 def _models_for(args):
@@ -167,8 +167,7 @@ def _models_for(args):
     models = deploy_or_load(
         machine, variant=args.scale, db_dir=args.db_dir,
         force=getattr(args, "force", False),
-        config=_deployment_config(args.scale,
-                                  workers=getattr(args, "workers", 1)),
+        config=_deployment_config(args.scale),
     )
     return machine, models
 
@@ -608,7 +607,7 @@ def cmd_cluster(args) -> int:
     print(f"  throughput {fleet['throughput_rps']:.1f} req/s over "
           f"{fleet['makespan']:.3f} s")
     _print_latency(fleet["latency"])
-    print(f"  SLO       {slo['met']}/{slo['met'] + slo['missed']} "
+    print(f"  SLO       {slo['met']}/{slo['with_deadline']} "
           f"deadlines met ({slo['attainment']:.1%})")
     print(f"  scaling   {scaling['scale_ups']} up  "
           f"{scaling['scale_downs']} down  {scaling['kills']} kills  "
@@ -642,7 +641,7 @@ def cmd_select(args) -> int:
 def cmd_experiment(args) -> int:
     import inspect
 
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     if args.name == "all":
         from .experiments import full_report
 
@@ -685,10 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_args(p_deploy)
     p_deploy.add_argument("--force", action="store_true",
                           help="re-benchmark even if a database is cached")
-    p_deploy.add_argument("--workers", type=int, default=1,
-                          help="processes for the benchmark grids; results "
-                               "are byte-identical for any count "
-                               "(default: 1 = serial)")
 
     p_run = sub.add_parser("run", help="offload one BLAS invocation")
     _add_problem_args(p_run)

@@ -67,6 +67,7 @@ class ClusterNode:
         self.failed = 0
         self.migrated_out = 0
         self.routed = 0
+        self.slo_with_deadline = 0
         self.slo_met = 0
         self.slo_missed = 0
         #: Terminal views the coordinator folds into the fleet-wide
@@ -158,6 +159,8 @@ class ClusterNode:
 
     def _on_terminal(self, request: Request) -> None:
         self._settle(request)
+        if request.slo_deadline is not None:
+            self.slo_with_deadline += 1
         if request.state is RequestState.DONE:
             self.completed += 1
             if request.latency is not None:

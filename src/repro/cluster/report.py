@@ -27,7 +27,8 @@ from ..obs.schema import (
     validate,
 )
 from ..obs.stats import latency_summary
-from ..serve.report import LATENCY_SUMMARY, TAIL_SCHEMA
+from ..serve.report import (LATENCY_SUMMARY, TAIL_SCHEMA,
+                            met_missed_within_deadlines)
 from .coordinator import ClusterOutcome
 from .node import NODE_STATES
 from .router import ROUTER_POLICIES
@@ -41,6 +42,7 @@ def cluster_report(outcome: ClusterOutcome) -> Dict[str, object]:
     completed = sum(n.completed for n in nodes)
     shed = sum(n.shed for n in nodes)
     failed = sum(n.failed for n in nodes)
+    with_deadline = sum(n.slo_with_deadline for n in nodes)
     met = sum(n.slo_met for n in nodes)
     missed = sum(n.slo_missed for n in nodes)
     latencies: List[float] = []
@@ -56,10 +58,13 @@ def cluster_report(outcome: ClusterOutcome) -> Dict[str, object]:
             "failed": failed,
             "migrations": outcome.migrations,
             "slo": {
+                # Every terminal request with a deadline counts, shed
+                # and failed ones included, as in the serve report.
+                "with_deadline": with_deadline,
                 "met": met,
                 "missed": missed,
-                "attainment": (met / (met + missed)
-                               if met + missed else 1.0),
+                "attainment": (met / with_deadline
+                               if with_deadline else 1.0),
             },
         },
         "latency": latency_summary(latencies) if latencies else None,
@@ -150,8 +155,9 @@ CLUSTER_SCHEMA = {
             "requests": Rule({
                 "total": COUNT, "completed": COUNT, "shed": COUNT,
                 "failed": COUNT, "migrations": COUNT,
-                "slo": {"met": COUNT, "missed": COUNT,
-                        "attainment": FRACTION},
+                "slo": Rule({"with_deadline": COUNT, "met": COUNT,
+                             "missed": COUNT, "attainment": FRACTION},
+                            met_missed_within_deadlines),
             }, _terminals_within_total),
             "latency": LATENCY_SUMMARY,
             "throughput_rps": NON_NEGATIVE,

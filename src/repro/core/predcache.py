@@ -15,8 +15,8 @@ differently for the same problem), the resolved model name, the
 problem's :meth:`~repro.core.params.CoCoProblem.signature`, and the
 selection arguments.  Cached values are exactly what the uncached path
 would compute — the cache is a pure memo, so traces, makespans, and
-serve reports are byte-identical with and without it (enforced by the
-determinism checks in ``benchmarks/bench_hotpath.py``).
+serve reports are byte-identical with and without it (checked by
+``tests/runtime/test_cached_selection.py``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ N = 2^18, 2*2^18, ..., 2^26 (256 sizes).  Measurements repeat until the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..backend.cublas import CublasContext
 from ..core.exec_model import ExecLookup
 from ..core.params import prefix_for
 from ..errors import DeploymentError
-from ..parallel import ParallelConfig, pmap, task_seed
+from ..parallel import task_seed
 from ..sim.device import GpuDevice
 from ..sim.machine import MachineConfig
 from .regression import measure_until_stable
@@ -138,38 +138,16 @@ def bench_exec_table(
     dtype,
     cfg: ExecBenchConfig = ExecBenchConfig(),
     seed: int = 4321,
-    device: Optional[GpuDevice] = None,
-    parallel=None,
 ) -> ExecLookup:
     """Build the ``t_GPU^T`` lookup table for one (routine, dtype).
 
     Each tile size is measured on its own freshly seeded device (one
-    independent task per grid point); ``parallel`` fans the sweep out
-    across processes with results merged in tile order, so any worker
-    count yields a byte-identical table.  Passing an explicit
-    ``device`` keeps the legacy behaviour of timing the whole sweep on
-    that one device (and is necessarily serial).
+    independent task per grid point), in tile order.
     """
     routine = routine.lower()
-    tiles, timed = _routine_sweep(routine, cfg)
-    prefix = prefix_for(dtype)
-    lookup = ExecLookup(routine, prefix)
-    if device is not None:
-        ctx = CublasContext(device)
-        for t in tiles:
-            mean, _ = measure_until_stable(
-                lambda: timed(ctx, t, dtype),
-                rel_half_width=cfg.rel_half_width,
-                confidence=cfg.confidence,
-                min_reps=cfg.min_reps,
-                max_reps=cfg.max_reps,
-            )
-            lookup.add(t, mean)
-        return lookup
-    parallel = ParallelConfig.resolve(parallel)
-    tasks = [(machine, routine, dtype, t, cfg, task_seed(seed, routine, t))
-             for t in tiles]
-    means = pmap(_exec_point_task, tasks, parallel=parallel)
-    for t, mean in zip(tiles, means):
-        lookup.add(t, mean)
+    tiles, _ = _routine_sweep(routine, cfg)
+    lookup = ExecLookup(routine, prefix_for(dtype))
+    for t in tiles:
+        lookup.add(t, _exec_point_task(machine, routine, dtype, t, cfg,
+                                       task_seed(seed, routine, t)))
     return lookup

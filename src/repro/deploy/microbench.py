@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.transfer_model import LinkModel, TransferFit
 from ..errors import DeploymentError
-from ..parallel import ParallelConfig, pmap, task_seed
+from ..parallel import task_seed
 from ..sim.device import GpuDevice
 from ..sim.link import Direction
 from ..sim.machine import MachineConfig
@@ -163,8 +163,7 @@ def _transfer_point_task(machine: MachineConfig, direction: Direction,
     """One grid point of the transfer campaign, on a fresh device.
 
     Each point gets its own device with a pre-derived seed, so the
-    measurement is a pure function of the task arguments — the property
-    the parallel fan-out's determinism contract rests on.
+    measurement is a pure function of the task arguments.
     """
     device = GpuDevice(machine, seed=seed)
     if kind == "latency":
@@ -188,7 +187,6 @@ def fit_link_model(
     machine: MachineConfig,
     cfg: TransferBenchConfig = TransferBenchConfig(),
     seed: int = 1234,
-    parallel=None,
 ) -> Tuple[LinkModel, Dict[str, DirectionBenchData]]:
     """Run the full transfer campaign and fit the link coefficients.
 
@@ -197,11 +195,9 @@ def fit_link_model(
 
     The campaign is a grid of independent points (per direction: one
     latency probe set, one uni- and one bidirectional measurement per
-    edge), each on its own freshly seeded device; ``parallel`` fans
-    them out across processes with results merged in grid order, so
-    any worker count produces byte-identical fits.
+    edge), each on its own freshly seeded device, measured in grid
+    order.
     """
-    parallel = ParallelConfig.resolve(parallel)
     esize = dtype_size(cfg.dtype)
     directions = (Direction.H2D, Direction.D2H)
     tasks = []
@@ -214,7 +210,7 @@ def fit_link_model(
                 tasks.append((machine, direction, kind,
                               edge * edge * esize, cfg,
                               task_seed(seed, d, kind, edge)))
-    results = pmap(_transfer_point_task, tasks, parallel=parallel)
+    results = [_transfer_point_task(*task) for task in tasks]
 
     nedges = len(cfg.edges)
     per_direction = 1 + 2 * nedges

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..core.instantiation import MachineModels
 from ..errors import DeploymentError
-from ..parallel import ParallelConfig
 from ..sim.machine import MachineConfig
 from .exec_bench import ExecBenchConfig, bench_exec_table
 from .microbench import TransferBenchConfig, fit_link_model
@@ -30,68 +29,40 @@ DEFAULT_ROUTINES: Tuple[Tuple[str, object], ...] = (
 
 @dataclass(frozen=True)
 class DeploymentConfig:
-    """Bundles the benchmark configurations for one deployment run.
-
-    ``workers`` fans the benchmark grids out across that many
-    processes; results are byte-identical for any worker count (the
-    per-point seeds are pre-derived, see :mod:`repro.parallel`), so
-    the field only affects wall-clock time, never the fitted models.
-    """
+    """Bundles the benchmark configurations for one deployment run."""
 
     transfer: TransferBenchConfig = field(default_factory=TransferBenchConfig)
     exec: ExecBenchConfig = field(default_factory=ExecBenchConfig)
     routines: Tuple[Tuple[str, object], ...] = DEFAULT_ROUTINES
     seed: int = 99
-    workers: int = 1
     #: Also fit the residual-quantile tail bank (``models.tail``) after
     #: the mean fits; off by default so existing databases keep their
     #: exact bytes.
     tail: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise DeploymentError(
-                f"workers must be an int, got {self.workers!r}")
-        if self.workers < 0:
-            raise DeploymentError(
-                f"workers must be >= 0 (0/1 = serial), got {self.workers}")
-
     @classmethod
-    def quick(cls, routines: Optional[Sequence[Tuple[str, object]]] = None,
-              workers: int = 1) -> "DeploymentConfig":
+    def quick(cls, routines: Optional[Sequence[Tuple[str, object]]] = None
+              ) -> "DeploymentConfig":
         return cls(
             transfer=TransferBenchConfig.quick(),
             exec=ExecBenchConfig.quick(),
             routines=tuple(routines) if routines is not None else DEFAULT_ROUTINES,
-            workers=workers,
         )
 
 
 def deploy(
     machine: MachineConfig,
     config: Optional[DeploymentConfig] = None,
-    parallel=None,
 ) -> MachineModels:
-    """Instantiate all models for ``machine`` from micro-benchmarks.
-
-    ``parallel`` (a worker count or :class:`ParallelConfig`) overrides
-    ``config.workers``; either way the resulting models are
-    byte-identical to a serial deployment with the same seeds.
-    """
+    """Instantiate all models for ``machine`` from micro-benchmarks."""
     cfg = config if config is not None else DeploymentConfig()
     if not cfg.routines:
         raise DeploymentError("deployment requires at least one routine")
-    if parallel is None:
-        parallel = ParallelConfig(workers=cfg.workers)
-    else:
-        parallel = ParallelConfig.resolve(parallel)
-    link, _raw = fit_link_model(machine, cfg.transfer, seed=cfg.seed,
-                                parallel=parallel)
+    link, _raw = fit_link_model(machine, cfg.transfer, seed=cfg.seed)
     models = MachineModels(machine_name=machine.name, link=link)
     for i, (routine, dtype) in enumerate(cfg.routines):
         lookup = bench_exec_table(
             machine, routine, dtype, cfg.exec, seed=cfg.seed + 1 + i,
-            parallel=parallel,
         )
         models.add_exec_lookup(lookup)
     if cfg.tail:

@@ -35,17 +35,13 @@ _MODEL_CACHE: Dict[Tuple, MachineModels] = {}
 
 
 def _config_fingerprint(config: Optional[DeploymentConfig]):
-    """Stable identity of a deployment config, for cache keying.
-
-    ``workers`` is deliberately excluded: the parallel layer guarantees
-    worker count never changes the deployed numbers, so a serial and a
-    fanned-out deployment of the same config share a cache entry.
-    """
+    """Stable identity of a deployment config, for cache keying."""
     if config is None:
         return None
     t, e = config.transfer, config.exec
     return (
         config.seed,
+        config.tail,
         tuple((r, np.dtype(d).str) for r, d in config.routines),
         (t.edges, t.dtype.str, t.latency_probes, t.rel_half_width,
          t.confidence, t.min_reps, t.max_reps, t.opposite_factor),
@@ -62,8 +58,7 @@ def _default_config(scale: str) -> DeploymentConfig:
 
 def models_for(machine: MachineConfig, scale: str = "quick",
                force: bool = False,
-               config: Optional[DeploymentConfig] = None,
-               parallel=None) -> MachineModels:
+               config: Optional[DeploymentConfig] = None) -> MachineModels:
     """Deploy (or fetch cached) models for a machine at a given scale.
 
     An explicit ``config`` gets its own cache entry (keyed by content,
@@ -74,7 +69,7 @@ def models_for(machine: MachineConfig, scale: str = "quick",
     if not force and key in _MODEL_CACHE:
         return _MODEL_CACHE[key]
     cfg = config if config is not None else _default_config(scale)
-    models = deploy(machine, cfg, parallel=parallel)
+    models = deploy(machine, cfg)
     _MODEL_CACHE[key] = models
     return models
 
@@ -223,48 +218,6 @@ def standard_libraries(machine: MachineConfig, models: MachineModels,
         "UnifiedMem": UnifiedMemoryLibrary(machine),
         "Serial": SerialOffloadLibrary(machine),
     }
-
-
-#: Library display name -> class, shared with :class:`LibraryFactory`.
-_LIBRARY_CLASSES = {
-    "CoCoPeLia": CoCoPeLiaLibrary,
-    "cuBLASXt": CublasXtLibrary,
-    "BLASX": BlasXLibrary,
-    "UnifiedMem": UnifiedMemoryLibrary,
-    "Serial": SerialOffloadLibrary,
-}
-
-
-@dataclass(frozen=True)
-class LibraryFactory:
-    """A picklable recipe for rebuilding a library in a worker.
-
-    Library objects hold simulator state and models, so they do not
-    cross process boundaries; tasks ship this factory instead and call
-    it in the worker, where :func:`models_for` hits the per-process
-    warm cache.  ``seed`` overrides the library's default noise seed
-    (``None`` keeps it).
-    """
-
-    library: str
-    machine: MachineConfig
-    scale: str = "quick"
-    model: str = "auto"
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.library not in _LIBRARY_CLASSES:
-            raise ReproError(
-                f"unknown library {self.library!r}; available: "
-                f"{sorted(_LIBRARY_CLASSES)}")
-
-    def __call__(self):
-        cls = _LIBRARY_CLASSES[self.library]
-        kwargs = {} if self.seed is None else {"seed": self.seed}
-        if cls is CoCoPeLiaLibrary:
-            return cls(self.machine, models_for(self.machine, self.scale),
-                       model=self.model, **kwargs)
-        return cls(self.machine, **kwargs)
 
 
 def testbeds(names: Optional[Sequence[str]] = None) -> List[MachineConfig]:

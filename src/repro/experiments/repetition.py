@@ -9,24 +9,20 @@ trustworthy.
 
 Determinism: every repetition's noise is a pure function of its *call
 index* — the libraries derive each call's device seed as
-``seed + call_number``, and the indices for all repetitions are derived
-up front rather than read off a shared counter as the loop advances.
-Repetition ``i`` therefore produces the same sample whether it runs
-first, last, or in another process, which is what lets the parallel
-path (``lib_factory`` + ``parallel``) return bit-identical samples to
-the serial one.
+``seed + call_number``, and the harness pins that counter before each
+run, so the samples depend only on the library's seed and its call
+count on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..deploy.regression import confidence_interval
-from ..errors import DeploymentError, ParallelError, ReproError
-from ..parallel import ParallelConfig, pmap
+from ..errors import DeploymentError, ReproError
 from .harness import run_problem
 
 
@@ -57,42 +53,27 @@ class RepeatedMeasurement:
 
 
 def _run_at(lib, problem, tile_size: Optional[int], idx: int,
-            kwargs: dict, strict: bool = False) -> float:
+            kwargs: dict) -> float:
     """Run one call pinned to call index ``idx`` (1-based).
 
     The libraries advance an internal call counter and seed each call's
     device from it; pinning the counter makes the draw a function of
-    ``idx`` alone, independent of how many calls ran before in this
-    process.  A library without a counter can only run sequentially
-    (``strict=False``); the parallel path refuses it.
+    ``idx`` alone.
     """
     if hasattr(lib, "_calls"):
         lib._calls = idx - 1
-    elif strict:
-        raise ParallelError(
-            f"{type(lib).__name__} has no call counter; repetition "
-            f"indices cannot be pinned for order-independent execution")
     return run_problem(lib, problem, tile_size=tile_size, **kwargs).seconds
 
 
-def _rep_task(lib_factory: Callable, problem, tile_size: Optional[int],
-              idx: int, kwargs: dict) -> float:
-    """One repetition in a worker: fresh library, pinned call index."""
-    return _run_at(lib_factory(), problem, tile_size, idx, kwargs,
-                   strict=True)
-
-
 def measure_repeated(
-    lib=None,
-    problem=None,
+    lib,
+    problem,
     tile_size: Optional[int] = None,
     reps: int = 100,
     warmup_runs: int = 1,
     confidence: float = 0.95,
     rel_ci_target: Optional[float] = None,
     max_repetitions: int = 1000,
-    lib_factory: Optional[Callable] = None,
-    parallel=None,
     **kwargs,
 ) -> RepeatedMeasurement:
     """Run a benchmark the way the paper does: warmup + N timed reps.
@@ -102,13 +83,6 @@ def measure_repeated(
     machine's, not an artifact.  All repetition indices are derived
     before the first timed run, so the sample at position ``i`` is
     independent of execution order.
-
-    ``lib_factory`` (a picklable zero-argument callable, e.g.
-    :class:`~repro.experiments.harness.LibraryFactory`) enables the
-    process-pool path: with ``parallel`` set, repetitions fan out
-    across workers, each rebuilding the library and pinning its call
-    index, and the merged samples are bit-identical to a serial run.
-    Passing only ``lib`` keeps the classic in-process protocol.
 
     When ``rel_ci_target`` is set, ``reps`` becomes the *minimum* and
     measurement continues until the CI half-width falls within that
@@ -121,15 +95,6 @@ def measure_repeated(
     if max_repetitions < reps:
         raise ReproError(
             f"max_repetitions ({max_repetitions}) must be >= reps ({reps})")
-    if lib is None and lib_factory is None:
-        raise ReproError("measure_repeated needs a lib or a lib_factory")
-    cfg = ParallelConfig.resolve(parallel)
-    if cfg.enabled and lib_factory is None:
-        raise ParallelError(
-            "parallel repetitions need a picklable lib_factory "
-            "(library objects do not cross process boundaries)")
-    if lib is None:
-        lib = lib_factory()
 
     base = getattr(lib, "_calls", 0)
     warmup_time = 0.0
@@ -139,15 +104,8 @@ def measure_repeated(
     # Pre-derived call indices, one per repetition: the substream each
     # repetition draws from is fixed here, not by loop order.
     first = base + warmup_runs + 1
-    indices = [first + i for i in range(reps)]
-
-    if lib_factory is not None:
-        tasks = [(lib_factory, problem, tile_size, idx, kwargs)
-                 for idx in indices]
-        samples = pmap(_rep_task, tasks, parallel=cfg)
-    else:
-        samples = [_run_at(lib, problem, tile_size, idx, kwargs)
-                   for idx in indices]
+    samples = [_run_at(lib, problem, tile_size, first + i, kwargs)
+               for i in range(reps)]
 
     mean, half = confidence_interval(samples, confidence)
     if rel_ci_target is not None:
@@ -158,13 +116,8 @@ def measure_repeated(
                     f"{rel_ci_target:.3f} after {max_repetitions} "
                     f"repetitions (mean {mean:.3e}, CI half-width "
                     f"{half:.3e})")
-            idx = first + len(samples)
-            if lib_factory is not None:
-                samples.append(_rep_task(lib_factory, problem, tile_size,
-                                         idx, kwargs))
-            else:
-                samples.append(_run_at(lib, problem, tile_size, idx,
-                                       kwargs))
+            samples.append(_run_at(lib, problem, tile_size,
+                                   first + len(samples), kwargs))
             mean, half = confidence_interval(samples, confidence)
             if mean == 0.0 and half == 0.0:
                 break

@@ -3,7 +3,7 @@
 Parallel determinism hinges on seeds being a pure function of the task
 *identity*, never of execution order: every task's seed is derived up
 front from a root seed plus the task's coordinates in its grid (edge
-index, repetition number, ...), so serial and parallel executions feed
+index, tile size, ...), so serial and parallel executions feed
 bit-identical seeds to bit-identical simulations.
 
 Derivation uses :class:`numpy.random.SeedSequence`, whose spawn

@@ -207,7 +207,8 @@ def dump_serve_document(doc: Dict[str, object]) -> str:
 # schema (checked by obs/schema.py; JSON-path error messages)
 # ---------------------------------------------------------------------------
 
-def _met_missed_within_deadlines(slo: dict):
+def met_missed_within_deadlines(slo: dict):
+    """Schema rule for an SLO block (shared with the cluster report)."""
     if slo["met"] + slo["missed"] > slo["with_deadline"]:
         return "", "met + missed exceeds with_deadline"
 
@@ -267,8 +268,8 @@ SERVE_SCHEMA = {
                 "attainment": FRACTION,
                 "downgraded": Opt(Rule(
                     {"with_deadline": COUNT, "met": COUNT, "missed": COUNT},
-                    _met_missed_within_deadlines)),
-            }, _met_missed_within_deadlines, _downgraded_within_slo),
+                    met_missed_within_deadlines)),
+            }, met_missed_within_deadlines, _downgraded_within_slo),
         },
         "throughput_rps": NON_NEGATIVE,
         "makespan": NON_NEGATIVE,

@@ -230,3 +230,35 @@ class TestTailAdmission:
     def test_conservation_holds_in_tail_mode(self, tail_outcome):
         assert tail_outcome.conservation_ok
         assert tail_outcome.accounted == self.TAIL_SPEC.n_requests
+
+
+class TestOverloadedSLO:
+    """Shed requests stay in the fleet's SLO denominator, as they do in
+    the single-node serve report."""
+
+    SPEC = ClusterWorkloadSpec(n_requests=200, rate=2000.0, seed=3,
+                               deadline_fraction=0.9, slack_lo=0.5,
+                               slack_hi=3.0)
+
+    @pytest.fixture(scope="class")
+    def slo(self, tb1, models_tb1):
+        coord = make_coordinator(tb1, models_tb1, seed=3, nodes=2,
+                                 autoscale=False)
+        outcome = coord.run(iter_cluster_workload(self.SPEC))
+        requests = cluster_document(outcome, context={})[
+            "report"]["fleet"]["requests"]
+        assert requests["shed"] > 0
+        return requests["slo"]
+
+    @pytest.fixture(scope="class")
+    def deadlines(self):
+        return sum(1 for r in iter_cluster_workload(self.SPEC)
+                   if r.deadline is not None)
+
+    def test_attainment_counts_shed_requests(self, slo, deadlines):
+        assert slo["met"] + slo["missed"] < deadlines
+        assert slo["attainment"] == slo["met"] / deadlines
+
+    def test_with_deadline_counts_every_deadline_request(self, slo,
+                                                         deadlines):
+        assert slo["with_deadline"] == deadlines

@@ -41,7 +41,8 @@ def _doc():
                 "requests": {
                     "total": 3, "completed": 3, "shed": 0, "failed": 0,
                     "migrations": 0,
-                    "slo": {"met": 2, "missed": 1, "attainment": 2 / 3},
+                    "slo": {"with_deadline": 3, "met": 2, "missed": 1,
+                            "attainment": 2 / 3},
                 },
                 "latency": _summary(),
                 "throughput_rps": 60.0, "makespan": 0.05,
@@ -118,6 +119,12 @@ class TestRejections:
             lambda d: d["report"]["fleet"]["requests"]["slo"].update(
                 attainment=1.2),
             r"attainment.*\[0, 1\]")
+
+    def test_slo_counts_exceed_deadlines(self):
+        self.check(
+            lambda d: d["report"]["fleet"]["requests"]["slo"].update(
+                with_deadline=2),
+            "met \\+ missed exceeds with_deadline")
 
     def test_terminal_counts_exceed_total(self):
         self.check(

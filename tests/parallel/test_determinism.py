@@ -1,20 +1,18 @@
-"""Serial-vs-parallel byte-identity and the satellite regressions:
-model-cache keying by config identity, repetition seed pre-derivation,
-and the ``workers`` field on :class:`DeploymentConfig`."""
+"""Determinism of deployment, repeated measurements and the experiment
+sweeps (serial-vs-parallel byte-identity), plus model-cache keying by
+config identity."""
 
+import dataclasses
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from repro.core import gemm_problem
+from repro.core import axpy_problem, gemm_problem
 from repro.deploy import DeploymentConfig, deploy
-from repro.errors import DeploymentError, ParallelError
+from repro.deploy.exec_bench import bench_exec_table
 from repro.experiments import fig7_performance, harness, repetition
-from repro.experiments.harness import LibraryFactory
-from repro.parallel import pmap
-from repro.parallel.tasks import serve_rate_task
 from repro.runtime import CoCoPeLiaLibrary
 
 
@@ -22,59 +20,73 @@ def _db_bytes(models) -> bytes:
     return json.dumps(models.to_dict(), sort_keys=True).encode()
 
 
-class TestDeployDeterminism:
-    def test_parallel_deploy_byte_identical(self, tb2):
-        serial = deploy(tb2, DeploymentConfig.quick(workers=1))
-        fanned = deploy(tb2, DeploymentConfig.quick(workers=2))
-        assert _db_bytes(serial) == _db_bytes(fanned)
+def _changed(value):
+    """A different value of the same kind that the configs accept."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, tuple):
+        return value[:-1]
+    if isinstance(value, np.dtype):
+        return np.dtype(np.float32 if value != np.float32 else np.float64)
+    raise TypeError(f"no variant for {value!r}")
 
-    def test_parallel_override_byte_identical(self, tb2):
-        # An explicit parallel= argument wins over config.workers and
-        # still changes nothing.
-        serial = deploy(tb2, DeploymentConfig.quick())
-        fanned = deploy(tb2, DeploymentConfig.quick(), parallel=3)
-        assert _db_bytes(serial) == _db_bytes(fanned)
+
+class TestDeployDeterminism:
+    def test_repeat_deploy_byte_identical(self, tb2, models_tb2):
+        assert _db_bytes(deploy(tb2, DeploymentConfig.quick())) \
+            == _db_bytes(models_tb2)
+
+    def test_exec_points_independent_of_grid(self, tb2):
+        # Each tile is measured on its own seeded device, so a point's
+        # time depends on neither the other tiles nor their order.
+        cfg = DeploymentConfig.quick().exec
+        full = bench_exec_table(tb2, "gemm", np.float64, cfg, seed=5)
+        tiles = cfg.gemm_tiles[::-2]
+        part = bench_exec_table(
+            tb2, "gemm", np.float64,
+            dataclasses.replace(cfg, gemm_tiles=tiles), seed=5)
+        assert part.tile_sizes == sorted(tiles)
+        assert [part.time(t) for t in tiles] \
+            == [full.time(t) for t in tiles]
 
 
 class TestRepetitionDeterminism:
-    @pytest.fixture(scope="class")
-    def factory(self, tb2):
-        harness.prime_model_cache(tb2, "quick",
-                                  harness.models_for(tb2, "quick"))
-        return LibraryFactory("CoCoPeLia", tb2, scale="quick")
+    PROBLEM = gemm_problem(1024, 1024, 1024)
 
-    def test_serial_paths_agree(self, tb2, factory):
-        problem = gemm_problem(1024, 1024, 1024)
-        legacy = repetition.measure_repeated(
-            lib=factory(), problem=problem, tile_size=512, reps=12)
-        via_factory = repetition.measure_repeated(
-            lib_factory=factory, problem=problem, tile_size=512, reps=12)
-        assert legacy.samples == via_factory.samples
-
-    def test_parallel_samples_bit_identical(self, factory):
-        problem = gemm_problem(1024, 1024, 1024)
-        serial = repetition.measure_repeated(
-            lib_factory=factory, problem=problem, tile_size=512, reps=12)
-        fanned = repetition.measure_repeated(
-            lib_factory=factory, problem=problem, tile_size=512, reps=12,
-            parallel=2)
-        assert serial.samples == fanned.samples
-        assert serial.mean == fanned.mean
-        assert serial.std == fanned.std
-
-    def test_counter_left_where_sequential_run_would(self, factory):
-        problem = gemm_problem(1024, 1024, 1024)
-        lib = factory()
-        repetition.measure_repeated(lib=lib, problem=problem,
-                                    tile_size=512, reps=12)
+    def test_counter_left_where_sequential_run_would(self, tb2,
+                                                     models_tb2):
+        lib = CoCoPeLiaLibrary(tb2, models_tb2)
+        repetition.measure_repeated(lib, self.PROBLEM, tile_size=512,
+                                    reps=12)
         assert lib._calls == 13  # 1 warmup + 12 reps
 
-    def test_parallel_requires_factory(self, tb2, models_tb2):
-        lib = CoCoPeLiaLibrary(tb2, models_tb2)
-        with pytest.raises(ParallelError, match="lib_factory"):
-            repetition.measure_repeated(
-                lib=lib, problem=gemm_problem(512, 512, 512),
-                tile_size=256, reps=4, parallel=2)
+    def test_same_seed_libraries_agree(self, tb2, models_tb2):
+        # Samples depend only on the seed and the call count on entry,
+        # not on what the earlier calls ran.
+        a = CoCoPeLiaLibrary(tb2, models_tb2)
+        b = CoCoPeLiaLibrary(tb2, models_tb2)
+        harness.run_problem(a, self.PROBLEM, tile_size=512)
+        harness.run_problem(b, axpy_problem(1 << 22))
+        ra = repetition.measure_repeated(a, self.PROBLEM, tile_size=512,
+                                         reps=12)
+        rb = repetition.measure_repeated(b, self.PROBLEM, tile_size=512,
+                                         reps=12)
+        assert ra.samples == rb.samples
+        assert (ra.mean, ra.std) == (rb.mean, rb.std)
+
+    def test_samples_independent_of_rep_count(self, tb2, models_tb2):
+        short = repetition.measure_repeated(
+            CoCoPeLiaLibrary(tb2, models_tb2), self.PROBLEM,
+            tile_size=512, reps=8)
+        long = repetition.measure_repeated(
+            CoCoPeLiaLibrary(tb2, models_tb2), self.PROBLEM,
+            tile_size=512, reps=12)
+        assert short.samples == long.samples[:8]
+        assert len(set(long.samples)) > 1
 
 
 class TestSweepDeterminism:
@@ -91,15 +103,6 @@ class TestSweepDeterminism:
 
         assert dump(serial) == dump(fanned)
 
-    def test_serve_reports_identical(self, tb2):
-        harness.models_for(tb2, "quick")
-        tasks = [(tb2, "quick", rate, 24, 2, 11)
-                 for rate in (1000.0, 8000.0)]
-        serial = pmap(serve_rate_task, tasks)
-        fanned = pmap(serve_rate_task, tasks, parallel=2)
-        assert (json.dumps(serial, sort_keys=True)
-                == json.dumps(fanned, sort_keys=True))
-
 
 class TestModelCacheKeying:
     def test_custom_config_gets_own_entry(self, tb2):
@@ -114,10 +117,26 @@ class TestModelCacheKeying:
         assert harness.models_for(tb2, "quick",
                                   config=custom_cfg) is custom
 
-    def test_workers_excluded_from_fingerprint(self):
-        a = harness._config_fingerprint(DeploymentConfig.quick(workers=1))
-        b = harness._config_fingerprint(DeploymentConfig.quick(workers=4))
-        assert a == b
+    def test_fingerprint_covers_every_field(self):
+        # A field left out of the fingerprint would let two different
+        # configs share one cached database.
+        base = DeploymentConfig.quick()
+        seen = {harness._config_fingerprint(base)}
+        variants = 0
+        for f in dataclasses.fields(base):
+            value = getattr(base, f.name)
+            if dataclasses.is_dataclass(value):
+                changed = [dataclasses.replace(
+                    base, **{f.name: dataclasses.replace(
+                        value, **{g.name: _changed(getattr(value, g.name))})})
+                    for g in dataclasses.fields(value)]
+            else:
+                changed = [dataclasses.replace(
+                    base, **{f.name: _changed(value)})]
+            for cfg in changed:
+                seen.add(harness._config_fingerprint(cfg))
+                variants += 1
+        assert len(seen) == variants + 1
 
     def test_clear_model_cache(self, tb2):
         a = harness.models_for(tb2, "quick")
@@ -144,20 +163,11 @@ class TestModelCacheKeying:
 
 
 class TestDeploymentConfigWorkers:
-    def test_default_serial(self):
-        assert DeploymentConfig.quick().workers == 1
-        assert DeploymentConfig().workers == 1
-
-    def test_quick_accepts_workers(self):
-        assert DeploymentConfig.quick(workers=4).workers == 4
-        assert DeploymentConfig.quick(workers=0).workers == 0
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(DeploymentError, match="workers"):
-            DeploymentConfig.quick(workers=-2)
-
-    def test_non_int_workers_rejected(self):
-        with pytest.raises(DeploymentError, match="workers"):
-            DeploymentConfig.quick(workers=2.5)
-        with pytest.raises(DeploymentError, match="workers"):
-            DeploymentConfig.quick(workers=True)
+    def test_workers_field_is_gone(self):
+        # Deployment runs serially; there is no worker count to set.
+        assert "workers" not in {
+            f.name for f in dataclasses.fields(DeploymentConfig)}
+        with pytest.raises(TypeError, match="workers"):
+            DeploymentConfig(workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            DeploymentConfig.quick(workers=2)

@@ -138,6 +138,29 @@ class TestFaultRecovery:
         assert r1 == r2
 
 
+class TestRateSweep:
+    def test_light_load_tracks_rate_and_tail_grows_with_load(
+            self, tb2, models_tb2):
+        """64 tiny Poisson requests on 4 GPUs, swept from light load to
+        saturation."""
+        rates = (200.0, 1000.0, 4000.0, 8000.0)
+        reports = []
+        for rate in rates:
+            spec = WorkloadSpec(arrival="poisson", rate=rate, n_requests=64,
+                                scale="tiny", seed=11)
+            server = BlasServer(tb2, models_tb2,
+                                ServerConfig(n_gpus=4, seed=11))
+            reports.append(
+                serve_report(server.serve(generate_workload(spec))))
+        assert reports[0]["throughput_rps"] > 0.8 * rates[0]
+        p99s = [r["latency"]["p99"] for r in reports]
+        assert all(b >= a * 0.95 for a, b in zip(p99s, p99s[1:])), p99s
+        for report in reports:
+            counts = report["requests"]
+            assert counts["completed"] + counts["shed"] == 64, counts
+            assert counts["failed"] == 0, counts
+
+
 class TestDeterminism:
     def _document(self, tb2, models_tb2):
         spec = WorkloadSpec(n_requests=24, rate=3000.0, seed=7)

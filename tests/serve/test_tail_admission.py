@@ -52,9 +52,13 @@ class TestTailBeatsMean:
         assert mean["total"] == tail["total"] == 240
         assert mean["slo"]["with_deadline"] == tail["slo"]["with_deadline"]
 
-    def test_attainment_improves(self, mean_outcome, tail_outcome):
+    @pytest.mark.parametrize("percentile", [95.0, 99.0])
+    def test_attainment_improves(self, tb2, models_tb2, mean_outcome,
+                                 tail_outcome, percentile):
+        outcome = (tail_outcome if percentile == 99.0
+                   else _serve(tb2, models_tb2, percentile))
         mean = serve_report(mean_outcome)["requests"]["slo"]
-        tail = serve_report(tail_outcome)["requests"]["slo"]
+        tail = serve_report(outcome)["requests"]["slo"]
         assert tail["attainment"] > mean["attainment"]
         assert tail["met"] > mean["met"]
         assert tail["missed"] < mean["missed"]

@@ -144,6 +144,15 @@ class TestParser:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_deploy_workers_flag_is_gone(self, capsys):
+        # Deployment measures its grid in-process; there is no fan-out
+        # to size.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["deploy", "--workers", "2"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --workers 2"
+                in capsys.readouterr().err)
+
 
 class TestSyrkCli:
     def test_run_syrk(self, capsys, db_dir):
@@ -283,7 +292,7 @@ _ADMISSION = {
 #: always parsed them.
 OPTIONS = {
     "machines": {},
-    "deploy": {**_MACHINE, "force": (False, None), "workers": (1, None)},
+    "deploy": {**_MACHINE, "force": (False, None)},
     "run": {
         **_MACHINE, **_PROBLEM,
         "library": ("cocopelia",
