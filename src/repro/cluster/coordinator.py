@@ -149,6 +149,9 @@ class ClusterCoordinator:
         self.autoscaler = Autoscaler(self.config.autoscaler,
                                      self.config.gpus_per_node)
         self.nodes: List[ClusterNode] = []
+        #: Members not yet stopped, in index order: every scan below
+        #: walks these, so a long run's retired nodes cost nothing.
+        self._live: List[ClusterNode] = []
         self._next_index = 0
         for _ in range(self.config.nodes):
             # The initial fleet is warm at t=0 (no cold-start on the
@@ -176,27 +179,31 @@ class ClusterCoordinator:
         node.on_terminal_view = self._note_terminal
         self._next_index += 1
         self.nodes.append(node)
+        self._live.append(node)
         return node
 
     def _active(self) -> List[ClusterNode]:
-        return [n for n in self.nodes if n.state == "active"]
+        return [n for n in self._live if n.state == "active"]
 
-    def _live(self) -> List[ClusterNode]:
-        return [n for n in self.nodes if n.state != "stopped"]
+    def _prune(self) -> None:
+        """Drop members that stopped from the live list."""
+        self._live = [n for n in self._live if n.state != "stopped"]
 
     # -- epoch barrier ---------------------------------------------------
 
     def _barrier(self, time: float) -> None:
         """Drive every live clock to ``time``, in node-index order."""
-        for node in self.nodes:
-            if node.state == "stopped":
-                continue
+        stopped = False
+        for node in self._live:
             if node.server.sim.now < time:
                 node.run_to(time)
             if node.state == "warming" and node.available_t <= time:
                 node.state = "active"
             if node.state == "draining" and node.outstanding == 0:
                 node.stop(time)
+                stopped = True
+        if stopped:
+            self._prune()
 
     # -- terminal & conservation accounting ------------------------------
 
@@ -275,15 +282,16 @@ class ClusterCoordinator:
         self._migrate(moved, now)
         if node.outstanding == 0:
             node.stop(now)
+            self._prune()
         return node
 
     def _kill(self, node_name: str, now: float) -> None:
-        node = next((n for n in self.nodes
-                     if n.name == node_name and n.state != "stopped"), None)
+        node = next((n for n in self._live if n.name == node_name), None)
         if node is None:
             return
         was = node.state
         moved = node.evacuate()
+        self._prune()
         self.autoscaler.events.append({
             "t": now, "action": "kill", "node": node.name,
             "reason": {"prior_state": was, "migrated": len(moved)},
@@ -357,7 +365,7 @@ class ClusterCoordinator:
         # Drain to quiescence: keep ticking (scale-down included) until
         # every submitted request reached a terminal state.
         ticks = 0
-        while any(n.outstanding for n in self.nodes):
+        while any(n.outstanding for n in self._live):
             boundaries_until(next_tick)
             ticks += 1
             if ticks > self._MAX_DRAIN_TICKS:

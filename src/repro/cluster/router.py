@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..serve.request import Request, ServeError
 from .node import ClusterNode
@@ -67,6 +67,9 @@ class ClusterRouter:
         self.spills = 0
         self._ring: List[Tuple[int, str]] = []
         self._ring_nodes: Tuple[str, ...] = ()
+        self._position: Dict[str, int] = {}
+        #: Group -> its spill candidates; valid for one membership.
+        self._orders: Dict[str, Tuple[str, ...]] = {}
 
     # -- ring maintenance ----------------------------------------------
 
@@ -81,18 +84,27 @@ class ClusterRouter:
         ring.sort()
         self._ring = ring
         self._ring_nodes = names
+        self._position = {name: i for i, name in enumerate(names)}
+        self._orders = {}
 
-    def _ring_order(self, group: str) -> List[str]:
-        """Distinct node names in ring order starting at the group's
-        primary (deterministic successor walk)."""
+    def _ring_order(self, group: str) -> Tuple[str, ...]:
+        """The group's primary and its next ``spill_width`` distinct
+        ring successors, in ring order (memoized per membership)."""
+        order = self._orders.get(group)
+        if order is not None:
+            return order
         ring = self._ring
+        want = min(1 + self.spill_width, len(self._ring_nodes))
         start = bisect_right(ring, (_ring_hash(group), ""))
         seen: List[str] = []
         for k in range(len(ring)):
             name = ring[(start + k) % len(ring)][1]
             if name not in seen:
                 seen.append(name)
-        return seen
+                if len(seen) == want:
+                    break
+        order = self._orders[group] = tuple(seen)
+        return order
 
     # -- routing --------------------------------------------------------
 
@@ -114,15 +126,15 @@ class ClusterRouter:
             return min(nodes,
                        key=lambda n: (n.predicted_backlog(now), n.index))
         self._rebuild(nodes)
-        by_name = {n.name: n for n in nodes}
-        order = [by_name[name] for name in self._ring_order(request.group)]
-        primary = order[0]
+        position = self._position
+        candidates = [nodes[position[name]]
+                      for name in self._ring_order(request.group)]
+        primary = candidates[0]
         if (self.spill_width == 0
                 or primary.predicted_backlog(now) <= self.spill_backlog):
             return primary
         # Ties break toward ring order, so an idle fleet still lands a
         # group on its primary (warm weight cache) rather than node 0.
-        candidates = order[:1 + self.spill_width]
         chosen = min(enumerate(candidates),
                      key=lambda kv: (kv[1].predicted_backlog(now), kv[0]))[1]
         if chosen is not primary:

@@ -165,6 +165,9 @@ class KernelModelSet:
                  axpy: AxpyTimeModel,
                  gemv: "GemvTimeModel | None" = None) -> None:
         self._gemm = {8: gemm_f64, 4: gemm_f32}
+        #: (m, n, k, dtype) -> gemm seconds; the models are frozen, so
+        #: a shape's time never changes.
+        self._gemm_times = {}
         self._axpy = axpy
         # gemv shares the device-memory bandwidth with axpy by default.
         self._gemv = gemv if gemv is not None else GemvTimeModel(
@@ -182,7 +185,11 @@ class KernelModelSet:
         return self._gemv
 
     def gemm_time(self, m: int, n: int, k: int, dtype) -> float:
-        return self.gemm(dtype).time(m, n, k)
+        key = (m, n, k, dtype)
+        seconds = self._gemm_times.get(key)
+        if seconds is None:
+            seconds = self._gemm_times[key] = self.gemm(dtype).time(m, n, k)
+        return seconds
 
     def axpy_time(self, n: int, dtype) -> float:
         return self._axpy.time(n, dtype)

@@ -7,32 +7,25 @@ simulation, every simulated duration is perturbed by a small
 multiplicative lognormal factor drawn from a seeded RNG, so runs are
 noisy but reproducible.
 
-Hot-path notes: normal deviates are drawn from the substream RNGs in
-blocks and consumed one at a time, which amortizes the per-call
-overhead of ``Generator.standard_normal`` across hundreds of draws.
-NumPy generators produce the *same* deviate sequence whether drawn
-singly or in blocks, and the lognormal factor is still computed per
-draw with ``math.exp``, so every factor is bit-identical to the
-unbuffered implementation.  Substream RNGs are created lazily on first
-draw: devices whose runs never touch a factor type skip that
-``default_rng`` construction entirely (device construction is itself a
-hot path for the serving layer, which builds fresh devices per batch).
-
-The first block of each ``(stream, seed)`` substream is additionally
-memoized at module level: the serving layer creates hundreds of
-short-lived devices per run, each drawing a handful of factors, and
-re-serving the same workload reconstructs devices with the *same*
-seeds — the cache turns ``SeedSequence`` hashing + generator
-construction + the block draw into one dict lookup.  The block is a
-pure function of ``(stream, seed)``, so sharing it across NoiseModel
-instances cannot couple their sequences; a model that outlives its
-first block constructs its RNG then and fast-forwards past the cached
-block, which replays the identical deviate stream.
+Hot-path notes: each substream is a generator that builds its RNG on
+the first draw, draws normal deviates in blocks and yields
+``math.exp(sigma * x)`` one at a time.  NumPy generators produce the
+*same* deviate sequence whether drawn singly or in blocks of any size,
+so every factor is bit-identical to one ``standard_normal()`` call per
+draw.  The first block is small (:data:`_FIRST_BLOCK`) because most
+devices are short-lived: the serving layer builds a fresh device per
+batch, each drawing about a dozen factors per substream, and a
+substream a device never touches costs nothing at all.  Longer-lived
+devices (the Table IV sweep draws about 184 per substream) refill in
+:data:`_BLOCK`-sized blocks.  Nothing is shared between models: every
+batch seed differs, so a cache of blocks across models would only hold
+memory.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -41,13 +34,22 @@ import numpy as np
 #: so e.g. adding kernel launches never shifts the transfer-noise draws.
 _FACTOR_STREAMS = {"duration": 0, "latency": 1, "rate": 2}
 
-#: Normal deviates drawn per refill of one substream's buffer.
+#: Normal deviates drawn on a substream's first use.
+_FIRST_BLOCK = 16
+
+#: Normal deviates drawn per later refill.
 _BLOCK = 256
 
-#: Memoized first deviate block per (stream index, seed); bounded so
-#: pathological seed churn cannot grow it without limit.
-_FIRST_BLOCKS: dict = {}
-_FIRST_BLOCKS_CAP = 4096
+
+def _factors(stream: int, seed: int, sigma: float) -> Iterator[float]:
+    """Endless lognormal factors of substream ``(stream, seed)``."""
+    rng = np.random.default_rng((stream, seed))
+    exp = math.exp
+    n = _FIRST_BLOCK
+    while True:
+        for x in rng.standard_normal(n).tolist():
+            yield exp(sigma * x)
+        n = _BLOCK
 
 
 class NoiseModel:
@@ -67,12 +69,7 @@ class NoiseModel:
             raise ValueError(f"negative noise sigma: {sigma}")
         self.seed = seed
         self.sigma = sigma
-        self._rngs = {}
-        # Per-substream draw buffers: (deviate list, next index).
-        self._buffers = {}
-        # Blocks already consumed per substream (for RNG fast-forward
-        # when the first block came from the module-level cache).
-        self._blocks_done = {}
+        self._streams = {}
 
     @classmethod
     def disabled(cls) -> "NoiseModel":
@@ -82,43 +79,11 @@ class NoiseModel:
     def _factor(self, stream: str) -> float:
         if self.sigma == 0.0:
             return 1.0
-        buf = self._buffers.get(stream)
-        if buf is None or buf[1] >= len(buf[0]):
-            buf = self._refill(stream)
-        idx = buf[1]
-        buf[1] = idx + 1
-        return math.exp(self.sigma * buf[0][idx])
-
-    def _refill(self, stream: str) -> list:
-        """Produce the next ``_BLOCK`` deviates of one substream.
-
-        The first block is served from (and populates) the module-level
-        ``_FIRST_BLOCKS`` cache; later blocks come from the substream
-        RNG, constructed on demand and fast-forwarded past any cached
-        blocks so the deviate sequence is identical either way.
-        """
-        done = self._blocks_done.get(stream, 0)
-        self._blocks_done[stream] = done + 1
-        if done == 0:
-            key = (_FACTOR_STREAMS[stream], self.seed)
-            block = _FIRST_BLOCKS.get(key)
-            if block is None:
-                rng = np.random.default_rng(key)
-                self._rngs[stream] = rng
-                block = rng.standard_normal(_BLOCK).tolist()
-                if len(_FIRST_BLOCKS) < _FIRST_BLOCKS_CAP:
-                    _FIRST_BLOCKS[key] = block
-        else:
-            rng = self._rngs.get(stream)
-            if rng is None:
-                rng = np.random.default_rng(
-                    [_FACTOR_STREAMS[stream], self.seed])
-                rng.standard_normal(_BLOCK * done)  # skip cached blocks
-                self._rngs[stream] = rng
-            block = rng.standard_normal(_BLOCK).tolist()
-        buf = [block, 0]
-        self._buffers[stream] = buf
-        return buf
+        factors = self._streams.get(stream)
+        if factors is None:
+            factors = self._streams[stream] = _factors(
+                _FACTOR_STREAMS[stream], self.seed, self.sigma)
+        return next(factors)
 
     def duration_factor(self) -> float:
         """Factor applied to a kernel execution duration."""
@@ -134,9 +99,7 @@ class NoiseModel:
 
     def reset(self) -> None:
         """Rewind all substreams to the seed (identical future draws)."""
-        self._rngs = {}
-        self._buffers = {}
-        self._blocks_done = {}
+        self._streams = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NoiseModel(seed={self.seed}, sigma={self.sigma})"

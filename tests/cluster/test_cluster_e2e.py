@@ -12,6 +12,7 @@ from repro.cluster import (
     AutoscalerConfig,
     ClusterConfig,
     ClusterCoordinator,
+    ClusterNode,
     ClusterWorkloadSpec,
     cluster_document,
     dump_cluster_document,
@@ -165,6 +166,36 @@ class TestCoordinatorContract:
         coord = make_coordinator(tb1, models_tb1, nodes=3)
         seeds = {n.config.seed for n in coord.nodes}
         assert len(seeds) == 3
+
+    def test_stopped_nodes_leave_every_scan(self, tb1, models_tb1,
+                                            monkeypatch):
+        # A kill and the autoscaler's scale-downs both stop nodes; after
+        # that the coordinator must neither drive their clocks nor poll
+        # them while draining the fleet.
+        touched = []
+        run_to = ClusterNode.run_to
+        outstanding = ClusterNode.outstanding.fget
+
+        def spy_run_to(node, time):
+            touched.append(("run_to", node.name, node.state))
+            return run_to(node, time)
+
+        def spy_outstanding(node):
+            touched.append(("outstanding", node.name, node.state))
+            return outstanding(node)
+
+        monkeypatch.setattr(ClusterNode, "run_to", spy_run_to)
+        monkeypatch.setattr(ClusterNode, "outstanding",
+                            property(spy_outstanding))
+        coord = make_coordinator(tb1, models_tb1)
+        outcome = coord.run(iter_cluster_workload(SPEC),
+                            kill_events=[(0.4, "node1")])
+        assert outcome.conservation_ok
+        stopped = [n.name for n in outcome.nodes if n.state == "stopped"]
+        assert "node1" in stopped and len(stopped) > 1
+        assert not [t for t in touched if t[2] == "stopped"]
+        assert coord._live == [n for n in outcome.nodes
+                               if n.state != "stopped"]
 
 
 class TestTailAdmission:

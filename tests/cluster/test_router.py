@@ -157,6 +157,46 @@ class TestShardedRouting:
         assert router.spills == 0
 
 
+def full_walk(router, group):
+    """Every distinct node in ring order from the group's primary."""
+    ring = router._ring
+    key = (_ring_hash(group), "")
+    start = next((i for i, point in enumerate(ring) if point > key), 0)
+    seen = []
+    for k in range(len(ring)):
+        name = ring[(start + k) % len(ring)][1]
+        if name not in seen:
+            seen.append(name)
+    return seen
+
+
+class TestRingOrderMemo:
+    @pytest.mark.parametrize("n_nodes", [4, 5, 8])
+    @pytest.mark.parametrize("spill_width", [0, 2, 9])
+    def test_prefix_of_full_walk(self, n_nodes, spill_width):
+        router = ClusterRouter(spill_width=spill_width)
+        router._rebuild(fleet(*([0.0] * n_nodes)))
+        for g in range(200):
+            group = f"g{g}"
+            walk = full_walk(router, group)
+            assert len(walk) == n_nodes
+            expected = tuple(walk[:1 + spill_width])
+            assert router._ring_order(group) == expected
+            assert router._ring_order(group) == expected  # memoized
+
+    def test_membership_change_invalidates_memo(self):
+        router = ClusterRouter()
+        groups = [f"g{i}" for i in range(200)]
+        router._rebuild(fleet(0, 0, 0, 0))
+        before = {g: router._ring_order(g) for g in groups}
+        router._rebuild(fleet(0, 0, 0, 0, 0))
+        after = {g: router._ring_order(g) for g in groups}
+        assert all(after[g] == tuple(full_walk(router, g)[:3])
+                   for g in groups)
+        assert any(before[g] != after[g] for g in groups)
+        assert any("node4" in order for order in after.values())
+
+
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402

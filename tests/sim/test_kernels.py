@@ -128,3 +128,23 @@ class TestKernelModelSet:
             GemmTimeModel(peak_flops=1e12), GemmTimeModel(peak_flops=2e12), ax
         )
         assert ks.axpy_time(1 << 20, np.float64) == ax.time(1 << 20, np.float64)
+
+    def test_memoized_gemm_time_matches_model(self):
+        spiky = KernelModelSet(
+            GemmTimeModel(peak_flops=from_tflops(7.0), spike_amp=0.1),
+            GemmTimeModel(peak_flops=from_tflops(14.0), spike_amp=0.1),
+            AxpyTimeModel(mem_bandwidth=from_gb_per_s(800.0)))
+        slow = spiky.scaled(1.7)
+        dims = [64, 128, 1000, 1024, 2048, 4000]
+        shapes = [(d, d, d) for d in dims] + [
+            (m, n, k) for m in (100, 1024) for n in (129, 2048)
+            for k in (33, 4000)]
+        for ks in (spiky, slow):
+            for dtype in (np.float64, np.float32):
+                for _ in range(2):  # the second pass reads the memo
+                    for m, n, k in shapes:
+                        assert ks.gemm_time(m, n, k, dtype) == \
+                            ks.gemm(dtype).time(m, n, k)
+        assert slow.gemm_time(1024, 1024, 1024, np.float64) == \
+            pytest.approx(1.7 * spiky.gemm_time(1024, 1024, 1024, np.float64),
+                          rel=0.01)

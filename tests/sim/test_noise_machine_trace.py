@@ -53,6 +53,59 @@ class TestNoise:
             NoiseModel(sigma=-0.1)
 
 
+class TestNoiseSequence:
+    """Pins the exact factor sequence, whatever the draw strategy."""
+
+    STREAMS = {"duration": 0, "latency": 1, "rate": 2}
+
+    @staticmethod
+    def _interleaved(nm, rounds):
+        """``rounds`` factors of each type, in a rotating order."""
+        order = ("latency", "rate", "duration")
+        drawn = {name: [] for name in order}
+        for i in range(rounds):
+            for j in range(3):
+                name = order[(i + j) % 3]
+                drawn[name].append(getattr(nm, f"{name}_factor")())
+        return drawn
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.05])
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_golden_sequence_across_blocks_and_reset(self, seed, sigma):
+        n = 600
+        expected = {
+            name: [math.exp(sigma * x) for x in np.random.default_rng(
+                (k, seed)).standard_normal(n).tolist()]
+            for name, k in self.STREAMS.items()}
+        nm = NoiseModel(seed=seed, sigma=sigma)
+        assert self._interleaved(nm, n) == expected
+        nm.reset()
+        assert self._interleaved(nm, n) == expected
+
+    def test_zero_sigma_builds_no_rng(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("sigma=0 must not build an RNG")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        nm = NoiseModel(seed=5, sigma=0.0)
+        drawn = self._interleaved(nm, 50)
+        assert all(f == 1.0 for fs in drawn.values() for f in fs)
+
+    def test_no_module_level_cache_after_serving(self, tb2, models_tb2):
+        import repro.sim.noise as noise_module
+        from repro.serve import (
+            BlasServer, ServerConfig, WorkloadSpec, generate_workload)
+
+        spec = WorkloadSpec(n_requests=16, rate=2000.0, seed=2)
+        BlasServer(tb2, models_tb2, ServerConfig(n_gpus=2, seed=2)).serve(
+            generate_workload(spec))
+        containers = {
+            name: value for name, value in vars(noise_module).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+        assert containers == {"_FACTOR_STREAMS": self.STREAMS}
+
+
 class TestMachines:
     def test_testbed_i_matches_paper_table2(self):
         tb = make_testbed_i()
