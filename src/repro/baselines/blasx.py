@@ -16,29 +16,26 @@ from typing import Optional
 import numpy as np
 
 from ..backend.cublas import CublasContext
-from ..core.params import Loc, gemm_problem, prefix_for
-from ..errors import BlasError
+from ..blas.spec import GEMM
+from ..core.params import Loc
+from ..runtime.offload import OffloadLibrary, bind_operands
 from ..runtime.result import RunResult
-from ..runtime.routines import _host_operand
 from ..runtime.scheduler import GemmTileScheduler
-from ..sim.device import GpuDevice
 from ..sim.machine import MachineConfig
 
 #: BLASX's compile-time default tiling size.
 STATIC_TILE = 2048
 
 
-class BlasXLibrary:
+class BlasXLibrary(OffloadLibrary):
     """Public BLASX-like entry point (static ``T``, tile reuse)."""
 
     LIBRARY_NAME = "BLASX"
 
     def __init__(self, machine: MachineConfig, tile_size: int = STATIC_TILE,
                  seed: int = 29) -> None:
-        self.machine = machine
+        super().__init__(machine, seed)
         self.tile_size = tile_size
-        self._seed = seed
-        self._calls = 0
 
     def gemm(
         self,
@@ -56,42 +53,9 @@ class BlasXLibrary:
         beta: float = 1.0,
     ) -> RunResult:
         """``C = alpha*A@B + beta*C`` with BLASX-style reuse, static T."""
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m, k = a.shape
-            _, n = b.shape
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
-        tile = min(self.tile_size, min(m, n, k))
-        self._calls += 1
-        device = GpuDevice(self.machine, seed=self._seed + self._calls)
-        ctx = CublasContext(device)
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "B": _host_operand(problem, "B", b),
-            "C": _host_operand(problem, "C", c),
-        }
-        sched = GemmTileScheduler(ctx, problem, tile, hosts,
-                                  alpha=alpha, beta=beta)
-        stats = sched.run()
-        output = None
-        if c is not None and loc_c is Loc.DEVICE:
-            output = sched.read_back_device_result()
-        sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemm",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=tile,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            output=output,
-        )
+        problem, hosts = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                       (loc_a, loc_b, loc_c))
+        tile = min(self.tile_size, problem.min_dim())
+        ctx = CublasContext(self._next_device())
+        return self._run(GemmTileScheduler(ctx, problem, tile, hosts,
+                                           alpha=alpha, beta=beta))

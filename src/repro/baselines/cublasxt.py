@@ -22,14 +22,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend.cublas import CublasContext, DeviceMatrix, MatrixView
-from ..core.params import CoCoProblem, Loc, gemm_problem, prefix_for
-from ..errors import BlasError, SchedulerError
+from ..backend.cublas import CublasContext, MatrixView
+from ..blas.spec import GEMM
+from ..core.params import CoCoProblem, Loc
+from ..errors import SchedulerError
+from ..runtime.offload import OffloadLibrary, bind_operands
 from ..runtime.result import RunResult
-from ..runtime.routines import _host_operand
 from ..runtime.scheduler import _PipelineBase
 from ..runtime.tiles import Grid2D
-from ..sim.device import GpuDevice
 from ..sim.machine import MachineConfig
 from ..sim.memory import HostArray
 from ..sim.stream import CudaEvent
@@ -92,7 +92,14 @@ class _Worker:
 
 
 class CublasXtScheduler(_PipelineBase):
-    """The subkernel pipeline behind :class:`CublasXtLibrary`."""
+    """The subkernel pipeline behind :class:`CublasXtLibrary`.
+
+    Host-resident tiles are staged through the workers' slots on every
+    use; device-resident operands are used in place, through the shared
+    tile store (allocated on first use and shared across subkernels).
+    """
+
+    ROUTINE = "gemm"
 
     def __init__(
         self,
@@ -105,8 +112,6 @@ class CublasXtScheduler(_PipelineBase):
         nstreams: int = 4,
     ) -> None:
         super().__init__(ctx, problem, hosts)
-        if problem.routine.name != "gemm":
-            raise SchedulerError("CublasXtScheduler only handles gemm")
         if nstreams < 1:
             raise SchedulerError(f"need at least one worker, got {nstreams}")
         m, n, k = problem.dims
@@ -116,7 +121,6 @@ class CublasXtScheduler(_PipelineBase):
         self.grid_a = Grid2D(m, k, self.t)
         self.grid_b = Grid2D(k, n, self.t)
         self.grid_c = Grid2D(m, n, self.t)
-        self._operand = {op.name: op for op in problem.operands}
         with_data = any(h.has_data for h in hosts.values())
         n_tasks = self.grid_c.n_tiles * self.grid_a.col_tiles
         # Workers are capped by the device memory the slot pools need
@@ -134,33 +138,15 @@ class CublasXtScheduler(_PipelineBase):
             _Worker(ctx, w, problem.dims, self.t, problem.dtype, with_data)
             for w in range(n_workers)
         ]
-        #: Device-resident operand tiles, used in place (keyed by
-        #: (operand, i, j)); allocated lazily, shared across subkernels.
-        self._resident: Dict[Tuple[str, int, int], MatrixView] = {}
-        self._resident_mats: List[DeviceMatrix] = []
+        self._plan_fetches(
+            {"A": self.grid_a, "B": self.grid_b, "C": self.grid_c},
+            uncounted=("A", "B", "C"),
+        )
         #: Per-C-tile ordering: the event the next round-trip (or
         #: in-place kernel) must wait on.
         self._c_order: Dict[Tuple[int, int], CudaEvent] = {}
 
     # ------------------------------------------------------------------
-
-    def _resident_tile(self, name: str, grid: Grid2D, i: int, j: int
-                       ) -> MatrixView:
-        key = (name, i, j)
-        view = self._resident.get(key)
-        if view is None:
-            host = self.hosts[name]
-            r0, c0, rows, cols = grid.tile_window(i, j)
-            mat = self.ctx.alloc_matrix(
-                rows, cols, self.problem.dtype,
-                with_data=host.has_data, name=f"{name}dev({i},{j})",
-            )
-            if host.has_data:
-                mat.array[:, :] = host.array[r0:r0 + rows, c0:c0 + cols]
-            self._resident_mats.append(mat)
-            view = MatrixView(mat, rows, cols)
-            self._resident[key] = view
-        return view
 
     def _stage_tile(self, worker: _Worker, slot: _Slot, name: str,
                     grid: Grid2D, i: int, j: int,
@@ -180,9 +166,8 @@ class CublasXtScheduler(_PipelineBase):
 
     def _issue(self) -> None:
         kt = self.grid_a.col_tiles
-        a_dev = self._operand["A"].loc is Loc.DEVICE
-        b_dev = self._operand["B"].loc is Loc.DEVICE
-        c_dev = self._operand["C"].loc is Loc.DEVICE
+        a_dev, b_dev, c_dev = (op.loc is Loc.DEVICE
+                               for op in self.problem.operands)
         c_host = self.hosts["C"]
         tasks = [
             (i, j, l) for (i, j) in self.grid_c for l in range(kt)
@@ -193,19 +178,19 @@ class CublasXtScheduler(_PipelineBase):
             worker.tasks += 1
             # --- inputs ---
             if a_dev:
-                a_view = self._resident_tile("A", self.grid_a, i, l)
+                a_view = self._fetch("A", i, l).matrix
             else:
                 a_view = self._stage_tile(worker, worker.a_slots[phase],
                                           "A", self.grid_a, i, l)
             if b_dev:
-                b_view = self._resident_tile("B", self.grid_b, l, j)
+                b_view = self._fetch("B", l, j).matrix
             else:
                 b_view = self._stage_tile(worker, worker.b_slots[phase],
                                           "B", self.grid_b, l, j)
             # --- C (round-trips when host-resident) ---
             prev_c = self._c_order.get((i, j))
             if c_dev:
-                c_view = self._resident_tile("C", self.grid_c, i, j)
+                c_view = self._fetch("C", i, j).matrix
                 if prev_c is not None:
                     worker.s_exec.wait_event(prev_c)
             else:
@@ -236,45 +221,22 @@ class CublasXtScheduler(_PipelineBase):
                 worker.c_slots[phase].guard = d2h_ev
                 self._c_order[(i, j)] = d2h_ev
 
-    def run(self):
-        return self._timed_run(self._issue)
-
-    def read_back_device_result(self) -> np.ndarray:
-        """Assemble a device-resident C after the run (verification)."""
-        if self._operand["C"].loc is not Loc.DEVICE:
-            raise SchedulerError("C was written back to the host; read it there")
-        m, n = self.grid_c.rows, self.grid_c.cols
-        out = np.zeros((m, n), dtype=self.problem.dtype)
-        for i in range(self.grid_c.row_tiles):
-            for j in range(self.grid_c.col_tiles):
-                view = self._resident.get(("C", i, j))
-                if view is None or view.array is None:
-                    raise SchedulerError("no data to read back (timing mode)")
-                r0, c0, rows, cols = self.grid_c.tile_window(i, j)
-                out[r0:r0 + rows, c0:c0 + cols] = view.array
-        return out
-
     def release(self) -> None:
         for worker in self.workers:
             for slot in worker.all_slots():
                 slot.free()
-        for mat in self._resident_mats:
-            mat.free()
-        self._resident_mats.clear()
-        self._resident.clear()
+        super().release()
 
 
-class CublasXtLibrary:
+class CublasXtLibrary(OffloadLibrary):
     """Public cuBLASXt-like entry point with a user-supplied tile size."""
 
     LIBRARY_NAME = "cuBLASXt"
 
     def __init__(self, machine: MachineConfig, nstreams: int = 4,
                  seed: int = 17) -> None:
-        self.machine = machine
+        super().__init__(machine, seed)
         self.nstreams = nstreams
-        self._seed = seed
-        self._calls = 0
 
     def gemm(
         self,
@@ -293,43 +255,10 @@ class CublasXtLibrary:
         tile_size: int = DEFAULT_TILE,
     ) -> RunResult:
         """``C = alpha*A@B + beta*C`` with cuBLASXt-style pipelining."""
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m, k = a.shape
-            _, n = b.shape
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
-        self._calls += 1
-        device = GpuDevice(self.machine, seed=self._seed + self._calls)
-        ctx = CublasContext(device)
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "B": _host_operand(problem, "B", b),
-            "C": _host_operand(problem, "C", c),
-        }
-        sched = CublasXtScheduler(
+        problem, hosts = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                       (loc_a, loc_b, loc_c))
+        ctx = CublasContext(self._next_device())
+        return self._run(CublasXtScheduler(
             ctx, problem, tile_size, hosts,
             alpha=alpha, beta=beta, nstreams=self.nstreams,
-        )
-        stats = sched.run()
-        output = None
-        if c is not None and loc_c is Loc.DEVICE:
-            output = sched.read_back_device_result()
-        sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemm",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=sched.t,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            output=output,
-        )
+        ))

@@ -4,6 +4,11 @@ The naive offload pattern prior work measures against: transfer all
 inputs host-to-device, run the routine as one kernel, transfer the
 output back — no pipelining at all.  Useful as a sanity floor in tests
 ("overlap must beat serial") and as the reference point for ablations.
+
+A serial offload is the tile pipeline with a single tile per operand
+(``T`` = the largest dim): every transfer and the one kernel then form
+one dependency chain, exactly as on a single stream, and the device
+counts the traffic as for every other library.
 """
 
 from __future__ import annotations
@@ -13,27 +18,21 @@ from typing import Optional
 import numpy as np
 
 from ..backend.cublas import CublasContext
-from ..core.params import Loc, axpy_problem, gemm_problem, prefix_for
-from ..errors import BlasError
+from ..blas.spec import AXPY, GEMM
+from ..core.params import Loc
+from ..runtime.offload import OffloadLibrary, bind_operands
 from ..runtime.result import RunResult
-from ..runtime.routines import _host_operand
-from ..sim.device import GpuDevice
+from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.machine import MachineConfig
 
 
-class SerialOffloadLibrary:
+class SerialOffloadLibrary(OffloadLibrary):
     """One-shot transfer-compute-transfer offload (no concurrency)."""
 
     LIBRARY_NAME = "Serial"
 
     def __init__(self, machine: MachineConfig, seed: int = 41) -> None:
-        self.machine = machine
-        self._seed = seed
-        self._calls = 0
-
-    def _device(self) -> GpuDevice:
-        self._calls += 1
-        return GpuDevice(self.machine, seed=self._seed + self._calls)
+        super().__init__(machine, seed)
 
     def gemm(
         self,
@@ -51,59 +50,11 @@ class SerialOffloadLibrary:
         beta: float = 1.0,
     ) -> RunResult:
         """``C = alpha*A@B + beta*C`` with serial full-matrix offload."""
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m, k = a.shape
-            _, n = b.shape
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
-        device = self._device()
-        ctx = CublasContext(device)
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "B": _host_operand(problem, "B", b),
-            "C": _host_operand(problem, "C", c),
-        }
-        with_data = a is not None
-        stream = device.create_stream("serial")
-        mats = {}
-        t0 = device.sim.now
-        for op in problem.operands:
-            host = hosts[op.name]
-            mat = ctx.alloc_matrix(op.s1, op.s2, dtype, with_data=with_data,
-                                   name=op.name)
-            mats[op.name] = mat
-            if op.loc is Loc.DEVICE:
-                if with_data:
-                    mat.array[:, :] = host.array
-            elif op.spec.role.is_input:
-                ctx.set_matrix_async(host, 0, 0, mat, stream,
-                                     tag=f"h2d:{op.name}")
-        ctx.gemm_async(mats["A"], mats["B"], mats["C"], stream,
-                       alpha=alpha, beta=beta, tag="gemm-full")
-        c_op = next(op for op in problem.operands if op.name == "C")
-        if c_op.set:
-            ctx.get_matrix_async(mats["C"], hosts["C"], 0, 0, stream,
-                                 tag="d2h:C")
-        end = device.synchronize()
-        output = None
-        if with_data and loc_c is Loc.DEVICE:
-            output = mats["C"].array.copy()
-        for mat in mats.values():
-            mat.free()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemm",
-            seconds=end - t0,
-            flops=problem.flops(),
-            tile_size=max(m, n, k),
-            kernels=1,
-            output=output,
-        )
+        problem, hosts = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                       (loc_a, loc_b, loc_c))
+        ctx = CublasContext(self._next_device())
+        return self._run(GemmTileScheduler(ctx, problem, max(problem.dims),
+                                           hosts, alpha=alpha, beta=beta))
 
     def axpy(
         self,
@@ -116,51 +67,8 @@ class SerialOffloadLibrary:
         alpha: float = 1.0,
     ) -> RunResult:
         """``y = alpha*x + y`` with serial full-vector offload."""
-        if x is not None or y is not None:
-            if x is None or y is None:
-                raise BlasError("pass both x and y or neither")
-            n = x.shape[0]
-            dtype = x.dtype
-        if n is None:
-            raise BlasError("axpy needs n or arrays")
-        problem = axpy_problem(n, dtype, loc_x, loc_y)
-        device = self._device()
-        ctx = CublasContext(device)
-        hosts = {
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", y),
-        }
-        with_data = x is not None
-        stream = device.create_stream("serial")
-        vecs = {}
-        t0 = device.sim.now
-        for op in problem.operands:
-            host = hosts[op.name]
-            vec = ctx.alloc_vector(op.s1, dtype, with_data=with_data,
-                                   name=op.name)
-            vecs[op.name] = vec
-            if op.loc is Loc.DEVICE:
-                if with_data:
-                    vec.array[:] = host.array
-            else:
-                ctx.set_vector_async(host, 0, vec, stream, tag=f"h2d:{op.name}")
-        ctx.axpy_async(vecs["x"], vecs["y"], stream, alpha=alpha,
-                       tag="axpy-full")
-        y_op = next(op for op in problem.operands if op.name == "y")
-        if y_op.set:
-            ctx.get_vector_async(vecs["y"], hosts["y"], 0, stream, tag="d2h:y")
-        end = device.synchronize()
-        output = None
-        if with_data and loc_y is Loc.DEVICE:
-            output = vecs["y"].array.copy()
-        for vec in vecs.values():
-            vec.free()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}axpy",
-            seconds=end - t0,
-            flops=problem.flops(),
-            tile_size=n,
-            kernels=1,
-            output=output,
-        )
+        problem, hosts = bind_operands(AXPY, (n,), (x, y), dtype,
+                                       (loc_x, loc_y))
+        ctx = CublasContext(self._next_device())
+        return self._run(AxpyTileScheduler(ctx, problem, problem.dims[0],
+                                           hosts, alpha=alpha))

@@ -27,12 +27,11 @@ from typing import Optional
 import numpy as np
 
 from ..backend.cublas import CublasContext
-from ..core.params import Loc, axpy_problem, prefix_for
-from ..errors import BlasError
+from ..blas.spec import AXPY
+from ..core.params import Loc
+from ..runtime.offload import OffloadLibrary, bind_operands
 from ..runtime.result import RunResult
-from ..runtime.routines import _host_operand
 from ..runtime.scheduler import AxpyTileScheduler
-from ..sim.device import GpuDevice
 from ..sim.link import LinkDirectionConfig
 from ..sim.machine import MachineConfig
 
@@ -56,17 +55,15 @@ def _degraded_machine(machine: MachineConfig) -> MachineConfig:
                    name=f"{machine.name}-um")
 
 
-class UnifiedMemoryLibrary:
+class UnifiedMemoryLibrary(OffloadLibrary):
     """Unified-memory-with-prefetch baseline (daxpy only)."""
 
     LIBRARY_NAME = "UnifiedMem"
 
     def __init__(self, machine: MachineConfig, seed: int = 37,
                  prefetch_elems: int = PREFETCH_CHUNK_ELEMS) -> None:
-        self.machine = machine
+        super().__init__(machine, seed)
         self._um_machine = _degraded_machine(machine)
-        self._seed = seed
-        self._calls = 0
         self.prefetch_elems = prefetch_elems
 
     def axpy(
@@ -84,39 +81,10 @@ class UnifiedMemoryLibrary:
 
         ``tile_size`` overrides the prefetch chunk (elements).
         """
-        if x is not None or y is not None:
-            if x is None or y is None:
-                raise BlasError("pass both x and y or neither")
-            n = x.shape[0]
-            dtype = x.dtype
-        if n is None:
-            raise BlasError("axpy needs n or arrays")
-        problem = axpy_problem(n, dtype, loc_x, loc_y)
-        self._calls += 1
-        device = GpuDevice(self._um_machine, seed=self._seed + self._calls)
-        ctx = CublasContext(device)
-        hosts = {
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", y),
-        }
+        problem, hosts = bind_operands(AXPY, (n,), (x, y), dtype,
+                                       (loc_x, loc_y))
         chunk = min(tile_size if tile_size is not None else
-                    self.prefetch_elems, n)
-        sched = AxpyTileScheduler(ctx, problem, chunk, hosts, alpha=alpha)
-        stats = sched.run()
-        output = None
-        if y is not None and loc_y is Loc.DEVICE:
-            output = sched.read_back_device_result()
-        sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}axpy",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=chunk,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            output=output,
-        )
+                    self.prefetch_elems, problem.dims[0])
+        ctx = CublasContext(self._next_device(self._um_machine))
+        return self._run(AxpyTileScheduler(ctx, problem, chunk, hosts,
+                                           alpha=alpha))

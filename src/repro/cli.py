@@ -249,8 +249,6 @@ def cmd_run(args) -> int:
     kwargs = {}
     if args.tile is not None:
         kwargs["tile_size"] = args.tile
-    elif lib_cls is CublasXtLibrary:
-        kwargs["tile_size"] = 4096  # cuBLASXt default
     result = run_problem(lib, problem, **kwargs)
     print(f"{problem.describe()} on {machine.display_name} "
           f"[{result.library}]")

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..backend.cublas import CublasContext
 from ..core.params import gemm_problem
-from ..runtime.routines import _host_operand
+from ..runtime.offload import host_operands
 from ..runtime.scheduler import GemmTileScheduler
 from ..sim.device import GpuDevice
 from ..sim.machine import MachineConfig, get_testbed
@@ -46,7 +46,7 @@ def run(scale: str = "quick",
     device = GpuDevice(machine, trace=True)
     ctx = CublasContext(device)
     problem = gemm_problem(size, size, size)
-    hosts = {name: _host_operand(problem, name, None) for name in "ABC"}
+    hosts = host_operands(problem)
     sched = GemmTileScheduler(ctx, problem, tile, hosts)
     stats = sched.run()
     sched.release()

@@ -13,17 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines import (
-    BlasXLibrary,
-    CublasXtLibrary,
-    SerialOffloadLibrary,
-    UnifiedMemoryLibrary,
-)
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc
 from ..deploy import DeploymentConfig, deploy
 from ..errors import ReproError
-from ..runtime import CoCoPeLiaLibrary
 from ..runtime.result import RunResult
 from ..sim.machine import MachineConfig, get_testbed
 
@@ -206,18 +199,6 @@ def best_point(points: Sequence[SweepPoint]) -> SweepPoint:
     if not points:
         raise ReproError("empty sweep")
     return min(points, key=lambda p: p.result.seconds)
-
-
-def standard_libraries(machine: MachineConfig, models: MachineModels,
-                       nstreams: int = 4) -> Dict[str, object]:
-    """The comparison set of Section V-E, bound to one machine."""
-    return {
-        "CoCoPeLia": CoCoPeLiaLibrary(machine, models),
-        "cuBLASXt": CublasXtLibrary(machine, nstreams=nstreams),
-        "BLASX": BlasXLibrary(machine),
-        "UnifiedMem": UnifiedMemoryLibrary(machine),
-        "Serial": SerialOffloadLibrary(machine),
-    }
 
 
 def testbeds(names: Optional[Sequence[str]] = None) -> List[MachineConfig]:

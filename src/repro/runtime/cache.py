@@ -1,9 +1,11 @@
 """Device tile cache: fetch-once data reuse (paper Sections III-B.3, IV-C).
 
-Each (operand, i, j) tile is transferred to the GPU at most once and
-then reused by every subkernel that needs it — the behaviour the DR
-model (Eq. 5) assumes.  Tiles of device-resident operands are
-registered without any transfer.
+Each (operand, i, j) tile — a matrix tile or, with ``j = 0``, a vector
+chunk — is transferred to the GPU at most once and then reused by
+every subkernel that needs it — the behaviour the DR model (Eq. 5)
+assumes.  Tiles of device-resident operands are registered without any
+transfer.  Every tile scheduler fetches through this one store (see
+:meth:`repro.runtime.scheduler._PipelineBase._fetch`).
 
 Problems must fit in device memory; the paper explicitly scopes out
 larger problems ("that would require a considerably more sophisticated
@@ -18,9 +20,9 @@ never evicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, ItemsView, Optional, Set, Tuple
 
-from ..backend.cublas import CublasContext, DeviceMatrix
+from ..backend.cublas import CublasContext, DeviceMatrix, DeviceVector
 from ..errors import SchedulerError
 from ..sim.stream import CudaEvent, Operation, Stream
 
@@ -29,15 +31,14 @@ TileKey = Tuple[str, int, int]
 
 @dataclass
 class TileEntry:
-    """One resident device tile."""
+    """One resident device tile (a matrix tile or a vector chunk)."""
 
-    matrix: DeviceMatrix
+    matrix: "DeviceMatrix | DeviceVector"
     #: Completion event of the fetch; None for device-resident tiles.
     ready: Optional[CudaEvent] = None
     #: The fetch transfer itself; under fault injection its ``attempts``
     #: counts the retries this tile needed before landing cleanly.
     fetch_op: Optional[Operation] = None
-    dirty: bool = False
     #: Streams that have already synchronized with ``ready`` — later
     #: work on those streams is ordered by the stream itself.
     _waited: Set[str] = field(default_factory=set)
@@ -73,8 +74,8 @@ class TileCache:
         Does *not* count as a reuse hit: writebacks and verification
         read-backs retrieve tiles through here, and counting those
         would inflate the DR-model reuse statistics.  Reuse accounting
-        happens in :meth:`lookup` / :meth:`get_or_insert`, which the
-        schedulers' fetch paths go through.
+        happens in :meth:`lookup`, which the schedulers' fetch path
+        goes through.
         """
         try:
             return self._tiles[key]
@@ -100,32 +101,11 @@ class TileCache:
         self.fetches += 1
         return entry
 
-    def get_or_insert(self, key: TileKey, factory) -> Tuple[TileEntry, bool]:
-        """Return (entry, was_resident)."""
-        if key in self._tiles:
-            self.hits += 1
-            return self._tiles[key], True
-        entry = factory()
-        self._tiles[key] = entry
-        self.fetches += 1
-        return entry, False
-
     def free_all(self) -> None:
         for entry in self._tiles.values():
             entry.matrix.free()
         self._tiles.clear()
 
-    def resident_bytes(self) -> int:
-        return sum(e.matrix.nbytes for e in self._tiles.values())
-
-    def fetch_attempts(self) -> int:
-        """Total link submissions made for the resident tiles' fetches.
-
-        Equals the number of fetched tiles on a fault-free run; the
-        excess over that is the retry traffic fault injection caused.
-        """
-        return sum(
-            e.fetch_op.attempts
-            for e in self._tiles.values()
-            if e.fetch_op is not None
-        )
+    def items(self) -> ItemsView[TileKey, TileEntry]:
+        """Resident tiles in fetch order (not counted as reuse hits)."""
+        return self._tiles.items()

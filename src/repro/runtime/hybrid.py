@@ -16,22 +16,20 @@ host assistance worthwhile in the first place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..backend.cublas import CublasContext
+from ..blas.spec import GEMM
 from ..core.instantiation import MachineModels
-from ..core.params import CoCoProblem, Loc, gemm_problem, prefix_for
+from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..core.select import select_tile
 from ..errors import BlasError, SchedulerError
-from ..sim.device import GpuDevice
-from ..sim.link import Direction
 from ..sim.machine import MachineConfig
+from .offload import OffloadLibrary, bind_operands, host_operands, offload_result
 from .result import RunResult
-from .routines import _host_operand
 from .scheduler import GemmTileScheduler
 
 #: Host-column candidates are multiples of this granularity.
@@ -102,7 +100,7 @@ def select_split(
     return best
 
 
-class HybridCoCoPeLia:
+class HybridCoCoPeLia(OffloadLibrary):
     """Host-assisted gemm: CPU block + GPU CoCoPeLia pipeline."""
 
     LIBRARY_NAME = "CoCoPeLia-Hybrid"
@@ -110,10 +108,8 @@ class HybridCoCoPeLia:
     def __init__(self, machine: MachineConfig,
                  models: Optional[MachineModels] = None,
                  seed: int = 61) -> None:
-        self.machine = machine
+        super().__init__(machine, seed)
         self.models = models
-        self._seed = seed
-        self._calls = 0
 
     def gemm(
         self,
@@ -137,16 +133,10 @@ class HybridCoCoPeLia:
         reads A/B and writes C in place); device-resident operands fall
         back to a pure-GPU split (``n_host = 0``).
         """
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m, k = a.shape
-            _, n = b.shape
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
+        problem, _ = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                   (loc_a, loc_b, loc_c))
+        m, n, k = problem.dims
+        dtype = problem.dtype
         all_host = all(op.loc is Loc.HOST for op in problem.operands)
         if split is None:
             if self.models is None:
@@ -164,30 +154,23 @@ class HybridCoCoPeLia:
                 "host assistance needs host-resident operands"
             )
         # --- GPU shard ---
-        self._calls += 1
-        device = GpuDevice(self.machine, seed=self._seed + self._calls)
-        ctx = CublasContext(device)
+        device = self._next_device()
         gpu_problem = gemm_problem(m, split.n_gpu, k, dtype,
                                    loc_a, loc_b, loc_c)
-        b_gpu = b[:, :split.n_gpu] if b is not None else None
-        c_gpu = c[:, :split.n_gpu] if c is not None else None
-        hosts = {
-            "A": _host_operand(gpu_problem, "A", a),
-            "B": _host_operand(gpu_problem, "B",
-                               np.ascontiguousarray(b_gpu)
-                               if b_gpu is not None else None),
-            "C": _host_operand(gpu_problem, "C", c_gpu),
-        }
-        sched = GemmTileScheduler(ctx, gpu_problem, split.tile, hosts,
-                                  alpha=alpha, beta=beta)
+        hosts = host_operands(gpu_problem, (
+            a,
+            np.ascontiguousarray(b[:, :split.n_gpu]) if b is not None
+            else None,
+            c[:, :split.n_gpu] if c is not None else None,
+        ))
+        sched = GemmTileScheduler(CublasContext(device), gpu_problem,
+                                  split.tile, hosts, alpha=alpha, beta=beta)
         # The host block computes concurrently: model it as an event on
         # the same virtual clock (no engine contention with the GPU).
         host_time = host_gemm_time(self.machine, m, split.n_host, k, dtype)
         host_time *= device.noise.duration_factor()
-        host_done = {}
         if split.n_host > 0:
             def compute_host_block() -> None:
-                host_done["t"] = device.sim.now
                 if a is not None:
                     b_host = b[:, split.n_gpu:]
                     c_view = c[:, split.n_gpu:]
@@ -196,27 +179,10 @@ class HybridCoCoPeLia:
                                     + dt(beta) * c_view)
 
             device.sim.schedule(host_time, compute_host_block)
-        t0 = device.sim.now
-        sched._issue()
-        end = device.synchronize()
-        output = None
-        if c is not None and loc_c is Loc.DEVICE:
-            output = sched.read_back_device_result()
-        sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemm",
-            seconds=end - t0,
-            flops=problem.flops(),
-            tile_size=split.tile,
-            h2d_bytes=device.bytes_moved(Direction.H2D),
-            d2h_bytes=device.bytes_moved(Direction.D2H),
-            h2d_transfers=device.transfer_count(Direction.H2D),
-            d2h_transfers=device.transfer_count(Direction.D2H),
-            kernels=device.compute.kernels_run,
-            predicted_seconds=split.predicted if split.n_host >= 0 else None,
-            model="dr+host",
+        stats = sched.run()
+        return offload_result(
+            self.LIBRARY_NAME, problem, stats, split.tile, sched,
+            predicted_seconds=split.predicted, model="dr+host",
             extra={"n_host": split.n_host, "n_gpu": split.n_gpu,
                    "host_seconds": host_time},
-            output=output,
         )

@@ -17,26 +17,24 @@ machinery, exactly the portability story the paper closes on.
 
 from __future__ import annotations
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..backend.cublas import CublasContext
+from ..blas.spec import GEMM
 from ..core.instantiation import MachineModels
-from ..core.params import CoCoProblem, Loc, gemm_problem, prefix_for
-from ..core.registry import predict
+from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..core.select import select_tile
 from ..errors import BlasError, SchedulerError
 from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
 from ..sim.interconnect import Interconnect, TopologySpec
-from ..sim.link import Direction
 from ..sim.machine import MachineConfig
-from ..sim.memory import HostArray
 from ..sim.stream import KIND_H2D, CudaEvent, Operation, _complete_operation
+from .offload import OffloadLibrary, bind_operands, host_operands, offload_result
 from .result import RunResult
-from .routines import _host_operand
-from .scheduler import GemmTileScheduler
+from .scheduler import GemmTileScheduler, ScheduleStats
 
 
 # Canonical sharding lives with the distributed prediction models;
@@ -89,7 +87,7 @@ class MultiGpuResult:
         return sum(s.h2d_bytes for s in self.shards)
 
 
-class MultiGpuCoCoPeLia:
+class MultiGpuCoCoPeLia(OffloadLibrary):
     """Column-block multi-GPU gemm over homogeneous simulated GPUs."""
 
     LIBRARY_NAME = "CoCoPeLia-MG"
@@ -110,11 +108,9 @@ class MultiGpuCoCoPeLia:
             raise SchedulerError(
                 f"topology is wired for {topology.n_gpus} GPUs, "
                 f"library created with {n_gpus}")
-        self.machine = machine
+        super().__init__(machine, seed)
         self.n_gpus = n_gpus
         self.models = models
-        self._seed = seed
-        self._calls = 0
         #: Optional inter-GPU fabric.  Without one (the default), every
         #: GPU fetches the full A over its own PCIe lane — the original
         #: independent-copies behaviour, byte-identical to before the
@@ -149,16 +145,9 @@ class MultiGpuCoCoPeLia:
         tile_size: Optional[int] = None,
     ) -> MultiGpuResult:
         """``C = alpha*A@B + beta*C`` across ``n_gpus`` GPUs."""
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m, k = a.shape
-            _, n = b.shape
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
+        problem, _ = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                   (loc_a, loc_b, loc_c))
+        n = problem.dims[1]
         shards = shard_columns(n, self.n_gpus)
         self._calls += 1
         if self.metrics is not None:
@@ -182,7 +171,7 @@ class MultiGpuCoCoPeLia:
         #: broadcast-gated A tiles: (gpu, (i, l)) -> standalone gate op
         #: completed when the multicast delivers the tile to that GPU.
         gates: Dict[Tuple[int, Tuple[int, int]], Operation] = {}
-        elem = np.dtype(dtype).itemsize
+        elem = problem.elem_size
 
         def make_provider(g: int):
             def provider(i: int, l: int, rows: int, cols: int) -> CudaEvent:
@@ -195,11 +184,9 @@ class MultiGpuCoCoPeLia:
             return provider
 
         schedulers: List[GemmTileScheduler] = []
-        shard_problems: List[CoCoProblem] = []
         uniform_t = tile_size
         for g, (off, width) in enumerate(shards):
             sub = shard_problem(problem, width)
-            shard_problems.append(sub)
             t = uniform_t
             if t is None:
                 if self.models is None:
@@ -212,15 +199,12 @@ class MultiGpuCoCoPeLia:
                     # shard must agree on the tile grid: GPU 0 (the
                     # widest shard) picks for everyone.
                     uniform_t = t
-            b_view = b[:, off:off + width] if b is not None else None
-            c_view = c[:, off:off + width] if c is not None else None
-            hosts = {
-                "A": _host_operand(sub, "A", a),
-                "B": _host_operand(sub, "B",
-                                   np.ascontiguousarray(b_view)
-                                   if b_view is not None else None),
-                "C": _host_operand(sub, "C", c_view),
-            }
+            hosts = host_operands(sub, (
+                a,
+                np.ascontiguousarray(b[:, off:off + width]) if b is not None
+                else None,
+                c[:, off:off + width] if c is not None else None,
+            ))
             ctx = CublasContext(devices[g])
             schedulers.append(GemmTileScheduler(
                 ctx, sub, t, hosts, alpha=alpha, beta=beta,
@@ -236,25 +220,14 @@ class MultiGpuCoCoPeLia:
         sim.run()
         end = sim.now
         results = []
-        for g, ((off, width), sched, sub) in enumerate(
-                zip(shards, schedulers, shard_problems)):
-            dev = devices[g]
+        for (off, width), sched in zip(shards, schedulers):
+            # Every device is fresh, so its counters are this call's.
+            stats = ScheduleStats(end - t0, *sched._snapshot())
             if c is not None and loc_c is Loc.DEVICE:
-                out = sched.read_back_device_result()
-                c[:, off:off + width] = out
-            results.append(RunResult(
-                library=self.LIBRARY_NAME,
-                routine=f"{prefix_for(dtype)}gemm",
-                seconds=end - t0,
-                flops=sub.flops(),
-                tile_size=sched.t,
-                h2d_bytes=dev.bytes_moved(Direction.H2D),
-                d2h_bytes=dev.bytes_moved(Direction.D2H),
-                h2d_transfers=dev.transfer_count(Direction.H2D),
-                d2h_transfers=dev.transfer_count(Direction.D2H),
-                kernels=dev.compute.kernels_run,
-            ))
+                c[:, off:off + width] = sched.read_back_device_result()
             sched.release()
+            results.append(offload_result(self.LIBRARY_NAME, sched.problem,
+                                          stats, sched.t))
         return MultiGpuResult(seconds=end - t0, shards=results,
                               n_gpus=len(shards))
 

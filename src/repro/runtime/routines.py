@@ -1,14 +1,19 @@
 """The CoCoPeLia end-to-end BLAS routines (paper Fig. 3, right side).
 
 :class:`CoCoPeLiaLibrary` is the public entry point: it binds a machine
-and its deployed models, exposes ``gemm`` / ``axpy`` with automatic
-tiling-size selection (or an explicit ``tile_size``, mirroring the
-cuBLASXt-style extra parameter used for validation), and reuses model
-decisions across calls with identical parameters.
+and its deployed models, exposes ``gemm`` / ``syrk`` / ``gemv`` /
+``axpy`` with automatic tiling-size selection (or an explicit
+``tile_size``, mirroring the cuBLASXt-style extra parameter used for
+validation), and reuses model decisions across calls with identical
+parameters.
 
-Each invocation runs on a fresh simulated device (allocation time is
-neither modeled nor measured, matching the paper's methodology of
-excluding buffer allocation from timings and reusing warm buffers).
+Each routine is a thin wrapper over one step, :meth:`_offload`: bind the
+operands (:func:`~repro.runtime.offload.bind_operands`), pick ``T``, run
+the routine's tile scheduler under the degradation ladder, and report
+through :func:`~repro.runtime.offload.offload_result`.  Each invocation
+runs on a fresh simulated device (allocation time is neither modeled
+nor measured, matching the paper's methodology of excluding buffer
+allocation from timings and reusing warm buffers).
 """
 
 from __future__ import annotations
@@ -19,24 +24,18 @@ import numpy as np
 
 from ..backend.cublas import CublasContext
 from ..blas.reference import ref_axpy, ref_gemm, ref_gemv, ref_syrk
+from ..blas.spec import AXPY, GEMM, GEMV, SYRK
 from ..core.instantiation import MachineModels
-from ..core.params import (
-    CoCoProblem,
-    Loc,
-    axpy_problem,
-    gemm_problem,
-    gemv_problem,
-    prefix_for,
-    syrk_problem,
-)
+from ..core.params import CoCoProblem, Loc
 from ..core.predcache import PredictionCache
 from ..core.select import TileChoice, candidate_tiles, select_tile
 from ..errors import (BlasError, DeviceMemoryError, ModelError,
-                      RetryExhaustedError, SchedulerError)
+                      RetryExhaustedError)
 from ..sim.device import GpuDevice
 from ..sim.faults import FaultInjector, ResilienceCounters
 from ..sim.machine import MachineConfig
 from ..sim.memory import HostArray
+from .offload import OffloadLibrary, bind_operands, offload_result
 from .result import RunResult
 from .scheduler import (AxpyTileScheduler, GemmTileScheduler,
                         GemvTileScheduler, ScheduleStats, SyrkTileScheduler)
@@ -59,27 +58,7 @@ class _ResilientOutcome:
         self.output = output        #: fallback-produced device output
 
 
-def _host_operand(problem: CoCoProblem, name: str,
-                  array: Optional[np.ndarray]) -> HostArray:
-    """Wrap or shadow the source data for one operand."""
-    op = next(o for o in problem.operands if o.name == name)
-    shape = (op.s1,) if op.is_vector else (op.s1, op.s2)
-    if array is None:
-        return HostArray.shadow(shape, problem.dtype, name=name)
-    if array.ndim == 1 and not op.is_vector or array.ndim == 2 and op.is_vector:
-        raise BlasError(f"operand {name} has wrong rank: {array.shape}")
-    if tuple(array.shape) != shape:
-        raise BlasError(
-            f"operand {name} shape {array.shape} != expected {shape}"
-        )
-    if array.dtype != problem.dtype:
-        raise BlasError(
-            f"operand {name} dtype {array.dtype} != problem dtype {problem.dtype}"
-        )
-    return HostArray.wrap(array, pinned=True, name=name)
-
-
-class CoCoPeLiaLibrary:
+class CoCoPeLiaLibrary(OffloadLibrary):
     """CoCoPeLia's optimized BLAS subset with runtime tile selection."""
 
     LIBRARY_NAME = "CoCoPeLia"
@@ -94,11 +73,9 @@ class CoCoPeLiaLibrary:
         metrics=None,
         prediction_cache: Optional[PredictionCache] = None,
     ) -> None:
-        self.machine = machine
+        super().__init__(machine, seed)
         self.models = models
         self.model = model
-        self._seed = seed
-        self._calls = 0
         #: Record engine timelines on every device this library creates;
         #: the most recent call's stream is exposed as ``last_trace``.
         self.trace = trace
@@ -115,10 +92,8 @@ class CoCoPeLiaLibrary:
     # ------------------------------------------------------------------
 
     def _next_device(self, faults: Optional[FaultInjector] = None) -> GpuDevice:
-        self._calls += 1
-        device = GpuDevice(self.machine, seed=self._seed + self._calls,
-                           faults=faults, trace=self.trace,
-                           metrics=self.metrics)
+        device = super()._next_device(faults=faults, trace=self.trace,
+                                      metrics=self.metrics)
         if self.trace:
             self.last_trace = device.trace
         return device
@@ -264,13 +239,66 @@ class CoCoPeLiaLibrary:
         if self.models is None:
             return None
         from ..core.registry import predict as predict_fn
-        from ..errors import ModelError
 
         try:
             return predict_fn(self.model, problem, t, self.models,
                               interpolate=True)
         except ModelError:
             return None
+
+    # ------------------------------------------------------------------
+    # the one run-to-result step every routine wraps
+    # ------------------------------------------------------------------
+
+    def _offload(
+        self,
+        problem: CoCoProblem,
+        hosts: Dict[str, HostArray],
+        tile_size,
+        make_scheduler: Callable[[CublasContext, object], object],
+        reference: Callable[[], np.ndarray],
+        predicted: Optional[float] = None,
+        model: Optional[str] = None,
+        tile_mnk: bool = False,
+    ) -> RunResult:
+        """Pick ``T``, run the schedule under the ladder, and report.
+
+        ``tile_size=None`` selects ``T`` with this library's model.
+        ``reference`` computes the routine's full output on the host
+        (the fallback's result).  ``tile_mnk`` reports the gemm tile as
+        ``extra`` tile_m / tile_n / tile_k, with ``tile_size`` = tile_m.
+        """
+        if tile_size is None:
+            choice = self._choose_tile(problem)
+            tile_size, predicted = choice.t_best, choice.predicted_time
+        elif predicted is None and isinstance(tile_size, int):
+            predicted = self.predict(problem, tile_size)
+        out_op = next(op for op in problem.operands if op.spec.role.is_output)
+        out = hosts[out_op.name].array
+        on_host = out_op.loc is Loc.HOST
+
+        def fallback() -> Optional[np.ndarray]:
+            if out is None:
+                return None
+            full = reference()
+            if not on_host:
+                return full
+            out[...] = full
+            return None
+
+        outputs = [out] if out is not None and on_host else []
+        outcome = self._run_resilient(problem, tile_size, make_scheduler,
+                                      outputs, fallback)
+        t, extra = outcome.tile, {}
+        if tile_mnk:
+            tm, tn, tk = (t,) * 3 if isinstance(t, int) else t
+            t, extra = tm, {"tile_m": tm, "tile_n": tn, "tile_k": tk}
+        return offload_result(
+            self.LIBRARY_NAME, problem, outcome.stats, t, outcome.sched,
+            outcome.output, predicted_seconds=predicted,
+            model=model or self.model, extra=extra,
+            resilience=outcome.resilience,
+        )
 
     # ------------------------------------------------------------------
     # gemm
@@ -307,53 +335,22 @@ class CoCoPeLiaLibrary:
         paper's future-work extension, :mod:`repro.core.rect`).
         ``tile_size`` also accepts an explicit (Tm, Tn, Tk) triple.
         """
-        arrays = (a, b, c)
-        if any(x is not None for x in arrays):
-            if any(x is None for x in arrays):
-                raise BlasError("pass all of a, b, c or none of them")
-            m2, k2 = a.shape
-            k3, n2 = b.shape
-            if k2 != k3 or c.shape != (m2, n2):
+        problem, hosts = bind_operands(GEMM, (m, n, k), (a, b, c), dtype,
+                                       (loc_a, loc_b, loc_c))
+        predicted = model = None
+        if tile_size is None and rect:
+            if self.models is None:
                 raise BlasError(
-                    f"gemm operand shapes disagree: A {a.shape}, "
-                    f"B {b.shape}, C {c.shape}"
+                    "rectangular tile selection requires deployed models"
                 )
-            if (m is not None and m != m2) or (n is not None and n != n2) \
-                    or (k is not None and k != k2):
-                raise BlasError("explicit dims disagree with array shapes")
-            m, n, k = m2, n2, k2
-            dtype = a.dtype
-        if m is None or n is None or k is None:
-            raise BlasError("gemm needs dims (m, n, k) or arrays")
-        problem = gemm_problem(m, n, k, dtype, loc_a, loc_b, loc_c)
-        choice: Optional[TileChoice] = None
-        predicted: Optional[float] = None
-        model_name = self.model
-        if tile_size is None:
-            if rect:
-                if self.models is None:
-                    raise BlasError(
-                        "rectangular tile selection requires deployed models"
-                    )
-                from ..core.rect import select_rect_tile
+            from ..core.rect import select_rect_tile
 
-                rect_choice = select_rect_tile(problem, self.models)
-                tile_size = rect_choice.tile.as_tuple()
-                predicted = rect_choice.predicted_time
-                model_name = "dr-rect"
-            else:
-                choice = self._choose_tile(problem)
-                tile_size = choice.t_best
-                predicted = choice.predicted_time
-        elif not isinstance(tile_size, int):
+            rect_choice = select_rect_tile(problem, self.models)
+            tile_size = rect_choice.tile.as_tuple()
+            predicted = rect_choice.predicted_time
+            model = "dr-rect"
+        elif tile_size is not None and not isinstance(tile_size, int):
             tile_size = tuple(int(v) for v in tile_size)
-        if predicted is None and isinstance(tile_size, int):
-            predicted = self.predict(problem, tile_size)
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "B": _host_operand(problem, "B", b),
-            "C": _host_operand(problem, "C", c),
-        }
 
         def make_sched(ctx: CublasContext, t) -> GemmTileScheduler:
             return GemmTileScheduler(
@@ -362,47 +359,10 @@ class CoCoPeLiaLibrary:
                 prefetch_depth=prefetch_depth,
             )
 
-        outputs = [c] if c is not None and loc_c is Loc.HOST else []
-
-        def fallback() -> Optional[np.ndarray]:
-            if c is None:
-                return None
-            full = ref_gemm(a, b, c, alpha=alpha, beta=beta)
-            if loc_c is Loc.DEVICE:
-                return full
-            c[:, :] = full
-            return None
-
-        outcome = self._run_resilient(problem, tile_size, make_sched,
-                                      outputs, fallback)
-        stats = outcome.stats
-        sched = outcome.sched
-        output = outcome.output
-        if sched is not None:
-            if c is not None and loc_c is Loc.DEVICE:
-                output = sched.read_back_device_result()
-            sched.release()
-            tm, tn, tk = sched.tiles_mnk
-        else:
-            t_used = outcome.tile
-            tm, tn, tk = ((t_used,) * 3 if isinstance(t_used, int)
-                          else t_used)
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemm",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=tm,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            predicted_seconds=predicted,
-            model=model_name,
-            extra={"tile_m": tm, "tile_n": tn, "tile_k": tk},
-            output=output,
-            resilience=outcome.resilience,
+        return self._offload(
+            problem, hosts, tile_size, make_sched,
+            lambda: ref_gemm(a, b, c, alpha=alpha, beta=beta),
+            predicted=predicted, model=model, tile_mnk=True,
         )
 
     # ------------------------------------------------------------------
@@ -428,86 +388,23 @@ class CoCoPeLiaLibrary:
         In compute mode only the lower triangle of ``c`` is written —
         standard BLAS syrk semantics.
         """
-        arrays = (a, c)
-        if any(v is not None for v in arrays):
-            if any(v is None for v in arrays):
-                raise BlasError("pass both a and c or neither")
-            n2, k2 = a.shape
-            if c.shape != (n2, n2):
-                raise BlasError(
-                    f"syrk operand shapes disagree: A {a.shape}, C {c.shape}"
-                )
-            if (n is not None and n != n2) or (k is not None and k != k2):
-                raise BlasError("explicit dims disagree with array shapes")
-            n, k = n2, k2
-            dtype = a.dtype
-        if n is None or k is None:
-            raise BlasError("syrk needs dims (n, k) or arrays")
-        problem = syrk_problem(n, k, dtype, loc_a, loc_c)
-        choice: Optional[TileChoice] = None
-        if tile_size is None:
-            choice = self._choose_tile(problem)
-            tile_size = choice.t_best
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "C": _host_operand(problem, "C", c),
-        }
-        # The diagonal tiles compute their full T x T block; BLAS syrk
-        # must leave the strict upper triangle untouched, so it is
-        # restored after the run.
-        upper_backup = None
-        if c is not None and loc_c is Loc.HOST:
-            upper_idx = np.triu_indices(n, k=1)
-            upper_backup = c[upper_idx].copy()
-
-        def make_sched(ctx: CublasContext, t) -> SyrkTileScheduler:
-            return SyrkTileScheduler(ctx, problem, t, hosts,
-                                     alpha=alpha, beta=beta)
-
-        outputs = [c] if c is not None and loc_c is Loc.HOST else []
-
-        def fallback() -> Optional[np.ndarray]:
-            if c is None:
-                return None
-            full = ref_syrk(a, c, alpha=alpha, beta=beta)
-            lower_idx = np.tril_indices(n)
-            if loc_c is Loc.DEVICE:
-                out = c.copy()
-                out[lower_idx] = full[lower_idx]
-                return out
-            c[lower_idx] = full[lower_idx]
-            return None
-
-        outcome = self._run_resilient(problem, tile_size, make_sched,
-                                      outputs, fallback)
-        stats = outcome.stats
-        sched = outcome.sched
-        output = outcome.output
-        if sched is not None:
-            if c is not None and loc_c is Loc.DEVICE:
-                output = sched.read_back_device_result()
-                upper_idx = np.triu_indices(n, k=1)
-                output[upper_idx] = c[upper_idx]
-            elif upper_backup is not None:
-                c[upper_idx] = upper_backup
-            sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}syrk",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=outcome.tile,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            predicted_seconds=(choice.predicted_time if choice is not None
-                               else self.predict(problem, tile_size)),
-            model=self.model,
-            output=output,
-            resilience=outcome.resilience,
+        problem, hosts = bind_operands(SYRK, (n, k), (a, c), dtype,
+                                       (loc_a, loc_c))
+        # The diagonal tiles (and the host reference) compute full
+        # blocks; BLAS syrk must leave the strict upper triangle
+        # untouched, so it is put back after the run.
+        if c is not None:
+            upper = np.triu_indices(problem.dims[0], k=1)
+            keep = c[upper]
+        result = self._offload(
+            problem, hosts, tile_size,
+            lambda ctx, t: SyrkTileScheduler(ctx, problem, t, hosts,
+                                             alpha=alpha, beta=beta),
+            lambda: ref_syrk(a, c, alpha=alpha, beta=beta),
         )
+        if c is not None:
+            (c if loc_c is Loc.HOST else result.output)[upper] = keep
+        return result
 
     # ------------------------------------------------------------------
     # gemv (level-2 extension, per the paper's Section IV-B recipe:
@@ -531,73 +428,13 @@ class CoCoPeLiaLibrary:
         tile_size: Optional[int] = None,
     ) -> RunResult:
         """``y = alpha*A@x + beta*y`` with 3-way-concurrency offload."""
-        arrays = (a, x, y)
-        if any(v is not None for v in arrays):
-            if any(v is None for v in arrays):
-                raise BlasError("pass all of a, x, y or none of them")
-            m2, n2 = a.shape
-            if x.shape != (n2,) or y.shape != (m2,):
-                raise BlasError(
-                    f"gemv operand shapes disagree: A {a.shape}, "
-                    f"x {x.shape}, y {y.shape}"
-                )
-            if (m is not None and m != m2) or (n is not None and n != n2):
-                raise BlasError("explicit dims disagree with array shapes")
-            m, n = m2, n2
-            dtype = a.dtype
-        if m is None or n is None:
-            raise BlasError("gemv needs dims (m, n) or arrays")
-        problem = gemv_problem(m, n, dtype, loc_a, loc_x, loc_y)
-        choice: Optional[TileChoice] = None
-        if tile_size is None:
-            choice = self._choose_tile(problem)
-            tile_size = choice.t_best
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", y),
-        }
-
-        def make_sched(ctx: CublasContext, t) -> GemvTileScheduler:
-            return GemvTileScheduler(ctx, problem, t, hosts,
-                                     alpha=alpha, beta=beta)
-
-        outputs = [y] if y is not None and loc_y is Loc.HOST else []
-
-        def fallback() -> Optional[np.ndarray]:
-            if y is None:
-                return None
-            full = ref_gemv(a, x, y, alpha=alpha, beta=beta)
-            if loc_y is Loc.DEVICE:
-                return full
-            y[:] = full
-            return None
-
-        outcome = self._run_resilient(problem, tile_size, make_sched,
-                                      outputs, fallback)
-        stats = outcome.stats
-        sched = outcome.sched
-        output = outcome.output
-        if sched is not None:
-            if y is not None and loc_y is Loc.DEVICE:
-                output = sched.read_back_device_result()
-            sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}gemv",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=outcome.tile,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            predicted_seconds=(choice.predicted_time if choice is not None
-                               else self.predict(problem, tile_size)),
-            model=self.model,
-            output=output,
-            resilience=outcome.resilience,
+        problem, hosts = bind_operands(GEMV, (m, n), (a, x, y), dtype,
+                                       (loc_a, loc_x, loc_y))
+        return self._offload(
+            problem, hosts, tile_size,
+            lambda ctx, t: GemvTileScheduler(ctx, problem, t, hosts,
+                                             alpha=alpha, beta=beta),
+            lambda: ref_gemv(a, x, y, alpha=alpha, beta=beta),
         )
 
     # ------------------------------------------------------------------
@@ -616,64 +453,11 @@ class CoCoPeLiaLibrary:
         tile_size: Optional[int] = None,
     ) -> RunResult:
         """``y = alpha*x + y`` with chunked 3-way-concurrency offload."""
-        if x is not None or y is not None:
-            if x is None or y is None:
-                raise BlasError("pass both x and y or neither")
-            if x.shape != y.shape:
-                raise BlasError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-            if n is not None and n != x.shape[0]:
-                raise BlasError("explicit n disagrees with array length")
-            n = x.shape[0]
-            dtype = x.dtype
-        if n is None:
-            raise BlasError("axpy needs n or arrays")
-        problem = axpy_problem(n, dtype, loc_x, loc_y)
-        choice: Optional[TileChoice] = None
-        if tile_size is None:
-            choice = self._choose_tile(problem)
-            tile_size = choice.t_best
-        hosts = {
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", y),
-        }
-
-        def make_sched(ctx: CublasContext, t) -> AxpyTileScheduler:
-            return AxpyTileScheduler(ctx, problem, t, hosts, alpha=alpha)
-
-        outputs = [y] if y is not None and loc_y is Loc.HOST else []
-
-        def fallback() -> Optional[np.ndarray]:
-            if y is None:
-                return None
-            full = ref_axpy(x, y, alpha=alpha)
-            if loc_y is Loc.DEVICE:
-                return full
-            y[:] = full
-            return None
-
-        outcome = self._run_resilient(problem, tile_size, make_sched,
-                                      outputs, fallback)
-        stats = outcome.stats
-        sched = outcome.sched
-        output = outcome.output
-        if sched is not None:
-            if y is not None and loc_y is Loc.DEVICE:
-                output = sched.read_back_device_result()
-            sched.release()
-        return RunResult(
-            library=self.LIBRARY_NAME,
-            routine=f"{prefix_for(dtype)}axpy",
-            seconds=stats.seconds,
-            flops=problem.flops(),
-            tile_size=outcome.tile,
-            h2d_bytes=stats.h2d_bytes,
-            d2h_bytes=stats.d2h_bytes,
-            h2d_transfers=stats.h2d_transfers,
-            d2h_transfers=stats.d2h_transfers,
-            kernels=stats.kernels,
-            predicted_seconds=(choice.predicted_time if choice is not None
-                               else self.predict(problem, tile_size)),
-            model=self.model,
-            output=output,
-            resilience=outcome.resilience,
+        problem, hosts = bind_operands(AXPY, (n,), (x, y), dtype,
+                                       (loc_x, loc_y))
+        return self._offload(
+            problem, hosts, tile_size,
+            lambda ctx, t: AxpyTileScheduler(ctx, problem, t, hosts,
+                                             alpha=alpha),
+            lambda: ref_axpy(x, y, alpha=alpha),
         )

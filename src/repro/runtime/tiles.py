@@ -55,6 +55,11 @@ class Grid1D:
             raise SchedulerError(f"chunk index {i} out of range [0, {self.n_tiles})")
         return self.spans[i]
 
+    def tile_slices(self, i: int, j: int = 0) -> Tuple[slice]:
+        """Numpy index of chunk ``i`` in the whole vector (``j`` unused)."""
+        off, length = self.tile_span(i)
+        return (slice(off, off + length),)
+
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n_tiles))
 
@@ -105,6 +110,11 @@ class Grid2D:
         r0, rows = self.row_spans[i]
         c0, cols = self.col_spans[j]
         return (r0, c0, rows, cols)
+
+    def tile_slices(self, i: int, j: int) -> Tuple[slice, slice]:
+        """Numpy index of tile (i, j) in the whole matrix."""
+        r0, c0, rows, cols = self.tile_window(i, j)
+        return (slice(r0, r0 + rows), slice(c0, c0 + cols))
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for i in range(self.row_tiles):

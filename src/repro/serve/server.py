@@ -47,7 +47,7 @@ from ..backend.cublas import CublasContext
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem
 from ..core.tailbank import PercentileBank
-from ..runtime.routines import _host_operand
+from ..runtime.offload import host_operands
 from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
@@ -660,8 +660,7 @@ class BlasServer:
             trace=cfg.trace, metrics=self.metrics,
         )
         ctx = CublasContext(device)
-        hosts = {op.name: _host_operand(problem, op.name, None)
-                 for op in problem.operands}
+        hosts = host_operands(problem)
         if problem.routine.name == "gemm":
             scheduler = GemmTileScheduler(ctx, problem, choice.t_best, hosts)
         elif problem.routine.name == "axpy":

@@ -211,3 +211,31 @@ class TestSerial:
                       loc_c=Loc.DEVICE)
         assert res.h2d_transfers == 0
         assert res.d2h_transfers == 0
+
+    def test_gemm_reports_counted_traffic(self, machine):
+        res = SerialOffloadLibrary(machine).gemm(512, 512, 512)
+        assert res.h2d_bytes == 3 * 512 * 512 * 8
+        assert res.h2d_transfers == 3
+        assert res.d2h_bytes == 512 * 512 * 8
+        assert res.d2h_transfers == 1
+
+    def test_gemm_device_resident_c_traffic(self, machine):
+        res = SerialOffloadLibrary(machine).gemm(512, 512, 512,
+                                                 loc_c=Loc.DEVICE)
+        assert res.h2d_transfers == 2
+        assert res.h2d_bytes == 2 * 512 * 512 * 8
+        assert res.d2h_transfers == 0
+        assert res.d2h_bytes == 0
+
+    def test_axpy_reports_counted_traffic(self, machine):
+        n = 1 << 16
+        res = SerialOffloadLibrary(machine).axpy(n)
+        assert res.h2d_bytes == 2 * n * 8
+        assert res.h2d_transfers == 2
+        assert res.d2h_bytes == n * 8
+        assert res.d2h_transfers == 1
+        dev_y = SerialOffloadLibrary(machine).axpy(n, loc_y=Loc.DEVICE)
+        assert dev_y.h2d_transfers == 1
+        assert dev_y.h2d_bytes == n * 8
+        assert dev_y.d2h_transfers == 0
+        assert dev_y.d2h_bytes == 0

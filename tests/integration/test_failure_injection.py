@@ -16,7 +16,7 @@ from repro.errors import (
     SimulationError,
     StreamError,
 )
-from repro.runtime.routines import _host_operand
+from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemmTileScheduler
 from repro.sim.device import GpuDevice
 from repro.sim.machine import custom_machine
@@ -71,7 +71,7 @@ class TestMemoryFailures:
         dev = GpuDevice(tiny)
         ctx = CublasContext(dev)
         problem = gemm_problem(4096, 4096, 4096)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 1024, hosts)
         with pytest.raises(DeviceMemoryError):
             sched.run()
@@ -108,21 +108,21 @@ class TestSchedulerMisuse:
     def test_tile_triple_with_wrong_arity(self, dev):
         ctx = CublasContext(dev)
         problem = gemm_problem(256, 256, 256)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             GemmTileScheduler(ctx, problem, (128, 128), hosts)
 
     def test_tile_garbage_type(self, dev):
         ctx = CublasContext(dev)
         problem = gemm_problem(256, 256, 256)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             GemmTileScheduler(ctx, problem, "big", hosts)
 
     def test_read_back_host_resident_rejected(self, dev):
         ctx = CublasContext(dev)
         problem = gemm_problem(256, 256, 256)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 128, hosts)
         sched.run()
         with pytest.raises(SchedulerError, match="host"):

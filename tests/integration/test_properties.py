@@ -29,7 +29,7 @@ from repro.core.models import (
 )
 from repro.core.params import gemm_problem
 from repro.core.transfer_model import LinkModel, TransferFit
-from repro.runtime.routines import _host_operand
+from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemmTileScheduler
 from repro.runtime.tiles import Grid2D
 from repro.sim.device import GpuDevice
@@ -98,7 +98,7 @@ class TestPipelineBounds:
         problem = gemm_problem(m * t, n * t, k * t)
         device = GpuDevice(custom_machine(noise_sigma=0.0), trace=True)
         ctx = CublasContext(device)
-        hosts = {nm: _host_operand(problem, nm, None) for nm in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, t, hosts)
         stats = sched.run()
         trace = device.trace
@@ -114,7 +114,7 @@ class TestPipelineBounds:
         problem = gemm_problem(m * t, m * t, k * t)
         device = GpuDevice(custom_machine(noise_sigma=0.0))
         ctx = CublasContext(device)
-        hosts = {nm: _host_operand(problem, nm, None) for nm in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, t, hosts)
         stats = sched.run()
         expected = sum(op.tiles(t) for op in problem.operands)
@@ -143,11 +143,7 @@ class TestNumericalProperties:
         device = GpuDevice(custom_machine(noise_sigma=0.0))
         ctx = CublasContext(device)
         cw = c.copy()
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "B": _host_operand(problem, "B", b),
-            "C": _host_operand(problem, "C", cw),
-        }
+        hosts = host_operands(problem, (a, b, cw))
         sched = GemmTileScheduler(ctx, problem, t, hosts, alpha=alpha,
                                   beta=beta)
         sched.run()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.backend.cublas import CublasContext
 from repro.blas import ref_gemv, ref_syrk, relative_error, tolerance_for
 from repro.core.params import gemv_problem, syrk_problem
-from repro.runtime.routines import _host_operand
+from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemvTileScheduler, SyrkTileScheduler
 from repro.sim.device import GpuDevice
 from repro.sim.machine import custom_machine
@@ -35,11 +35,7 @@ class TestGemvProperties:
         problem = gemv_problem(m, n)
         ctx = CublasContext(_device())
         yw = y.copy()
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", yw),
-        }
+        hosts = host_operands(problem, (a, x, yw))
         sched = GemvTileScheduler(ctx, problem, t, hosts, alpha=1.5,
                                   beta=-0.5)
         sched.run()
@@ -60,10 +56,7 @@ class TestSyrkProperties:
         problem = syrk_problem(n, k)
         ctx = CublasContext(_device())
         cw = c.copy()
-        hosts = {
-            "A": _host_operand(problem, "A", a),
-            "C": _host_operand(problem, "C", cw),
-        }
+        hosts = host_operands(problem, (a, cw))
         sched = SyrkTileScheduler(ctx, problem, t, hosts, alpha=2.0,
                                   beta=0.5)
         sched.run()

@@ -11,7 +11,7 @@ from repro.core.select import candidate_tiles
 from repro.deploy import DeploymentConfig, deploy
 from repro.errors import BlasError, SchedulerError
 from repro.runtime import CoCoPeLiaLibrary
-from repro.runtime.routines import _host_operand
+from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemvTileScheduler
 from repro.sim.device import GpuDevice
 from repro.sim.machine import custom_machine
@@ -96,7 +96,7 @@ class TestGemvTraffic:
         traffic (Section III-C: 'minor working set overlap')."""
         problem = gemv_problem(1024, 2048)
         ctx = CublasContext(GpuDevice(machine.with_noise(0.0)))
-        hosts = {n: _host_operand(problem, n, None) for n in ("A", "x", "y")}
+        hosts = host_operands(problem)
         sched = GemvTileScheduler(ctx, problem, 256, hosts)
         stats = sched.run()
         a_tiles = 4 * 8
@@ -120,7 +120,7 @@ class TestGemvTraffic:
 
         problem = gemm_problem(64, 64, 64)
         ctx = CublasContext(GpuDevice(machine))
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             GemvTileScheduler(ctx, problem, 32, hosts)
 

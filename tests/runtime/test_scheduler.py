@@ -7,7 +7,7 @@ from repro.backend.cublas import CublasContext
 from repro.blas import assert_allclose_blas, ref_axpy, ref_gemm
 from repro.core.params import Loc, axpy_problem, gemm_problem
 from repro.errors import SchedulerError
-from repro.runtime.routines import _host_operand
+from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.sim.device import GpuDevice
 from repro.sim.machine import custom_machine
@@ -24,11 +24,7 @@ def run_gemm_sched(a, b, c, t, locs=(Loc.HOST,) * 3, alpha=1.0, beta=1.0,
     _, n = b.shape
     problem = gemm_problem(m, n, k, a.dtype, *locs)
     ctx = make_ctx(trace)
-    hosts = {
-        "A": _host_operand(problem, "A", a),
-        "B": _host_operand(problem, "B", b),
-        "C": _host_operand(problem, "C", c),
-    }
+    hosts = host_operands(problem, (a, b, c))
     sched = GemmTileScheduler(ctx, problem, t, hosts, alpha=alpha,
                               beta=beta, order=order, use_cache=use_cache)
     stats = sched.run()
@@ -98,17 +94,14 @@ class TestGemmNumerics:
     def test_wrong_routine_rejected(self):
         problem = axpy_problem(100)
         ctx = make_ctx()
-        hosts = {
-            "x": _host_operand(problem, "x", None),
-            "y": _host_operand(problem, "y", None),
-        }
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             GemmTileScheduler(ctx, problem, 10, hosts)
 
     def test_unknown_order_rejected(self, rng):
         problem = gemm_problem(64, 64, 64)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             GemmTileScheduler(ctx, problem, 32, hosts, order="zigzag")
 
@@ -122,7 +115,7 @@ class TestGemmTraffic:
         a = b = c = None  # timing mode
         problem = gemm_problem(*problem_dims)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, t, hosts)
         stats = sched.run()
         tiles_per_matrix = (512 // t) ** 2
@@ -137,7 +130,7 @@ class TestGemmTraffic:
         so exactly 12 probes find a resident tile."""
         problem = gemm_problem(256, 256, 256)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 128, hosts)
         sched.run()
         assert sched.cache.fetches == 12
@@ -147,7 +140,7 @@ class TestGemmTraffic:
     def test_bytes_match_operand_sizes(self):
         problem = gemm_problem(512, 768, 256)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 128, hosts)
         stats = sched.run()
         esize = 8
@@ -160,7 +153,7 @@ class TestGemmTraffic:
         problem = gemm_problem(512, 512, 512, loc_a=Loc.DEVICE,
                                loc_c=Loc.DEVICE)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 128, hosts)
         stats = sched.run()
         tiles = (512 // 128) ** 2
@@ -171,7 +164,7 @@ class TestGemmTraffic:
     def test_no_cache_refetches_inputs(self):
         problem = gemm_problem(512, 512, 512)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 128, hosts, use_cache=False)
         stats = sched.run()
         k = 4 ** 3
@@ -184,7 +177,7 @@ class TestGemmTraffic:
         times = {}
         for use_cache in (True, False):
             ctx = make_ctx()
-            hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+            hosts = host_operands(problem)
             sched = GemmTileScheduler(ctx, problem, 256, hosts,
                                       use_cache=use_cache)
             times[use_cache] = sched.run().seconds
@@ -197,7 +190,7 @@ class TestGemmTiming:
         """The pipeline must beat transfers+compute run serially."""
         problem = gemm_problem(1024, 1024, 1024)
         ctx = make_ctx(trace=True)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 256, hosts)
         stats = sched.run()
         trace = ctx.device.trace
@@ -210,7 +203,7 @@ class TestGemmTiming:
     def test_makespan_at_least_each_engine(self, check_trace):
         problem = gemm_problem(1024, 1024, 1024)
         ctx = make_ctx(trace=True)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 256, hosts)
         stats = sched.run()
         trace = ctx.device.trace
@@ -222,7 +215,7 @@ class TestGemmTiming:
     def test_transfers_overlap_compute(self, check_trace):
         problem = gemm_problem(1024, 1024, 1024)
         ctx = make_ctx(trace=True)
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, 256, hosts)
         sched.run()
         trace = ctx.device.trace
@@ -241,10 +234,7 @@ class TestAxpyScheduler:
         problem = axpy_problem(n)
         ctx = make_ctx()
         yw = y.copy()
-        hosts = {
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", yw),
-        }
+        hosts = host_operands(problem, (x, yw))
         sched = AxpyTileScheduler(ctx, problem, 1 << 14, hosts, alpha=2.5)
         sched.run()
         assert_allclose_blas(yw, expected)
@@ -253,7 +243,7 @@ class TestAxpyScheduler:
     def test_chunk_counts(self):
         problem = axpy_problem(1 << 20)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in ("x", "y")}
+        hosts = host_operands(problem)
         sched = AxpyTileScheduler(ctx, problem, 1 << 18, hosts)
         stats = sched.run()
         assert stats.kernels == 4
@@ -267,10 +257,7 @@ class TestAxpyScheduler:
         y = rng.standard_normal(n)
         problem = axpy_problem(n, loc_y=Loc.DEVICE)
         ctx = make_ctx()
-        hosts = {
-            "x": _host_operand(problem, "x", x),
-            "y": _host_operand(problem, "y", y.copy()),
-        }
+        hosts = host_operands(problem, (x, y.copy()))
         sched = AxpyTileScheduler(ctx, problem, 1 << 14, hosts, alpha=3.0)
         stats = sched.run()
         assert stats.d2h_transfers == 0
@@ -281,7 +268,7 @@ class TestAxpyScheduler:
     def test_wrong_routine_rejected(self):
         problem = gemm_problem(64, 64, 64)
         ctx = make_ctx()
-        hosts = {n: _host_operand(problem, n, None) for n in "ABC"}
+        hosts = host_operands(problem)
         with pytest.raises(SchedulerError):
             AxpyTileScheduler(ctx, problem, 32, hosts)
 
@@ -290,4 +277,4 @@ class TestAxpyScheduler:
         ctx = make_ctx()
         with pytest.raises(SchedulerError, match="missing source"):
             AxpyTileScheduler(ctx, problem, 100,
-                              {"x": _host_operand(problem, "x", None)})
+                              {"x": host_operands(problem)["x"]})

@@ -107,8 +107,8 @@ class TestTileCache:
 
     def test_get_is_a_pure_lookup(self, ctx):
         """get() serves writebacks/read-backs and must not count as a
-        reuse hit — only the fetch-path probes (lookup/get_or_insert)
-        feed the DR-model reuse statistics."""
+        reuse hit — only the fetch-path probe (lookup) feeds the
+        DR-model reuse statistics."""
         cache = TileCache(ctx)
         cache.insert(("C", 0, 0), self._entry(ctx))
         for _ in range(3):
@@ -124,23 +124,6 @@ class TestTileCache:
         assert cache.lookup(("A", 0, 0)) is entry
         assert cache.lookup(("A", 0, 0)) is entry
         assert cache.hits == 2
-
-    def test_fetch_and_hit_counters(self, ctx):
-        cache = TileCache(ctx)
-        entry, resident = cache.get_or_insert(
-            ("A", 0, 0), lambda: self._entry(ctx))
-        assert not resident
-        entry2, resident2 = cache.get_or_insert(
-            ("A", 0, 0), lambda: self._entry(ctx))
-        assert resident2 and entry2 is entry
-        assert cache.fetches == 1
-        assert cache.hits == 1
-
-    def test_resident_bytes(self, ctx):
-        cache = TileCache(ctx)
-        cache.insert(("A", 0, 0), self._entry(ctx, 16))
-        cache.insert(("B", 0, 0), self._entry(ctx, 32))
-        assert cache.resident_bytes() == (16 * 16 + 32 * 32) * 8
 
     def test_free_all_releases_memory(self, ctx):
         cache = TileCache(ctx)
