@@ -737,6 +737,9 @@ class BlasServer:
             self._finish_gpu_batch(state, batch)
 
     def _finish_gpu_batch(self, state: GpuState, batch: _Batch) -> None:
+        # Read before settling, which unlinks a pair whose twin has
+        # already settled.
+        twin = batch.twin
         self._settle_gpu_batch(state.index, batch)
         end = self.sim.now
         service = end - batch.t0
@@ -761,7 +764,6 @@ class BlasServer:
             self._maybe_dispatch(gpu_worker(state.index))
             return
         stats.requests += len(batch.members)
-        twin = batch.twin
         if twin is not None:
             if not twin.settled:
                 twin.cancelled = True
@@ -888,10 +890,18 @@ class BlasServer:
 
     def _settle_gpu_batch(self, index: int, batch: _Batch) -> None:
         """Take a GPU batch out of flight, however it ended: charge its
-        device time so far and fold in its fault counters."""
+        device time so far and fold in its fault counters.
+
+        The watchdog reference is dropped, and a hedge pair is unlinked
+        once both copies have settled, so a settled batch is freed by
+        reference counting (nothing it owns points back at it)."""
         batch.settled = True
         if batch.watchdog is not None:
             batch.watchdog.cancel()
+            batch.watchdog = None
+        twin = batch.twin
+        if twin is not None and twin.settled:
+            batch.twin = twin.twin = None
         if self._inflight.get(index) is batch:
             del self._inflight[index]
         stats = self._stats[index]

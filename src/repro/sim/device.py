@@ -33,7 +33,6 @@ from .stream import (
     KIND_EXEC,
     KIND_H2D,
     ComputeEngine,
-    CudaEvent,
     Operation,
     Stream,
     _complete_operation,
@@ -157,9 +156,6 @@ class GpuDevice:
         self._streams[stream.name] = stream
         return stream
 
-    def record_event(self, stream: Stream) -> CudaEvent:
-        return stream.record_event()
-
     def synchronize(self) -> float:
         """cudaDeviceSynchronize: drain all pending work.
 
@@ -194,15 +190,16 @@ class GpuDevice:
         corrupt: Optional[Callable[[], None]] = None,
     ) -> Operation:
         """Enqueue a host-to-device copy of ``nbytes`` on ``stream``."""
+        op = Operation(KIND_H2D, nbytes=nbytes, tag=tag, payload=payload)
         if self.faults is None:
-            op = Operation(KIND_H2D, nbytes=nbytes, tag=tag, payload=payload)
             stream.enqueue(op, partial(
                 self.link.submit, Direction.H2D, nbytes,
                 on_complete=partial(_complete_operation, op), tag=tag,
             ))
-            return op
-        return self._transfer_async(Direction.H2D, nbytes, stream, tag,
-                                    payload, verify, corrupt)
+        else:
+            stream.enqueue(op, _TransferRetry(self, op, Direction.H2D,
+                                              verify, corrupt).attempt)
+        return op
 
     def memcpy_d2h_async(
         self,
@@ -214,90 +211,15 @@ class GpuDevice:
         corrupt: Optional[Callable[[], None]] = None,
     ) -> Operation:
         """Enqueue a device-to-host copy of ``nbytes`` on ``stream``."""
+        op = Operation(KIND_D2H, nbytes=nbytes, tag=tag, payload=payload)
         if self.faults is None:
-            op = Operation(KIND_D2H, nbytes=nbytes, tag=tag, payload=payload)
             stream.enqueue(op, partial(
                 self.link.submit, Direction.D2H, nbytes,
                 on_complete=partial(_complete_operation, op), tag=tag,
             ))
-            return op
-        return self._transfer_async(Direction.D2H, nbytes, stream, tag,
-                                    payload, verify, corrupt)
-
-    def _transfer_async(
-        self,
-        direction: Direction,
-        nbytes: int,
-        stream: Stream,
-        tag: str,
-        payload: Optional[Callable[[], None]],
-        verify: Optional[Callable[[], bool]] = None,
-        corrupt: Optional[Callable[[], None]] = None,
-    ) -> Operation:
-        """Enqueue a transfer; with faults active, a resilient one.
-
-        ``verify`` re-checksums the destination after the payload copy
-        (compute mode); ``corrupt`` applies the injected silent
-        corruption to the destination.  Both are only consulted when a
-        fault injector is attached.  The resilient path keeps the op
-        *pending* across failed attempts — dependents wait, stream
-        order is preserved — and re-submits with exponential backoff in
-        simulated time; on budget exhaustion the op never completes and
-        synchronize() raises :class:`RetryExhaustedError`.
-        """
-        kind = KIND_H2D if direction is Direction.H2D else KIND_D2H
-        op = Operation(kind, nbytes=nbytes, tag=tag, payload=payload)
-        faults = self.faults
-
-        if faults is None:
-            stream.enqueue(op, partial(
-                self.link.submit, direction, nbytes,
-                on_complete=partial(_complete_operation, op), tag=tag,
-            ))
-            return op
-
-        policy = self.retry_policy
-
-        def attempt() -> None:
-            op.attempts += 1
-            self.link.submit(
-                direction,
-                nbytes,
-                on_complete=landed,
-                on_fault=lambda: retry_or_park("transient transfer failure"),
-                tag=tag,
-            )
-
-        def landed() -> None:
-            # Bytes arrived: run the data copy, then model silent
-            # corruption.  A re-fetch re-runs the payload, which
-            # overwrites the corrupted destination with good data.
-            if op.payload is not None:
-                op.payload()
-            corrupted = faults.corrupts_transfer()
-            if corrupted and corrupt is not None:
-                corrupt()
-            # Compute mode detects corruption by checksum mismatch;
-            # timing mode (no arrays to checksum) detects it directly.
-            detected = (not verify()) if verify is not None else corrupted
-            if detected:
-                self.resilience.refetches += 1
-                retry_or_park("tile corruption", is_refetch=True)
-                return
-            op.payload = None  # already ran; don't run it again
-            _complete_operation(op)
-
-        def retry_or_park(reason: str, is_refetch: bool = False) -> None:
-            if op.attempts >= policy.max_attempts:
-                self._fault_failures.append(
-                    RetryExhaustedError(tag or kind, op.attempts, reason)
-                )
-                return
-            if not is_refetch:
-                self.resilience.retries += 1
-            self.sim.schedule(policy.backoff(op.attempts), attempt)
-
-        stream.enqueue(op, attempt)
+        else:
+            stream.enqueue(op, _TransferRetry(self, op, Direction.D2H,
+                                              verify, corrupt).attempt)
         return op
 
     def launch_async(
@@ -318,37 +240,10 @@ class GpuDevice:
             raise SimulationError(f"negative kernel duration: {duration}")
         op = Operation(KIND_EXEC, duration=duration, flops=flops, tag=tag,
                        payload=payload)
-        faults = self.faults
-
-        if faults is None:
+        if self.faults is None:
             stream.enqueue(op, partial(self.compute.submit, op))
-            return op
-
-        policy = self.retry_policy
-
-        def attempt() -> None:
-            op.attempts += 1
-            if faults.kernel_faults():
-                op.fault = True
-                op.duration = faulted_kernel_time(duration)
-                op.on_fault = aborted
-            else:
-                op.fault = False
-                op.duration = duration
-                op.on_fault = None
-            self.compute.submit(op)
-
-        def aborted() -> None:
-            if op.attempts >= policy.max_attempts:
-                self._fault_failures.append(
-                    RetryExhaustedError(tag or KIND_EXEC, op.attempts,
-                                        "kernel fault")
-                )
-                return
-            self.resilience.kernel_retries += 1
-            self.sim.schedule(policy.backoff(op.attempts), attempt)
-
-        stream.enqueue(op, attempt)
+        else:
+            stream.enqueue(op, _KernelRetry(self, op, duration).attempt)
         return op
 
     # ------------------------------------------------------------------
@@ -366,3 +261,120 @@ class GpuDevice:
             f"<GpuDevice {self.config.name} t={self.sim.now:.6f}s "
             f"mem={self._used_bytes}/{self.config.gpu_mem_bytes}>"
         )
+
+
+class _Retry:
+    """Re-submits one fault-injected op until it lands or its budget
+    is spent.
+
+    Only callbacks point at a retry object: the op's dispatch and
+    fault hooks, a link job, a pending backoff event.  Each is dropped
+    once it fires, so a settled op and its retry are freed by
+    reference counting, with no cycle through the op.
+    """
+
+    __slots__ = ("device", "op")
+
+    def __init__(self, device: GpuDevice, op: Operation) -> None:
+        self.device = device
+        self.op = op
+
+    def _retry_or_park(self, reason: str) -> bool:
+        """Schedule the subclass's next ``attempt`` after backoff and
+        return True; once the budget is spent, park a
+        :class:`RetryExhaustedError` on the device (synchronize raises
+        it) and return False."""
+        op = self.op
+        device = self.device
+        policy = device.retry_policy
+        if op.attempts >= policy.max_attempts:
+            device._fault_failures.append(
+                RetryExhaustedError(op.tag or op.kind, op.attempts, reason))
+            return False
+        device.sim.schedule(policy.backoff(op.attempts), self.attempt)
+        return True
+
+
+class _TransferRetry(_Retry):
+    """A transfer that may fail on the link or land corrupted.
+
+    ``verify`` re-checksums the destination after the payload copy
+    (compute mode); ``corrupt`` applies the injected silent corruption
+    to the destination.  The op stays *pending* across failed attempts
+    (dependents wait, stream order is preserved) and is re-submitted
+    with exponential backoff in simulated time; on budget exhaustion it
+    never completes and synchronize() raises
+    :class:`RetryExhaustedError`.
+    """
+
+    __slots__ = ("direction", "verify", "corrupt")
+
+    def __init__(self, device: GpuDevice, op: Operation,
+                 direction: Direction,
+                 verify: Optional[Callable[[], bool]],
+                 corrupt: Optional[Callable[[], None]]) -> None:
+        super().__init__(device, op)
+        self.direction = direction
+        self.verify = verify
+        self.corrupt = corrupt
+
+    def attempt(self) -> None:
+        op = self.op
+        op.attempts += 1
+        self.device.link.submit(self.direction, op.nbytes,
+                                on_complete=self.landed,
+                                on_fault=self.failed, tag=op.tag)
+
+    def failed(self) -> None:
+        if self._retry_or_park("transient transfer failure"):
+            self.device.resilience.retries += 1
+
+    def landed(self) -> None:
+        # Bytes arrived: run the data copy, then model silent
+        # corruption.  A re-fetch re-runs the payload, which
+        # overwrites the corrupted destination with good data.
+        op = self.op
+        if op.payload is not None:
+            op.payload()
+        corrupted = self.device.faults.corrupts_transfer()
+        if corrupted and self.corrupt is not None:
+            self.corrupt()
+        # Compute mode detects corruption by checksum mismatch;
+        # timing mode (no arrays to checksum) detects it directly.
+        verify = self.verify
+        detected = (not verify()) if verify is not None else corrupted
+        if detected:
+            self.device.resilience.refetches += 1
+            self._retry_or_park("tile corruption")
+            return
+        op.payload = None  # already ran; don't run it again
+        _complete_operation(op)
+
+
+class _KernelRetry(_Retry):
+    """A kernel launch that may abort partway through."""
+
+    __slots__ = ("duration",)
+
+    def __init__(self, device: GpuDevice, op: Operation,
+                 duration: float) -> None:
+        super().__init__(device, op)
+        #: the ground-truth duration; ``op.duration`` is per attempt
+        self.duration = duration
+
+    def attempt(self) -> None:
+        op = self.op
+        op.attempts += 1
+        if self.device.faults.kernel_faults():
+            op.fault = True
+            op.duration = faulted_kernel_time(self.duration)
+            op.on_fault = self.aborted
+        else:
+            op.fault = False
+            op.duration = self.duration
+            op.on_fault = None
+        self.device.compute.submit(op)
+
+    def aborted(self) -> None:
+        if self._retry_or_park("kernel fault"):
+            self.device.resilience.kernel_retries += 1

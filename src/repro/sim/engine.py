@@ -29,11 +29,13 @@ class ScheduledEvent:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped."""
-        self.cancelled = True
+        """Mark the event as cancelled; it will be skipped when popped.
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        The callback is dropped now rather than when the entry leaves
+        the heap, so whatever it captured is freed at cancellation.
+        """
+        self.cancelled = True
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -17,13 +17,17 @@ rescheduled at the new rate.  This is what produces the partial-overlap
 behaviour of the paper's Eq. 3 as *ground truth*.
 
 Hot-path notes: this module fires a handful of callbacks per simulated
-transfer, so the inner machinery avoids per-event allocations and
-per-call lookups — direction state is held in plain slotted objects
-linked via ``other`` (no enum-keyed dict on the transfer path), the
-latency/flow/completion callbacks are bound once per direction instead
-of a fresh lambda per event, and metric handles are resolved at
-construction.  The event timing and firing order are identical to the
-original implementation.
+transfer, so the inner machinery avoids per-call lookups — direction
+state is held in plain slotted objects (no enum-keyed dict on the
+transfer path) and metric handles are resolved at construction.
+
+Ownership: the link owns its two direction states and nothing points
+back up.  A state does not know its opposite (the link picks it), and
+each latency/flow/completion event gets a fresh ``partial`` bound to
+the link instead of one stored on the state.  Only the state's
+``completion`` handle keeps an event past its firing, and it is
+cancelled or cleared as the transfer moves on, so a link whose
+transfers have drained is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ class Direction(enum.Enum):
 
     H2D = "h2d"
     D2H = "d2h"
-
-    @property
-    def opposite(self) -> "Direction":
-        return Direction.D2H if self is Direction.H2D else Direction.H2D
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,10 @@ class DirectionStats:
 
 class _DirectionState:
     __slots__ = (
-        "cfg",
         "name",
         "latency",
         "bandwidth",
         "slowdown",
-        "other",
         "queue",
         "active",
         "phase",
@@ -150,8 +148,6 @@ class _DirectionState:
         "last_update",
         "rate",
         "stats",
-        "begin_flow_cb",
-        "complete_cb",
         "m_transfers",
         "m_bytes",
         "m_faults",
@@ -159,13 +155,11 @@ class _DirectionState:
     )
 
     def __init__(self, cfg: LinkDirectionConfig, name: str) -> None:
-        self.cfg = cfg
         self.name = name
         # Scalar copies of the config, read on every event.
         self.latency = cfg.latency
         self.bandwidth = cfg.bandwidth
         self.slowdown = cfg.bid_slowdown
-        self.other: "_DirectionState" = self  # rebound by DuplexLink
         self.queue: Deque[_Job] = deque()
         self.active: Optional[_Job] = None
         self.phase = _IDLE
@@ -173,10 +167,7 @@ class _DirectionState:
         self.last_update = 0.0
         self.rate = 0.0
         self.stats = DirectionStats()
-        # Bound per-direction callbacks (one allocation per link, not
-        # one per event) and prefetched metric handles (None = off).
-        self.begin_flow_cb: Callable[[], None] = lambda: None
-        self.complete_cb: Callable[[], None] = lambda: None
+        # Prefetched metric handles (None = off).
         self.m_transfers = None
         self.m_bytes = None
         self.m_faults = None
@@ -206,8 +197,6 @@ class DuplexLink:
                               else (Direction.H2D.value, Direction.D2H.value))
         self._h2d = _DirectionState(h2d, h2d_name)
         self._d2h = _DirectionState(d2h, d2h_name)
-        self._h2d.other = self._d2h
-        self._d2h.other = self._h2d
         self._dirs: Dict[Direction, _DirectionState] = {
             Direction.H2D: self._h2d,
             Direction.D2H: self._d2h,
@@ -217,18 +206,13 @@ class DuplexLink:
         self._faults = faults
         #: duck-typed MetricsRegistry (repro.obs.metrics); None = off
         self._metrics = metrics
-        for st in (self._h2d, self._d2h):
-            st.begin_flow_cb = partial(self._begin_flow, st)
-            st.complete_cb = partial(self._complete, st)
-            if metrics is not None:
+        if metrics is not None:
+            for st in (self._h2d, self._d2h):
                 prefix = f"sim.{st.name}"
                 st.m_transfers = metrics.counter(f"{prefix}.transfers")
                 st.m_bytes = metrics.counter(f"{prefix}.bytes")
                 st.m_faults = metrics.counter(f"{prefix}.faults")
                 st.m_queue_wait = metrics.histogram(f"{prefix}.queue_wait")
-
-    def config(self, direction: Direction) -> LinkDirectionConfig:
-        return self._dirs[direction].cfg
 
     def stats(self, direction: Direction) -> DirectionStats:
         return self._dirs[direction].stats
@@ -236,9 +220,6 @@ class DuplexLink:
     def queue_depth(self, direction: Direction) -> int:
         st = self._dirs[direction]
         return len(st.queue) + (1 if st.active is not None else 0)
-
-    def is_flowing(self, direction: Direction) -> bool:
-        return self._dirs[direction].phase == _FLOW
 
     def submit(
         self,
@@ -287,14 +268,11 @@ class DuplexLink:
         latency = st.latency
         if self._noise is not None:
             latency *= self._noise.latency_factor()
-        st.completion = self._sim.schedule(latency, st.begin_flow_cb)
+        st.completion = self._sim.schedule(
+            latency, partial(self._begin_flow, st))
 
-    def _current_rate(self, st: _DirectionState) -> float:
-        """Byte rate for the direction given both directions' phases."""
-        rate = st.bandwidth
-        if st.other.phase == _FLOW:
-            rate /= st.slowdown
-        return rate * st.active.rate_scale
+    def _other(self, st: _DirectionState) -> _DirectionState:
+        return self._d2h if st is self._h2d else self._h2d
 
     def _begin_flow(self, st: _DirectionState) -> None:
         if st.active is None:
@@ -307,16 +285,20 @@ class DuplexLink:
             return
         self._reschedule(st)
         # The opposite direction just gained a contender: slow it down.
-        self._replan(st.other)
+        self._replan(self._other(st))
 
     def _reschedule(self, st: _DirectionState) -> None:
         """(Re)compute the completion event from current remaining bytes."""
         if st.completion is not None:
-            st.completion.cancelled = True
-        rate = self._current_rate(st)
+            st.completion.cancel()
+        # Byte rate given both directions' phases.
+        rate = st.bandwidth
+        if self._other(st).phase == _FLOW:
+            rate /= st.slowdown
+        rate *= st.active.rate_scale
         st.rate = rate
         st.completion = self._sim.schedule(
-            st.active.remaining / rate, st.complete_cb
+            st.active.remaining / rate, partial(self._complete, st)
         )
 
     def _accrue(self, st: _DirectionState, elapsed: float) -> None:
@@ -380,7 +362,7 @@ class DuplexLink:
                 nbytes=job.nbytes,
             )
         # The opposite direction lost its contender: speed it up.
-        self._replan(st.other)
+        self._replan(self._other(st))
         if job.fail:
             if job.on_fault is not None:
                 job.on_fault()

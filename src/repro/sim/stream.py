@@ -108,11 +108,18 @@ class Operation:
             self.callbacks.append(fn)
 
     def _dispatch(self) -> None:
-        """Hand the op to its engine, exactly once."""
+        """Hand the op to its engine, exactly once.
+
+        The dispatch callback usually captures this op, so it is
+        dropped before it runs: an op never points at its own closure,
+        and a finished op is freed by reference counting alone.
+        """
         if self.issued:
             raise StreamError(f"operation dispatched twice: {self!r}")
         self.issued = True
-        self._dispatch_fn()
+        dispatch = self._dispatch_fn
+        self._dispatch_fn = None
+        dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("issued" if self.issued else "pending")
@@ -211,6 +218,7 @@ class ComputeEngine:
             # completed; the device's retry machinery re-submits it.
             on_fault = op.on_fault
             if on_fault is not None:
+                op.on_fault = None
                 on_fault()
         else:
             _complete_operation(op)
@@ -238,13 +246,19 @@ def _complete_operation(op: Operation) -> None:
 
 
 class Stream:
-    """An in-order queue of device operations (a CUDA stream)."""
+    """An in-order queue of device operations (a CUDA stream).
 
-    __slots__ = ("_device", "name", "_last", "_pending_waits",
+    A stream keeps the device's simulator and fault-failure list, not
+    the device: the device owns its streams, and nothing points back.
+    """
+
+    __slots__ = ("_sim", "_failures", "name", "_last", "_pending_waits",
                  "ops_enqueued")
 
     def __init__(self, device, name: str = "") -> None:
-        self._device = device
+        self._sim: Simulator = device.sim
+        #: RetryExhaustedErrors the device's retry chains park here
+        self._failures: List[Exception] = device._fault_failures
         self.name = name or f"stream{next(_op_ids)}"
         self._last: Optional[Operation] = None
         self._pending_waits: List[Operation] = []
@@ -308,11 +322,10 @@ class Stream:
         last = self._last
         if last is None:
             return
-        self._device.sim.run_done(last)
+        self._sim.run_done(last)
         if not last.done:
-            failures = getattr(self._device, "_fault_failures", None)
-            if failures:
-                raise failures[0]
+            if self._failures:
+                raise self._failures[0]
             raise StreamError(
                 f"stream {self.name!r} did not drain: dependency deadlock"
             )
