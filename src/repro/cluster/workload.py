@@ -1,15 +1,17 @@
 """Cluster-scale open-loop workload: streamed, phased, memory-bounded.
 
-The single-node generator (:mod:`repro.serve.workload`) materializes
-its whole request list and builds a fresh :class:`CoCoProblem` per
-request — fine for thousands of requests, hopeless for the million-
-request traces the cluster benchmark sustains.  This generator
+The single-node generator (:mod:`repro.serve.workload`) draws one
+request at a time and materializes its whole request list — fine for
+thousands of requests, hopeless for the million-request traces the
+cluster benchmark sustains.  This generator
 
 * pre-draws every random factor **vectorized** into flat numpy arrays
   (a million float64 arrivals is 8 MB, not a million Python objects),
-* *memoizes problems*: all requests at one (routine, dims) share one
-  immutable :class:`CoCoProblem`, so the problem pool stays a few
-  dozen objects regardless of trace length, and
+* shares problems through the same
+  :class:`~repro.serve.workload.ProblemPool` as the single-node
+  generator: all requests at one (routine, dims) share one
+  :class:`CoCoProblem`, so the pool stays a few dozen objects
+  regardless of trace length, and
 * yields :class:`~repro.serve.request.Request` objects lazily, in
   arrival order, so peak live requests are bounded by fleet backlog
   (the coordinator drops them once terminal), not trace length.
@@ -28,18 +30,17 @@ queues → scale-up), and a lull (scale-down).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.params import CoCoProblem, axpy_problem, gemm_problem
 from ..serve.request import Request, ServeError
 from ..serve.workload import (
     ARRIVAL_KINDS,
+    ProblemPool,
     WorkloadSpec,
     _FACTOR_STREAMS,
     _size_pools,
-    reference_time,
 )
 
 
@@ -156,36 +157,22 @@ def iter_cluster_workload(spec: ClusterWorkloadSpec) -> Iterator[Request]:
     has_deadline = rngs["deadline"].random(n) < spec.deadline_fraction
     slacks = rngs["deadline"].uniform(spec.slack_lo, spec.slack_hi, n)
 
-    # Memoized problem pool: every request at one (routine, dims)
-    # shares one immutable CoCoProblem and one reference_time.
-    pool: Dict[Tuple, Tuple[CoCoProblem, float]] = {}
-
-    def _pooled(key: Tuple) -> Tuple[CoCoProblem, float]:
-        entry = pool.get(key)
-        if entry is None:
-            if key[0] == "axpy":
-                problem = axpy_problem(key[1], np.float64)
-            else:
-                problem = gemm_problem(*key[1:], np.float64)
-            entry = (problem, reference_time(problem))
-            pool[key] = entry
-        return entry
-
+    pool = ProblemPool()
     for i in range(n):
         group: Optional[str] = None
         if is_axpy[i]:
-            key = ("axpy", axpy_sizes[int(size_ix[i]) % len(axpy_sizes)])
+            key = ("axpy", (axpy_sizes[int(size_ix[i]) % len(axpy_sizes)],))
         elif size_u[i] < spec.small_fraction:
             # A weight group is one model: its shared A operand has ONE
             # shape, bound to the group id — so every two requests of a
             # group are batchable (same M, K) and its weight-cache entry
             # is a single residency key.
             g = int(groups[i])
-            key = ("gemm",) + small[g % len(small)]
+            key = ("gemm", small[g % len(small)])
             group = f"g{g}"
         else:
-            key = ("gemm",) + large[int(size_ix[i]) % len(large)]
-        problem, t_ref = _pooled(key)
+            key = ("gemm", large[int(size_ix[i]) % len(large)])
+        problem, t_ref = pool[key]
         deadline: Optional[float] = None
         arrival = float(arrivals[i])
         if has_deadline[i]:

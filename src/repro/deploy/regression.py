@@ -8,18 +8,122 @@ Implements the paper's two statistical procedures:
   p-values;
 * repetition of every measurement "until the 95% confidence interval of
   the mean falls within 5% of the reported mean value".
+
+Both need only the Student-t distribution at integer degrees of
+freedom, computed here to a few ulps from the regularized incomplete
+beta function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import DeploymentError
+
+_EPS = 2.0 ** -53
+_TINY = 1e-300
+
+
+@lru_cache(maxsize=None)
+def _beta_half(dof: int) -> float:
+    """B(dof/2, 1/2), by the recurrence B(a+1, b) = B(a, b) * a/(a+b)."""
+    beta, a = (math.pi, 0.5) if dof % 2 else (2.0, 1.0)
+    while a < 0.5 * dof:
+        beta *= a / (a + 0.5)
+        a += 1.0
+    return beta
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) (modified Lentz); converges fast
+    for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 10_000):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x
+                   / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+    raise DeploymentError(f"incomplete beta did not converge: {a}, {b}, {x}")
+
+
+def t_sf(t: float, dof: int) -> float:
+    """Survival function P(T > t) of Student's t with ``dof`` degrees
+    of freedom: ``I_x(dof/2, 1/2) / 2`` with ``x = dof / (dof + t**2)``."""
+    if dof < 1:
+        raise DeploymentError(f"Student t needs dof >= 1, got {dof}")
+    if math.isnan(t):
+        return math.nan
+    if t < 0.0:
+        return 1.0 - t_sf(-t, dof)
+    if t == math.inf:
+        return 0.0
+    a, tt = 0.5 * dof, t * t
+    x, y = dof / (dof + tt), tt / (dof + tt)  # y = 1 - x, no cancellation
+    front = x ** a * math.sqrt(y) / _beta_half(dof)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _beta_cf(a, 0.5, x) / a
+    return 0.5 - front * _beta_cf(0.5, a, y)
+
+
+def _t_pdf(t: float, dof: int) -> float:
+    return (1.0 + t * t / dof) ** (-0.5 * (dof + 1)) / (
+        math.sqrt(dof) * _beta_half(dof))
+
+
+@lru_cache(maxsize=None)
+def _t_isf(p: float, dof: int) -> float:
+    """The t >= 0 with ``t_sf(t, dof) == p``, for 0 < p <= 1/2: Newton
+    steps on the sf, kept inside a bisection bracket."""
+    lo, hi = 0.0, 1.0
+    while t_sf(hi, dof) > p:
+        lo, hi = hi, 2.0 * hi
+    t = 0.5 * (lo + hi)
+    while True:
+        f = t_sf(t, dof) - p
+        if f == 0.0:
+            return t
+        if f > 0.0:
+            lo = t
+        else:
+            hi = t
+        nxt = t + f / _t_pdf(t, dof)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt in (lo, hi):
+            return t
+        t = nxt
+
+
+def t_ppf(q: float, dof: int) -> float:
+    """Quantile of Student's t with ``dof`` degrees of freedom."""
+    if not 0.0 < q < 1.0:
+        raise DeploymentError(f"quantile level outside (0, 1): {q}")
+    if dof < 1:
+        raise DeploymentError(f"Student t needs dof >= 1, got {dof}")
+    if q == 0.5:
+        return 0.0
+    if q < 0.5:
+        return -_t_isf(q, dof)
+    return _t_isf(1.0 - q, dof)
+
+
+def sem(samples: Sequence[float]) -> float:
+    """Standard error of the mean: ``std(ddof=1) / sqrt(n)``."""
+    arr = np.asarray(samples, dtype=np.float64)
+    return float(arr.std(ddof=1) / arr.size ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -68,7 +172,7 @@ def zero_intercept_lstsq(x: Sequence[float], y: Sequence[float]) -> RegressionRe
         p_value = 0.0
     else:
         t_stat = abs(slope) / se_slope
-        p_value = float(2.0 * stats.t.sf(t_stat, dof))
+        p_value = 2.0 * t_sf(t_stat, dof)
     return RegressionResult(slope=slope, rse=rse, p_value=p_value, n=n)
 
 
@@ -80,11 +184,10 @@ def confidence_interval(
     if arr.size < 2:
         raise DeploymentError(f"need >= 2 samples for a CI, got {arr.size}")
     mean = float(arr.mean())
-    sem = float(stats.sem(arr))
-    if sem == 0.0:
+    se = sem(arr)
+    if se == 0.0:
         return mean, 0.0
-    half = float(sem * stats.t.ppf((1.0 + confidence) / 2.0, arr.size - 1))
-    return mean, half
+    return mean, se * t_ppf((1.0 + confidence) / 2.0, arr.size - 1)
 
 
 def measure_until_stable(

@@ -17,7 +17,7 @@ host-crossover paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,19 @@ def reference_time(problem: CoCoProblem) -> float:
     """Model-free service-time scale used for deadline budgets."""
     return (problem.flops() / _REF_FLOPS
             + problem.total_bytes() / _REF_BYTES_PER_S)
+
+
+class ProblemPool(dict):
+    """``(routine, dims)`` → one shared float64 ``(CoCoProblem,
+    reference_time)``, built on first use: a trace of any length holds
+    a few dozen problems."""
+
+    def __missing__(self, key: Tuple[str, Tuple[int, ...]]):
+        routine, dims = key
+        make = axpy_problem if routine == "axpy" else gemm_problem
+        problem = make(*dims, np.float64)
+        entry = self[key] = (problem, reference_time(problem))
+        return entry
 
 
 @dataclass(frozen=True)
@@ -141,29 +154,29 @@ def generate_workload(spec: WorkloadSpec) -> List[Request]:
     arrivals = _arrival_times(spec, rngs["arrival"])
     large, small, axpy_sizes = _size_pools(spec)
 
+    pool = ProblemPool()
     requests: List[Request] = []
     for req_id, arrival in enumerate(arrivals):
-        is_axpy = float(rngs["routine"].random()) < spec.axpy_fraction
+        routine = "gemm"
         group: Optional[str] = None
-        if is_axpy:
-            n = int(rngs["size"].choice(len(axpy_sizes)))
-            problem = axpy_problem(axpy_sizes[n], np.float64)
+        if float(rngs["routine"].random()) < spec.axpy_fraction:
+            routine = "axpy"
+            dims = (axpy_sizes[int(rngs["size"].integers(len(axpy_sizes)))],)
+        elif float(rngs["size"].random()) < spec.small_fraction:
+            dims = small[int(rngs["size"].integers(len(small)))]
+            # Small gemms share weights: the A operand is a group's
+            # "model", enabling batching and locality-aware placement.
+            group = f"g{int(rngs['group'].integers(spec.n_groups))}"
         else:
-            if float(rngs["size"].random()) < spec.small_fraction:
-                dims = small[int(rngs["size"].choice(len(small)))]
-                # Small gemms share weights: the A operand is a group's
-                # "model", enabling batching and locality-aware placement.
-                group = f"g{int(rngs['group'].integers(spec.n_groups))}"
-            else:
-                dims = large[int(rngs["size"].choice(len(large)))]
-            problem = gemm_problem(*dims, np.float64)
+            dims = large[int(rngs["size"].integers(len(large)))]
+        problem, t_ref = pool[routine, dims]
 
         priority = int(rngs["priority"].integers(spec.n_priorities))
         deadline: Optional[float] = None
         if float(rngs["deadline"].random()) < spec.deadline_fraction:
             slack = float(rngs["deadline"].uniform(spec.slack_lo,
                                                    spec.slack_hi))
-            deadline = arrival + slack * reference_time(problem)
+            deadline = arrival + slack * t_ref
 
         requests.append(Request(req_id=req_id, problem=problem,
                                 arrival=arrival, priority=priority,

@@ -1,0 +1,83 @@
+"""Deployments pinned to a recorded golden, at quick and paper scale.
+
+For both testbeds the golden holds the repetition count of every
+``measure_until_stable`` call (in call order), the sha256 of the
+deployed ``MachineModels.to_dict()`` JSON without its slope p-values,
+and those p-values.  Everything but the p-values must match exactly.
+The p-values depend on the last few ulps of the Student-t survival
+function, which no two implementations share (they differ from the
+exact value by up to ~30 ulps in the deep tail), so they are held to
+``P_VALUE_REL`` of the recorded value.
+
+Re-record (only when a deliberate model change moves the database)::
+
+    PYTHONPATH=src python tests/deploy/test_deploy_golden.py
+"""
+
+import hashlib
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_deploy.json"
+SCALES = ("quick", "paper")
+TESTBEDS = ("testbed_i", "testbed_ii")
+P_VALUE_KEYS = ("p_value", "p_value_bid")
+P_VALUE_REL = 1e-14
+
+
+def deploy_record(scale, name, monkeypatch):
+    """The golden entry for a forced ``models_for`` deploy."""
+    from repro.deploy import exec_bench, microbench, regression
+    from repro.experiments.harness import models_for
+    from repro.sim.machine import get_testbed
+
+    counts = []
+
+    def counting(*args, **kwargs):
+        mean, samples = regression.measure_until_stable(*args, **kwargs)
+        counts.append(len(samples))
+        return mean, samples
+
+    for module in (microbench, exec_bench):
+        monkeypatch.setattr(module, "measure_until_stable", counting)
+    doc = models_for(get_testbed(name), scale, force=True).to_dict()
+    p_values = {f"{direction}/{key}": link.pop(key)
+                for direction, link in doc["link"].items()
+                for key in P_VALUE_KEYS}
+    text = json.dumps(doc, sort_keys=True)
+    return {"counts": counts, "p_values": p_values,
+            "models_sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", TESTBEDS)
+def test_deploy_matches_golden(scale, name, golden, monkeypatch):
+    got = deploy_record(scale, name, monkeypatch)
+    want = golden[scale][name]
+    assert got["counts"] == want["counts"]
+    assert got["models_sha256"] == want["models_sha256"]
+    assert got["p_values"].keys() == want["p_values"].keys()
+    for key, p in want["p_values"].items():
+        assert got["p_values"][key] == pytest.approx(
+            p, rel=P_VALUE_REL, abs=0), key
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        record = {scale: {name: deploy_record(scale, name, mp)
+                          for name in TESTBEDS} for scale in SCALES}
+    text = json.dumps(record, indent=1, sort_keys=True)
+    # One line per list of repetition counts.
+    text = re.sub(r"\[\s+([\d,\s]+?)\s+\]",
+                  lambda m: "[" + " ".join(m.group(1).split()) + "]", text)
+    GOLDEN.write_text(text + "\n")
+    print(f"wrote {GOLDEN}")

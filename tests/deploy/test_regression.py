@@ -6,6 +6,9 @@ import pytest
 from repro.deploy.regression import (
     confidence_interval,
     measure_until_stable,
+    sem,
+    t_ppf,
+    t_sf,
     zero_intercept_lstsq,
 )
 from repro.errors import DeploymentError
@@ -70,18 +73,77 @@ class TestConfidenceInterval:
         assert half_large < half_small
 
     def test_matches_scipy_t(self):
-        from scipy import stats
+        stats = pytest.importorskip("scipy.stats")
 
         samples = [1.0, 2.0, 3.0, 4.0, 5.0]
         mean, half = confidence_interval(samples, 0.95)
-        sem = stats.sem(samples)
-        expected = sem * stats.t.ppf(0.975, 4)
+        expected = stats.sem(samples) * stats.t.ppf(0.975, 4)
         assert mean == 3.0
-        assert half == pytest.approx(expected)
+        assert half == _close(expected)
 
     def test_single_sample_rejected(self):
         with pytest.raises(DeploymentError):
             confidence_interval([1.0])
+
+
+def _close(want, rel=1e-12):
+    return pytest.approx(want, rel=rel, abs=0)
+
+
+class TestStudentT:
+    """The exact Student-t against scipy, the test oracle."""
+
+    DOFS = range(1, 400)
+    LEVELS = (0.9, 0.95, 0.975, 0.995)
+    T_GRID = np.geomspace(1e-3, 1e3, 61)
+
+    def test_ppf_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in self.DOFS:
+            for q in self.LEVELS:
+                want = stats.t.ppf(q, dof)
+                assert t_ppf(q, dof) == _close(want), (q, dof)
+                assert t_ppf(1.0 - q, dof) == _close(-want), (1.0 - q, dof)
+
+    def test_sf_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        checked = 0
+        for dof in self.DOFS:
+            for t, want in zip(self.T_GRID, stats.t.sf(self.T_GRID, dof)):
+                if want < 1e-300:
+                    continue
+                assert t_sf(float(t), dof) == _close(want), (t, dof)
+                assert t_sf(-float(t), dof) == _close(1.0 - want), (-t, dof)
+                checked += 1
+        assert checked > 0.9 * len(self.DOFS) * len(self.T_GRID)
+
+    def test_sem_bit_equal_to_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5, 17, 200):
+            samples = rng.lognormal(-7.0, 0.3, n)
+            assert sem(samples) == stats.sem(samples)
+
+    def test_special_points(self):
+        assert t_sf(0.0, 7) == 0.5
+        assert t_sf(np.inf, 7) == 0.0
+        assert t_sf(-np.inf, 7) == 1.0
+        assert t_ppf(0.5, 7) == 0.0
+        # dof 1 is Cauchy, dof 2 has a closed form.
+        assert t_sf(1.0, 1) == _close(0.25, rel=1e-15)
+        assert t_ppf(0.975, 2) == _close(
+            (2.0 / (4 * 0.975 * 0.025) - 2.0) ** 0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
+    def test_bad_level_rejected(self, q):
+        with pytest.raises(DeploymentError):
+            t_ppf(q, 3)
+
+    def test_bad_dof_rejected(self):
+        with pytest.raises(DeploymentError):
+            t_sf(1.0, 0)
+        with pytest.raises(DeploymentError):
+            t_ppf(0.9, 0)
 
 
 class TestMeasureUntilStable:
