@@ -229,15 +229,11 @@ class ClusterCoordinator:
             else:
                 self._anomalies.append(
                     _View(rid, request.state, request.completions))
-        if (request.state is RequestState.DONE
-                and request.predicted_seconds is not None):
-            # Percentile-admission mode feeds the autoscaler's service
-            # EWMA the tail-inflated estimate: capacity decisions then
+        if request.state is RequestState.DONE:
+            # The autoscaler's service EWMA takes the admission
+            # estimate: under percentile admission, capacity decisions
             # provision for the p-th percentile demand, not the mean.
-            est = (request.predicted_tail_seconds
-                   if request.predicted_tail_seconds is not None
-                   else request.predicted_seconds)
-            self.autoscaler.observe_service(est)
+            self.autoscaler.observe_service(request.admission_seconds)
 
     # -- migration --------------------------------------------------------
 

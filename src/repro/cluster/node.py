@@ -105,17 +105,13 @@ class ClusterNode:
         return max(self._pred_in_system, 0.0)
 
     def _charge(self, request: Request) -> None:
-        placement = self.server.dispatcher.place(request,
-                                                 self.server.sim.now)
-        if placement is None:
-            est = 0.0
-        elif placement.tail_seconds is not None:
-            # Percentile-admission mode: the backlog ledger carries the
-            # tail-inflated estimate, so the router's spill decisions
-            # see the pessimistic (p-th percentile) queue, not the mean.
-            est = placement.tail_seconds
-        else:
-            est = placement.predicted_seconds
+        # A preview takes no round-robin turn: the server's own arrival
+        # takes it.  The ledger carries the admission estimate, so under
+        # percentile admission the router's spill decisions see the
+        # pessimistic (p-th percentile) queue, not the mean.
+        placement = self.server.dispatcher.preview(request,
+                                                   self.server.sim.now)
+        est = 0.0 if placement is None else placement.admission_seconds
         self._pred_in_system += est
         self._pred_by_id[request.req_id] = est
 

@@ -72,10 +72,6 @@ class OperandInstance:
         n2 = 1 if self.is_vector else math.ceil(self.s2 / t)
         return n1 * n2
 
-    def tile_elements(self, t: int) -> int:
-        """Elements in one full tile of this operand."""
-        return t if self.is_vector else t * t
-
 
 class CoCoProblem:
     """One BLAS invocation: everything the models need to know."""
@@ -160,9 +156,6 @@ class CoCoProblem:
     def bytes_to_fetch(self) -> int:
         """Total bytes that must cross h2d under full reuse."""
         return sum(op.elements() for op in self.fetched_operands()) * self.elem_size
-
-    def bytes_to_write_back(self) -> int:
-        return sum(op.elements() for op in self.written_operands()) * self.elem_size
 
     def signature(self) -> Tuple:
         """Hashable identity used for model/tile-choice caching.

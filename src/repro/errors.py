@@ -62,10 +62,6 @@ class RetryExhaustedError(PermanentFaultError):
         super().__init__(msg)
 
 
-class TileCorruptionError(TransientFaultError):
-    """A tile's checksum did not match after a transfer."""
-
-
 class DeviceMemoryError(SimulationError, TransientFaultError):
     """A device allocation exceeded the simulated GPU memory capacity.
 

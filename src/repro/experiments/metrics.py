@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,23 +102,3 @@ def speedup(time_baseline: float, time_new: float) -> float:
     if time_new <= 0 or time_baseline <= 0:
         raise ReproError("speedup requires positive times")
     return time_baseline / time_new
-
-
-def overlap_summary(trace, predicted_seconds: Optional[float] = None,
-                    model: Optional[str] = None) -> dict:
-    """Achieved-overlap report for one traced run, as a plain dict.
-
-    Bridges the evaluation layer to the observability profiler: the
-    achieved ``t_total`` takes the *measured* slot of :func:`percent_error`
-    and the model prediction the *predicted* slot, so the delta reported
-    here is the same e% metric as the Figs. 4/5 validation — but against
-    the simulator's own event stream instead of an end-to-end timer.
-
-    Imported lazily so ``repro.experiments`` keeps working without the
-    observability package (and to keep the layering one-directional).
-    """
-    from ..obs.profiler import profile_trace
-
-    report = profile_trace(trace, predicted_seconds=predicted_seconds,
-                           model=model)
-    return report.as_dict()

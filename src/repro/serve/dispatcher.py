@@ -19,7 +19,10 @@ Sub-crossover gemms can beat the best GPU placement on the host CPU
 (no PCIe transfers, no queueing behind large kernels); the dispatcher
 compares against a flat-rate host prediction and routes below the
 crossover.  Admission control sheds (or downgrades) requests whose
-predicted completion already exceeds their deadline at arrival.
+predicted completion already exceeds their deadline at arrival.  Scores
+and the admission estimate scale ``T_pred`` by one per-request
+multiplier: the tail bank's inflation at the admission percentile, or
+1 under mean admission.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc, gemm_problem
@@ -50,11 +53,20 @@ def gpu_worker(index: int) -> str:
     return f"gpu{index}"
 
 
-@dataclass
-class GpuState:
-    """Dispatcher-visible state of one simulated GPU worker."""
+#: Weight-cache-aware placement: re-predict with the A operand
+#: device-resident when a GPU still caches the request's weight group.
+LOCALITY = True
+#: Share of each GPU's memory the LRU weight cache may hold.
+WEIGHT_CACHE_FRACTION = 0.5
 
-    index: int
+
+@dataclass
+class WorkerState:
+    """Dispatcher-visible state of one worker: a simulated GPU, or the
+    host CPU fallback (``index`` None; its cache is unmodelled, so its
+    residency map stays empty)."""
+
+    index: Optional[int] = None
     queue: RequestQueue = field(default_factory=RequestQueue)
     #: Predicted absolute end time of the in-flight batch (0 = idle).
     running_pred_end: float = 0.0
@@ -76,38 +88,37 @@ class GpuState:
         self.resident_bytes = 0
 
 
-@dataclass
-class HostState:
-    """State of the host CPU fallback worker (FIFO, unmodelled cache)."""
-
-    queue: RequestQueue = field(default_factory=RequestQueue)
-    running_pred_end: float = 0.0
-    busy: bool = False
-
-    def backlog(self, now: float) -> float:
-        running = max(self.running_pred_end - now, 0.0) if self.busy else 0.0
-        return running + self.queue.total_predicted()
-
-
 @dataclass(frozen=True)
 class Placement:
     """A placement decision for one request."""
 
     worker: str                   #: "gpuN" or "host"
-    tile: Optional[int]           #: chosen tiling size (None on host)
     predicted_seconds: float      #: predicted service time (mean)
     predicted_completion: float   #: now + backlog + service (mean)
+    #: The admission estimate: the service time scaled by the tail
+    #: multiplier at the admission percentile (x1 under mean admission,
+    #: where both equal the mean values), and its completion.
+    admission_seconds: float
+    admission_completion: float
     locality_hit: bool = False    #: weight group was device-resident
-    #: Tail-inflated service/completion at the dispatcher's admission
-    #: percentile; None outside percentile-aware admission mode.
-    tail_seconds: Optional[float] = None
-    tail_completion: Optional[float] = None
 
 
 def _residency_key(problem: CoCoProblem, group: str) -> Tuple:
     """Cache key of a group's shared A operand (its "weights")."""
     a = problem.operands[0]
     return (group, a.s1, a.s2, str(problem.dtype))
+
+
+def _placement(worker: str, now: float, backlog: float, service: float,
+               hit: bool, mult: float) -> Placement:
+    """Place on ``worker`` with ``service`` predicted behind ``backlog``;
+    the admission estimate scales the service time by ``mult``."""
+    return Placement(
+        worker=worker, predicted_seconds=service,
+        predicted_completion=now + backlog + service,
+        admission_seconds=service * mult,
+        admission_completion=now + backlog + service * mult,
+        locality_hit=hit)
 
 
 def _with_device_a(problem: CoCoProblem) -> CoCoProblem:
@@ -134,9 +145,7 @@ class Dispatcher:
         model: str = "auto",
         policy: str = "model",
         admission: str = "shed",
-        locality: bool = True,
         host_offload: bool = True,
-        weight_cache_fraction: float = 0.5,
         prediction_cache: Optional[PredictionCache] = None,
         monitor: Optional[HealthMonitor] = None,
         admission_percentile: Optional[float] = None,
@@ -164,14 +173,13 @@ class Dispatcher:
         self.model = model
         self.policy = policy
         self.admission = admission
-        self.locality = locality
         self.host_offload = host_offload
-        self.gpus = [GpuState(i) for i in range(n_gpus)]
-        self.host = HostState()
+        self.gpus = [WorkerState(i) for i in range(n_gpus)]
+        self.host = WorkerState()
         #: Optional health monitor: failed domains are excluded from
         #: placement, degraded/half-open domains are score-penalized.
         self.monitor = monitor
-        self._cache_capacity = weight_cache_fraction * machine.gpu_mem_bytes
+        self._cache_capacity = WEIGHT_CACHE_FRACTION * machine.gpu_mem_bytes
         self._rr_next = 0
         #: Memoized (model, problem signature) -> TileChoice scoring;
         #: pass a shared PredictionCache to reuse predictions across
@@ -179,10 +187,13 @@ class Dispatcher:
         self.prediction_cache = (prediction_cache if prediction_cache
                                  is not None else PredictionCache())
         #: Percentile-aware admission (the tail bank).  With a
-        #: percentile set, placement scores and admission decisions use
-        #: the tail-inflated service time; the mean prediction is still
-        #: recorded on every Placement so backlog accounting and reports
-        #: stay comparable with mean-mode runs.
+        #: percentile set, the admission estimate is the tail-inflated
+        #: service time; the mean prediction is still recorded on every
+        #: Placement so backlog accounting and reports stay comparable
+        #: with mean-mode runs.  Bank precedence: the explicit one (a
+        #: cluster-shared bank) > the machine's deployed fit
+        #: (models.tail) > a fresh bank that starts at mean behaviour
+        #: and refines online.
         self.admission_percentile = admission_percentile
         if admission_percentile is not None:
             if tail_bank is None:
@@ -214,10 +225,18 @@ class Dispatcher:
         m, n, k = problem.dims
         return host_gemm_time(self.machine, m, n, k, problem.dtype)
 
+    def tail_multiplier(self, problem: CoCoProblem) -> float:
+        """The factor from mean service time to admission estimate: the
+        bank's inflation at the admission percentile, 1.0 under mean
+        admission (or before the bank has a fit)."""
+        if self.tail_bank is None:
+            return 1.0
+        return self.tail_bank.multiplier(problem, self.admission_percentile)
+
     # -- residency / locality ------------------------------------------
 
-    def _is_resident(self, gpu: GpuState, request: Request) -> bool:
-        if not self.locality or request.group is None:
+    def _is_resident(self, gpu: WorkerState, request: Request) -> bool:
+        if not LOCALITY or request.group is None:
             return False
         if request.problem.routine.name != "gemm":
             return False
@@ -250,150 +269,120 @@ class Dispatcher:
 
     # -- placement -----------------------------------------------------
 
-    def _health_penalty(self, index: int) -> float:
-        return 1.0 if self.monitor is None else self.monitor.penalty(index)
+    def score_gpu(self, gpu: WorkerState, request: Request,
+                  problem: Optional[CoCoProblem] = None
+                  ) -> Tuple[bool, CoCoProblem, TileChoice, float]:
+        """The model's view of running ``problem`` (default: the
+        request's) on ``gpu``, as ``(hit, problem, choice, service)``.
 
-    def _tail_multiplier(self, problem: CoCoProblem) -> float:
-        """The bank's inflation factor at the admission percentile
-        (1.0 outside tail mode or before the bank has a fit)."""
-        if self.admission_percentile is None or self.tail_bank is None:
-            return 1.0
-        return self.tail_bank.multiplier(problem, self.admission_percentile)
-
-    def _gpu_candidate(self, gpu: GpuState, request: Request,
-                       now: float, mult: float = 1.0) -> Placement:
+        ``hit`` says the request's weight group is resident on ``gpu``,
+        and ``problem`` is then re-posed with A device-resident.
+        ``choice`` is that problem's predicted best tile and time, and
+        ``service`` the time scaled by the domain's health penalty: the
+        placement score.  Execution runs ``choice`` unpenalized.
+        """
         hit = self._is_resident(gpu, request)
-        problem = (_with_device_a(request.problem) if hit
-                   else request.problem)
+        if problem is None:
+            problem = request.problem
+        if hit:
+            problem = _with_device_a(problem)
         choice = self.predict_gpu(problem)
         service = choice.predicted_time
-        penalty = self._health_penalty(gpu.index)
-        if penalty != 1.0:
-            service = service * penalty
-        backlog = gpu.backlog(now)
-        tail_seconds = tail_completion = None
-        if self.admission_percentile is not None:
-            tail_seconds = service * mult
-            tail_completion = now + backlog + tail_seconds
-        return Placement(
-            worker=gpu_worker(gpu.index),
-            tile=choice.t_best,
-            predicted_seconds=service,
-            predicted_completion=now + backlog + service,
-            locality_hit=hit,
-            tail_seconds=tail_seconds,
-            tail_completion=tail_completion,
-        )
+        if self.monitor is not None:
+            penalty = self.monitor.penalty(gpu.index)
+            if penalty != 1.0:
+                service = service * penalty
+        return hit, problem, choice, service
+
+    def _round_robin(self, take_turn: bool) -> Tuple[WorkerState, ...]:
+        """The next available GPU in turn (none when every domain is
+        failed); ``take_turn`` moves the turn past it."""
+        n = len(self.gpus)
+        for step in range(n):
+            gpu = self.gpus[(self._rr_next + step) % n]
+            if self.monitor is None or self.monitor.available(gpu.index):
+                if take_turn:
+                    self._rr_next += step + 1
+                return (gpu,)
+        if take_turn:
+            self._rr_next += n
+        return ()
 
     def place(self, request: Request, now: float) -> Optional[Placement]:
         """Choose a worker for ``request`` under the configured policy.
 
-        Fault domains whose circuit breaker is open (``FAILED``) are
+        Round-robin scores the next available GPU in turn; the model
+        policy scores every available GPU and keeps the earliest
+        admission completion (ties to the lowest GPU index).  Fault
+        domains whose circuit breaker is open (``FAILED``) are
         excluded; degraded/half-open domains stay in rotation with their
         service predictions inflated by the observed health penalty.
         Returns ``None`` only when every domain is failed and the host
         cannot serve the routine — the caller must then shed.
         """
+        return self._place(request, now, take_turn=True)
+
+    def preview(self, request: Request, now: float) -> Optional[Placement]:
+        """The placement :meth:`place` would make now, without taking a
+        round-robin turn: a cluster node's estimate of routed work."""
+        return self._place(request, now, take_turn=False)
+
+    def _place(self, request: Request, now: float,
+               take_turn: bool) -> Optional[Placement]:
+        # One per-request multiplier scales every service prediction in
+        # the scores; under mean admission it is 1.0, and service * 1.0
+        # is bit-equal to service, so mean scores need no branch.
+        mult = self.tail_multiplier(request.problem)
         monitor = self.monitor
-        tail_mode = self.admission_percentile is not None
-        mult = self._tail_multiplier(request.problem) if tail_mode else 1.0
-        if self.policy == "round_robin":
-            gpu = None
-            for _ in range(len(self.gpus)):
-                candidate = self.gpus[self._rr_next % len(self.gpus)]
-                self._rr_next += 1
-                if monitor is None or monitor.available(candidate.index):
-                    gpu = candidate
-                    break
-            best = (self._gpu_candidate(gpu, request, now, mult)
-                    if gpu is not None else None)
-        else:
-            # Equivalent to min() over _gpu_candidate results keyed by
-            # (scored completion, worker), but builds only the one
-            # winning Placement (this runs once per GPU per arrival).
-            # In tail mode the score is the tail-inflated completion —
-            # within one request the multiplier is uniform, so the
-            # winner matches the mean argmin, but the score carried to
-            # admission is the percentile one.
-            best_fields = best_key = None
-            for gpu in self.gpus:
-                if monitor is not None and not monitor.available(gpu.index):
-                    continue
-                hit = self._is_resident(gpu, request)
-                problem = (_with_device_a(request.problem) if hit
-                           else request.problem)
-                choice = self.predict_gpu(problem)
-                service = choice.predicted_time
-                penalty = self._health_penalty(gpu.index)
-                if penalty != 1.0:
-                    service = service * penalty
-                backlog = gpu.backlog(now)
-                scored = service * mult if tail_mode else service
-                key = (now + backlog + scored,
-                       gpu_worker(gpu.index))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_fields = (key[1], choice.t_best, service, backlog,
-                                   hit, scored, key[0])
-            if best_fields is None:
-                best = None
-            else:
-                worker, tile, service, backlog, hit, scored, top = best_fields
-                best = Placement(
-                    worker=worker, tile=tile, predicted_seconds=service,
-                    predicted_completion=(now + backlog + service
-                                          if tail_mode else top),
-                    locality_hit=hit,
-                    tail_seconds=scored if tail_mode else None,
-                    tail_completion=top if tail_mode else None,
-                )
+        gpus = (self._round_robin(take_turn) if self.policy == "round_robin"
+                else self.gpus)
+        # Keyed on (admission completion, worker), building only the
+        # winning Placement: this runs once per GPU per arrival.
+        best = best_key = None
+        for gpu in gpus:
+            if monitor is not None and not monitor.available(gpu.index):
+                continue
+            hit, _, _, service = self.score_gpu(gpu, request)
+            backlog = gpu.backlog(now)
+            key = (now + backlog + service * mult, gpu_worker(gpu.index))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (backlog, service, hit)
+        placement = (None if best is None
+                     else _placement(best_key[1], now, *best, mult))
         # The host path competes when offload is enabled, and serves as
         # the placement of last resort when every GPU domain is failed.
-        if self.host_offload or best is None:
-            host_service = self.predict_host(request.problem)
-            if host_service is not None:
-                host_backlog = self.host.backlog(now)
-                host_completion = now + host_backlog + host_service
-                host_scored = (now + host_backlog + host_service * mult
-                               if tail_mode else host_completion)
-                best_scored = (best.tail_completion
-                               if best is not None and tail_mode
-                               else (best.predicted_completion
-                                     if best is not None else None))
-                if best is None or host_scored < best_scored:
-                    return Placement(
-                        worker=HOST_WORKER, tile=None,
-                        predicted_seconds=host_service,
-                        predicted_completion=host_completion,
-                        tail_seconds=(host_service * mult if tail_mode
-                                      else None),
-                        tail_completion=(host_scored if tail_mode else None),
-                    )
-        return best
+        if self.host_offload or placement is None:
+            service = self.predict_host(request.problem)
+            if service is not None:
+                host = _placement(HOST_WORKER, now, self.host.backlog(now),
+                                  service, False, mult)
+                if (placement is None or host.admission_completion
+                        < placement.admission_completion):
+                    return host
+        return placement
 
     # -- admission -----------------------------------------------------
 
     def admit(self, request: Request, placement: Placement) -> str:
         """Admission decision: "accept", "shed", or "downgrade".
 
-        A request whose *admission-time* predicted completion already
+        A request whose admission estimate of its completion already
         exceeds its deadline cannot meet its SLO; serving it anyway
         only delays requests that still can.  With percentile-aware
-        admission, the tail-inflated completion is judged instead: a
-        request whose p99 completion blows the deadline is rejected
-        even when the mean prediction squeaks under.
+        admission the estimate is tail-inflated: a request whose p99
+        completion blows the deadline is rejected even when the mean
+        prediction squeaks under.  Mean admission is the same rule at
+        multiplier 1.
         """
         if self.admission == "none" or request.deadline is None:
             return "accept"
-        completion = (placement.tail_completion
-                      if placement.tail_completion is not None
-                      else placement.predicted_completion)
-        if completion <= request.deadline:
+        if placement.admission_completion <= request.deadline:
             return "accept"
-        if (placement.tail_completion is not None
-                and placement.predicted_completion <= request.deadline):
-            # Mean-based admission would have accepted: this rejection
-            # is attributable to the tail inflation alone.
+        if placement.predicted_completion <= request.deadline:
+            # The mean completion makes the deadline, so this rejection
+            # is the tail inflation's alone (never under mean admission,
+            # where the two completions are equal).
             self.tail_rejections += 1
         if self.admission == "shed":
             return "shed"
@@ -408,7 +397,7 @@ class Dispatcher:
 
     # -- state lookups used by the server ------------------------------
 
-    def state_for(self, worker: str):
+    def state_for(self, worker: str) -> WorkerState:
         if worker == HOST_WORKER:
             return self.host
         if worker.startswith("gpu"):

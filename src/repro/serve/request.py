@@ -69,9 +69,10 @@ class Request:
     #: worker and of the absolute completion time (incl. backlog).
     predicted_seconds: Optional[float] = None
     predicted_completion: Optional[float] = None
-    #: Tail-inflated service prediction at the admission percentile
-    #: (None outside percentile-aware admission mode).
-    predicted_tail_seconds: Optional[float] = None
+    #: The admission estimate: ``predicted_seconds`` times the tail
+    #: multiplier at the admission percentile (equal to it under mean
+    #: admission).  Set with it whenever the request is placed.
+    admission_seconds: Optional[float] = None
     #: The deadline this request *arrived* with, preserved when a
     #: downgrade clears ``deadline`` so SLO accounting stays honest.
     original_deadline: Optional[float] = None

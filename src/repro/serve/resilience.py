@@ -37,6 +37,17 @@ from typing import Dict, List, Optional
 from ..sim.faults import ResilienceCounters
 from .request import ServeError
 
+#: EWMA smoothing of observed/predicted service-time inflation.
+HEALTH_ALPHA = 0.25
+#: EWMA inflation above which a domain is marked DEGRADED ...
+DEGRADED_INFLATION = 2.5
+#: ... and below which it returns to HEALTHY (hysteresis band).
+RECOVERED_INFLATION = 1.25
+#: Consecutive batch faults that open a domain's circuit breaker.
+BREAKER_FAULTS = 2
+#: Placement-score multiplier of a half-open (RECOVERING) domain.
+RECOVERING_PENALTY = 2.0
+
 
 class HealthState(enum.Enum):
     """Observed health of one GPU fault domain."""
@@ -113,18 +124,9 @@ class HealthMonitor:
     mines for recovery times.
     """
 
-    def __init__(self, n_gpus: int, *, alpha: float = 0.25,
-                 degraded_inflation: float = 2.5,
-                 recovered_inflation: float = 1.25,
-                 breaker_faults: int = 2,
-                 recovering_penalty: float = 2.0) -> None:
+    def __init__(self, n_gpus: int) -> None:
         if n_gpus <= 0:
             raise ServeError(f"non-positive GPU count: {n_gpus}")
-        self.alpha = alpha
-        self.degraded_inflation = degraded_inflation
-        self.recovered_inflation = recovered_inflation
-        self.breaker_faults = breaker_faults
-        self.recovering_penalty = recovering_penalty
         self.devices = [DeviceHealth(i) for i in range(n_gpus)]
         #: Chronological health transitions: {"t", "device", "event"}.
         self.transitions: List[Dict[str, object]] = []
@@ -150,7 +152,7 @@ class HealthMonitor:
         if device.state is HealthState.DEGRADED:
             return max(device.ewma, 1.0)
         if device.state is HealthState.RECOVERING:
-            return self.recovering_penalty
+            return RECOVERING_PENALTY
         return 1.0
 
     # -- server-reported observations ----------------------------------
@@ -165,8 +167,8 @@ class HealthMonitor:
         device.consecutive_faults = 0
         if predicted > 0.0 and observed >= 0.0:
             ratio = observed / predicted
-            device.ewma = (self.alpha * ratio
-                           + (1.0 - self.alpha) * device.ewma)
+            device.ewma = (HEALTH_ALPHA * ratio
+                           + (1.0 - HEALTH_ALPHA) * device.ewma)
         if device.state is HealthState.RECOVERING:
             # Half-open probe succeeded: close the breaker.  The domain
             # returns fresh (its pre-failure inflation history is moot).
@@ -175,11 +177,11 @@ class HealthMonitor:
             device.recovered_t = now
             self._log(now, index, "recovered")
         elif (device.state is HealthState.HEALTHY
-                and device.ewma > self.degraded_inflation):
+                and device.ewma > DEGRADED_INFLATION):
             device.state = HealthState.DEGRADED
             self._log(now, index, "degraded")
         elif (device.state is HealthState.DEGRADED
-                and device.ewma < self.recovered_inflation):
+                and device.ewma < RECOVERED_INFLATION):
             device.state = HealthState.HEALTHY
             self._log(now, index, "healthy")
 
@@ -199,7 +201,7 @@ class HealthMonitor:
             device.breaker_opens += 1
             self._log(now, index, "breaker-reopened")
             return True
-        if device.consecutive_faults >= self.breaker_faults:
+        if device.consecutive_faults >= BREAKER_FAULTS:
             device.state = HealthState.FAILED
             device.failed_t = now
             device.breaker_opens += 1

@@ -12,10 +12,11 @@ sharing the server clock.  Completion is detected with
 polling, no synchronize.
 
 A fresh device per batch is the repo's isolation idiom (see
-``CoCoPeLiaLibrary._next_device``) and doubles as the fault boundary:
-when injected faults exhaust their retry budget the pipeline wedges and
-never completes, so every batch carries a watchdog event at a large
-multiple of its predicted service time.  If the watchdog fires first,
+``OffloadLibrary._next_device`` in :mod:`repro.runtime.offload`) and
+doubles as the fault boundary: when injected faults exhaust their retry
+budget the pipeline wedges and never completes, so every batch carries
+a watchdog event at ``TIMEOUT_FACTOR`` times its predicted service
+time (plus ``TIMEOUT_FLOOR``).  If the watchdog fires first,
 the batch's device is abandoned, its gemm members are re-dispatched to
 the host CPU worker (the serving analogue of the PR-1 host fallback),
 and the GPU moves on.
@@ -46,7 +47,6 @@ from typing import Dict, List, Optional, Tuple
 from ..backend.cublas import CublasContext
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem
-from ..core.tailbank import PercentileBank
 from ..runtime.offload import host_operands
 from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.device import GpuDevice
@@ -60,14 +60,28 @@ from .dispatcher import (
     HOST_WORKER,
     PLACEMENT_POLICIES,
     Dispatcher,
-    GpuState,
-    _with_device_a,
+    WorkerState,
     batchable,
     coalesce,
     gpu_worker,
 )
 from .request import Request, RequestState, ServeError
 from .resilience import HealthMonitor, HealthState, ResilienceStats
+
+
+#: Max requests coalesced per batch ...
+BATCH_MAX = 4
+#: ... all of them under this many flops.
+BATCH_SMALL_FLOPS = 4.0e9
+#: Watchdog: a batch is declared wedged when it runs longer than
+#: ``predicted * TIMEOUT_FACTOR + TIMEOUT_FLOOR`` simulated seconds.
+TIMEOUT_FACTOR = 50.0
+TIMEOUT_FLOOR = 0.05
+#: Simulated seconds an open breaker waits before going half-open.
+BREAKER_COOLOFF = 0.05
+#: Hedging mirrors a solo request whose remaining deadline slack at
+#: dispatch is under ``HEDGE_SLACK * predicted``.
+HEDGE_SLACK = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,75 +93,23 @@ class ServerConfig:
     admission: str = "shed"           #: see ADMISSION_MODES
     model: str = "auto"               #: prediction model for placement
     batching: bool = True
-    batch_max: int = 4                #: max requests coalesced per batch
-    batch_small_flops: float = 4.0e9  #: only sub-this-flops requests batch
     host_offload: bool = True         #: route sub-crossover gemms to CPU
-    locality: bool = True             #: weight-cache-aware placement
-    weight_cache_fraction: float = 0.5
-    #: Watchdog: a batch is declared wedged when it runs longer than
-    #: ``predicted * timeout_factor + timeout_floor`` simulated seconds.
-    timeout_factor: float = 50.0
-    timeout_floor: float = 0.05
     seed: int = 0
     trace: bool = False               #: record per-batch device traces
-    # -- fault-domain health (see serve/resilience.py) ------------------
-    #: EWMA smoothing of observed/predicted service-time inflation.
-    health_alpha: float = 0.25
-    #: EWMA inflation above which a domain is marked DEGRADED ...
-    degraded_inflation: float = 2.5
-    #: ... and below which it returns to HEALTHY (hysteresis band).
-    recovered_inflation: float = 1.25
-    #: Consecutive batch faults that open a domain's circuit breaker.
-    breaker_faults: int = 2
-    #: Simulated seconds an open breaker waits before going half-open.
-    breaker_cooloff: float = 0.05
     #: Deadline hedging: mirror a near-deadline solo request onto a
     #: second idle healthy worker; first completion wins.  Default off.
     hedging: bool = False
-    #: Hedge when remaining deadline slack drops below
-    #: ``hedge_slack * predicted`` at dispatch.
-    hedge_slack: float = 1.0
     #: Percentile-aware admission: judge shed/downgrade against the
-    #: tail-inflated predicted completion at this percentile (e.g. 99.0)
-    #: instead of the mean.  None (default) keeps mean-based admission
-    #: and the exact pre-tail document bytes.
+    #: tail-inflated predicted completion at this percentile (e.g. 99.0).
+    #: None (default) is mean-based admission: the same rule with the
+    #: multiplier at 1.
     admission_percentile: Optional[float] = None
-
-    # Fields that must be positive, finite numbers.  NaN would sail
-    # through ordinary "<=" comparisons (NaN <= x is False), so the
-    # check is explicit.
-    _POSITIVE_FINITE = ("timeout_factor", "timeout_floor",
-                        "breaker_cooloff", "hedge_slack", "health_alpha",
-                        "degraded_inflation", "recovered_inflation")
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENT_POLICIES:
             raise ServeError(f"unknown placement policy {self.placement!r}")
         if self.admission not in ADMISSION_MODES:
             raise ServeError(f"unknown admission mode {self.admission!r}")
-        if self.batch_max < 1:
-            raise ServeError(f"batch_max must be >= 1: {self.batch_max}")
-        for name in self._POSITIVE_FINITE:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ServeError(f"{name} must be a number, got {value!r}")
-            if math.isnan(value) or not math.isfinite(value) or value <= 0.0:
-                raise ServeError(
-                    f"{name} must be a positive finite number, got {value}")
-        if self.timeout_factor <= 1.0:
-            raise ServeError(
-                f"timeout_factor must exceed 1: {self.timeout_factor}")
-        if self.health_alpha > 1.0:
-            raise ServeError(
-                f"health_alpha must be in (0, 1]: {self.health_alpha}")
-        if self.recovered_inflation >= self.degraded_inflation:
-            raise ServeError(
-                f"recovered_inflation ({self.recovered_inflation}) must sit "
-                f"below degraded_inflation ({self.degraded_inflation})")
-        if not isinstance(self.breaker_faults, int) or self.breaker_faults < 1:
-            raise ServeError(
-                f"breaker_faults must be a positive int: "
-                f"{self.breaker_faults}")
         if self.admission_percentile is not None:
             p = self.admission_percentile
             if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -251,36 +213,21 @@ class BlasServer:
         self.models = models
         self.config = config if config is not None else ServerConfig()
         self.metrics = metrics
-        #: Residual-quantile bank for percentile-aware admission.  In
-        #: tail mode the precedence is: explicit bank (cluster-shared)
-        #: > the machine's deployed fit (models.tail) > a fresh bank
-        #: that starts at mean behavior and refines online.
-        if self.config.admission_percentile is not None:
-            if tail_bank is None:
-                tail_bank = (models.tail if models.tail is not None
-                             else PercentileBank())
-            self.tail_bank = tail_bank
-        else:
-            self.tail_bank = None
         self.sim = Simulator()
-        self.monitor = HealthMonitor(
-            self.config.n_gpus,
-            alpha=self.config.health_alpha,
-            degraded_inflation=self.config.degraded_inflation,
-            recovered_inflation=self.config.recovered_inflation,
-            breaker_faults=self.config.breaker_faults,
-        )
+        self.monitor = HealthMonitor(self.config.n_gpus)
         self.dispatcher = Dispatcher(
             machine, models, self.config.n_gpus,
             model=self.config.model, policy=self.config.placement,
-            admission=self.config.admission, locality=self.config.locality,
+            admission=self.config.admission,
             host_offload=self.config.host_offload,
-            weight_cache_fraction=self.config.weight_cache_fraction,
             prediction_cache=prediction_cache,
             monitor=self.monitor,
             admission_percentile=self.config.admission_percentile,
-            tail_bank=self.tail_bank,
+            tail_bank=tail_bank,
         )
+        #: Residual-quantile bank of percentile-aware admission (None
+        #: under mean admission); the dispatcher resolves which bank.
+        self.tail_bank = self.dispatcher.tail_bank
         #: Host CPU service noise; its own substream so the host worker
         #: never perturbs the GPU devices' draws.
         self._host_noise = NoiseModel(seed=self.config.seed + 7919,
@@ -391,17 +338,6 @@ class BlasServer:
     def outstanding(self) -> int:
         """Submitted requests not yet in a terminal state."""
         return self._outstanding
-
-    def predicted_backlog(self, now: Optional[float] = None) -> float:
-        """Predicted seconds of work ahead of a new arrival, node-wide:
-        in-flight remaining time plus every queue's admission-time
-        service predictions.  The cluster router's scoring signal."""
-        if now is None:
-            now = self.sim.now
-        total = self.dispatcher.host.backlog(now)
-        for gpu in self.dispatcher.gpus:
-            total += gpu.backlog(now)
-        return total
 
     def _migrate(self, request: Request) -> Request:
         """Hand one request back to the caller, MIGRATED, with its
@@ -571,11 +507,9 @@ class BlasServer:
         if decision == "shed":
             request.state = RequestState.SHED
             self._count("serve.shed")
-            if (placement.tail_completion is not None
-                    and request.deadline is not None
-                    and placement.predicted_completion <= request.deadline):
-                # Shed on the tail prediction alone — the mean-based
-                # path would have admitted this request.
+            if placement.predicted_completion <= request.deadline:
+                # Shed on the tail inflation alone: the mean completion
+                # makes the deadline (never under mean admission).
                 self._count("serve.tail_sheds")
             self._terminal(request)
             return
@@ -586,7 +520,7 @@ class BlasServer:
         request.worker = placement.worker
         request.predicted_seconds = placement.predicted_seconds
         request.predicted_completion = placement.predicted_completion
-        request.predicted_tail_seconds = placement.tail_seconds
+        request.admission_seconds = placement.admission_seconds
         self.dispatcher.state_for(placement.worker).queue.push(request)
         self._gauge_depth()
         self._maybe_dispatch(placement.worker)
@@ -603,11 +537,11 @@ class BlasServer:
         head = state.queue.pop()
         members = [head]
         if (self.config.batching and worker != HOST_WORKER
-                and head.problem.flops() <= self.config.batch_small_flops):
+                and head.problem.flops() <= BATCH_SMALL_FLOPS):
             for other in list(state.queue):
-                if len(members) >= self.config.batch_max:
+                if len(members) >= BATCH_MAX:
                     break
-                if batchable(head, other, self.config.batch_small_flops):
+                if batchable(head, other, BATCH_SMALL_FLOPS):
                     state.queue.remove(other)
                     members.append(other)
         problem = coalesce(members) if len(members) > 1 else head.problem
@@ -630,7 +564,7 @@ class BlasServer:
 
     # -- GPU execution --------------------------------------------------
 
-    def _run_on_gpu(self, state: GpuState, batch: _Batch) -> None:
+    def _run_on_gpu(self, state: WorkerState, batch: _Batch) -> None:
         self._launch_on_device(state, batch)
         if batch.settled or not self.config.hedging:
             return
@@ -638,19 +572,17 @@ class BlasServer:
         if (len(batch.members) == 1 and head.deadline is not None
                 and batch.twin is None and not batch.is_hedge):
             slack = head.deadline - state.running_pred_end
-            if slack < self.config.hedge_slack * batch.predicted:
+            if slack < HEDGE_SLACK * batch.predicted:
                 self._hedge(state, batch)
 
-    def _launch_on_device(self, state: GpuState, batch: _Batch) -> None:
+    def _launch_on_device(self, state: WorkerState, batch: _Batch) -> None:
         cfg = self.config
         head = batch.members[0]
-        hit = self.dispatcher._is_resident(state, head)
-        problem = batch.problem
+        hit, problem, choice, _ = self.dispatcher.score_gpu(
+            state, head, batch.problem)
         if hit:
-            problem = _with_device_a(problem)
             batch.locality_hit = True
             self._stats[state.index].locality_hits += len(batch.members)
-        choice = self.dispatcher.predict_gpu(problem)
         batch.predicted = choice.predicted_time
         batch.problem = problem
 
@@ -689,7 +621,7 @@ class BlasServer:
             return
         for op in last_ops:
             op.on_done(lambda s=state, b=batch: self._on_stream_done(s, b))
-        deadline = batch.predicted * cfg.timeout_factor + cfg.timeout_floor
+        deadline = batch.predicted * TIMEOUT_FACTOR + TIMEOUT_FLOOR
         # Ordering contract (pinned): the watchdog is scheduled at
         # launch, so if a stream completion lands at exactly the
         # deadline the watchdog holds the lower seq and fires first —
@@ -700,7 +632,7 @@ class BlasServer:
         batch.watchdog = self.sim.schedule(
             deadline, lambda s=state, b=batch: self._on_timeout(s, b))
 
-    def _hedge(self, state: GpuState, batch: _Batch) -> None:
+    def _hedge(self, state: WorkerState, batch: _Batch) -> None:
         """Mirror a near-deadline solo request onto an idle worker.
 
         First completion wins: the winner completes the request and
@@ -731,12 +663,12 @@ class BlasServer:
         batch.twin = hedge
         self._launch_on_device(mirror, hedge)
 
-    def _on_stream_done(self, state: GpuState, batch: _Batch) -> None:
+    def _on_stream_done(self, state: WorkerState, batch: _Batch) -> None:
         batch.pending_ops -= 1
         if batch.pending_ops == 0 and not batch.settled:
             self._finish_gpu_batch(state, batch)
 
-    def _finish_gpu_batch(self, state: GpuState, batch: _Batch) -> None:
+    def _finish_gpu_batch(self, state: WorkerState, batch: _Batch) -> None:
         # Read before settling, which unlinks a pair whose twin has
         # already settled.
         twin = batch.twin
@@ -793,7 +725,7 @@ class BlasServer:
         state.running_pred_end = 0.0
         self._maybe_dispatch(gpu_worker(state.index))
 
-    def _on_timeout(self, state: GpuState, batch: _Batch) -> None:
+    def _on_timeout(self, state: WorkerState, batch: _Batch) -> None:
         """The batch wedged (fault retries exhausted): abandon & recover."""
         if batch.settled:
             return
@@ -817,7 +749,7 @@ class BlasServer:
             self._count("serve.breaker_opens")
             self._drain_domain(state)
             self.sim.schedule(
-                self.config.breaker_cooloff,
+                BREAKER_COOLOFF,
                 lambda i=state.index: self._half_open(i))
         self._gauge_depth()
         self._maybe_dispatch(HOST_WORKER)
@@ -830,16 +762,18 @@ class BlasServer:
         its EDF ``queue_key`` — and with it its honest slack against
         everything already queued on the host — must not reset just
         because a device ate its first attempt.  Only the service
-        prediction is refreshed for the new worker.
+        prediction, and the admission estimate with it, is refreshed for
+        the new worker.
         """
-        if (self.config.host_offload
-                and self.dispatcher.predict_host(member.problem)
-                is not None):
+        service = (self.dispatcher.predict_host(member.problem)
+                   if self.config.host_offload else None)
+        if service is not None:
             member.fallback = True
             member.state = RequestState.QUEUED
             member.worker = HOST_WORKER
-            member.predicted_seconds = self.dispatcher.predict_host(
-                member.problem)
+            member.predicted_seconds = service
+            member.admission_seconds = (
+                service * self.dispatcher.tail_multiplier(member.problem))
             self._count("serve.host_fallbacks")
             self.dispatcher.host.queue.push(member)
         else:
@@ -849,7 +783,7 @@ class BlasServer:
 
     # -- drain & requeue ------------------------------------------------
 
-    def _drain_domain(self, state: GpuState) -> None:
+    def _drain_domain(self, state: WorkerState) -> None:
         """Gracefully drain a failed domain.
 
         The in-flight batch (if any) is cancelled — its simulated
@@ -940,7 +874,7 @@ class BlasServer:
             request.fallback = True
         request.predicted_seconds = placement.predicted_seconds
         request.predicted_completion = placement.predicted_completion
-        request.predicted_tail_seconds = placement.tail_seconds
+        request.admission_seconds = placement.admission_seconds
         self.dispatcher.state_for(placement.worker).queue.push(request)
         self._stats_res.requeues += 1
         self._count("serve.requeues")

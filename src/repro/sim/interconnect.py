@@ -192,10 +192,6 @@ class Interconnect:
         pairs = {tuple(sorted((g, (g + 1) % n))) for g in range(n)}
         return sorted(pairs)  # ring: n links (1 link when n == 2)
 
-    @property
-    def n_links(self) -> int:
-        return len(self._links)
-
     def link(self, i: int, j: int) -> DuplexLink:
         """The duplex link of pair ``{i, j}`` (tests/inspection)."""
         return self._links[(min(i, j), max(i, j))]

@@ -149,6 +149,26 @@ class TestRouterPolicies:
         assert outcome.spills > 0
 
 
+class TestNodePlacement:
+    def test_round_robin_uses_every_gpu_of_a_node(self, tb2, models_tb2):
+        """A node's charge of a routed request previews its placement
+        without taking a round-robin turn, so the server's arrival
+        takes the turn and both GPUs of each node serve requests."""
+        config = ClusterConfig(nodes=2, gpus_per_node=2, autoscale=False)
+        coord = ClusterCoordinator(
+            tb2, models_tb2, config,
+            ServerConfig(placement="round_robin", host_offload=False,
+                         seed=5))
+        outcome = coord.run(iter_cluster_workload(
+            ClusterWorkloadSpec(n_requests=400, rate=300.0, seed=5)))
+        assert outcome.conservation_ok
+        served = [[stats.requests for stats in node.server._stats]
+                  for node in outcome.nodes]
+        assert len(served) == 2
+        for per_gpu in served:
+            assert min(per_gpu) > 0, served
+
+
 class TestCoordinatorContract:
     def test_runs_exactly_once(self, tb1, models_tb1):
         coord = make_coordinator(tb1, models_tb1)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.params import Loc, axpy_problem, gemm_problem
-from repro.serve import Dispatcher, HOST_WORKER, Request, ServeError
+from repro.serve import (Dispatcher, HOST_WORKER, HealthMonitor,
+                         HealthState, Request, ServeError)
+from repro.serve import dispatcher as dispatcher_module
 from repro.serve.dispatcher import batchable, coalesce, gpu_worker
 
 
@@ -42,7 +44,6 @@ class TestPlacement:
         d = Dispatcher(tb2, models_tb2, n_gpus=4, host_offload=False)
         placement = d.place(req(0), now=0.0)
         assert placement.worker == gpu_worker(0)
-        assert placement.tile > 0
         assert placement.predicted_completion == pytest.approx(
             placement.predicted_seconds)
 
@@ -67,13 +68,45 @@ class TestPlacement:
         workers = [d.place(req(i), now=0.0).worker for i in range(6)]
         assert workers == [gpu_worker(i % 3) for i in range(6)]
 
+    def test_preview_takes_no_round_robin_turn(self, tb2, models_tb2):
+        d = Dispatcher(tb2, models_tb2, n_gpus=2, policy="round_robin",
+                       host_offload=False)
+        for i in range(4):
+            preview = d.preview(req(i), now=0.0)
+            assert preview == d.place(req(i), now=0.0)
+            assert preview.worker == gpu_worker(i % 2)
+
+    @pytest.mark.parametrize("size", [256, 4096])
+    def test_mean_admission_estimate_is_the_mean(self, dispatcher, size):
+        """Mean admission is the percentile rule at multiplier 1: the
+        admission estimate equals the mean prediction bit for bit, on
+        the host and on a GPU."""
+        r = req(0, gemm_problem(size, size, size, np.float64))
+        placement = dispatcher.place(r, now=0.25)
+        assert dispatcher.tail_multiplier(r.problem) == 1.0
+        assert placement.admission_seconds == placement.predicted_seconds
+        assert (placement.admission_completion
+                == placement.predicted_completion)
+
+    def test_score_gpu_penalizes_the_score_not_the_choice(self, tb2,
+                                                          models_tb2):
+        monitor = HealthMonitor(2)
+        monitor.devices[0].state = HealthState.DEGRADED
+        monitor.devices[0].ewma = 3.0
+        d = Dispatcher(tb2, models_tb2, n_gpus=2, monitor=monitor)
+        r = req(0)
+        hit, problem, choice, service = d.score_gpu(d.gpus[0], r)
+        assert not hit and problem is r.problem
+        assert choice is d.predict_gpu(r.problem)
+        assert service == choice.predicted_time * 3.0
+        assert d.score_gpu(d.gpus[1], r)[3] == choice.predicted_time
+
     def test_small_gemm_crosses_over_to_host(self, dispatcher):
         """A sub-crossover gemm beats any GPU placement on the host
         (no PCIe transfers), so the dispatcher routes it there."""
         small = req(0, gemm_problem(256, 256, 256, np.float64))
         placement = dispatcher.place(small, now=0.0)
         assert placement.worker == HOST_WORKER
-        assert placement.tile is None
 
     def test_large_gemm_stays_on_gpu(self, dispatcher):
         large = req(0, gemm_problem(4096, 4096, 4096, np.float64))
@@ -127,9 +160,10 @@ class TestLocality:
         bare = req(1, gemm_problem(1024, 1024, 1024, np.float64))
         assert not d._is_resident(d.gpus[0], bare)
 
-    def test_lru_eviction_keeps_at_least_one(self, tb2, models_tb2):
-        d = Dispatcher(tb2, models_tb2, n_gpus=1, host_offload=False,
-                       weight_cache_fraction=1e-12)
+    def test_lru_eviction_keeps_at_least_one(self, tb2, models_tb2,
+                                             monkeypatch):
+        monkeypatch.setattr(dispatcher_module, "WEIGHT_CACHE_FRACTION", 1e-12)
+        d = Dispatcher(tb2, models_tb2, n_gpus=1, host_offload=False)
         d.note_resident(0, self._grouped(0, "g0"))
         d.note_resident(0, self._grouped(1, "g1"))
         resident = d.gpus[0].resident
@@ -153,14 +187,15 @@ class TestLocality:
             gpu = d.gpus[0]
             assert gpu.resident_bytes == sum(gpu.resident.values())
 
-    def test_eviction_order_is_lru_pinned(self, tb2, models_tb2):
+    def test_eviction_order_is_lru_pinned(self, tb2, models_tb2,
+                                          monkeypatch):
         """Capacity for exactly two 1024-cubes: noting g0, g1, then g2
         must evict g0 (the least recently used), and re-touching g1
         first must instead evict g2 next."""
         weights = 1024 * 1024 * 8  # one f64 A operand
         cap = 2 * weights / tb2.gpu_mem_bytes
-        d = Dispatcher(tb2, models_tb2, n_gpus=1, host_offload=False,
-                       weight_cache_fraction=cap)
+        monkeypatch.setattr(dispatcher_module, "WEIGHT_CACHE_FRACTION", cap)
+        d = Dispatcher(tb2, models_tb2, n_gpus=1, host_offload=False)
         d.note_resident(0, self._sized(0, "g0", 1024))
         d.note_resident(0, self._sized(1, "g1", 1024))
         d.note_resident(0, self._sized(2, "g2", 1024))

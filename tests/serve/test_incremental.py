@@ -185,6 +185,9 @@ class TestEvacuate:
         for i in range(3):
             server.submit(big_request(i))
         server.sim.run_to(1e-4)
-        assert server.predicted_backlog() > 0
+        workers = (*server.dispatcher.gpus, server.dispatcher.host)
+        now = server.sim.now
+        assert sum(w.backlog(now) for w in workers) > 0
         server.evacuate()
-        assert server.predicted_backlog() == pytest.approx(0.0, abs=1e-12)
+        for worker in workers:
+            assert worker.backlog(now) == pytest.approx(0.0, abs=1e-12)

@@ -1,12 +1,11 @@
 """Fault-domain serving tests: health monitor, breaker, drain, hedging.
 
 Covers the :class:`repro.serve.resilience.HealthMonitor` state machine
-in isolation, the ServerConfig validation of the resilience knobs, the
-requeue-preserves-arrival contract, and end-to-end lifecycle-fault runs
-(kill / degrade / brownout) through :class:`BlasServer`.
+in isolation, the requeue-preserves-arrival contract, and end-to-end
+lifecycle-fault runs (kill / degrade / brownout) through
+:class:`BlasServer`.  Tests that need other thresholds than the
+defaults patch the module constants.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.serve import (
     generate_workload,
     serve_report,
 )
+from repro.serve import resilience, server as server_module
 from repro.sim.faults import (
     DeviceDegradation,
     DeviceFailure,
@@ -47,9 +47,11 @@ class TestHealthMonitorStateMachine:
         with pytest.raises(ServeError, match="non-positive"):
             HealthMonitor(0)
 
-    def test_sustained_inflation_degrades_then_recovers(self):
-        monitor = HealthMonitor(1, alpha=0.5, degraded_inflation=2.0,
-                                recovered_inflation=1.2)
+    def test_sustained_inflation_degrades_then_recovers(self, monkeypatch):
+        monkeypatch.setattr(resilience, "HEALTH_ALPHA", 0.5)
+        monkeypatch.setattr(resilience, "DEGRADED_INFLATION", 2.0)
+        monkeypatch.setattr(resilience, "RECOVERED_INFLATION", 1.2)
+        monitor = HealthMonitor(1)
         # Observed 4x slower than predicted: EWMA climbs past 2.0.
         t = 0.0
         while monitor.devices[0].state is HealthState.HEALTHY:
@@ -70,9 +72,11 @@ class TestHealthMonitorStateMachine:
         events = [tr["event"] for tr in monitor.transitions]
         assert events == ["degraded", "healthy"]
 
-    def test_hysteresis_band_prevents_flapping(self):
-        monitor = HealthMonitor(1, alpha=1.0, degraded_inflation=2.5,
-                                recovered_inflation=1.25)
+    def test_hysteresis_band_prevents_flapping(self, monkeypatch):
+        monkeypatch.setattr(resilience, "HEALTH_ALPHA", 1.0)
+        monkeypatch.setattr(resilience, "DEGRADED_INFLATION", 2.5)
+        monkeypatch.setattr(resilience, "RECOVERED_INFLATION", 1.25)
+        monitor = HealthMonitor(1)
         monitor.on_success(0, observed=3.0, predicted=1.0, now=0.0)
         assert monitor.devices[0].state is HealthState.DEGRADED
         # 2.0x sits between the thresholds: state must not change.
@@ -81,8 +85,9 @@ class TestHealthMonitorStateMachine:
         monitor.on_success(0, observed=1.0, predicted=1.0, now=2.0)
         assert monitor.devices[0].state is HealthState.HEALTHY
 
-    def test_consecutive_faults_open_the_breaker(self):
-        monitor = HealthMonitor(1, breaker_faults=2)
+    def test_consecutive_faults_open_the_breaker(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAULTS", 2)
+        monitor = HealthMonitor(1)
         assert not monitor.on_fault(0, now=0.0)   # first strike
         assert monitor.available(0)
         assert monitor.on_fault(0, now=1.0)       # second opens it
@@ -93,20 +98,23 @@ class TestHealthMonitorStateMachine:
         assert not monitor.on_fault(0, now=2.0)
         assert monitor.devices[0].breaker_opens == 1
 
-    def test_success_resets_the_fault_streak(self):
-        monitor = HealthMonitor(1, breaker_faults=2)
+    def test_success_resets_the_fault_streak(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAULTS", 2)
+        monitor = HealthMonitor(1)
         monitor.on_fault(0, now=0.0)
         monitor.on_success(0, observed=1.0, predicted=1.0, now=1.0)
         assert not monitor.on_fault(0, now=2.0)   # streak restarted
         assert monitor.devices[0].state is not HealthState.FAILED
 
-    def test_probe_success_closes_breaker_and_clears_history(self):
-        monitor = HealthMonitor(1, breaker_faults=1)
+    def test_probe_success_closes_breaker_and_clears_history(
+            self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAULTS", 1)
+        monitor = HealthMonitor(1)
         monitor.on_fault(0, now=0.0)
         assert monitor.begin_recovery(0, now=1.0)
         assert monitor.devices[0].state is HealthState.RECOVERING
         assert monitor.available(0)
-        assert monitor.penalty(0) == monitor.recovering_penalty > 1.0
+        assert monitor.penalty(0) == resilience.RECOVERING_PENALTY > 1.0
         monitor.on_success(0, observed=1.0, predicted=1.0, now=2.0)
         assert monitor.devices[0].state is HealthState.HEALTHY
         assert monitor.devices[0].ewma == 1.0
@@ -114,11 +122,12 @@ class TestHealthMonitorStateMachine:
         events = [tr["event"] for tr in monitor.transitions]
         assert events == ["breaker-opened", "breaker-halfopen", "recovered"]
 
-    def test_probe_fault_reopens_breaker_immediately(self):
-        monitor = HealthMonitor(1, breaker_faults=3)
+    def test_probe_fault_reopens_breaker_immediately(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_FAULTS", 3)
+        monitor = HealthMonitor(1)
         monitor.force_fail(0, now=0.0)
         monitor.begin_recovery(0, now=1.0)
-        # One fault suffices in half-open, regardless of breaker_faults.
+        # One fault suffices in half-open, regardless of BREAKER_FAULTS.
         assert monitor.on_fault(0, now=2.0)
         assert monitor.devices[0].state is HealthState.FAILED
         assert monitor.devices[0].breaker_opens == 2
@@ -149,49 +158,25 @@ class TestHealthMonitorStateMachine:
 
 
 class TestServerConfigValidation:
-    """The resilience knobs reject garbage loudly (satellite: config
-    validation, including the NaN case ordinary comparisons miss)."""
-
-    POSITIVE_FINITE = ("timeout_factor", "timeout_floor", "breaker_cooloff",
-                       "hedge_slack", "health_alpha", "degraded_inflation",
-                       "recovered_inflation")
-
-    @pytest.mark.parametrize("name", POSITIVE_FINITE)
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     -float("inf"), 0.0, -1.0, True,
-                                     "0.5", None])
-    def test_rejects_non_positive_or_non_finite(self, name, bad):
-        with pytest.raises(ServeError, match=name):
-            ServerConfig(**{name: bad})
-
-    def test_nan_is_not_a_silent_pass(self):
-        # NaN <= x is False, so a naive "value <= 0" check would accept
-        # it; the validator must still refuse.
-        with pytest.raises(ServeError, match="timeout_factor"):
-            ServerConfig(timeout_factor=math.nan)
-
-    def test_timeout_factor_must_exceed_one(self):
-        with pytest.raises(ServeError, match="exceed 1"):
-            ServerConfig(timeout_factor=1.0)
-
-    def test_health_alpha_capped_at_one(self):
-        ServerConfig(health_alpha=1.0)  # boundary is legal
-        with pytest.raises(ServeError, match="health_alpha"):
-            ServerConfig(health_alpha=1.5)
-
-    def test_hysteresis_band_must_be_ordered(self):
-        with pytest.raises(ServeError, match="recovered_inflation"):
-            ServerConfig(degraded_inflation=2.0, recovered_inflation=2.0)
-        with pytest.raises(ServeError, match="recovered_inflation"):
-            ServerConfig(degraded_inflation=2.0, recovered_inflation=3.0)
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
-    def test_breaker_faults_positive_int(self, bad):
-        with pytest.raises(ServeError, match="breaker_faults"):
-            ServerConfig(breaker_faults=bad)
-
     def test_defaults_are_valid(self):
         ServerConfig()  # must not raise
+
+    def test_threshold_constants_are_consistent(self):
+        """The thresholds no run configures hold the invariants the
+        serving loop relies on."""
+        for value in (server_module.TIMEOUT_FACTOR,
+                      server_module.TIMEOUT_FLOOR,
+                      server_module.BREAKER_COOLOFF,
+                      server_module.HEDGE_SLACK,
+                      resilience.RECOVERED_INFLATION):
+            assert 0.0 < value < float("inf")
+        assert server_module.TIMEOUT_FACTOR > 1.0
+        assert 0.0 < resilience.HEALTH_ALPHA <= 1.0
+        assert (resilience.RECOVERED_INFLATION
+                < resilience.DEGRADED_INFLATION)
+        assert resilience.RECOVERING_PENALTY >= 1.0
+        assert resilience.BREAKER_FAULTS >= 1
+        assert server_module.BATCH_MAX >= 1
 
 
 class TestRequeuePreservesArrival:
@@ -215,8 +200,7 @@ class TestRequeuePreservesArrival:
         assert r.deadline == deadline
         # ... so latency covers the whole wedged-then-retried span,
         # which must include the watchdog wait.
-        config = ServerConfig()
-        assert r.latency > config.timeout_floor
+        assert r.latency > server_module.TIMEOUT_FLOOR
         assert r.latency == r.completion_t - 0.0
         assert not find_conservation_violations(outcome.requests)
 
@@ -316,7 +300,8 @@ class TestLifecycleServing:
 
 class TestHedging:
     def test_hedge_first_completion_wins_and_conserves(self, tb2,
-                                                       models_tb2):
+                                                       models_tb2,
+                                                       monkeypatch):
         # Tight deadlines + hedging on: solo near-deadline dispatches
         # mirror onto the idle second GPU.
         requests = [
@@ -324,8 +309,9 @@ class TestHedging:
                     problem=gemm_problem(1024, 1024, 1024, np.float64))
             for i in range(6)
         ]
+        monkeypatch.setattr(server_module, "HEDGE_SLACK", 50.0)
         config = ServerConfig(n_gpus=2, seed=4, hedging=True,
-                              hedge_slack=50.0, host_offload=False)
+                              host_offload=False)
         outcome = BlasServer(tb2, models_tb2, config).serve(requests)
         stats = outcome.resilience_stats
         assert stats.hedges >= 1

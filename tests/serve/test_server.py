@@ -73,8 +73,7 @@ class TestBatching:
         # First arrival dispatches solo; the rest queue behind it and
         # coalesce into one wider gemm when the GPU frees up.
         requests = [small_gemm(i, arrival=1e-6 * i) for i in range(5)]
-        config = ServerConfig(n_gpus=1, host_offload=False, seed=0,
-                              batch_max=4)
+        config = ServerConfig(n_gpus=1, host_offload=False, seed=0)
         metrics = MetricsRegistry()
         server = BlasServer(tb2, models_tb2, config, metrics=metrics)
         outcome = server.serve(requests)
@@ -83,7 +82,7 @@ class TestBatching:
         sizes = {}
         for r in outcome.requests:
             sizes[r.batch_id] = sizes.get(r.batch_id, 0) + 1
-        assert max(sizes.values()) == 4  # batch_max honoured
+        assert max(sizes.values()) == 4  # BATCH_MAX honoured
         counters = metrics.as_dict()["counters"]
         assert counters["serve.batches"] >= 1
         assert counters["serve.batched_requests"] >= 4

@@ -138,15 +138,18 @@ class TestDowngradeSLOAccounting:
 
 
 class TestConfigValidation:
-    def test_percentile_range(self, tb2, models_tb2):
-        for bad in (0.0, -1.0, 150.0, float("nan"), True):
-            with pytest.raises(ServeError):
-                ServerConfig(admission_percentile=bad)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 150.0, 100.0000001,
+                                     float("nan"), float("inf"),
+                                     -float("inf"), True, False, "99",
+                                     [99.0]])
+    def test_percentile_range(self, bad):
+        with pytest.raises(ServeError, match="admission_percentile"):
+            ServerConfig(admission_percentile=bad)
 
-    def test_boundary_values_accepted(self):
-        assert ServerConfig(admission_percentile=100.0).admission_percentile \
-            == 100.0
-        assert ServerConfig(admission_percentile=50).admission_percentile == 50
+    @pytest.mark.parametrize("good", [100.0, 50, 99.9, 1e-9])
+    def test_boundary_values_accepted(self, good):
+        assert ServerConfig(admission_percentile=good).admission_percentile \
+            == good
 
     def test_mean_mode_has_no_bank(self, tb2, models_tb2):
         server = BlasServer(tb2, models_tb2, ServerConfig(n_gpus=1))

@@ -35,6 +35,7 @@ from repro.serve import (
     WorkloadSpec,
     generate_workload,
 )
+from repro.serve import server as server_module
 from repro.sim.device import GpuDevice
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import custom_machine
@@ -103,7 +104,7 @@ class TestServing:
         assert found == 0
         assert outcome.done_requests()
 
-    def test_hedged_blas_server(self, tb2, models_tb2):
+    def test_hedged_blas_server(self, tb2, models_tb2, monkeypatch):
         # Tight deadlines with hedging on: solo near-deadline batches
         # are mirrored onto the idle second GPU, so batches form pairs.
         requests = [
@@ -111,9 +112,9 @@ class TestServing:
                     problem=gemm_problem(1024, 1024, 1024, np.float64))
             for i in range(6)
         ]
+        monkeypatch.setattr(server_module, "HEDGE_SLACK", 50.0)
         server = BlasServer(tb2, models_tb2, ServerConfig(
-            n_gpus=2, seed=4, hedging=True, hedge_slack=50.0,
-            host_offload=False))
+            n_gpus=2, seed=4, hedging=True, host_offload=False))
         found, outcome = cyclic_garbage(lambda: server.serve(requests))
         assert found == 0
         assert outcome.resilience_stats.hedges >= 1
