@@ -14,6 +14,11 @@ written once, in the base class, so a new routine is one
 :class:`~repro.blas.spec.RoutineSpec`, one subclass declaring its
 grids and an ``_issue`` loop, and one thin library method.
 
+The serving layer records the device calls of an ``_issue`` once per
+problem, tile and machine, and replays them for later batches
+(:mod:`repro.runtime.program`); these classes stay the one definition
+of what a pipeline does.
+
 Two gemm subkernel traversal orders are provided for the ablation study:
 
 * ``reuse`` (default): for each output column block, for each output row
@@ -37,6 +42,7 @@ from ..core.params import CoCoProblem, Loc
 from ..errors import DeviceMemoryError, SchedulerError
 from ..sim.link import Direction
 from ..sim.memory import HostArray
+from ..sim.stream import Stream
 from .cache import TileCache, TileEntry
 from .tiles import Grid1D, Grid2D
 
@@ -108,6 +114,11 @@ class _PipelineBase:
         #: Every streamed tile: single use, never looked up, freed by
         #: release().
         self._streamed: list = []
+
+    @property
+    def streams(self) -> Tuple[Stream, Stream, Stream]:
+        """The pipeline's streams: h2d, exec, d2h."""
+        return (self.s_h2d, self.s_exec, self.s_d2h)
 
     def _plan_fetches(self, grids: Dict[str, object],
                       streamed: Sequence[str] = (),

@@ -5,11 +5,14 @@ simulated machine on **one shared simulator clock**.  Arrivals are
 pre-scheduled events; each admitted request is queued on the worker the
 :class:`~repro.serve.dispatcher.Dispatcher` chose; an idle worker pops
 its queue head (EDF-within-priority), coalesces compatible small
-requests into one batch, and executes it through the real tile
-scheduler pipeline on a fresh :class:`~repro.sim.device.GpuDevice`
-sharing the server clock.  Completion is detected with
-``Operation.on_done`` on the last op of each pipeline stream — no
-polling, no synchronize.
+requests into one batch, and executes its tile pipeline on a fresh
+:class:`~repro.sim.device.GpuDevice` sharing the server clock.  The
+first batch of a (problem signature, tile, machine degradation) key
+runs the real tile scheduler and records its device program
+(:mod:`repro.runtime.program`); every later batch of that key replays
+the program onto its own fresh device, through the same device calls.
+Completion is detected with ``Operation.on_done`` on the last op of
+each pipeline stream — no polling, no synchronize.
 
 A fresh device per batch is the repo's isolation idiom (see
 ``OffloadLibrary._next_device`` in :mod:`repro.runtime.offload`) and
@@ -48,6 +51,7 @@ from ..backend.cublas import CublasContext
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem
 from ..runtime.offload import host_operands
+from ..runtime.program import DeviceProgram, ProgramRecorder
 from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
@@ -173,7 +177,7 @@ class _Batch:
     """One in-flight unit of execution on a worker."""
 
     __slots__ = ("batch_id", "members", "problem", "worker", "t0",
-                 "predicted", "device", "scheduler", "watchdog",
+                 "predicted", "device", "pipeline", "watchdog",
                  "pending_ops", "settled", "locality_hit", "cancelled",
                  "is_hedge", "twin")
 
@@ -187,7 +191,9 @@ class _Batch:
         self.t0 = t0
         self.predicted = predicted
         self.device = None
-        self.scheduler = None
+        #: the live scheduler or program replay; ``release()`` frees
+        #: its device tiles
+        self.pipeline = None
         self.watchdog = None
         self.pending_ops = 0
         self.settled = False
@@ -256,6 +262,10 @@ class BlasServer:
         self._link_factor = [1.0] * self.config.n_gpus
         #: Memoized degraded machine copies, keyed on the ground truth.
         self._degraded: Dict[Tuple[float, float], MachineConfig] = {}
+        #: Recorded device programs, keyed on (problem signature, tile,
+        #: ground-truth degradation): the first batch of a key runs the
+        #: tile scheduler, every later one replays its program.
+        self.programs: Dict[tuple, DeviceProgram] = {}
         self._stats_res = ResilienceStats()
         self._device_counters = ResilienceCounters()
         plan = machine.fault_plan
@@ -452,8 +462,10 @@ class BlasServer:
         if self.monitor.begin_recovery(index, self.sim.now):
             self._maybe_dispatch(gpu_worker(index))
 
-    def _batch_machine(self, index: int) -> MachineConfig:
-        """The machine a batch launched on ``index`` right now runs on.
+    def _batch_machine(self, index: int
+                       ) -> Tuple[Tuple[float, float], MachineConfig]:
+        """The machine a batch launched on ``index`` right now runs on,
+        with its ``(slowdown, link factor)`` key.
 
         While a degradation/brownout window is open the batch runs on a
         genuinely slowed copy — the monitor then *observes* the window
@@ -461,15 +473,15 @@ class BlasServer:
         """
         slowdown = self._slowdown[index]
         link = self._link_factor[index]
-        if slowdown == 1.0 and link == 1.0:
-            return self.machine
         key = (slowdown, link)
+        if slowdown == 1.0 and link == 1.0:
+            return key, self.machine
         machine = self._degraded.get(key)
         if machine is None:
             machine = self.machine.with_degradation(
                 compute_slowdown=slowdown, bandwidth_factor=link)
             self._degraded[key] = machine
-        return machine
+        return key, machine
 
     # -- metrics helpers ------------------------------------------------
 
@@ -586,23 +598,12 @@ class BlasServer:
         batch.predicted = choice.predicted_time
         batch.problem = problem
 
-        device = GpuDevice(
-            self._batch_machine(state.index), sim=self.sim,
+        machine_key, machine = self._batch_machine(state.index)
+        batch.device = GpuDevice(
+            machine, sim=self.sim,
             seed=cfg.seed + 37 * head.req_id + state.index,
             trace=cfg.trace, metrics=self.metrics,
         )
-        ctx = CublasContext(device)
-        hosts = host_operands(problem)
-        if problem.routine.name == "gemm":
-            scheduler = GemmTileScheduler(ctx, problem, choice.t_best, hosts)
-        elif problem.routine.name == "axpy":
-            scheduler = AxpyTileScheduler(ctx, problem, choice.t_best, hosts)
-        else:
-            raise ServeError(
-                f"serving does not support routine {problem.routine.name!r}")
-        batch.device = device
-        batch.scheduler = scheduler
-
         state.busy = True
         state.running_pred_end = self.sim.now + batch.predicted
         self._inflight[state.index] = batch
@@ -610,11 +611,9 @@ class BlasServer:
                 is HealthState.RECOVERING):
             self._stats_res.probes += 1
             self._count("serve.probes")
-        scheduler._issue()
+        streams = self._issue_pipeline(batch, choice.t_best, machine_key)
 
-        last_ops = [s.last_op for s in (scheduler.s_h2d, scheduler.s_exec,
-                                        scheduler.s_d2h)
-                    if s.last_op is not None]
+        last_ops = [s.last_op for s in streams if s.last_op is not None]
         batch.pending_ops = len(last_ops)
         if not last_ops:
             self._finish_gpu_batch(state, batch)
@@ -631,6 +630,44 @@ class BlasServer:
         # tests/sim/test_tie_ordering.py.
         batch.watchdog = self.sim.schedule(
             deadline, lambda s=state, b=batch: self._on_timeout(s, b))
+
+    def _issue_pipeline(self, batch: _Batch, t: int,
+                        machine_key: Tuple[float, float]) -> tuple:
+        """Issue the batch's tile pipeline (tile size ``t``) on its
+        device and return the pipeline's streams.
+
+        The first batch of a (problem, tile, machine) key builds the
+        tile scheduler and records its device program; every later one
+        replays that program onto its own fresh device.  A recording
+        whose issue raises stores nothing.
+        """
+        device = batch.device
+        problem = batch.problem
+        key = (problem.signature(), t, machine_key)
+        program = self.programs.get(key)
+        if program is not None:
+            batch.pipeline = replay = program.replay(device)
+            return replay.streams
+        recorder = ProgramRecorder(device)
+        try:
+            ctx = CublasContext(device)
+            hosts = host_operands(problem)
+            if problem.routine.name == "gemm":
+                scheduler = GemmTileScheduler(ctx, problem, t, hosts)
+            elif problem.routine.name == "axpy":
+                scheduler = AxpyTileScheduler(ctx, problem, t, hosts)
+            else:
+                raise ServeError(
+                    "serving does not support routine "
+                    f"{problem.routine.name!r}")
+            batch.pipeline = scheduler
+            scheduler._issue()
+        finally:
+            recorder.detach()
+        program = recorder.program(t)
+        if program is not None:
+            self.programs[key] = program
+        return scheduler.streams
 
     def _hedge(self, state: WorkerState, batch: _Batch) -> None:
         """Mirror a near-deadline solo request onto an idle worker.
@@ -689,8 +726,8 @@ class BlasServer:
             # This copy lost its hedge race: the members already
             # completed on the twin.  Account the device time, free the
             # worker, complete nobody.
-            if batch.scheduler is not None:
-                batch.scheduler.release()
+            if batch.pipeline is not None:
+                batch.pipeline.release()
             state.busy = False
             state.running_pred_end = 0.0
             self._maybe_dispatch(gpu_worker(state.index))
@@ -718,8 +755,8 @@ class BlasServer:
                 member.batch_id = batch.batch_id
                 member.dispatch_t = batch.t0
             self._complete_request(member, end, service, events)
-        if batch.scheduler is not None:
-            batch.scheduler.release()
+        if batch.pipeline is not None:
+            batch.pipeline.release()
         self.dispatcher.note_resident(state.index, batch.members[0])
         state.busy = False
         state.running_pred_end = 0.0

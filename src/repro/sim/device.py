@@ -4,6 +4,11 @@ A :class:`GpuDevice` is what the cuBLAS-like backend talks to.  It owns
 the simulator clock, the duplex PCIe link, the kernel engine, memory
 accounting, the machine's noise model, and (optionally) a trace
 recorder.
+
+While ``device.recorder`` is set, the device and the streams created
+from then on report every allocation, transfer, kernel and event call
+to it (see :mod:`repro.runtime.program`); with no recorder each hook is
+one ``is None`` test.
 """
 
 from __future__ import annotations
@@ -81,6 +86,17 @@ class GpuDevice:
                                      trace=self.trace, metrics=metrics)
         self._used_bytes = 0
         self._streams: Dict[str, Stream] = {}
+        #: duck-typed ProgramRecorder (repro.runtime.program); None = off
+        self.recorder = None
+        # Dispatch callbacks, one per engine, shared by every op: each
+        # is called with the op it hands over, so none captures an op.
+        self._dispatch_h2d = partial(_submit_transfer, self.link,
+                                     Direction.H2D)
+        self._dispatch_d2h = partial(_submit_transfer, self.link,
+                                     Direction.D2H)
+        self._dispatch_exec = self.compute.submit
+        self._retry_scope = (None if self.faults is None
+                             else _RetryScope(self))
 
     # ------------------------------------------------------------------
     # memory management
@@ -137,6 +153,8 @@ class GpuDevice:
             array = np.zeros(shape, dtype=dtype)
         buf = DeviceBuffer(nbytes, shape=shape, dtype=dtype, array=array, name=name)
         self._used_bytes += buf.nbytes
+        if self.recorder is not None:
+            self.recorder.alloc(nbytes, with_data)
         return buf
 
     def free(self, buf: DeviceBuffer) -> None:
@@ -190,15 +208,14 @@ class GpuDevice:
         corrupt: Optional[Callable[[], None]] = None,
     ) -> Operation:
         """Enqueue a host-to-device copy of ``nbytes`` on ``stream``."""
+        if self.recorder is not None:
+            self.recorder.memcpy_h2d(nbytes, stream, tag)
         op = Operation(KIND_H2D, nbytes=nbytes, tag=tag, payload=payload)
         if self.faults is None:
-            stream.enqueue(op, partial(
-                self.link.submit, Direction.H2D, nbytes,
-                on_complete=partial(_complete_operation, op), tag=tag,
-            ))
+            stream.enqueue(op, self._dispatch_h2d)
         else:
-            stream.enqueue(op, _TransferRetry(self, op, Direction.H2D,
-                                              verify, corrupt).attempt)
+            stream.enqueue(op, _TransferRetry(
+                self._retry_scope, Direction.H2D, verify, corrupt).attempt)
         return op
 
     def memcpy_d2h_async(
@@ -211,15 +228,14 @@ class GpuDevice:
         corrupt: Optional[Callable[[], None]] = None,
     ) -> Operation:
         """Enqueue a device-to-host copy of ``nbytes`` on ``stream``."""
+        if self.recorder is not None:
+            self.recorder.memcpy_d2h(nbytes, stream, tag)
         op = Operation(KIND_D2H, nbytes=nbytes, tag=tag, payload=payload)
         if self.faults is None:
-            stream.enqueue(op, partial(
-                self.link.submit, Direction.D2H, nbytes,
-                on_complete=partial(_complete_operation, op), tag=tag,
-            ))
+            stream.enqueue(op, self._dispatch_d2h)
         else:
-            stream.enqueue(op, _TransferRetry(self, op, Direction.D2H,
-                                              verify, corrupt).attempt)
+            stream.enqueue(op, _TransferRetry(
+                self._retry_scope, Direction.D2H, verify, corrupt).attempt)
         return op
 
     def launch_async(
@@ -238,12 +254,15 @@ class GpuDevice:
         """
         if duration < 0:
             raise SimulationError(f"negative kernel duration: {duration}")
+        if self.recorder is not None:
+            self.recorder.launch(duration, stream, tag, flops)
         op = Operation(KIND_EXEC, duration=duration, flops=flops, tag=tag,
                        payload=payload)
         if self.faults is None:
-            stream.enqueue(op, partial(self.compute.submit, op))
+            stream.enqueue(op, self._dispatch_exec)
         else:
-            stream.enqueue(op, _KernelRetry(self, op, duration).attempt)
+            stream.enqueue(op, _KernelRetry(self._retry_scope,
+                                            duration).attempt)
         return op
 
     # ------------------------------------------------------------------
@@ -263,35 +282,65 @@ class GpuDevice:
         )
 
 
+def _submit_transfer(link: DuplexLink, direction: Direction,
+                     op: Operation) -> None:
+    """Dispatch of a fault-free transfer: hand ``op`` to the link."""
+    link.submit(direction, op.nbytes,
+                on_complete=partial(_complete_operation, op), tag=op.tag)
+
+
+class _RetryScope:
+    """The parts of one device its retry chains use, without the device.
+
+    A retry is the dispatch callback of an op that the device's streams
+    still point at until it dispatches.  If the retry held the device,
+    every op of a wedged schedule that never dispatched would sit in a
+    cycle through the device's streams.
+    """
+
+    __slots__ = ("sim", "link", "compute", "faults", "policy",
+                 "resilience", "failures")
+
+    def __init__(self, device: GpuDevice) -> None:
+        self.sim = device.sim
+        self.link = device.link
+        self.compute = device.compute
+        self.faults = device.faults
+        self.policy = device.retry_policy
+        self.resilience = device.resilience
+        #: the device's parked RetryExhaustedErrors (synchronize raises)
+        self.failures = device._fault_failures
+
+
 class _Retry:
     """Re-submits one fault-injected op until it lands or its budget
     is spent.
 
-    Only callbacks point at a retry object: the op's dispatch and
-    fault hooks, a link job, a pending backoff event.  Each is dropped
-    once it fires, so a settled op and its retry are freed by
-    reference counting, with no cycle through the op.
+    The op is passed to every step (dispatch, link and fault
+    callbacks, backoff events) rather than held, and only callbacks
+    point at a retry object.  Each is dropped once it fires, so a
+    settled op and its retry are freed by reference counting, and an
+    op that never dispatched is in no cycle either.
     """
 
-    __slots__ = ("device", "op")
+    __slots__ = ("scope",)
 
-    def __init__(self, device: GpuDevice, op: Operation) -> None:
-        self.device = device
-        self.op = op
+    def __init__(self, scope: _RetryScope) -> None:
+        self.scope = scope
 
-    def _retry_or_park(self, reason: str) -> bool:
+    def _retry_or_park(self, op: Operation, reason: str) -> bool:
         """Schedule the subclass's next ``attempt`` after backoff and
         return True; once the budget is spent, park a
         :class:`RetryExhaustedError` on the device (synchronize raises
         it) and return False."""
-        op = self.op
-        device = self.device
-        policy = device.retry_policy
+        scope = self.scope
+        policy = scope.policy
         if op.attempts >= policy.max_attempts:
-            device._fault_failures.append(
+            scope.failures.append(
                 RetryExhaustedError(op.tag or op.kind, op.attempts, reason))
             return False
-        device.sim.schedule(policy.backoff(op.attempts), self.attempt)
+        scope.sim.schedule(policy.backoff(op.attempts),
+                           partial(self.attempt, op))
         return True
 
 
@@ -309,34 +358,32 @@ class _TransferRetry(_Retry):
 
     __slots__ = ("direction", "verify", "corrupt")
 
-    def __init__(self, device: GpuDevice, op: Operation,
-                 direction: Direction,
+    def __init__(self, scope: _RetryScope, direction: Direction,
                  verify: Optional[Callable[[], bool]],
                  corrupt: Optional[Callable[[], None]]) -> None:
-        super().__init__(device, op)
+        super().__init__(scope)
         self.direction = direction
         self.verify = verify
         self.corrupt = corrupt
 
-    def attempt(self) -> None:
-        op = self.op
+    def attempt(self, op: Operation) -> None:
         op.attempts += 1
-        self.device.link.submit(self.direction, op.nbytes,
-                                on_complete=self.landed,
-                                on_fault=self.failed, tag=op.tag)
+        self.scope.link.submit(self.direction, op.nbytes,
+                               on_complete=partial(self.landed, op),
+                               on_fault=partial(self.failed, op),
+                               tag=op.tag)
 
-    def failed(self) -> None:
-        if self._retry_or_park("transient transfer failure"):
-            self.device.resilience.retries += 1
+    def failed(self, op: Operation) -> None:
+        if self._retry_or_park(op, "transient transfer failure"):
+            self.scope.resilience.retries += 1
 
-    def landed(self) -> None:
+    def landed(self, op: Operation) -> None:
         # Bytes arrived: run the data copy, then model silent
         # corruption.  A re-fetch re-runs the payload, which
         # overwrites the corrupted destination with good data.
-        op = self.op
         if op.payload is not None:
             op.payload()
-        corrupted = self.device.faults.corrupts_transfer()
+        corrupted = self.scope.faults.corrupts_transfer()
         if corrupted and self.corrupt is not None:
             self.corrupt()
         # Compute mode detects corruption by checksum mismatch;
@@ -344,8 +391,8 @@ class _TransferRetry(_Retry):
         verify = self.verify
         detected = (not verify()) if verify is not None else corrupted
         if detected:
-            self.device.resilience.refetches += 1
-            self._retry_or_park("tile corruption")
+            self.scope.resilience.refetches += 1
+            self._retry_or_park(op, "tile corruption")
             return
         op.payload = None  # already ran; don't run it again
         _complete_operation(op)
@@ -356,16 +403,14 @@ class _KernelRetry(_Retry):
 
     __slots__ = ("duration",)
 
-    def __init__(self, device: GpuDevice, op: Operation,
-                 duration: float) -> None:
-        super().__init__(device, op)
+    def __init__(self, scope: _RetryScope, duration: float) -> None:
+        super().__init__(scope)
         #: the ground-truth duration; ``op.duration`` is per attempt
         self.duration = duration
 
-    def attempt(self) -> None:
-        op = self.op
+    def attempt(self, op: Operation) -> None:
         op.attempts += 1
-        if self.device.faults.kernel_faults():
+        if self.scope.faults.kernel_faults():
             op.fault = True
             op.duration = faulted_kernel_time(self.duration)
             op.on_fault = self.aborted
@@ -373,8 +418,8 @@ class _KernelRetry(_Retry):
             op.fault = False
             op.duration = self.duration
             op.on_fault = None
-        self.device.compute.submit(op)
+        self.scope.compute.submit(op)
 
-    def aborted(self) -> None:
-        if self._retry_or_park("kernel fault"):
-            self.device.resilience.kernel_retries += 1
+    def aborted(self, op: Operation) -> None:
+        if self._retry_or_park(op, "kernel fault"):
+            self.scope.resilience.kernel_retries += 1

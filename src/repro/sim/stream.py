@@ -84,7 +84,7 @@ class Operation:
         #: fault-doomed, and the callback fired instead of completion.
         self.attempts = 0
         self.fault = False
-        self.on_fault: Optional[Callable[[], None]] = None
+        self.on_fault: Optional[Callable[["Operation"], None]] = None
 
     def add_dependency(self, dep: "Operation") -> None:
         """Make this op wait for ``dep`` (no-op if dep already done)."""
@@ -110,16 +110,18 @@ class Operation:
     def _dispatch(self) -> None:
         """Hand the op to its engine, exactly once.
 
-        The dispatch callback usually captures this op, so it is
-        dropped before it runs: an op never points at its own closure,
-        and a finished op is freed by reference counting alone.
+        The dispatch callback is called with this op rather than
+        capturing it, so an op that never dispatches (its stream
+        wedged behind a failed transfer) is in no cycle through its
+        callback.  The callback is dropped before it runs, and ops are
+        freed by reference counting alone.
         """
         if self.issued:
             raise StreamError(f"operation dispatched twice: {self!r}")
         self.issued = True
         dispatch = self._dispatch_fn
         self._dispatch_fn = None
-        dispatch()
+        dispatch(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("issued" if self.issued else "pending")
@@ -219,7 +221,7 @@ class ComputeEngine:
             on_fault = op.on_fault
             if on_fault is not None:
                 op.on_fault = None
-                on_fault()
+                on_fault(op)
         else:
             _complete_operation(op)
         self._maybe_start()
@@ -250,10 +252,12 @@ class Stream:
 
     A stream keeps the device's simulator and fault-failure list, not
     the device: the device owns its streams, and nothing points back.
+    A stream created while the device has a program recorder reports
+    its event calls to it until the recorder detaches.
     """
 
     __slots__ = ("_sim", "_failures", "name", "_last", "_pending_waits",
-                 "ops_enqueued")
+                 "ops_enqueued", "_recorder")
 
     def __init__(self, device, name: str = "") -> None:
         self._sim: Simulator = device.sim
@@ -263,6 +267,9 @@ class Stream:
         self._last: Optional[Operation] = None
         self._pending_waits: List[Operation] = []
         self.ops_enqueued = 0
+        self._recorder = device.recorder
+        if self._recorder is not None:
+            self._recorder.stream(self)
 
     @property
     def last_op(self) -> Optional[Operation]:
@@ -272,13 +279,16 @@ class Stream:
         """All work enqueued after this call waits for ``event``."""
         if not event.recorded:
             raise StreamError("waiting on an event that was never recorded")
+        if self._recorder is not None:
+            self._recorder.wait_event(self, event)
         if event._marker is not None and not event._marker.done:
             self._pending_waits.append(event._marker)
 
-    def enqueue(self, op: Operation, dispatch: Callable[[], None]) -> None:
+    def enqueue(self, op: Operation,
+                dispatch: Callable[[Operation], None]) -> None:
         """Attach stream-order dependencies and issue when ready.
 
-        ``dispatch`` hands the op to its engine; it runs now if all
+        ``dispatch(op)`` hands the op to its engine; it runs now if all
         dependencies are already satisfied, later otherwise.
 
         The dependency attachment is ``Operation.add_dependency``
@@ -315,6 +325,8 @@ class Stream:
         """Record an event capturing all work enqueued so far."""
         ev = CudaEvent()
         ev._bind(self._last)
+        if self._recorder is not None:
+            self._recorder.record_event(self, ev)
         return ev
 
     def synchronize(self) -> None:

@@ -10,7 +10,7 @@ defaults patch the module constants.
 import numpy as np
 import pytest
 
-from repro.core.params import gemm_problem
+from repro.core.params import Loc, gemm_problem
 from repro.obs import MetricsRegistry, find_conservation_violations
 from repro.serve import (
     BlasServer,
@@ -289,6 +289,27 @@ class TestLifecycleServing:
             for i in range(2)))
         slow = self.run(tb2, models_tb2, plan, spec=spec)
         assert slow.end_time > clean.end_time
+
+    def test_batches_inside_a_window_replay_the_slowed_program(
+            self, tb2, models_tb2):
+        # One shape, one request at a time: the first batch records the
+        # healthy program, and the batches launched inside the window
+        # must not replay it (their kernels run 4x slower).
+        problem = gemm_problem(2048, 2048, 2048, np.float64,
+                               Loc.DEVICE, Loc.DEVICE, Loc.DEVICE)
+        requests = [Request(req_id=i, arrival=0.05 * (i + 1), problem=problem)
+                    for i in range(6)]
+        plan = FaultPlan(name="window", lifecycle=(
+            DeviceDegradation(device=0, onset=0.17, duration=0.1,
+                              slowdown=4.0),))
+        server = BlasServer(tb2.with_faults(plan), models_tb2, ServerConfig(
+            n_gpus=1, seed=2, host_offload=False))
+        outcome = server.serve(requests)
+        service = [r.completion_t - r.dispatch_t for r in outcome.requests]
+        inside, outside = service[3:5], service[:3] + service[5:]
+        assert min(inside) > 3.0 * max(outside), service
+        assert {key[2] for key in server.programs} == {(1.0, 1.0),
+                                                       (4.0, 1.0)}
 
     def test_lifecycle_event_beyond_fleet_is_ignored(self, tb2, models_tb2):
         plan = FaultPlan(name="ghost", lifecycle=(

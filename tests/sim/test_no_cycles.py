@@ -1,6 +1,7 @@
 """The simulator's per-run object graph is freed by reference counting.
 
-A served batch builds a fresh device, link, streams, ops and scheduler.
+A served batch builds a fresh device, link, streams and ops, and a
+scheduler or the replay of a recorded program.
 If any of them sits in a reference cycle, nothing of the batch is freed
 until the cycle collector runs, and serving pays for full collections
 over an ever larger heap.  Each case below runs with the collector off
@@ -65,6 +66,23 @@ def run_schedule(machine, problem, scheduler_cls, t):
     return stats, device.resilience
 
 
+def wedge_schedule(machine, problem, t):
+    """Issue and run a schedule that never completes: the parked
+    failures, as counted after the run."""
+    device = GpuDevice(machine, seed=1)
+    sched = GemmTileScheduler(CublasContext(device), problem, t,
+                              host_operands(problem))
+    sched._issue()
+    device.sim.run()
+    sched.release()
+    return len(device._fault_failures)
+
+
+def gpu_batches(server):
+    """GPU batches the server launched (each settles exactly once)."""
+    return sum(stats.batches for stats in server._stats)
+
+
 class TestSchedules:
     def test_clean_gemm(self):
         machine = custom_machine()
@@ -94,6 +112,18 @@ class TestSchedules:
                   for name in ("retries", "kernel_retries", "refetches")]
         assert all(totals), totals
 
+    def test_wedged_gemm(self):
+        # Every transfer fails: the first fetch exhausts its retries,
+        # and the ops queued behind it never dispatch.  Their dispatch
+        # callbacks must not hold them (or the device) in a cycle.
+        machine = custom_machine().with_faults(
+            FaultPlan(seed=3, transfer_fail_rate=1.0))
+        problem = gemm_problem(2048, 2048, 2048, np.float64)
+        found, parked = cyclic_garbage(
+            lambda: wedge_schedule(machine, problem, 512))
+        assert found == 0
+        assert parked == 1
+
 
 class TestServing:
     def test_blas_server(self, tb2, models_tb2):
@@ -103,6 +133,8 @@ class TestServing:
         found, outcome = cyclic_garbage(lambda: server.serve(requests))
         assert found == 0
         assert outcome.done_requests()
+        # Most batches replayed a recorded program.
+        assert 0 < len(server.programs) < gpu_batches(server)
 
     def test_hedged_blas_server(self, tb2, models_tb2, monkeypatch):
         # Tight deadlines with hedging on: solo near-deadline batches
@@ -118,6 +150,7 @@ class TestServing:
         found, outcome = cyclic_garbage(lambda: server.serve(requests))
         assert found == 0
         assert outcome.resilience_stats.hedges >= 1
+        assert 0 < len(server.programs) < gpu_batches(server)
 
     @pytest.mark.parametrize("kills", [None, [(0.4, "node1")]])
     def test_cluster_coordinator(self, tb1, models_tb1, kills):
@@ -133,3 +166,6 @@ class TestServing:
             lambda: coordinator.run(workload, kill_events=kills))
         assert found == 0
         assert outcome.conservation_ok
+        servers = [node.server for node in outcome.nodes]
+        programs = sum(len(server.programs) for server in servers)
+        assert 0 < programs < sum(gpu_batches(s) for s in servers)
