@@ -153,10 +153,6 @@ class CoCoProblem:
     def n_set(self) -> int:
         return len(self.written_operands())
 
-    def bytes_to_fetch(self) -> int:
-        """Total bytes that must cross h2d under full reuse."""
-        return sum(op.elements() for op in self.fetched_operands()) * self.elem_size
-
     def signature(self) -> Tuple:
         """Hashable identity used for model/tile-choice caching.
 

@@ -43,11 +43,6 @@ class PredCacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        n = self.lookups
-        return self.hits / n if n else 0.0
-
 
 class PredictionCache:
     """Memo for tile choices and per-(model, problem, T) predictions.

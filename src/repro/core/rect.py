@@ -43,11 +43,6 @@ class RectTile:
     def volume(self) -> int:
         return self.tm * self.tn * self.tk
 
-    @property
-    def cube_edge(self) -> float:
-        """Edge of the equal-volume cube."""
-        return self.volume ** (1.0 / 3.0)
-
     def as_tuple(self) -> Tuple[int, int, int]:
         return (self.tm, self.tn, self.tk)
 
@@ -141,11 +136,6 @@ class RectChoice:
     evaluations: int
     square_best: RectTile
     square_predicted: float
-
-    @property
-    def gain_over_square(self) -> float:
-        """Predicted speedup of the rect tile over the best square tile."""
-        return self.square_predicted / self.predicted_time
 
 
 def _dim_candidates(d: int, grid: Sequence[int], cap: int) -> List[int]:

@@ -31,9 +31,6 @@ class TileChoice:
     model: str
     per_tile: Dict[int, float] = field(default_factory=dict)
 
-    def predicted_for(self, t: int) -> float:
-        return self.per_tile[t]
-
 
 def candidate_tiles(
     problem: CoCoProblem,

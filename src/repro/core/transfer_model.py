@@ -69,10 +69,6 @@ class TransferFit:
             raise ModelError(f"negative transfer size: {nbytes}")
         return self.latency + self.sec_per_byte * nbytes
 
-    def time_bid(self, nbytes: float) -> float:
-        """Predicted transfer time with the opposite link in use."""
-        return self.sl * self.time(nbytes)
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "latency": self.latency,

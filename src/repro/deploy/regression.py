@@ -202,13 +202,17 @@ def measure_until_stable(
     The paper's stopping rule: the 95% CI half-width must fall within
     ``rel_half_width`` (5%) of the mean.  ``max_reps`` bounds pathological
     noise; hitting it raises so silent garbage never enters the model
-    database.
+    database.  ``min_reps == max_reps`` fixes the count: the stopping
+    rule has nothing to decide, so the mean of exactly that many
+    samples is returned.
     """
     samples: List[float] = []
     for _ in range(max_reps):
         samples.append(float(measure()))
         if len(samples) < min_reps:
             continue
+        if min_reps == max_reps:
+            return float(np.mean(samples)), samples
         mean, half = confidence_interval(samples, confidence)
         if mean == 0.0:
             if half == 0.0:

@@ -32,7 +32,6 @@ SCHEDULER_FEATURES = (
     "fetch-once tile cache",
     "1 stream per operation class",
     "multi-GPU column split",
-    "host-assisted split",
 )
 
 

@@ -74,11 +74,6 @@ class ErrorDistribution:
             p99=float(np.percentile(arr, 99)),
         )
 
-    def tail_quantiles(self) -> dict:
-        """The p50/p95/p99 trio tail-aware consumers read, keyed the
-        same way the serve/cluster latency summaries are."""
-        return {"p50": self.median, "p95": self.p95, "p99": self.p99}
-
 
 def geomean(values: Sequence[float]) -> float:
     """Geometric mean of positive values."""

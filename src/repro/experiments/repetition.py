@@ -44,13 +44,6 @@ class RepeatedMeasurement:
             return 0.0
         return self.ci_half / self.mean
 
-    @property
-    def cov(self) -> float:
-        """Coefficient of variation (std / mean)."""
-        if self.mean == 0:
-            return 0.0
-        return self.std / self.mean
-
 
 def _run_at(lib, problem, tile_size: Optional[int], idx: int,
             kwargs: dict) -> float:

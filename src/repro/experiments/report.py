@@ -67,11 +67,6 @@ def ascii_series(xs: Sequence[float], ys: Sequence[float],
     return "\n".join(lines)
 
 
-def bullet_list(items: Sequence[str], indent: int = 2) -> str:
-    pad = " " * indent
-    return "\n".join(f"{pad}- {item}" for item in items)
-
-
 def section(title: str, body: str) -> str:
     bar = "=" * len(title)
     return f"{title}\n{bar}\n{body}\n"

@@ -53,10 +53,6 @@ def location_combos(n_operands: int) -> List[Tuple[Loc, ...]]:
     return combos
 
 
-def full_offload(n_operands: int) -> Tuple[Loc, ...]:
-    return tuple(Loc.HOST for _ in range(n_operands))
-
-
 def is_full_offload(problem: CoCoProblem) -> bool:
     return all(op.loc is Loc.HOST for op in problem.operands)
 

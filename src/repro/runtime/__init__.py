@@ -23,7 +23,6 @@ from .cache import TileCache
 from .offload import bind_operands, host_operands
 from .routines import CoCoPeLiaLibrary
 from .multigpu import MultiGpuCoCoPeLia, predict_multi_gpu, shard_columns, shard_problem
-from .hybrid import HybridCoCoPeLia, HybridSplit, select_split
 from .summa import SummaGemm, SummaResult
 from .streaming import StreamingGemv, StreamingGemvResult
 
@@ -43,7 +42,4 @@ __all__ = [
     "SummaResult",
     "StreamingGemv",
     "StreamingGemvResult",
-    "HybridCoCoPeLia",
-    "HybridSplit",
-    "select_split",
 ]

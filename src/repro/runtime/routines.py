@@ -118,13 +118,6 @@ class CoCoPeLiaLibrary(OffloadLibrary):
         half = t // 2
         return half if half >= MIN_TILE else None
 
-    def _host_fallback_seconds(self, problem: CoCoProblem) -> float:
-        """Simulated wall time of running the routine on the host CPU."""
-        rate = self.machine.cpu_gemm_flops
-        if np.dtype(problem.dtype).itemsize == 4:
-            rate *= 2.0  # FP32 runs at twice the sustained FP64 rate
-        return problem.flops() / rate
-
     def _run_resilient(
         self,
         problem: CoCoProblem,
@@ -193,7 +186,8 @@ class CoCoPeLiaLibrary(OffloadLibrary):
         restore()
         total.host_fallbacks += 1
         stats = ScheduleStats(
-            seconds=self._host_fallback_seconds(problem),
+            seconds=self.machine.host_seconds(problem.flops(),
+                                              problem.dtype),
             h2d_bytes=0, d2h_bytes=0, h2d_transfers=0, d2h_transfers=0,
             kernels=0,
         )

@@ -37,7 +37,6 @@ from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..core.predcache import PredictionCache
 from ..core.select import TileChoice, select_tile
 from ..core.tailbank import PercentileBank
-from ..runtime.hybrid import host_gemm_time
 from ..sim.machine import MachineConfig
 from .request import Request, RequestQueue, ServeError
 from .resilience import HealthMonitor
@@ -222,8 +221,7 @@ class Dispatcher:
         """Flat-rate host CPU service prediction (gemm only)."""
         if problem.routine.name != "gemm":
             return None
-        m, n, k = problem.dims
-        return host_gemm_time(self.machine, m, n, k, problem.dtype)
+        return self.machine.host_seconds(problem.flops(), problem.dtype)
 
     def tail_multiplier(self, problem: CoCoProblem) -> float:
         """The factor from mean service time to admission estimate: the

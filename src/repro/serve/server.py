@@ -599,10 +599,15 @@ class BlasServer:
         batch.problem = problem
 
         machine_key, machine = self._batch_machine(state.index)
+        seed = cfg.seed + 37 * head.req_id + state.index
+        # Each batch draws its own fault sequence, offset from the
+        # plan's seed by the batch seed (the library offsets by call).
+        plan = machine.fault_plan
+        faults = (plan.with_seed(plan.seed + seed)
+                  if plan is not None and plan.any_event_faults else None)
         batch.device = GpuDevice(
-            machine, sim=self.sim,
-            seed=cfg.seed + 37 * head.req_id + state.index,
-            trace=cfg.trace, metrics=self.metrics,
+            machine, sim=self.sim, seed=seed, trace=cfg.trace,
+            faults=faults, metrics=self.metrics,
         )
         state.busy = True
         state.running_pred_end = self.sim.now + batch.predicted

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..units import from_gb_per_s, from_tflops, gib
 from .faults import FaultPlan
 from .kernels import AxpyTimeModel, GemmTimeModel, KernelModelSet
@@ -36,14 +38,23 @@ class MachineConfig:
     um_bandwidth_factor: float = 0.70
     #: Fraction of migration hidden by prefetching in the UM baseline.
     um_prefetch_overlap: float = 0.70
-    #: Sustained host-CPU dgemm rate (FLOP/s) for host-assisted
-    #: execution; the FP32 rate is taken as twice this.
+    #: Sustained host-CPU dgemm rate (FLOP/s) for work run on the host
+    #: (the runtime's host fallback, the serving layer's host worker);
+    #: the FP32 rate is taken as twice this.
     cpu_gemm_flops: float = 1.5e11
     noise_sigma: float = 0.015
     #: Default-off fault injection: devices built from this config
     #: consult the plan (see :mod:`repro.sim.faults`).  ``None`` keeps
     #: the simulator on its fault-free fast path.
     fault_plan: Optional[FaultPlan] = None
+
+    def host_seconds(self, flops: float, dtype) -> float:
+        """Host-CPU time for ``flops`` of BLAS work at the flat
+        sustained rate (FP32 at twice the FP64 rate)."""
+        rate = self.cpu_gemm_flops
+        if np.dtype(dtype).itemsize == 4:
+            rate *= 2.0
+        return flops / rate
 
     def with_noise(self, sigma: float) -> "MachineConfig":
         """A copy of this config with a different noise level."""

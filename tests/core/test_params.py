@@ -64,10 +64,6 @@ class TestGemmProblem:
         p = gemm_problem(10, 20, 30)
         assert p.flops() == 2.0 * 10 * 20 * 30
 
-    def test_bytes_to_fetch_respects_locations(self):
-        p = gemm_problem(100, 100, 100, loc_b=Loc.DEVICE)
-        assert p.bytes_to_fetch() == (100 * 100 + 100 * 100) * 8
-
     def test_signature_distinguishes_locations(self):
         p1 = gemm_problem(64, 64, 64)
         p2 = gemm_problem(64, 64, 64, loc_a=Loc.DEVICE)

@@ -57,7 +57,6 @@ class TestPredictionCache:
         assert second is first
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == 0.5
 
     def test_equal_problems_share_an_entry(self, models):
         cache = PredictionCache()

@@ -140,8 +140,3 @@ class TestSelectTile:
         p = axpy_problem(1 << 24)
         choice = select_tile(p, models)
         assert choice.t_best in (1 << 18, 1 << 20, 1 << 22)
-
-    def test_predicted_for_lookup(self, models):
-        p = gemm_problem(4096, 4096, 4096)
-        choice = select_tile(p, models)
-        assert choice.predicted_for(choice.t_best) == choice.predicted_time

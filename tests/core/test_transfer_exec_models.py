@@ -22,9 +22,6 @@ class TestTransferFit:
         assert fit.bandwidth == pytest.approx(1e9)
         assert fit.bandwidth_gb == pytest.approx(1.0)
 
-    def test_time_bid_scaled(self, fit):
-        assert fit.time_bid(1_000_000) == pytest.approx(1.3 * fit.time(1_000_000))
-
     def test_negative_bytes_rejected(self, fit):
         with pytest.raises(ModelError):
             fit.time(-1)

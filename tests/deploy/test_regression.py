@@ -181,6 +181,15 @@ class TestMeasureUntilStable:
         with pytest.raises(DeploymentError, match="stabilize"):
             measure_until_stable(measure, max_reps=20)
 
+    def test_equal_min_and_max_fix_the_count(self):
+        """min_reps == max_reps takes exactly that many samples, however
+        wide their CI (the fixed-repetition baseline of the CI ablation)."""
+        values = iter([1.0, 3.0])
+        mean, samples = measure_until_stable(lambda: next(values),
+                                             min_reps=2, max_reps=2)
+        assert samples == [1.0, 3.0]
+        assert mean == 2.0
+
     def test_zero_measurements_ok(self):
         mean, _ = measure_until_stable(lambda: 0.0)
         assert mean == 0.0

@@ -18,9 +18,6 @@ class TestLocationCombos:
         combos = workloads.location_combos(2)
         assert len(combos) == 3
 
-    def test_full_offload_helper(self):
-        assert workloads.full_offload(3) == (Loc.HOST,) * 3
-
 
 class TestValidationSets:
     def test_daxpy_set_size(self):
@@ -116,8 +113,6 @@ class TestMetrics:
         dist = metrics.ErrorDistribution.from_samples("x", samples)
         assert dist.p95 == pytest.approx(95.05)
         assert dist.p99 == pytest.approx(99.01)
-        assert dist.tail_quantiles() == {
-            "p50": dist.median, "p95": dist.p95, "p99": dist.p99}
 
     def test_mean_abs_does_not_cancel_mixed_signs(self):
         """Regression: mean_abs was |mean(e)|, which let over- and
@@ -173,8 +168,7 @@ class TestReport:
         with pytest.raises(ValueError):
             report.ascii_series([], [])
 
-    def test_section_and_bullets(self):
-        assert "- a" in report.bullet_list(["a", "b"])
+    def test_section(self):
         sec = report.section("Title", "body")
         assert "=====" in sec
 

@@ -1,6 +1,6 @@
 """Golden results for every library entry point.
 
-Each case calls one entry point of one of the seven libraries twice on
+Each case calls one entry point of one of the six libraries twice on
 the same library instance (so the per-call device seed sequence is
 pinned too) and compares every ``RunResult.to_json()`` field, plus a
 sha256 of the output data, against ``tests/data/golden_library_results.json``.
@@ -39,7 +39,6 @@ from repro.baselines import (BlasXLibrary, CublasXtLibrary,
 from repro.core.params import Loc
 from repro.deploy import DeploymentConfig, deploy
 from repro.runtime import CoCoPeLiaLibrary, MultiGpuCoCoPeLia
-from repro.runtime.hybrid import HybridCoCoPeLia, HybridSplit
 from repro.sim import FaultPlan
 from repro.sim.interconnect import ring_topology
 from repro.sim.machine import testbed_ii as _testbed_ii
@@ -93,9 +92,6 @@ _DOWNSHIFT = FaultPlan(name="alloc-oom", seed=3,
                        scheduled=tuple(("alloc", i) for i in range(4)))
 #: Every transfer fails: the ladder ends in the host fallback.
 _DEAD_LINK = FaultPlan(name="dead-link", seed=5, transfer_fail_rate=1.0)
-
-_SPLIT = HybridSplit(n_host=128, n_gpu=192, tile=128, predicted_host=1e-3,
-                     predicted_gpu=2e-3)
 
 #: name -> (library factory, method, arrays factory or None, kwargs)
 CASES = {
@@ -161,8 +157,6 @@ CASES = {
                        "axpy", None, dict(n=1 << 22)),
     "coco-syrk-predict": (lambda: CoCoPeLiaLibrary(_machine(), _models()),
                           "syrk", None, dict(n=2048, k=1024, tile_size=512)),
-    "hybrid-gemm-auto": (lambda: HybridCoCoPeLia(_machine(), _models()),
-                         "gemm", None, dict(m=4096, n=4096, k=4096)),
     "mg-gemm-auto": (lambda: MultiGpuCoCoPeLia(_machine(), 2, _models()),
                      "gemm", None, dict(m=2048, n=4096, k=2048)),
     # degradation ladder
@@ -230,16 +224,6 @@ CASES = {
     "serial-axpy-devy": (lambda: SerialOffloadLibrary(_machine()), "axpy",
                          lambda r: _axpy_arrays(r, 5000),
                          dict(loc_x=D, loc_y=D)),
-    # --- Hybrid -------------------------------------------------------
-    "hybrid-gemm-timing": (lambda: HybridCoCoPeLia(_machine()), "gemm", None,
-                           dict(m=256, n=320, k=192, split=_SPLIT)),
-    "hybrid-gemm-host": (lambda: HybridCoCoPeLia(_machine()), "gemm",
-                         lambda r: _gemm_arrays(r, 256, 320, 192),
-                         dict(split=_SPLIT, alpha=2.0, beta=0.5)),
-    "hybrid-gemm-devC": (lambda: HybridCoCoPeLia(_machine()), "gemm",
-                         lambda r: _gemm_arrays(r, 256, 320, 192),
-                         dict(loc_c=D, split=HybridSplit(0, 320, 128, 0.0,
-                                                         1e-3))),
     # --- Multi-GPU ----------------------------------------------------
     "mg-gemm-timing": (lambda: MultiGpuCoCoPeLia(_machine(), 2), "gemm",
                        None, dict(m=1024, n=1536, k=768, tile_size=256)),

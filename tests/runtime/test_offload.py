@@ -15,7 +15,6 @@ from repro.core.params import Loc
 from repro.errors import BlasError
 from repro.runtime import (CoCoPeLiaLibrary, MultiGpuCoCoPeLia,
                            bind_operands, host_operands)
-from repro.runtime.hybrid import HybridCoCoPeLia, HybridSplit
 from repro.sim.machine import custom_machine
 
 
@@ -58,9 +57,6 @@ ENTRY_POINTS = {
                     {"n": 256}),
     "UnifiedMem.axpy": (UnifiedMemoryLibrary, "axpy", _vectors, {},
                         {"n": 10}, {"n": 256}),
-    "Hybrid.gemm": (HybridCoCoPeLia, "gemm", _gemm,
-                    {"split": HybridSplit(0, 40, 32, 0.0, 1e-3)},
-                    {"m": 999}, {"m": 64, "n": 40, "k": 48}),
     "MultiGpu.gemm": (lambda m: MultiGpuCoCoPeLia(m, 2), "gemm", _gemm,
                       {"tile_size": 32}, {"m": 999},
                       {"m": 64, "n": 40, "k": 48}),

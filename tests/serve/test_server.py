@@ -17,6 +17,7 @@ from repro.serve import (
     serve_document,
     serve_report,
 )
+from repro.serve import server as server_module
 from repro.sim.faults import FaultPlan
 
 
@@ -99,6 +100,31 @@ class TestBatching:
 
 
 class TestFaultRecovery:
+    def test_batches_draw_their_own_faults(self, tb2, models_tb2,
+                                           monkeypatch):
+        """Each batch's fault injector is seeded from its batch seed:
+        batches of one shape must not all replay one fault sequence."""
+        devices = []
+        real = server_module.GpuDevice
+
+        def spy(*args, **kwargs):
+            devices.append(real(*args, **kwargs))
+            return devices[-1]
+
+        monkeypatch.setattr(server_module, "GpuDevice", spy)
+        flaky = tb2.with_faults(FaultPlan(name="flaky", seed=3,
+                                          transfer_fail_rate=0.05))
+        problem = gemm_problem(2048, 2048, 2048, np.float64)
+        requests = [Request(req_id=i, arrival=0.02 * i, problem=problem)
+                    for i in range(12)]
+        config = ServerConfig(n_gpus=2, seed=3, batching=False,
+                              host_offload=False)
+        BlasServer(flaky, models_tb2, config).serve(requests)
+        injected = {tuple(sorted(d.faults.injected.items()))
+                    for d in devices}
+        assert len(devices) == len(requests)
+        assert len(injected) > 1, injected
+
     def test_wedged_gemms_fall_back_to_host(self, tb2, models_tb2):
         """With every transfer failing, retries exhaust, the pipeline
         wedges, the watchdog fires, and gemms re-serve on the host."""
