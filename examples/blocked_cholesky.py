@@ -61,7 +61,7 @@ def blocked_cholesky(lib: CoCoPeLiaLibrary, a: np.ndarray, panel: int):
         "offload_time": offload_time,
         "offload_flops": offload_flops,
         "calls": calls,
-        "cached_choices": len(lib._tile_choices),
+        "cached_choices": lib.prediction_cache.stats.misses,
     }
 
 

@@ -67,7 +67,7 @@ def main() -> None:
     print(f"  location-aware:  {total_resident * 1e3:8.1f} ms")
     print(f"  naive full:      {total_naive * 1e3:8.1f} ms")
     print(f"  speedup:         {total_naive / total_resident:5.2f}x")
-    cached = len(lib._tile_choices)
+    cached = lib.prediction_cache.stats.misses
     print(f"\nModel reuse: {iterations * 2} calls required only {cached} "
           "tile-selection model evaluations (cached by problem signature).")
 

@@ -60,11 +60,9 @@ class UnifiedMemoryLibrary(OffloadLibrary):
 
     LIBRARY_NAME = "UnifiedMem"
 
-    def __init__(self, machine: MachineConfig, seed: int = 37,
-                 prefetch_elems: int = PREFETCH_CHUNK_ELEMS) -> None:
+    def __init__(self, machine: MachineConfig, seed: int = 37) -> None:
         super().__init__(machine, seed)
         self._um_machine = _degraded_machine(machine)
-        self.prefetch_elems = prefetch_elems
 
     def axpy(
         self,
@@ -84,7 +82,7 @@ class UnifiedMemoryLibrary(OffloadLibrary):
         problem, hosts = bind_operands(AXPY, (n,), (x, y), dtype,
                                        (loc_x, loc_y))
         chunk = min(tile_size if tile_size is not None else
-                    self.prefetch_elems, problem.dims[0])
+                    PREFETCH_CHUNK_ELEMS, problem.dims[0])
         ctx = CublasContext(self._next_device(self._um_machine))
         return self._run(AxpyTileScheduler(ctx, problem, chunk, hosts,
                                            alpha=alpha))

@@ -13,7 +13,7 @@ number of workers the fleet must keep busy just to hold steady.  The
 desired fleet size is that demand divided by per-node capacity at the
 target utilization.  Predicted backlog per node (the same signal the
 router scores with) acts as the pressure-relief override: when the
-models say the fleet is already ``up_backlog`` seconds behind per
+models say the fleet is already ``UP_BACKLOG`` seconds behind per
 node, scale up even if the rate EWMA hasn't caught up yet.
 
 Scale-up provisions a cold node (warm-up delay, empty weight caches);
@@ -33,25 +33,28 @@ from typing import List, Optional
 from ..serve.request import ServeError
 
 
+#: Fraction of per-node GPU-seconds the controller plans to use.
+TARGET_UTILIZATION = 0.7
+#: Per-node predicted backlog (seconds) forcing a scale-up ...
+UP_BACKLOG = 0.5
+#: ... and below which scale-down is allowed.
+DOWN_BACKLOG = 0.05
+#: EWMA smoothing for arrival rate and predicted service time.
+RATE_ALPHA = 0.05
+SERVICE_ALPHA = 0.05
+#: Simulated seconds between scaling actions.
+COOLDOWN = 1.0
+#: Simulated warm-up before a provisioned node takes traffic.
+WARMUP = 0.25
+
+
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Policy knobs (all simulated-time; deterministic given inputs)."""
+    """The fleet-size bounds; the control law's thresholds are the
+    module constants above."""
 
     min_nodes: int = 2
     max_nodes: int = 8
-    #: Fraction of per-node GPU-seconds the controller plans to use.
-    target_utilization: float = 0.7
-    #: Per-node predicted backlog (seconds) forcing a scale-up.
-    up_backlog: float = 0.5
-    #: Per-node predicted backlog below which scale-down is allowed.
-    down_backlog: float = 0.05
-    #: EWMA smoothing for arrival rate and predicted service time.
-    rate_alpha: float = 0.05
-    service_alpha: float = 0.05
-    #: Simulated seconds between scaling actions.
-    cooldown: float = 1.0
-    #: Simulated warm-up before a provisioned node takes traffic.
-    warmup: float = 0.25
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -60,20 +63,6 @@ class AutoscalerConfig:
             raise ServeError(
                 f"max_nodes ({self.max_nodes}) below min_nodes "
                 f"({self.min_nodes})")
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ServeError(
-                f"target_utilization outside (0, 1]: "
-                f"{self.target_utilization}")
-        for name in ("rate_alpha", "service_alpha"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ServeError(f"{name} outside (0, 1]: {v}")
-        if self.down_backlog >= self.up_backlog:
-            raise ServeError(
-                f"down_backlog ({self.down_backlog}) must sit below "
-                f"up_backlog ({self.up_backlog})")
-        if self.cooldown < 0 or self.warmup < 0:
-            raise ServeError("cooldown and warmup must be >= 0")
 
 
 class Autoscaler:
@@ -97,8 +86,7 @@ class Autoscaler:
         if last is None or t <= last:
             return
         sample = 1.0 / (t - last)
-        a = self.config.rate_alpha
-        self.ewma_rate += a * (sample - self.ewma_rate)
+        self.ewma_rate += RATE_ALPHA * (sample - self.ewma_rate)
 
     def observe_service(self, predicted_seconds: float) -> None:
         """Fold one admission-time service prediction into the EWMA."""
@@ -107,8 +95,8 @@ class Autoscaler:
         if self.ewma_service is None:
             self.ewma_service = predicted_seconds
             return
-        a = self.config.service_alpha
-        self.ewma_service += a * (predicted_seconds - self.ewma_service)
+        self.ewma_service += SERVICE_ALPHA * (predicted_seconds
+                                              - self.ewma_service)
 
     # -- the decision ----------------------------------------------------
 
@@ -117,7 +105,7 @@ class Autoscaler:
         if self.ewma_service is None or self.ewma_rate <= 0:
             return self.config.min_nodes
         demand = self.ewma_rate * self.ewma_service   # busy-sec per sec
-        capacity = self.gpus_per_node * self.config.target_utilization
+        capacity = self.gpus_per_node * TARGET_UTILIZATION
         return max(self.config.min_nodes,
                    min(self.config.max_nodes,
                        int(math.ceil(demand / capacity))))
@@ -126,16 +114,16 @@ class Autoscaler:
                fleet_backlog: float) -> Optional[str]:
         """One tick: "up", "down", or None.  Appends a reasoned event."""
         cfg = self.config
-        if now - self._last_action_t < cfg.cooldown:
+        if now - self._last_action_t < COOLDOWN:
             return None
         backlog_per_node = fleet_backlog / active if active else 0.0
         desired = self.desired_nodes()
         action: Optional[str] = None
         if active < cfg.max_nodes and (desired > active
-                                       or backlog_per_node > cfg.up_backlog):
+                                       or backlog_per_node > UP_BACKLOG):
             action = "up"
         elif (active > cfg.min_nodes and desired < active
-              and backlog_per_node < cfg.down_backlog):
+              and backlog_per_node < DOWN_BACKLOG):
             action = "down"
         if action is not None:
             self._last_action_t = now

@@ -6,9 +6,9 @@ before any cross-node observation (routing a request, an autoscaler
 tick, a kill event) it calls ``run_to(t)`` on every live node *in
 node-index order*, so all clocks sit at exactly ``t`` and every
 backlog the router compares was computed at the same virtual instant.
-Barrier times come only from the trace (arrival times) and the config
-(tick interval, kill times) — never from wall clock — so one seed
-yields one byte-identical run.
+Barrier times come only from the trace (arrival times), the fixed
+autoscaler tick (``TICK``) and the kill times — never from wall clock
+— so one seed yields one byte-identical run.
 
 Per epoch, in order:
 
@@ -43,9 +43,12 @@ from ..core.tailbank import PercentileBank
 from ..obs.verify import find_conservation_violations
 from ..serve.request import Request, RequestState, ServeError
 from ..serve.server import ServerConfig
-from .autoscaler import Autoscaler, AutoscalerConfig
+from .autoscaler import WARMUP, Autoscaler, AutoscalerConfig
 from .node import ClusterNode
 from .router import ClusterRouter
+
+#: Simulated seconds between autoscaler evaluations (epoch barriers).
+TICK = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,6 @@ class ClusterConfig:
     nodes: int = 4                   #: initial fleet size
     gpus_per_node: int = 2
     router: str = "predicted"        #: see ROUTER_POLICIES
-    replicas: int = 64               #: consistent-hash points per node
-    spill_width: int = 2             #: ring successors a shard may spill to
-    spill_backlog: float = 0.25      #: predicted seconds before spilling
-    tick: float = 0.05               #: autoscaler evaluation interval
     autoscale: bool = True
     autoscaler: AutoscalerConfig = AutoscalerConfig()
 
@@ -68,8 +67,6 @@ class ClusterConfig:
         if self.gpus_per_node < 1:
             raise ServeError(
                 f"gpus_per_node must be >= 1: {self.gpus_per_node}")
-        if self.tick <= 0:
-            raise ServeError(f"tick must be positive: {self.tick}")
         if self.autoscale and not (
                 self.autoscaler.min_nodes <= self.nodes
                 <= self.autoscaler.max_nodes):
@@ -142,10 +139,7 @@ class ClusterCoordinator:
                 else PercentileBank())
         else:
             self.tail_bank = None
-        self.router = ClusterRouter(
-            policy=self.config.router, replicas=self.config.replicas,
-            spill_width=self.config.spill_width,
-            spill_backlog=self.config.spill_backlog)
+        self.router = ClusterRouter(self.config.router)
         self.autoscaler = Autoscaler(self.config.autoscaler,
                                      self.config.gpus_per_node)
         self.nodes: List[ClusterNode] = []
@@ -162,15 +156,18 @@ class ClusterCoordinator:
         self.end_time = 0.0
         # -- conservation bookkeeping ---------------------------------
         self._conserved = 0
+        #: req_id sums of arrivals and of fast-path terminals: a request
+        #: reported twice and another never reported balance the counts
+        #: but not these.
+        self._arrived_ids = 0
+        self._conserved_ids = 0
         self._migration_views: Dict[int, List[_View]] = {}
         self._anomalies: List[_View] = []
         self._ran = False
 
     # -- fleet membership ----------------------------------------------
 
-    def _provision(self, now: float, warmup: Optional[float] = None) -> ClusterNode:
-        if warmup is None:
-            warmup = self.config.autoscaler.warmup
+    def _provision(self, now: float, warmup: float = WARMUP) -> ClusterNode:
         node = ClusterNode(
             self._next_index, self.machine, self.models, self.server_config,
             provisioned_t=now, warmup=warmup,
@@ -226,6 +223,7 @@ class ClusterCoordinator:
                       and request.completions == 0))
             if ok:
                 self._conserved += 1
+                self._conserved_ids += rid
             else:
                 self._anomalies.append(
                     _View(rid, request.state, request.completions))
@@ -325,8 +323,7 @@ class ClusterCoordinator:
         self._ran = True
         kills = sorted(kill_events or [])
         kill_ix = 0
-        tick = self.config.tick
-        next_tick = tick
+        next_tick = TICK
 
         def boundaries_until(t: float):
             """Fire ticks/kills at times <= t, earliest first."""
@@ -341,13 +338,14 @@ class ClusterCoordinator:
                 if next_tick <= t:
                     self._barrier(next_tick)
                     self._tick(next_tick)
-                    next_tick += tick
+                    next_tick += TICK
                     continue
                 break
 
         for request in requests:
             t = request.arrival
             self.n_requests += 1
+            self._arrived_ids += request.req_id
             boundaries_until(t)
             self._barrier(t)
             active = self._active()
@@ -369,6 +367,14 @@ class ClusterCoordinator:
                     "cluster drain did not quiesce (simulation wedged)")
 
         violations = find_conservation_violations(self._all_views())
+        unmatched = (self._arrived_ids - self._conserved_ids
+                     - sum(self._migration_views.keys())
+                     - sum(v.req_id for v in self._anomalies))
+        if unmatched:
+            violations.append((
+                "request-conservation",
+                f"terminal reports differ from arrivals by req_id sum "
+                f"{unmatched} (a request reported twice or never)"))
         accounted = (self._conserved + len(self._migration_views)
                      + len(self._anomalies))
         return ClusterOutcome(

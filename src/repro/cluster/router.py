@@ -1,7 +1,7 @@
 """Cluster-level request routing: sharding + predicted-backlog scoring.
 
 Grouped requests (shared weights) shard by **consistent hashing**: a
-ring of ``replicas`` points per node, keyed by sha1 — deliberately
+ring of ``REPLICAS`` points per node, keyed by sha1 — deliberately
 *not* Python's builtin ``hash()``, which is salted per process and
 would wreck cross-run determinism — maps each weight group to a
 primary node, so a group's weight cache stays warm on one node across
@@ -10,8 +10,8 @@ or leaves).
 
 Sharding alone herds a hot group onto one overloaded node, so the
 router allows **bounded spill**: when the primary's predicted backlog
-exceeds ``spill_backlog`` seconds, the request may go to whichever of
-the primary's next ``spill_width`` distinct ring successors carries
+exceeds ``SPILL_BACKLOG`` seconds, the request may go to whichever of
+the primary's next ``SPILL_WIDTH`` distinct ring successors carries
 the least predicted backlog.  The score is the *model's* signal —
 :meth:`ClusterNode.predicted_backlog`, the closed-loop sum of
 admission-time T_pred over every in-system request (each queue's
@@ -39,6 +39,13 @@ from .node import ClusterNode
 
 ROUTER_POLICIES = ("predicted", "least_connections")
 
+#: Consistent-hash points per node.
+REPLICAS = 64
+#: Ring successors an overloaded shard may spill to ...
+SPILL_WIDTH = 2
+#: ... once its primary holds this many predicted seconds of work.
+SPILL_BACKLOG = 0.25
+
 
 def _ring_hash(key: str) -> int:
     """Stable 64-bit ring position (sha1; never builtin hash())."""
@@ -49,21 +56,11 @@ def _ring_hash(key: str) -> int:
 class ClusterRouter:
     """Shard-then-score router over the active fleet."""
 
-    def __init__(self, policy: str = "predicted", replicas: int = 64,
-                 spill_width: int = 2, spill_backlog: float = 0.25) -> None:
+    def __init__(self, policy: str = "predicted") -> None:
         if policy not in ROUTER_POLICIES:
             raise ServeError(
                 f"unknown router policy {policy!r}; valid: {ROUTER_POLICIES}")
-        if replicas < 1:
-            raise ServeError(f"replicas must be >= 1: {replicas}")
-        if spill_width < 0:
-            raise ServeError(f"spill_width must be >= 0: {spill_width}")
-        if spill_backlog < 0:
-            raise ServeError(f"spill_backlog must be >= 0: {spill_backlog}")
         self.policy = policy
-        self.replicas = replicas
-        self.spill_width = spill_width
-        self.spill_backlog = spill_backlog
         self.spills = 0
         self._ring: List[Tuple[int, str]] = []
         self._ring_nodes: Tuple[str, ...] = ()
@@ -79,7 +76,7 @@ class ClusterRouter:
             return
         ring = []
         for name in names:
-            for i in range(self.replicas):
+            for i in range(REPLICAS):
                 ring.append((_ring_hash(f"{name}:{i}"), name))
         ring.sort()
         self._ring = ring
@@ -88,13 +85,13 @@ class ClusterRouter:
         self._orders = {}
 
     def _ring_order(self, group: str) -> Tuple[str, ...]:
-        """The group's primary and its next ``spill_width`` distinct
+        """The group's primary and its next ``SPILL_WIDTH`` distinct
         ring successors, in ring order (memoized per membership)."""
         order = self._orders.get(group)
         if order is not None:
             return order
         ring = self._ring
-        want = min(1 + self.spill_width, len(self._ring_nodes))
+        want = min(1 + SPILL_WIDTH, len(self._ring_nodes))
         start = bisect_right(ring, (_ring_hash(group), ""))
         seen: List[str] = []
         for k in range(len(ring)):
@@ -130,8 +127,7 @@ class ClusterRouter:
         candidates = [nodes[position[name]]
                       for name in self._ring_order(request.group)]
         primary = candidates[0]
-        if (self.spill_width == 0
-                or primary.predicted_backlog(now) <= self.spill_backlog):
+        if primary.predicted_backlog(now) <= SPILL_BACKLOG:
             return primary
         # Ties break toward ring order, so an idle fleet still lands a
         # group on its primary (warm weight cache) rather than node 0.

@@ -24,7 +24,6 @@ from . import fig6_tile_selection
 from . import fig7_performance
 from . import table4_improvement
 from . import summa
-from . import repetition
 from . import full_report
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "fig7_performance",
     "table4_improvement",
     "summa",
-    "repetition",
     "full_report",
 ]

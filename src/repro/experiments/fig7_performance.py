@@ -72,16 +72,6 @@ class Fig7Result:
     points: Dict[Tuple[str, str, str], List[Fig7Point]] = field(
         default_factory=dict)
 
-    def winners(self) -> Dict[Tuple[str, str, str], str]:
-        out = {}
-        for key, pts in self.points.items():
-            wins: Dict[str, int] = {}
-            for p in pts:
-                w = max(p.gflops, key=p.gflops.get)
-                wins[w] = wins.get(w, 0) + 1
-            out[key] = max(wins, key=wins.get)
-        return out
-
 
 def _fig7_task(machine: MachineConfig, scale: str, problem: CoCoProblem,
                xt_tiles: Tuple[int, ...], seed_base: int) -> Fig7Point:

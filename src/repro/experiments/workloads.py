@@ -224,20 +224,3 @@ def fig1_tile_sweep(size: int, scale: str = "quick") -> List[int]:
     if size not in sweep:
         sweep.append(size)
     return sweep
-
-
-def tile_sweep(problem: CoCoProblem, scale: str = "quick") -> List[int]:
-    """Tile sizes to measure for a problem (paper: 1024..16384 step 256
-    with T <= min(D)/1.5; quick scale coarsens the sweep)."""
-    _check_scale(scale)
-    if scale == "paper":
-        step, lo = 256, 1024
-    elif scale == "quick":
-        step, lo = 512, 512
-    else:
-        step, lo = 256, 256
-    limit = int(problem.min_dim() / 1.5)
-    sweep = [t for t in range(lo, limit + 1, step)]
-    if not sweep:
-        sweep = [max(problem.min_dim() // 2, 128)]
-    return sweep

@@ -40,8 +40,8 @@ from ..errors import ParallelError, WorkerError
 #: pools (a worker calling ``pmap`` runs the serial path).
 _IN_WORKER = False
 
-#: Chunks submitted per worker when no explicit chunksize is given;
-#: >1 smooths load imbalance without drowning in submission overhead.
+#: Chunks submitted per worker; >1 smooths load imbalance without
+#: drowning in submission overhead.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -52,21 +52,16 @@ class ParallelConfig:
     workers
         Process count; ``0`` and ``1`` both mean serial in-process
         execution.  Negative values are a configuration error.
-    chunksize
-        Tasks per pool submission; ``None`` derives a balanced value
-        from the grid size.
+
+    Tasks go to the pool in chunks of :func:`default_chunksize`.
     """
 
     workers: int = 1
-    chunksize: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ParallelError(
                 f"workers must be >= 0, got {self.workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ParallelError(
-                f"chunksize must be >= 1, got {self.chunksize}")
 
     @property
     def enabled(self) -> bool:
@@ -165,8 +160,7 @@ def pmap(
         return _run_serial(fn, tasks)
 
     workers = min(cfg.workers, len(tasks))
-    chunksize = (cfg.chunksize if cfg.chunksize is not None
-                 else default_chunksize(len(tasks), workers))
+    chunksize = default_chunksize(len(tasks), workers)
     chunks = [tasks[i:i + chunksize]
               for i in range(0, len(tasks), chunksize)]
 

@@ -18,7 +18,7 @@ allocation from timings and reusing warm buffers).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -83,11 +83,10 @@ class CoCoPeLiaLibrary(OffloadLibrary):
         #: duck-typed MetricsRegistry (repro.obs.metrics); None = off
         self.metrics = metrics
         #: Per-problem model reuse: T_best computed on first invocation
-        #: with a given parameter set, reused afterwards.  An external
-        #: PredictionCache (shared across libraries/dispatchers) takes
-        #: over that memo when provided.
-        self.prediction_cache = prediction_cache
-        self._tile_choices: Dict[Tuple, TileChoice] = {}
+        #: with a given parameter set, reused afterwards.  Pass a shared
+        #: PredictionCache to reuse choices across libraries/dispatchers.
+        self.prediction_cache = (prediction_cache if prediction_cache
+                                 is not None else PredictionCache())
 
     # ------------------------------------------------------------------
 
@@ -214,15 +213,8 @@ class CoCoPeLiaLibrary(OffloadLibrary):
                 "automatic tile selection requires deployed models; "
                 "pass tile_size= explicitly or provide MachineModels"
             )
-        if self.prediction_cache is not None:
-            return select_tile(problem, self.models, model=self.model,
-                               cache=self.prediction_cache)
-        sig = problem.signature()
-        choice = self._tile_choices.get(sig)
-        if choice is None:
-            choice = select_tile(problem, self.models, model=self.model)
-            self._tile_choices[sig] = choice
-        return choice
+        return select_tile(problem, self.models, model=self.model,
+                           cache=self.prediction_cache)
 
     def predict(self, problem: CoCoProblem, t: int) -> Optional[float]:
         """Model prediction for (problem, T), if models are deployed.

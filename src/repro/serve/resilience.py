@@ -137,9 +137,6 @@ class HealthMonitor:
         """Whether placement may route new work into this domain."""
         return self.devices[index].state is not HealthState.FAILED
 
-    def any_available(self) -> bool:
-        return any(d.state is not HealthState.FAILED for d in self.devices)
-
     def penalty(self, index: int) -> float:
         """Placement-score multiplier for this domain (1.0 = neutral).
 

@@ -19,7 +19,6 @@ from .faults import (
     LinkBrownout,
     NAMED_PLANS,
     ResilienceCounters,
-    RetryPolicy,
     resolve_plan,
     tile_checksum,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "LinkBrownout",
     "NAMED_PLANS",
     "ResilienceCounters",
-    "RetryPolicy",
     "resolve_plan",
     "tile_checksum",
     "CollectiveHandle",

@@ -22,11 +22,12 @@ from ..errors import DeviceMemoryError, SimulationError, StreamError
 from ..errors import RetryExhaustedError
 from .engine import Simulator
 from .faults import (
+    MAX_ATTEMPTS,
     FaultInjector,
     FaultPlan,
     ResilienceCounters,
-    RetryPolicy,
     as_injector,
+    backoff,
 )
 from .kernels import faulted_kernel_time
 from .link import Direction, DuplexLink
@@ -55,7 +56,6 @@ class GpuDevice:
         seed: int = 0,
         trace: bool = False,
         faults: "FaultPlan | FaultInjector | None" = None,
-        retry: Optional[RetryPolicy] = None,
         metrics=None,
     ) -> None:
         self.config = config
@@ -71,7 +71,6 @@ class GpuDevice:
         self.faults: Optional[FaultInjector] = as_injector(
             faults if faults is not None else config.fault_plan
         )
-        self.retry_policy = retry if retry is not None else RetryPolicy()
         self.resilience = ResilienceCounters()
         #: RetryExhaustedErrors parked by async retry chains; surfaced
         #: by synchronize() since the failing op has no caller frame.
@@ -138,11 +137,11 @@ class GpuDevice:
             capacity -= pressure
             if nbytes <= free and self.faults.alloc_fails():
                 attempts = 1
-                while (attempts < self.retry_policy.max_attempts
+                while (attempts < MAX_ATTEMPTS
                        and self.faults.alloc_fails()):
                     attempts += 1
                 self.resilience.retries += attempts
-                if attempts >= self.retry_policy.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     raise DeviceMemoryError(nbytes, max(free, 0), capacity)
         if nbytes > free:
             raise DeviceMemoryError(nbytes, max(free, 0), capacity)
@@ -298,15 +297,14 @@ class _RetryScope:
     cycle through the device's streams.
     """
 
-    __slots__ = ("sim", "link", "compute", "faults", "policy",
-                 "resilience", "failures")
+    __slots__ = ("sim", "link", "compute", "faults", "resilience",
+                 "failures")
 
     def __init__(self, device: GpuDevice) -> None:
         self.sim = device.sim
         self.link = device.link
         self.compute = device.compute
         self.faults = device.faults
-        self.policy = device.retry_policy
         self.resilience = device.resilience
         #: the device's parked RetryExhaustedErrors (synchronize raises)
         self.failures = device._fault_failures
@@ -334,13 +332,11 @@ class _Retry:
         :class:`RetryExhaustedError` on the device (synchronize raises
         it) and return False."""
         scope = self.scope
-        policy = scope.policy
-        if op.attempts >= policy.max_attempts:
+        if op.attempts >= MAX_ATTEMPTS:
             scope.failures.append(
                 RetryExhaustedError(op.tag or op.kind, op.attempts, reason))
             return False
-        scope.sim.schedule(policy.backoff(op.attempts),
-                           partial(self.attempt, op))
+        scope.sim.schedule(backoff(op.attempts), partial(self.attempt, op))
         return True
 
 

@@ -205,23 +205,6 @@ class Simulator:
             heappop(heap)
         return None
 
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward with no events (only valid when idle).
-
-        Used by benchmark drivers to model host-side gaps between
-        operations.
-        """
-        if self._running:
-            raise SimulationError("cannot advance the clock during a run")
-        if time < self._now:
-            raise SimulationError(f"cannot move time backwards to {time}")
-        nxt = self.peek_next_time()
-        if nxt is not None and nxt < time:
-            raise SimulationError(
-                f"cannot skip over a pending event at t={nxt}"
-            )
-        self._now = time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator now={self._now:.9f} pending={self.pending_events}>"

@@ -334,33 +334,18 @@ class ResilienceCounters:
         }
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff in *simulated* time."""
+#: Bounded retry of a faulted op: attempts per op (the first included),
+#: with exponential backoff in *simulated* time between them.
+MAX_ATTEMPTS = 4
+#: Backoff before the second attempt, in simulated seconds ...
+BASE_BACKOFF = 20e-6
+#: ... growing by this factor per further attempt.
+BACKOFF_FACTOR = 2.0
 
-    max_attempts: int = 4
-    #: Backoff before the second attempt, in simulated seconds.
-    base_backoff: float = 20e-6
-    backoff_factor: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise SimulationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff < 0:
-            raise SimulationError(
-                f"negative base_backoff: {self.base_backoff}"
-            )
-        if self.backoff_factor < 1.0:
-            raise SimulationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def backoff(self, attempts_done: int) -> float:
-        """Delay before the next attempt after ``attempts_done`` tries."""
-        return self.base_backoff * self.backoff_factor ** max(
-            attempts_done - 1, 0)
+def backoff(attempts_done: int) -> float:
+    """Delay before the next attempt after ``attempts_done`` tries."""
+    return BASE_BACKOFF * BACKOFF_FACTOR ** max(attempts_done - 1, 0)
 
 
 class FaultInjector:

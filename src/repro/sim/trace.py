@@ -103,49 +103,6 @@ class TraceRecorder:
         return total
 
 
-def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1e-6) -> List[dict]:
-    """Export the trace in Chrome trace-event format.
-
-    Load the JSON-dumped result in ``chrome://tracing`` / Perfetto for
-    an interactive pipeline timeline.  ``time_unit`` converts simulated
-    seconds to the microsecond timestamps the format expects.
-    """
-    events: List[dict] = []
-    for tid, engine in enumerate(trace.engines()):
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": tid,
-            "args": {"name": engine},
-        })
-        for ev in trace.by_engine(engine):
-            events.append({
-                "name": ev.tag or engine,
-                "cat": engine,
-                "ph": "X",
-                "pid": 1,
-                "tid": tid,
-                "ts": ev.start / time_unit,
-                "dur": ev.duration / time_unit,
-                "args": {"nbytes": ev.nbytes, "flops": ev.flops},
-            })
-    return events
-
-
-def utilization_report(trace: TraceRecorder) -> Dict[str, float]:
-    """Per-engine busy fraction of the makespan (plus 'overlap_h2d_exec')."""
-    span = trace.makespan()
-    if span <= 0:
-        return {}
-    report = {
-        engine: trace.busy_time(engine) / span for engine in trace.engines()
-    }
-    if "h2d" in report and "exec" in report:
-        report["overlap_h2d_exec"] = trace.overlap_time("h2d", "exec") / span
-    return report
-
-
 def render_timeline(
     trace: TraceRecorder,
     width: int = 100,

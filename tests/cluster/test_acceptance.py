@@ -36,7 +36,6 @@ SPEC = ClusterWorkloadSpec(
 def run_policy(tb1, models_tb1, policy):
     config = ClusterConfig(
         nodes=4, gpus_per_node=2, router=policy, autoscale=False,
-        spill_backlog=0.02, spill_width=2,
         autoscaler=AutoscalerConfig(min_nodes=4, max_nodes=4))
     coordinator = ClusterCoordinator(tb1, models_tb1, config,
                                      ServerConfig(seed=16,

@@ -3,12 +3,15 @@
 The scaler is pure arithmetic over deterministic inputs, so every
 branch is pinned directly: what the EWMAs converge to, what fleet size
 the demand model implies, and when the backlog valve / cooldown /
-bounds override it.
+bounds override it.  The thresholds are the module constants
+(``TARGET_UTILIZATION``, ``UP_BACKLOG``, ``DOWN_BACKLOG``,
+``RATE_ALPHA``, ``COOLDOWN``, ...); only the fleet bounds are set here.
 """
 
 import pytest
 
 from repro.cluster import Autoscaler, AutoscalerConfig
+from repro.cluster.autoscaler import COOLDOWN
 from repro.serve import ServeError
 
 
@@ -16,13 +19,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs,match", [
         ({"min_nodes": 0}, "min_nodes"),
         ({"min_nodes": 4, "max_nodes": 2}, "max_nodes"),
-        ({"target_utilization": 0.0}, "target_utilization"),
-        ({"target_utilization": 1.5}, "target_utilization"),
-        ({"rate_alpha": 0.0}, "rate_alpha"),
-        ({"service_alpha": 1.5}, "service_alpha"),
-        ({"up_backlog": 0.1, "down_backlog": 0.1}, "down_backlog"),
-        ({"cooldown": -1.0}, "cooldown"),
-        ({"warmup": -0.5}, "warmup"),
     ])
     def test_rejects_bad_knobs(self, kwargs, match):
         with pytest.raises(ServeError, match=match):
@@ -34,7 +30,9 @@ class TestConfigValidation:
 
 class TestSignalFeeds:
     def test_rate_ewma_converges_to_arrival_rate(self):
-        scaler = Autoscaler(AutoscalerConfig(rate_alpha=0.2), 2)
+        # RATE_ALPHA = 0.05: 400 samples leave (0.95)^400 ~ 1e-9 of the
+        # zero start.
+        scaler = Autoscaler(AutoscalerConfig(), 2)
         for i in range(400):
             scaler.observe_arrival(i * 0.01)  # steady 100 req/s
         assert scaler.ewma_rate == pytest.approx(100.0, rel=0.05)
@@ -66,8 +64,7 @@ class TestDemandModel:
     def test_desired_is_demand_over_capacity(self):
         # 10 req/s x 0.35 s/req = 3.5 busy-sec/sec of offered load;
         # 2 GPUs x 0.7 target = 1.4 per node -> ceil(2.5) = 3 nodes.
-        config = AutoscalerConfig(min_nodes=1, max_nodes=8,
-                                  target_utilization=0.7)
+        config = AutoscalerConfig(min_nodes=1, max_nodes=8)
         scaler = Autoscaler(config, 2)
         scaler.ewma_rate = 10.0
         scaler.ewma_service = 0.35
@@ -87,8 +84,7 @@ class TestDemandModel:
 
 class TestDecide:
     def make(self, **kwargs):
-        defaults = dict(min_nodes=1, max_nodes=8, cooldown=1.0,
-                        up_backlog=0.5, down_backlog=0.05)
+        defaults = dict(min_nodes=1, max_nodes=8)
         defaults.update(kwargs)
         return Autoscaler(AutoscalerConfig(**defaults), 2)
 
@@ -119,12 +115,13 @@ class TestDecide:
         assert scaler.decide(0.0, active=3, fleet_backlog=0.0) == "down"
 
     def test_cooldown_suppresses_actions(self):
-        scaler = self.make(cooldown=5.0)
+        scaler = self.make()
         scaler.ewma_rate = 10.0
         scaler.ewma_service = 0.35
         assert scaler.decide(0.0, active=2, fleet_backlog=0.0) == "up"
-        assert scaler.decide(2.0, active=2, fleet_backlog=0.0) is None
-        assert scaler.decide(5.0, active=2, fleet_backlog=0.0) == "up"
+        assert scaler.decide(0.4 * COOLDOWN, active=2,
+                             fleet_backlog=0.0) is None
+        assert scaler.decide(COOLDOWN, active=2, fleet_backlog=0.0) == "up"
 
     def test_bounds_suppress_actions(self):
         scaler = self.make(min_nodes=2, max_nodes=3)

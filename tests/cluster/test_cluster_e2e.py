@@ -19,17 +19,20 @@ from repro.cluster import (
     iter_cluster_workload,
     validate_cluster_json,
 )
+from repro.cluster.autoscaler import WARMUP
+from repro.cluster.coordinator import TICK
 from repro.serve import ServeError, ServerConfig
+
+from .test_acceptance import SPEC as HOT_SHARD_SPEC
 
 
 SPEC = ClusterWorkloadSpec(n_requests=400, rate=300.0, seed=0)
 
 
 def make_coordinator(tb1, models_tb1, *, seed=0, nodes=3, router="predicted",
-                     autoscale=True, spill_backlog=0.25):
+                     autoscale=True):
     config = ClusterConfig(
         nodes=nodes, gpus_per_node=2, router=router, autoscale=autoscale,
-        spill_backlog=spill_backlog,
         autoscaler=AutoscalerConfig(min_nodes=2, max_nodes=6))
     return ClusterCoordinator(tb1, models_tb1, config,
                               ServerConfig(seed=seed))
@@ -72,10 +75,17 @@ class TestHealthyRun:
         actions = [e["action"] for e in outcome.scale_events]
         assert "up" in actions, actions
         assert "down" in actions, actions
-        # Every event carries its reasoning snapshot.
+        # Every event carries its reasoning snapshot, and fires on an
+        # autoscaler tick; a scaled-up node takes traffic after WARMUP.
         for event in outcome.scale_events:
             assert set(event["reason"]) >= {"desired", "active",
                                             "backlog_per_node"}
+            ticks = event["t"] / TICK
+            assert ticks == pytest.approx(round(ticks))
+            if event["action"] == "up":
+                node = next(n for n in outcome.nodes
+                            if n.name == event["node"])
+                assert node.available_t == event["t"] + WARMUP
 
     def test_scaled_down_node_stopped_gracefully(self, outcome):
         downs = [e for e in outcome.scale_events if e["action"] == "down"]
@@ -142,9 +152,14 @@ class TestRouterPolicies:
         assert outcome.router_policy == "least_connections"
         assert outcome.spills == 0  # lc never consults the ring
 
-    def test_tight_spill_threshold_spills(self, tb1, models_tb1):
-        outcome = run(tb1, models_tb1, autoscale=False, nodes=4,
-                      spill_backlog=0.002)
+    def test_overloaded_primaries_spill(self, tb1, models_tb1):
+        """The acceptance trace (16 weight groups, quick-scale gemms in
+        bursts of 8) pushes primaries past ``SPILL_BACKLOG``: 18 requests
+        spill at seed 16."""
+        config = ClusterConfig(nodes=4, gpus_per_node=2, autoscale=False)
+        coord = ClusterCoordinator(tb1, models_tb1, config,
+                                   ServerConfig(seed=16, admission="none"))
+        outcome = coord.run(iter_cluster_workload(HOT_SHARD_SPEC))
         assert outcome.conservation_ok
         assert outcome.spills > 0
 
@@ -313,3 +328,59 @@ class TestOverloadedSLO:
     def test_with_deadline_counts_every_deadline_request(self, slo,
                                                          deadlines):
         assert slo["with_deadline"] == deadlines
+
+
+class TestConservationCatchesInjectedBugs:
+    """The fleet-wide conservation verdict exists to catch a node that
+    double-reports or loses a terminal request.  Each case injects that
+    bug into ``ClusterNode._on_terminal`` itself: for a request served
+    on its first node (the coordinator's inline fast path), for one
+    that migrated off a killed node (the folded-views path), and for
+    two requests whose faults leave the terminal count balanced."""
+
+    @staticmethod
+    def _inject(monkeypatch, *faults):
+        """Each ``(bug, pick)`` hits the first request ``pick`` accepts."""
+        original = ClusterNode._on_terminal
+        pending = list(faults)
+        hit = []
+
+        def faulty(self, request):
+            fault = next((f for f in pending if f[1](request)), None)
+            if fault is None:
+                return original(self, request)
+            pending.remove(fault)
+            hit.append(request.req_id)
+            if fault[0] == "twice":
+                original(self, request)
+                self.on_terminal_view(self, request)
+            # "dropped": the node never reports the terminal at all.
+
+        monkeypatch.setattr(ClusterNode, "_on_terminal", faulty)
+        return hit
+
+    @pytest.mark.parametrize("bug", ["twice", "dropped"])
+    def test_unmigrated_request(self, tb1, models_tb1, monkeypatch, bug):
+        hit = self._inject(monkeypatch,
+                           (bug, lambda r: r.requeues == 0 and r.req_id >= 7))
+        outcome = run(tb1, models_tb1)
+        assert hit
+        assert not outcome.conservation_ok
+
+    @pytest.mark.parametrize("bug", ["twice", "dropped"])
+    def test_migrated_request(self, tb1, models_tb1, monkeypatch, bug):
+        hit = self._inject(monkeypatch, (bug, lambda r: r.requeues > 0))
+        outcome = run(tb1, models_tb1, kills=[(0.4, "node1")])
+        assert hit
+        assert not outcome.conservation_ok
+        assert outcome.violations
+
+    def test_twice_and_dropped_do_not_cancel(self, tb1, models_tb1,
+                                             monkeypatch):
+        hit = self._inject(monkeypatch,
+                           ("twice", lambda r: r.req_id == 7),
+                           ("dropped", lambda r: r.req_id == 9))
+        outcome = run(tb1, models_tb1)
+        assert hit == [7, 9] or hit == [9, 7]
+        assert outcome.accounted == SPEC.n_requests
+        assert not outcome.conservation_ok

@@ -9,7 +9,8 @@ through two independently-built routers.
 
 import pytest
 
-from repro.cluster.router import ClusterRouter, _ring_hash
+from repro.cluster.router import (SPILL_BACKLOG, SPILL_WIDTH, ClusterRouter,
+                                  _ring_hash)
 from repro.serve import ServeError
 
 
@@ -52,13 +53,6 @@ class TestValidation:
     def test_unknown_policy(self):
         with pytest.raises(ServeError, match="policy"):
             ClusterRouter(policy="random")
-
-    @pytest.mark.parametrize("kwargs", [
-        {"replicas": 0}, {"spill_width": -1}, {"spill_backlog": -0.1},
-    ])
-    def test_bad_knobs(self, kwargs):
-        with pytest.raises(ServeError):
-            ClusterRouter(**kwargs)
 
     def test_empty_fleet(self):
         router = ClusterRouter()
@@ -120,16 +114,19 @@ class TestShardedRouting:
         moved = sum(1 for g in groups if before[g] != after[g])
         assert 0 < moved < 100  # expect ~40 of 200
 
-    def test_no_spill_below_threshold(self):
-        nodes = fleet(0.2, 0.2, 0.2, 0.2)
-        router = ClusterRouter(spill_backlog=0.25)
+    @pytest.mark.parametrize("share", [0.8, 1.0])
+    def test_no_spill_below_threshold(self, share):
+        # The threshold itself still counts as below: spill needs more.
+        load = share * SPILL_BACKLOG
+        nodes = fleet(load, load, load, load)
+        router = ClusterRouter()
         for i in range(16):
             router.route(StubRequest(f"g{i}"), nodes, 0.0)
         assert router.spills == 0
 
     def test_overloaded_primary_spills_to_best_successor(self):
         nodes = fleet(0, 0, 0, 0)
-        router = ClusterRouter(spill_backlog=0.25, spill_width=2)
+        router = ClusterRouter()
         primary = router.route(StubRequest("g1"), nodes, 0.0)
         primary._backlog = 10.0  # overload it
         chosen = router.route(StubRequest("g1"), nodes, 0.0)
@@ -137,21 +134,14 @@ class TestShardedRouting:
         assert router.spills == 1
         # The spill is bounded: only ring successors are candidates.
         order = router._ring_order("g1")
-        assert chosen.name in order[1:1 + router.spill_width]
-
-    def test_spill_width_zero_pins_to_primary(self):
-        nodes = fleet(0, 0, 0, 0)
-        router = ClusterRouter(spill_width=0, spill_backlog=0.0)
-        primary = router.route(StubRequest("g1"), nodes, 0.0)
-        primary._backlog = 100.0
-        assert router.route(StubRequest("g1"), nodes, 0.0) is primary
-        assert router.spills == 0
+        assert chosen.name in order[1:1 + SPILL_WIDTH]
 
     def test_overloaded_primary_still_wins_ties(self):
         # Successors as loaded as the primary: ring order breaks the
         # tie toward the primary (warm cache), not node 0.
-        nodes = fleet(0.5, 0.5, 0.5, 0.5)
-        router = ClusterRouter(spill_backlog=0.25)
+        load = 2 * SPILL_BACKLOG
+        nodes = fleet(load, load, load, load)
+        router = ClusterRouter()
         chosen = router.route(StubRequest("g1"), nodes, 0.0)
         assert chosen.name == router._ring_order("g1")[0]
         assert router.spills == 0
@@ -171,16 +161,15 @@ def full_walk(router, group):
 
 
 class TestRingOrderMemo:
-    @pytest.mark.parametrize("n_nodes", [4, 5, 8])
-    @pytest.mark.parametrize("spill_width", [0, 2, 9])
-    def test_prefix_of_full_walk(self, n_nodes, spill_width):
-        router = ClusterRouter(spill_width=spill_width)
+    @pytest.mark.parametrize("n_nodes", [2, 4, 5, 8])
+    def test_prefix_of_full_walk(self, n_nodes):
+        router = ClusterRouter()
         router._rebuild(fleet(*([0.0] * n_nodes)))
         for g in range(200):
             group = f"g{g}"
             walk = full_walk(router, group)
             assert len(walk) == n_nodes
-            expected = tuple(walk[:1 + spill_width])
+            expected = tuple(walk[:1 + SPILL_WIDTH])
             assert router._ring_order(group) == expected
             assert router._ring_order(group) == expected  # memoized
 
@@ -191,7 +180,7 @@ class TestRingOrderMemo:
         before = {g: router._ring_order(g) for g in groups}
         router._rebuild(fleet(0, 0, 0, 0, 0))
         after = {g: router._ring_order(g) for g in groups}
-        assert all(after[g] == tuple(full_walk(router, g)[:3])
+        assert all(after[g] == tuple(full_walk(router, g)[:1 + SPILL_WIDTH])
                    for g in groups)
         assert any(before[g] != after[g] for g in groups)
         assert any("node4" in order for order in after.values())
@@ -215,11 +204,11 @@ class TestRouterDeterminismProperties:
                                                       n_nodes, backlogs):
         """Two independently-built routers given the same fleet and the
         same request sequence assign identically — routing is a pure
-        function of (policy knobs, fleet, group, backlogs)."""
+        function of (policy, fleet, group, backlogs)."""
         def run():
             nodes = [StubNode(i, backlog=backlogs[i])
                      for i in range(n_nodes)]
-            router = ClusterRouter(spill_backlog=0.25, spill_width=2)
+            router = ClusterRouter()
             names = [router.route(StubRequest(g), nodes, 0.0).name
                      for g in groups]
             return names, router.spills

@@ -7,7 +7,6 @@ from repro.experiments import (
     fig1_tiling_effect,
     fig2_pipeline,
     fig6_tile_selection,
-    fig7_performance,
     table3_testbeds,
     table4_improvement,
 )
@@ -55,19 +54,6 @@ class TestFig6Render:
         out = fig6_tile_selection.render(result)
         assert "median fraction of T_opt" in out
         assert "max speedup" in out
-
-
-class TestFig7Winners:
-    def test_winner_computation(self):
-        result = fig7_performance.run(
-            scale="tiny", machines=[get_testbed("testbed_ii")],
-            dtypes=(np.float64,))
-        winners = result.winners()
-        assert set(winners) == {
-            ("testbed_ii", "dgemm", s) for s in fig7_performance.SCENARIOS
-        }
-        assert all(w in ("CoCoPeLia", "cuBLASXt", "BLASX")
-                   for w in winners.values())
 
 
 class TestTable4Lookup:

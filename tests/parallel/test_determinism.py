@@ -1,6 +1,6 @@
-"""Determinism of deployment, repeated measurements and the experiment
-sweeps (serial-vs-parallel byte-identity), plus model-cache keying by
-config identity."""
+"""Determinism of deployment and the experiment sweeps
+(serial-vs-parallel byte-identity), plus model-cache keying by config
+identity."""
 
 import dataclasses
 import json
@@ -9,11 +9,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core import axpy_problem, gemm_problem
 from repro.deploy import DeploymentConfig, deploy
 from repro.deploy.exec_bench import bench_exec_table
-from repro.experiments import fig7_performance, harness, repetition
-from repro.runtime import CoCoPeLiaLibrary
+from repro.experiments import fig7_performance, harness
 
 
 def _db_bytes(models) -> bytes:
@@ -52,41 +50,6 @@ class TestDeployDeterminism:
         assert part.tile_sizes == sorted(tiles)
         assert [part.time(t) for t in tiles] \
             == [full.time(t) for t in tiles]
-
-
-class TestRepetitionDeterminism:
-    PROBLEM = gemm_problem(1024, 1024, 1024)
-
-    def test_counter_left_where_sequential_run_would(self, tb2,
-                                                     models_tb2):
-        lib = CoCoPeLiaLibrary(tb2, models_tb2)
-        repetition.measure_repeated(lib, self.PROBLEM, tile_size=512,
-                                    reps=12)
-        assert lib._calls == 13  # 1 warmup + 12 reps
-
-    def test_same_seed_libraries_agree(self, tb2, models_tb2):
-        # Samples depend only on the seed and the call count on entry,
-        # not on what the earlier calls ran.
-        a = CoCoPeLiaLibrary(tb2, models_tb2)
-        b = CoCoPeLiaLibrary(tb2, models_tb2)
-        harness.run_problem(a, self.PROBLEM, tile_size=512)
-        harness.run_problem(b, axpy_problem(1 << 22))
-        ra = repetition.measure_repeated(a, self.PROBLEM, tile_size=512,
-                                         reps=12)
-        rb = repetition.measure_repeated(b, self.PROBLEM, tile_size=512,
-                                         reps=12)
-        assert ra.samples == rb.samples
-        assert (ra.mean, ra.std) == (rb.mean, rb.std)
-
-    def test_samples_independent_of_rep_count(self, tb2, models_tb2):
-        short = repetition.measure_repeated(
-            CoCoPeLiaLibrary(tb2, models_tb2), self.PROBLEM,
-            tile_size=512, reps=8)
-        long = repetition.measure_repeated(
-            CoCoPeLiaLibrary(tb2, models_tb2), self.PROBLEM,
-            tile_size=512, reps=12)
-        assert short.samples == long.samples[:8]
-        assert len(set(long.samples)) > 1
 
 
 class TestSweepDeterminism:

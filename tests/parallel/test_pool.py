@@ -55,14 +55,14 @@ class TestParallelConfig:
         with pytest.raises(ParallelError, match="workers"):
             ParallelConfig(workers=-1)
 
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ParallelError, match="chunksize"):
-            ParallelConfig(workers=2, chunksize=0)
+    def test_takes_no_chunksize(self):
+        with pytest.raises(TypeError, match="chunksize"):
+            ParallelConfig(workers=2, chunksize=3)
 
     def test_resolve_forms(self):
         assert ParallelConfig.resolve(None) is SERIAL
         assert ParallelConfig.resolve(3).workers == 3
-        cfg = ParallelConfig(workers=2, chunksize=5)
+        cfg = ParallelConfig(workers=2)
         assert ParallelConfig.resolve(cfg) is cfg
 
     def test_resolve_rejects_bool_and_junk(self):
@@ -98,12 +98,6 @@ class TestPmapEdgeCases:
     def test_submission_order_with_multi_arg_tasks(self):
         tasks = [(i, 100 * i) for i in range(9)]
         assert pmap(_add, tasks, parallel=3) == [101 * i for i in range(9)]
-
-    def test_explicit_chunksize_respected(self):
-        tasks = [(i,) for i in range(10)]
-        cfg = ParallelConfig(workers=2, chunksize=3)
-        assert pmap(_square, tasks, parallel=cfg) == [i * i
-                                                      for i in range(10)]
 
     def test_worker_exception_carries_original_traceback(self):
         tasks = [(i,) for i in range(6)]

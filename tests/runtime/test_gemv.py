@@ -150,4 +150,4 @@ class TestGemvModeling:
         lib = CoCoPeLiaLibrary(machine, models)
         lib.gemv(4096, 4096)
         lib.gemv(4096, 4096)
-        assert len(lib._tile_choices) == 1
+        assert lib.prediction_cache.stats.misses == 1

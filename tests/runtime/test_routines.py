@@ -130,10 +130,10 @@ class TestModelReuse:
         lib = CoCoPeLiaLibrary(tb2, models_tb2)
         lib.gemm(2048, 2048, 2048)
         lib.gemm(4096, 4096, 4096)
-        assert len(lib._tile_choices) == 2
+        assert lib.prediction_cache.stats.misses == 2
 
     def test_locations_are_part_of_the_key(self, tb2, models_tb2):
         lib = CoCoPeLiaLibrary(tb2, models_tb2)
         lib.gemm(2048, 2048, 2048)
         lib.gemm(2048, 2048, 2048, loc_b=Loc.DEVICE)
-        assert len(lib._tile_choices) == 2
+        assert lib.prediction_cache.stats.misses == 2

@@ -145,4 +145,4 @@ class TestSyrkModeling:
         lib = CoCoPeLiaLibrary(machine, models)
         lib.syrk(4096, 1024)
         lib.syrk(4096, 1024)
-        assert len(lib._tile_choices) == 1
+        assert lib.prediction_cache.stats.misses == 1

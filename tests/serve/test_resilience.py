@@ -40,7 +40,6 @@ class TestHealthMonitorStateMachine:
             assert monitor.available(i)
             assert monitor.penalty(i) == 1.0
             assert monitor.devices[i].state is HealthState.HEALTHY
-        assert monitor.any_available()
         assert monitor.transitions == []
 
     def test_rejects_empty_fleet(self):
@@ -93,7 +92,6 @@ class TestHealthMonitorStateMachine:
         assert monitor.on_fault(0, now=1.0)       # second opens it
         assert monitor.devices[0].state is HealthState.FAILED
         assert not monitor.available(0)
-        assert not monitor.any_available()
         # Further faults on an already-failed domain are absorbed.
         assert not monitor.on_fault(0, now=2.0)
         assert monitor.devices[0].breaker_opens == 1

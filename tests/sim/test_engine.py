@@ -144,26 +144,6 @@ def test_peek_next_time_empty():
     assert Simulator().peek_next_time() is None
 
 
-def test_advance_to_moves_idle_clock():
-    sim = Simulator()
-    sim.advance_to(4.2)
-    assert sim.now == 4.2
-
-
-def test_advance_to_backwards_rejected():
-    sim = Simulator()
-    sim.advance_to(2.0)
-    with pytest.raises(SimulationError):
-        sim.advance_to(1.0)
-
-
-def test_advance_to_cannot_skip_events():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.advance_to(5.0)
-
-
 def test_reentrant_run_rejected():
     sim = Simulator()
 

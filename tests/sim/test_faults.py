@@ -28,11 +28,11 @@ from repro.sim import (
     LinkBrownout,
     NAMED_PLANS,
     ResilienceCounters,
-    RetryPolicy,
     resolve_plan,
     tile_checksum,
 )
-from repro.sim.faults import as_injector, corrupt_array
+from repro.sim import faults as faults_module
+from repro.sim.faults import MAX_ATTEMPTS, as_injector, backoff, corrupt_array
 from repro.sim.machine import custom_machine
 from repro.sim.noise import NoiseModel
 
@@ -108,22 +108,21 @@ class TestResolvePlan:
             resolve_plan("warp_rate=0.1")
 
 
-class TestRetryPolicy:
-    def test_exponential_backoff(self):
-        policy = RetryPolicy(max_attempts=5, base_backoff=1e-5,
-                             backoff_factor=2.0)
-        assert policy.backoff(0) == pytest.approx(1e-5)
-        assert policy.backoff(1) == pytest.approx(1e-5)
-        assert policy.backoff(2) == pytest.approx(2e-5)
-        assert policy.backoff(3) == pytest.approx(4e-5)
+class TestRetryBudget:
+    def test_constants_keep_the_former_defaults(self):
+        assert faults_module.MAX_ATTEMPTS == 4
+        assert faults_module.BASE_BACKOFF == 20e-6
+        assert faults_module.BACKOFF_FACTOR == 2.0
 
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(base_backoff=-1.0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(backoff_factor=0.5)
+    def test_exponential_backoff(self):
+        assert backoff(0) == pytest.approx(20e-6)
+        assert backoff(1) == pytest.approx(20e-6)
+        assert backoff(2) == pytest.approx(40e-6)
+        assert backoff(3) == pytest.approx(80e-6)
+
+    def test_device_takes_no_retry_keyword(self):
+        with pytest.raises(TypeError, match="retry"):
+            GpuDevice(custom_machine(), retry=None)
 
 
 class TestFaultInjector:
@@ -270,8 +269,7 @@ class TestDeviceFaults:
         s = faulty.create_stream("s")
         faulty.memcpy_h2d_async(1 << 20, s, tag="a")
         t_faulty = faulty.synchronize()
-        backoff = faulty.retry_policy.backoff(1)
-        assert t_faulty == pytest.approx(2 * t_clean + backoff)
+        assert t_faulty == pytest.approx(2 * t_clean + backoff(1))
 
     def test_transfer_exhaustion_surfaces_on_sync(self):
         dev = self._device(FaultPlan(transfer_fail_rate=1.0))
@@ -280,7 +278,7 @@ class TestDeviceFaults:
         with pytest.raises(RetryExhaustedError) as exc:
             dev.synchronize()
         assert not op.done
-        assert op.attempts == dev.retry_policy.max_attempts
+        assert op.attempts == MAX_ATTEMPTS
         assert "a00" in str(exc.value)
 
     def test_kernel_fault_retried_and_aborted_time_counted(self, check_trace):
@@ -362,7 +360,7 @@ class TestDeviceFaults:
         dev = self._device(FaultPlan(mem_pressure_rate=1.0))
         with pytest.raises(DeviceMemoryError):
             dev.alloc(1 << 10)
-        assert dev.resilience.retries == dev.retry_policy.max_attempts
+        assert dev.resilience.retries == MAX_ATTEMPTS
 
     def test_no_plan_means_no_injector(self):
         dev = self._device(None)
