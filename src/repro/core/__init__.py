@@ -49,7 +49,7 @@ from .distributed import (
     shard_columns,
     summa_panels,
 )
-from .select import TileChoice, candidate_tiles, scale_choice, select_tile
+from .select import TileChoice, candidate_tiles, select_tile
 from .rect import RectTile, RectChoice, predict_dr_rect, select_rect_tile
 from .predcache import PredCacheStats, PredictionCache
 from .tailbank import (
@@ -92,7 +92,6 @@ __all__ = [
     "summa_panels",
     "TileChoice",
     "candidate_tiles",
-    "scale_choice",
     "select_tile",
     "PredCacheStats",
     "PredictionCache",

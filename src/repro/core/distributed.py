@@ -25,13 +25,12 @@ kernel formulas.  Panel/chunk compute time reuses the lookup-table +
 ``_dim_fill`` edge scaling of :mod:`repro.core.models`.
 
 Topology objects are duck-typed (``kind``/``n_gpus``/``hop_time``/
-``broadcast_hops``/``signature``) so this package does not import
-``repro.sim``; the runtime passes the spec through.
+``broadcast_hops``) so this package does not import ``repro.sim``; the
+runtime passes the spec through.
 
 Selection (:func:`select_summa_panel` / :func:`select_gemv_chunk`)
 sweeps the benchmarked tile grid exactly like ``select_tile`` — ties
-break to the larger candidate — and is memoized by
-:meth:`~repro.core.predcache.PredictionCache.distributed_choice`.
+break to the larger candidate.
 """
 
 from __future__ import annotations
@@ -307,17 +306,11 @@ def select_summa_panel(
     models: MachineModels,
     variant: str = "pipelined",
     depth: int = 2,
-    interpolate: bool = False,
-    cache=None,
 ) -> DistributedChoice:
     """Model-selected SUMMA K-panel width over the benchmarked grid."""
-    if cache is not None:
-        return cache.distributed_choice(
-            "summa", problem, models, topology, n_gpus,
-            variant=variant, depth=depth, interpolate=interpolate)
     choice = _sweep(
         candidate_panels(problem, n_gpus, models),
-        lambda p: predict_summa(problem, p, models, interpolate,
+        lambda p: predict_summa(problem, p, models,
                                 n_gpus=n_gpus, topology=topology,
                                 variant=variant, depth=depth))
     choice.kind = "summa"
@@ -329,17 +322,11 @@ def select_gemv_chunk(
     n_gpus: int,
     topology,
     models: MachineModels,
-    interpolate: bool = False,
-    cache=None,
 ) -> DistributedChoice:
     """Model-selected streaming-gemv chunk width."""
-    if cache is not None:
-        return cache.distributed_choice(
-            "streaming_gemv", problem, models, topology, n_gpus,
-            interpolate=interpolate)
     choice = _sweep(
         candidate_chunks(problem, n_gpus, models),
-        lambda c: predict_streaming_gemv(problem, c, models, interpolate,
+        lambda c: predict_streaming_gemv(problem, c, models,
                                          n_gpus=n_gpus, topology=topology))
     choice.kind = "streaming_gemv"
     return choice

@@ -31,16 +31,15 @@ The paper's formulas assume every tile is a full ``T x T`` square
 tile sizes that do not divide the problem, or that exceed a small
 dimension (clamped tiles of fat-by-thin problems), are predicted
 instead of over-charged.  ``edge_aware=False`` recovers the paper's
-literal formulas; the ablation benchmark compares both.
+literal formulas; the ``ablation.dr_refinements`` row of the claims
+table (``tests/claims/test_paper_claims.py``) compares both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List
 
 from ..errors import ModelError
 from .exec_model import ExecLookup
@@ -349,127 +348,6 @@ def predict_ideal(
         if op.set:
             total_out += n_tiles * link.d2h.time(nbytes)
     return max(total_in, k * tt.t_gpu, total_out)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized candidate sweeps (hot-path pass)
-# ---------------------------------------------------------------------------
-#
-# Tile selection evaluates one model over every benchmarked candidate
-# T.  The sweeps below evaluate the BTS and DR models over the whole
-# candidate array in one pass of float64 numpy elementwise operations
-# that mirror the scalar predictors' operation order exactly — IEEE 754
-# elementwise arithmetic on float64 arrays is the same C-double
-# arithmetic the scalar path performs, so every swept value is
-# *bit-identical* to the corresponding scalar prediction (pinned by
-# tests/core/test_predcache.py).  Only the default configuration is
-# vectorized (edge_aware=True, no interpolation, no custom
-# tile/subkernel counters); everything else falls back to the scalar
-# loop in :func:`repro.core.registry.sweep_predict`.
-
-
-def _sweep_supported(problem: CoCoProblem) -> bool:
-    """True when the vectorized sweeps apply to this problem's shapes.
-
-    Routines or operands with custom counting callables (e.g. the
-    triangular syrk tiling) use the scalar path.
-    """
-    if problem.routine.subkernel_count is not None:
-        return False
-    return all(op.spec.tile_count is None for op in problem.operands)
-
-
-def _sweep_arrays(
-    problem: CoCoProblem, ts: Sequence[int], models: MachineModels
-) -> Tuple[np.ndarray, ...]:
-    """The edge-aware :func:`tile_times` components over a T array.
-
-    Returns ``(tf, kf, t_gpu, t_in, t_out, op_bytes)`` where the first
-    five are float64 arrays over ``ts`` and ``op_bytes`` holds one
-    per-operand tile-bytes array in operand order.
-    """
-    lookup = models.exec_lookup(problem.routine.name,
-                                prefix_for(problem.dtype))
-    link = models.link
-    tf = np.asarray(ts, dtype=np.float64)
-    # Gather of the benchmarked kernel times; raises ModelError for an
-    # unknown T exactly as the scalar lookup does.
-    t_gpu = np.array([lookup.time(t) for t in ts], dtype=np.float64)
-    work = np.ones_like(tf)
-    for d in problem.dims:
-        work = work * (d / (np.ceil(d / tf) * tf))
-    t_gpu = t_gpu * work
-    kf = np.ones_like(tf)
-    for d in problem.dims:
-        kf = kf * np.ceil(d / tf)
-    t_in = np.zeros_like(tf)
-    t_out = np.zeros_like(tf)
-    op_bytes: List[np.ndarray] = []
-    for op in problem.operands:
-        e1 = tf * (op.s1 / (np.ceil(op.s1 / tf) * tf))
-        e2 = (1.0 if op.is_vector
-              else tf * (op.s2 / (np.ceil(op.s2 / tf) * tf)))
-        nbytes = e1 * e2 * problem.elem_size
-        op_bytes.append(nbytes)
-        if op.get:
-            t_in = t_in + (link.h2d.latency
-                           + link.h2d.sec_per_byte * nbytes)
-        if op.set:
-            t_out = t_out + (link.d2h.latency
-                             + link.d2h.sec_per_byte * nbytes)
-    return tf, kf, t_gpu, t_in, t_out, op_bytes
-
-
-def _overlap_vec(t_in: np.ndarray, t_out: np.ndarray,
-                 link: LinkModel) -> np.ndarray:
-    """Elementwise :func:`bidirectional_overlap_time`."""
-    t_in_bid = link.h2d.sl * t_in
-    t_out_bid = link.d2h.sl * t_out
-    return np.where(
-        t_in_bid >= t_out_bid,
-        t_out_bid + (t_in_bid - t_out_bid) / link.h2d.sl,
-        t_in_bid + (t_out_bid - t_in_bid) / link.d2h.sl,
-    )
-
-
-def sweep_bts(problem: CoCoProblem, ts: Sequence[int],
-              models: MachineModels) -> List[float]:
-    """:func:`predict_bts` over all of ``ts``; bit-identical values."""
-    _tf, kf, t_gpu, t_in, t_out, _ = _sweep_arrays(problem, ts, models)
-    t_over = _overlap_vec(t_in, t_out, models.link)
-    steady = np.maximum(t_gpu, t_over) * (kf - 1.0)
-    return (steady + t_in + t_gpu + t_out).tolist()
-
-
-def sweep_dr(problem: CoCoProblem, ts: Sequence[int],
-             models: MachineModels) -> List[float]:
-    """:func:`predict_dr` over all of ``ts``; bit-identical values.
-
-    The scalar predictor skips operands whose ``tiles - 1`` count is
-    zero; the vectorized form adds their exactly-zero contribution
-    instead, which leaves every float64 sum unchanged.
-    """
-    tf, kf, t_gpu, t_in, t_out, op_bytes = _sweep_arrays(problem, ts,
-                                                         models)
-    link = models.link
-    t_in_steady = np.zeros_like(tf)
-    t_out_steady = np.zeros_like(tf)
-    reuse = np.zeros_like(tf)
-    for op, nbytes in zip(problem.operands, op_bytes):
-        n1 = np.ceil(op.s1 / tf)
-        n2 = 1.0 if op.is_vector else np.ceil(op.s2 / tf)
-        n_extra = np.maximum(n1 * n2 - 1.0, 0.0)
-        if op.get:
-            t_in_steady = t_in_steady + n_extra * (
-                link.h2d.latency + link.h2d.sec_per_byte * nbytes)
-            reuse = reuse + n_extra
-        if op.set:
-            t_out_steady = t_out_steady + n_extra * (
-                link.d2h.latency + link.d2h.sec_per_byte * nbytes)
-    transfer_term = _overlap_vec(t_in_steady, t_out_steady, link)
-    k_in = np.minimum(reuse, kf)
-    steady = np.maximum(transfer_term, k_in * t_gpu) + t_gpu * (kf - k_in)
-    return (steady + t_in + t_out).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ registered under a name and used by the tile-selection runtime.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from ..errors import ModelError
 from .instantiation import MachineModels
@@ -56,31 +56,6 @@ def predict(
     """Predict offload time with the named model ('auto' allowed)."""
     key = resolve_model(model_name, problem)
     return MODEL_REGISTRY[key](problem, t, models, interpolate)
-
-
-def sweep_predict(
-    model_name: str,
-    problem: CoCoProblem,
-    ts: Sequence[int],
-    models: MachineModels,
-    interpolate: bool = False,
-) -> List[float]:
-    """Predict offload times for many candidate tile sizes at once.
-
-    Equivalent to ``[predict(model, problem, t, ...) for t in ts]``.
-    The bts/dr models take a vectorized path when the problem has no
-    custom tile/subkernel counters and no interpolation is requested;
-    its values are bit-identical to the scalar evaluation (see the
-    sweep note in :mod:`repro.core.models`), so callers never observe
-    which path ran.
-    """
-    key = resolve_model(model_name, problem)
-    if (not interpolate and key in ("bts", "dr")
-            and _models._sweep_supported(problem)):
-        sweep = _models.sweep_bts if key == "bts" else _models.sweep_dr
-        return sweep(problem, ts, models)
-    predictor = MODEL_REGISTRY[key]
-    return [predictor(problem, t, models, interpolate) for t in ts]
 
 
 # Built-in models.

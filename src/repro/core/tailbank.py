@@ -34,8 +34,7 @@ Two fit paths share one bank:
 Determinism rules (pinned by ``tests/core/test_tailbank.py``):
 
 * refits fire only on the count schedule (never on time or size
-  heuristics that could race), and :attr:`version` bumps on every
-  refit so memoized tail predictions invalidate exactly then;
+  heuristics that could race);
 * buckets iterate in sorted order wherever aggregate output
   (``snapshot``/``to_dict``/``refit_all``) is produced;
 * :meth:`multiplier` is read-only and clamps at 1.0 — tail-aware
@@ -122,9 +121,6 @@ class PercentileBank:
         self._fits: Dict[BucketKey, Dict[float, float]] = {}
         self.observations = 0
         self.refits = 0
-        #: Bumped on every refit; memo keys include it so cached tail
-        #: predictions invalidate exactly when the fits move.
-        self.version = 0
 
     # -- observation & fitting -----------------------------------------
 
@@ -161,7 +157,6 @@ class PercentileBank:
             p: float(v) for p, v in zip(self.percentiles, values)
         }
         self.refits += 1
-        self.version += 1
 
     def refit_all(self) -> None:
         """Force-fit every bucket with samples (deployment-fit path)."""

@@ -15,7 +15,6 @@ from .regression import (
 from .microbench import (
     TransferBenchConfig,
     bench_latency,
-    bench_transfer_sweep,
     fit_link_model,
 )
 from .exec_bench import ExecBenchConfig, bench_exec_table
@@ -30,7 +29,6 @@ __all__ = [
     "measure_until_stable",
     "TransferBenchConfig",
     "bench_latency",
-    "bench_transfer_sweep",
     "fit_link_model",
     "ExecBenchConfig",
     "bench_exec_table",

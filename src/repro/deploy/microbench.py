@@ -122,41 +122,6 @@ def bench_latency(device: GpuDevice, direction: Direction,
     return float(np.mean(samples)), samples
 
 
-def bench_transfer_sweep(
-    device: GpuDevice,
-    direction: Direction,
-    cfg: TransferBenchConfig,
-    bidirectional: bool = False,
-) -> Tuple[List[int], List[float]]:
-    """Measure mean transfer time for each square size in the sweep."""
-    esize = dtype_size(cfg.dtype)
-    sizes: List[int] = []
-    times: List[float] = []
-    for edge in cfg.edges:
-        nbytes = edge * edge * esize
-        if bidirectional:
-            mean, _ = measure_until_stable(
-                lambda: _timed_bid_transfer(
-                    device, direction, nbytes, cfg.opposite_factor
-                ),
-                rel_half_width=cfg.rel_half_width,
-                confidence=cfg.confidence,
-                min_reps=cfg.min_reps,
-                max_reps=cfg.max_reps,
-            )
-        else:
-            mean, _ = measure_until_stable(
-                lambda: _timed_transfer(device, direction, nbytes),
-                rel_half_width=cfg.rel_half_width,
-                confidence=cfg.confidence,
-                min_reps=cfg.min_reps,
-                max_reps=cfg.max_reps,
-            )
-        sizes.append(nbytes)
-        times.append(mean)
-    return sizes, times
-
-
 def _transfer_point_task(machine: MachineConfig, direction: Direction,
                          kind: str, nbytes: int, cfg: TransferBenchConfig,
                          seed: int):

@@ -67,11 +67,6 @@ def models_for(machine: MachineConfig, scale: str = "quick",
     return models
 
 
-def clear_model_cache() -> None:
-    """Drop every cached model database (tests, worker hygiene)."""
-    _MODEL_CACHE.clear()
-
-
 def prime_model_cache(machine: MachineConfig, scale: str,
                       models: MachineModels,
                       config: Optional[DeploymentConfig] = None) -> None:

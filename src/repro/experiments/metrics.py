@@ -15,15 +15,6 @@ import numpy as np
 
 from ..errors import ReproError
 
-# Tail-latency helpers live in repro.obs.stats — ONE quantile code path
-# shared by the serve and cluster report builders; re-exported here for
-# the historical import path (pinned by test_workloads_metrics.py).
-from ..obs.stats import (  # noqa: F401  (re-export)
-    LATENCY_PERCENTILES,
-    latency_summary,
-    percentiles,
-)
-
 
 def percent_error(predicted: float, measured: float) -> float:
     """The paper's e%: positive means overprediction."""

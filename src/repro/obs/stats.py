@@ -4,10 +4,7 @@ One quantile code path for every versioned report: the serving layer
 (``repro.serve/v1``), the cluster layer (``repro.cluster/v1``) and the
 experiment metrics all call :func:`percentiles` / :func:`latency_summary`
 from here, so a p99 in one document is bit-for-bit the same statistic
-as a p99 in any other.  (:mod:`repro.experiments.metrics` re-exports
-these names for backward compatibility; the regression test in
-``tests/experiments/test_workloads_metrics.py`` pins that both import
-paths are the same objects and that the math never forks.)
+as a p99 in any other.  This module is their only import path.
 """
 
 from __future__ import annotations

@@ -54,46 +54,6 @@ class RunResult:
             return None
         return (self.predicted_seconds - self.seconds) / self.seconds
 
-    def to_json(self) -> Dict[str, object]:
-        """JSON-ready dict of everything that defines equality.
-
-        ``output`` (an ndarray, ``compare=False``) is deliberately not
-        serialized — result records travel as timing/traffic facts, not
-        data payloads; ``resilience`` round-trips as its counter dict.
-        """
-        return {
-            "library": self.library,
-            "routine": self.routine,
-            "seconds": self.seconds,
-            "flops": self.flops,
-            "tile_size": self.tile_size,
-            "h2d_bytes": self.h2d_bytes,
-            "d2h_bytes": self.d2h_bytes,
-            "h2d_transfers": self.h2d_transfers,
-            "d2h_transfers": self.d2h_transfers,
-            "kernels": self.kernels,
-            "predicted_seconds": self.predicted_seconds,
-            "model": self.model,
-            "extra": dict(self.extra),
-            "resilience": (self.resilience.as_dict()
-                           if self.resilience is not None else None),
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "RunResult":
-        """Rebuild a result from :meth:`to_json` output.
-
-        Equality with the original holds because ``output`` and
-        ``resilience`` are ``compare=False`` fields.
-        """
-        payload = dict(data)
-        resilience = payload.pop("resilience", None)
-        return cls(
-            **payload,
-            resilience=(ResilienceCounters(**resilience)
-                        if resilience is not None else None),
-        )
-
     def describe(self) -> str:
         msg = (
             f"{self.library} {self.routine}: {self.seconds * 1e3:.3f} ms "

@@ -188,10 +188,6 @@ class RequestQueue:
         self._live += 1
         self._version += 1
 
-    def peek(self) -> Optional[Request]:
-        self._prune()
-        return self._heap[0][2] if self._heap else None
-
     def pop(self) -> Request:
         self._prune()
         if not self._heap:

@@ -106,10 +106,6 @@ class GpuDevice:
         return self.config.gpu_mem_bytes
 
     @property
-    def mem_used(self) -> int:
-        return self._used_bytes
-
-    @property
     def mem_free(self) -> int:
         return self.config.gpu_mem_bytes - self._used_bytes
 

@@ -12,7 +12,7 @@ stays in the heap and is skipped when it reaches the top.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..errors import SimulationError
 
@@ -187,23 +187,6 @@ class Simulator:
             self._running = False
         self._now = time
         return fired
-
-    # ------------------------------------------------------------------
-    # clock introspection
-    # ------------------------------------------------------------------
-
-    def peek_next_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None if idle.
-
-        Amortized O(1): cancelled entries at the heap top are discarded
-        on the way (they would be skipped at pop time anyway).
-        """
-        heap = self._heap
-        while heap:
-            if not heap[0][2].cancelled:
-                return heap[0][0]
-            heappop(heap)
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -110,11 +110,6 @@ class TopologySpec:
             return 0
         return n_dests if self.kind == "ring" else 1
 
-    def signature(self) -> Tuple:
-        """Hashable identity for prediction-cache keys."""
-        return (self.kind, self.n_gpus, self.latency, self.bandwidth,
-                self.bid_slowdown)
-
 
 def ring_topology(n_gpus: int, gb_per_s: float = 8.0,
                   latency: float = 5e-6,

@@ -1,4 +1,4 @@
-"""Machine configurations: the two paper testbeds plus custom machines.
+"""Machine configurations: the two paper testbeds.
 
 All ground-truth numbers for Testbed I / II come from Tables II and III
 of the paper (link latencies, uni/bidirectional bandwidths, slowdown
@@ -9,7 +9,7 @@ paper's qualitative behaviours (Fig. 1 break-points, V100 spikes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -55,10 +55,6 @@ class MachineConfig:
         if np.dtype(dtype).itemsize == 4:
             rate *= 2.0
         return flops / rate
-
-    def with_noise(self, sigma: float) -> "MachineConfig":
-        """A copy of this config with a different noise level."""
-        return replace(self, noise_sigma=sigma)
 
     def with_faults(self, plan: Optional[FaultPlan]) -> "MachineConfig":
         """A copy of this config with a fault-injection plan attached."""
@@ -192,52 +188,6 @@ def testbed_ii() -> MachineConfig:
         gpu_mem_bytes=gib(16),
         kernels=KernelModelSet(gemm_f64, gemm_f32, axpy),
         cpu_gemm_flops=4.5e11,
-    )
-
-
-def custom_machine(
-    name: str = "custom",
-    h2d_gb: float = 8.0,
-    d2h_gb: float = 8.0,
-    latency: float = 5e-6,
-    sl_h2d: float = 1.2,
-    sl_d2h: float = 1.3,
-    dgemm_tflops: float = 4.0,
-    sgemm_tflops: float = 8.0,
-    mem_gb: float = 8.0,
-    dev_mem_gbps: float = 400.0,
-    noise_sigma: float = 0.0,
-    spike_amp: float = 0.0,
-    grid_half: float = 12.0,
-    launch_overhead: float = 5e-6,
-) -> MachineConfig:
-    """A fully parameterized machine, mainly for tests and what-if runs."""
-    gemm_f64 = GemmTimeModel(
-        peak_flops=from_tflops(dgemm_tflops),
-        launch_overhead=launch_overhead,
-        grid_half=grid_half,
-        spike_amp=spike_amp,
-    )
-    gemm_f32 = GemmTimeModel(
-        peak_flops=from_tflops(sgemm_tflops),
-        launch_overhead=launch_overhead,
-        grid_half=grid_half,
-        spike_amp=spike_amp,
-    )
-    axpy = AxpyTimeModel(
-        mem_bandwidth=from_gb_per_s(dev_mem_gbps), launch_overhead=launch_overhead
-    )
-    return MachineConfig(
-        name=name,
-        display_name=name,
-        cpu="synthetic host",
-        gpu="synthetic GPU",
-        pcie="synthetic",
-        h2d=LinkDirectionConfig(latency, from_gb_per_s(h2d_gb), sl_h2d),
-        d2h=LinkDirectionConfig(latency, from_gb_per_s(d2h_gb), sl_d2h),
-        gpu_mem_bytes=gib(mem_gb),
-        kernels=KernelModelSet(gemm_f64, gemm_f32, axpy),
-        noise_sigma=noise_sigma,
     )
 
 

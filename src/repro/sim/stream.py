@@ -228,9 +228,17 @@ class ComputeEngine:
 
 
 def _complete_operation(op: Operation) -> None:
-    """Run the payload, mark done, release dependents and callbacks."""
-    if op.payload is not None:
-        op.payload()
+    """Run the payload, mark done, release dependents and callbacks.
+
+    The payload is dropped before it runs: its closure holds views of
+    the caller's host arrays and a device tile that points back at the
+    device, so a kept payload would close a cycle pinning those arrays
+    until the next garbage collection.
+    """
+    payload = op.payload
+    if payload is not None:
+        op.payload = None
+        payload()
     op.done = True
     callbacks = op.callbacks
     if callbacks:

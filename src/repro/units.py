@@ -62,11 +62,6 @@ def from_tflops(rate_tf: float) -> float:
     return rate_tf * 1e12
 
 
-def mib(n: float) -> int:
-    """``n`` MiB in bytes."""
-    return int(n * (1 << 20))
-
-
 def gib(n: float) -> int:
     """``n`` GiB in bytes."""
     return int(n * (1 << 30))

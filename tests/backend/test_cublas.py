@@ -6,7 +6,7 @@ import pytest
 from repro.backend.cublas import CublasContext, MatrixView
 from repro.errors import BlasError, SimulationError
 from repro.sim.device import GpuDevice
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 from repro.sim.memory import HostArray
 
 
@@ -211,11 +211,11 @@ class TestMatrixView:
 
 class TestAllocation:
     def test_matrix_bytes_accounted(self, ctx):
-        before = ctx.device.mem_used
+        before = ctx.device.mem_free
         m = ctx.alloc_matrix(100, 200, np.float64)
-        assert ctx.device.mem_used - before == 100 * 200 * 8
+        assert before - ctx.device.mem_free == 100 * 200 * 8
         m.free()
-        assert ctx.device.mem_used == before
+        assert ctx.device.mem_free == before
 
     def test_float32_half_bytes(self, ctx):
         m64 = ctx.alloc_matrix(64, 64, np.float64)

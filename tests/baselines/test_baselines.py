@@ -16,7 +16,8 @@ from repro.blas import assert_allclose_blas, ref_axpy, ref_gemm
 from repro.core import Loc
 from repro.errors import BlasError
 from repro.runtime import CoCoPeLiaLibrary
-from repro.sim.machine import custom_machine, get_testbed
+from repro.sim.machine import get_testbed
+from tests.machines import custom_machine
 
 
 @pytest.fixture(scope="module")

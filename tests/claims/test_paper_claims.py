@@ -36,7 +36,8 @@ from repro.experiments import (fig1_tiling_effect, fig2_pipeline,
 from repro.experiments.harness import models_for, run_gemm
 from repro.experiments.metrics import percent_error
 from repro.runtime import CoCoPeLiaLibrary, MultiGpuCoCoPeLia, predict_multi_gpu
-from repro.sim.machine import custom_machine, get_testbed
+from repro.sim.machine import get_testbed
+from tests.machines import custom_machine
 
 SCALE = "quick"
 INF = math.inf

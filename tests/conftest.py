@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.deploy import DeploymentConfig, deploy
-from repro.sim.machine import custom_machine, testbed_i, testbed_ii
+from repro.sim.machine import testbed_i, testbed_ii
+from tests.machines import custom_machine
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,6 @@ class TestObserveAndRefit:
             bank.observe(GEMM, 1.0, 1.5)
         # The problem bucket and the global bucket both hit count 8.
         assert bank.refits == 2
-        assert bank.version == 2
         assert bank.multiplier(GEMM, 99.0) == pytest.approx(1.5)
 
     def test_ratio_quantiles_are_numpy_percentiles(self):
@@ -109,15 +108,15 @@ class TestObserveAndRefit:
         assert 75.0 in bank.percentiles
         assert bank.quantile(GEMM, 75.0) == pytest.approx(2.0)
 
-    def test_version_invalidates_on_every_refit(self):
+    def test_refits_count_every_scheduled_refit(self):
         bank = PercentileBank(refit_every=2)
-        seen = {bank.version}
+        seen = {bank.refits}
         for i in range(8):
             bank.observe(GEMM, 1.0, 1.0 + i)
-            seen.add(bank.version)
-        # 4 scheduled refits x 2 buckets (problem + global), each
-        # bumping the version; both buckets refit within one observe.
-        assert bank.version == 8
+            seen.add(bank.refits)
+        # 4 scheduled refits x 2 buckets (problem + global); both
+        # buckets refit within one observe.
+        assert bank.refits == 8
         assert seen == {0, 2, 4, 6, 8}
 
 

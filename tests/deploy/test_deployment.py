@@ -22,7 +22,7 @@ from repro.deploy import (
 )
 from repro.deploy.database import db_path_for
 from repro.errors import DeploymentError
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 from repro.units import from_gb_per_s
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.params import Loc
 from repro.errors import ReproError
 from repro.experiments import metrics, report, workloads
+from repro.obs import stats
 
 
 class TestLocationCombos:
@@ -161,32 +162,32 @@ class TestReport:
 class TestPercentiles:
     def test_linear_interpolation_convention(self):
         # Even-sized sample: p50 is the midpoint average.
-        assert metrics.percentiles([1.0, 2.0, 3.0, 4.0], (50,)) == [2.5]
+        assert stats.percentiles([1.0, 2.0, 3.0, 4.0], (50,)) == [2.5]
         # Odd-sized sample: p50 is the middle element.
-        assert metrics.percentiles([3.0, 1.0, 2.0], (50,)) == [2.0]
+        assert stats.percentiles([3.0, 1.0, 2.0], (50,)) == [2.0]
 
     def test_endpoints_and_defaults(self):
         samples = list(range(101))
-        p50, p95, p99 = metrics.percentiles(samples)
+        p50, p95, p99 = stats.percentiles(samples)
         assert (p50, p95, p99) == (50.0, 95.0, 99.0)
-        assert metrics.percentiles(samples, (0, 100)) == [0.0, 100.0]
+        assert stats.percentiles(samples, (0, 100)) == [0.0, 100.0]
 
     def test_single_sample_is_every_percentile(self):
-        assert metrics.percentiles([7.0], (1, 50, 99)) == [7.0, 7.0, 7.0]
+        assert stats.percentiles([7.0], (1, 50, 99)) == [7.0, 7.0, 7.0]
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ReproError, match="empty"):
-            metrics.percentiles([])
+            stats.percentiles([])
 
     def test_out_of_range_percentile_rejected(self):
         with pytest.raises(ReproError, match="outside"):
-            metrics.percentiles([1.0], (101,))
+            stats.percentiles([1.0], (101,))
         with pytest.raises(ReproError, match="outside"):
-            metrics.percentiles([1.0], (-1,))
+            stats.percentiles([1.0], (-1,))
 
     def test_latency_summary_keys_and_values(self):
         samples = [4.0, 1.0, 3.0, 2.0]
-        summary = metrics.latency_summary(samples)
+        summary = stats.latency_summary(samples)
         assert summary == {
             "n": 4,
             "mean": pytest.approx(2.5),
@@ -200,9 +201,9 @@ class TestPercentiles:
     def test_latency_summary_json_ready(self):
         import json
 
-        text = json.dumps(metrics.latency_summary([1.0, 2.0]))
+        text = json.dumps(stats.latency_summary([1.0, 2.0]))
         assert json.loads(text)["n"] == 2
 
     def test_latency_summary_empty_rejected(self):
         with pytest.raises(ReproError, match="empty"):
-            metrics.latency_summary([])
+            stats.latency_summary([])

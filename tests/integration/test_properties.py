@@ -35,7 +35,7 @@ from repro.runtime.tiles import Grid2D
 from repro.sim.device import GpuDevice
 from repro.sim.engine import Simulator
 from repro.sim.link import Direction, DuplexLink, LinkDirectionConfig
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 _slow = settings(max_examples=25, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])

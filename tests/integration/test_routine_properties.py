@@ -12,7 +12,7 @@ from repro.core.params import gemv_problem, syrk_problem
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemvTileScheduler, SyrkTileScheduler
 from repro.sim.device import GpuDevice
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 _settings = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])

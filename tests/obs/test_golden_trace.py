@@ -11,7 +11,7 @@ model database.
 
 Regenerate (only after an *intentional* timing-semantics change)::
 
-    PYTHONPATH=src python tests/obs/test_golden_trace.py
+    PYTHONPATH=src python -m tests.obs.test_golden_trace
 
 which rewrites ``tests/data/golden_trace_dgemm.json``.
 """
@@ -21,7 +21,7 @@ import os
 
 from repro.obs import profile_trace, verify_trace
 from repro.runtime.routines import CoCoPeLiaLibrary
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                            "golden_trace_dgemm.json")

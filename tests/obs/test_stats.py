@@ -96,16 +96,6 @@ class TestLatencySummary:
 
 
 class TestSingleCodePath:
-    def test_experiments_metrics_reexports_same_objects(self):
-        # The satellite contract: serve, cluster, and experiment
-        # reports share ONE quantile implementation.  A fork would let
-        # a p99 silently mean two different statistics.
-        from repro.experiments import metrics
-        from repro.obs import stats
-
-        assert metrics.percentiles is stats.percentiles
-        assert metrics.latency_summary is stats.latency_summary
-
     def test_serve_and_cluster_reports_import_from_stats(self):
         import repro.cluster.report as cluster_report
         import repro.serve.report as serve_report

@@ -101,9 +101,9 @@ class TestModelCacheKeying:
                 variants += 1
         assert len(seen) == variants + 1
 
-    def test_clear_model_cache(self, tb2):
+    def test_redeploy_after_cache_drop_is_identical(self, tb2):
         a = harness.models_for(tb2, "quick")
-        harness.clear_model_cache()
+        harness._MODEL_CACHE.clear()
         try:
             b = harness.models_for(tb2, "quick")
             assert b is not a
@@ -116,7 +116,7 @@ class TestModelCacheKeying:
     def test_warm_payload_roundtrip(self, tb2):
         original = harness.models_for(tb2, "quick")
         payload = harness.warm_payload([tb2], "quick")
-        harness.clear_model_cache()
+        harness._MODEL_CACHE.clear()
         try:
             harness.prime_worker(payload)
             rebuilt = harness.models_for(tb2, "quick")

@@ -1,5 +1,7 @@
 """Tests for the level-2 gemv routine (Section IV-B extension recipe)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.runtime import CoCoPeLiaLibrary
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemvTileScheduler
 from repro.sim.device import GpuDevice
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 from repro.sim.machine import testbed_ii as make_testbed_ii
 
 
@@ -95,7 +97,7 @@ class TestGemvTraffic:
         """x chunks fetched once; the matrix is the dominant one-shot
         traffic (Section III-C: 'minor working set overlap')."""
         problem = gemv_problem(1024, 2048)
-        ctx = CublasContext(GpuDevice(machine.with_noise(0.0)))
+        ctx = CublasContext(GpuDevice(replace(machine, noise_sigma=0.0)))
         hosts = host_operands(problem)
         sched = GemvTileScheduler(ctx, problem, 256, hosts)
         stats = sched.run()

@@ -2,7 +2,8 @@
 
 Each case calls one entry point of one of the six libraries twice on
 the same library instance (so the per-call device seed sequence is
-pinned too) and compares every ``RunResult.to_json()`` field, plus a
+pinned too) and compares every field of ``RunResult`` that defines
+equality (``resilience`` as its counter dict), plus a
 sha256 of the output data, against ``tests/data/golden_library_results.json``.
 Cases cover timing mode and compute mode, host- and device-resident
 outputs, and CoCoPeLia's degradation ladder (a tile downshift and a
@@ -24,6 +25,7 @@ traffic or numerics)::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -256,7 +258,11 @@ def _record(result) -> dict:
     if hasattr(result, "shards"):  # MultiGpuResult
         return {"seconds": result.seconds, "n_gpus": result.n_gpus,
                 "shards": [_record(s) for s in result.shards]}
-    doc = result.to_json()
+    doc = {f.name: getattr(result, f.name)
+           for f in dataclasses.fields(result) if f.compare}
+    doc["extra"] = dict(result.extra)
+    doc["resilience"] = (result.resilience.as_dict()
+                         if result.resilience is not None else None)
     for key in EXCLUDED.get(result.library, ()):
         doc.pop(key)
     doc["output_sha"] = _sha(result.output)

@@ -15,7 +15,7 @@ from repro.core.params import Loc
 from repro.errors import BlasError
 from repro.runtime import (CoCoPeLiaLibrary, MultiGpuCoCoPeLia,
                            bind_operands, host_operands)
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 
 @pytest.fixture(scope="module")

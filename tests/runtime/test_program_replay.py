@@ -27,7 +27,7 @@ from repro.serve.server import BATCH_MAX, BATCH_SMALL_FLOPS
 from repro.sim.device import GpuDevice
 from repro.sim.faults import FaultPlan
 from repro.sim.link import Direction
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 from ..sim.test_no_cycles import FAULTS
 
@@ -88,14 +88,14 @@ def replayed(machine, program):
 
 def observe(device, pipeline, metrics):
     device.sim.run()
-    used = device.mem_used
+    used = device.mem_capacity - device.mem_free
     pipeline.release()
     return {
         "trace": list(device.trace.events),
         "h2d": device.link.stats(Direction.H2D),
         "d2h": device.link.stats(Direction.D2H),
         "compute": (device.compute.kernels_run, device.compute.busy_time),
-        "mem": (used, device.mem_used),
+        "mem": (used, device.mem_capacity - device.mem_free),
         "metrics": metrics.as_dict(),
         "resilience": device.resilience.as_dict(),
         "failures": [str(exc) for exc in device._fault_failures],

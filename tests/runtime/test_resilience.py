@@ -17,7 +17,7 @@ from repro.blas import (assert_allclose_blas, ref_axpy, ref_gemm, ref_gemv,
                         ref_syrk)
 from repro.runtime import CoCoPeLiaLibrary
 from repro.sim import FaultPlan
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 #: Probabilistic fault rate for the matrix CI job (default: the 5%
 #: acceptance bar; CI also runs 0.01 and 0.03).

@@ -7,7 +7,7 @@ from repro.blas import assert_allclose_blas, ref_axpy, ref_gemm
 from repro.core import Loc
 from repro.errors import BlasError
 from repro.runtime import CoCoPeLiaLibrary
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 
 @pytest.fixture(scope="module")

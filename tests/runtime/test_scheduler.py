@@ -10,7 +10,7 @@ from repro.errors import SchedulerError
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.sim.device import GpuDevice
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 
 def make_ctx(trace=False):

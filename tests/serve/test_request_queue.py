@@ -79,13 +79,11 @@ class TestQueueOrdering:
 
 
 class TestQueueMechanics:
-    def test_len_bool_peek(self):
+    def test_len_bool(self):
         q = RequestQueue()
-        assert not q and len(q) == 0 and q.peek() is None
-        r = req(0)
-        q.push(r)
-        assert q and len(q) == 1 and q.peek() is r
-        assert len(q) == 1  # peek does not consume
+        assert not q and len(q) == 0
+        q.push(req(0))
+        assert q and len(q) == 1
 
     def test_pop_empty_raises(self):
         with pytest.raises(ServeError, match="empty"):

@@ -115,18 +115,6 @@ class TestRequestQueueProperties:
         queue.push(extra)
         assert queue.total_predicted() == expected + 0.5
 
-    @given(ops)
-    @settings(max_examples=100, deadline=None)
-    def test_peek_agrees_with_pop(self, operations):
-        queue, live = apply_ops(operations)
-        head = queue.peek()
-        if live:
-            assert head is queue.pop()
-        else:
-            assert head is None
-            with pytest.raises(ServeError, match="empty"):
-                queue.pop()
-
     def test_double_remove_rejected(self):
         queue = RequestQueue()
         req = make_request(0, 0, None, 0.0)

@@ -132,18 +132,6 @@ def test_pending_events_counts_only_live():
     assert sim.pending_events == 1
 
 
-def test_peek_next_time_skips_cancelled():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    ev.cancel()
-    assert sim.peek_next_time() == 2.0
-
-
-def test_peek_next_time_empty():
-    assert Simulator().peek_next_time() is None
-
-
 def test_reentrant_run_rejected():
     sim = Simulator()
 

@@ -131,7 +131,7 @@ class TestIndependentSimulators:
         # turn, as the cluster coordinator does with its nodes.
         fleet = [_loaded_link(*shape) for shape in shapes]
         t = 0.0
-        while any(sim.peek_next_time() is not None for sim, _ in fleet):
+        while any(sim.pending_events for sim, _ in fleet):
             t += 2.5e-3
             for sim, _ in fleet:
                 sim.run_to(t)

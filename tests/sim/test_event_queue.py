@@ -69,7 +69,7 @@ class TestAgainstReferenceModel:
         entries = schedule_all(sim, times, fired)
         assert sim.run() == len(entries)
         assert fired == sorted(entries, key=_key)
-        assert sim.pending_events == 0 and sim.peek_next_time() is None
+        assert sim.pending_events == 0
 
     @settings(max_examples=200, deadline=None)
     @given(ops=ops_strategy)
@@ -113,23 +113,6 @@ class TestAgainstReferenceModel:
         assert sim.pending_events == len(live)
         assert sim.run() == len(live)
         assert fired == sorted(live, key=_key)
-
-    @settings(max_examples=100, deadline=None)
-    @given(times=times_strategy)
-    def test_peek_next_time_agrees_with_the_next_fired_event(self, times):
-        sim = Simulator()
-        fired = []
-        schedule_all(sim, times, fired)
-        while True:
-            head = sim.peek_next_time()
-            if head is None:
-                break
-            before = len(fired)
-            sim.run_to(head)
-            batch = fired[before:]
-            # One run_to at the head time drains exactly that timestamp.
-            assert batch and {e[0] for e in batch} == {head}
-        assert len(fired) == len(times)
 
     @settings(max_examples=100, deadline=None)
     @given(times=times_strategy, data=st.data())
@@ -231,7 +214,6 @@ class TestQueueShapes:
         sim.schedule(2.0, lambda: fired.append("live"))
         for ev in heads:
             ev.cancel()
-        assert sim.peek_next_time() == 2.0
         assert sim.run() == 1
         assert fired == ["live"]
 

@@ -33,7 +33,7 @@ from repro.sim import (
 )
 from repro.sim import faults as faults_module
 from repro.sim.faults import MAX_ATTEMPTS, as_injector, backoff, corrupt_array
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 from repro.sim.noise import NoiseModel
 
 

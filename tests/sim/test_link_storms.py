@@ -209,7 +209,7 @@ class TestEpochStepping:
         # not move a single completion.
         def stepped(sim):
             t = 0.0
-            while sim.peek_next_time() is not None:
+            while sim.pending_events:
                 t += epoch
                 sim.run_to(t)
 

@@ -27,6 +27,7 @@ from repro.cluster import (
     iter_cluster_workload,
 )
 from repro.core.params import axpy_problem, gemm_problem
+from repro.runtime import CoCoPeLiaLibrary
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.serve import (
@@ -39,7 +40,7 @@ from repro.serve import (
 from repro.serve import server as server_module
 from repro.sim.device import GpuDevice
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import custom_machine
+from tests.machines import custom_machine
 
 FAULTS = FaultPlan(name="no-cycles", seed=3, transfer_fail_rate=0.05,
                    kernel_fail_rate=0.05, corruption_rate=0.05)
@@ -123,6 +124,29 @@ class TestSchedules:
             lambda: wedge_schedule(machine, problem, 512))
         assert found == 0
         assert parked == 1
+
+
+class TestDataMode:
+    """Library calls that move real arrays: a finished op's payload
+    holds views of the caller's arrays, so a cycle would pin them."""
+
+    @pytest.mark.parametrize("routine", ["gemm", "gemv", "axpy"])
+    def test_library_call(self, tb2, models_tb2, routine):
+        lib = CoCoPeLiaLibrary(tb2, models_tb2, seed=1)
+        rng = np.random.default_rng(0)
+        calls = {
+            "gemm": lambda: lib.gemm(a=rng.standard_normal((768, 512)),
+                                     b=rng.standard_normal((512, 640)),
+                                     c=rng.standard_normal((768, 640))),
+            "gemv": lambda: lib.gemv(a=rng.standard_normal((1024, 900)),
+                                     x=rng.standard_normal(900),
+                                     y=rng.standard_normal(1024),
+                                     tile_size=512),
+            "axpy": lambda: lib.axpy(x=rng.standard_normal(1 << 19),
+                                     y=rng.standard_normal(1 << 19)),
+        }
+        found, _ = cyclic_garbage(calls[routine])
+        assert found == 0
 
 
 class TestServing:

@@ -7,7 +7,8 @@ import pytest
 
 # Alias the factories: their names match pytest's "test*" collection
 # pattern and would otherwise be collected as tests.
-from repro.sim.machine import custom_machine, get_testbed
+from repro.sim.machine import get_testbed
+from tests.machines import custom_machine
 from repro.sim.machine import testbed_i as make_testbed_i
 from repro.sim.machine import testbed_ii as make_testbed_ii
 from repro.errors import SimulationError
@@ -134,11 +135,6 @@ class TestMachines:
     def test_get_testbed_unknown(self):
         with pytest.raises(KeyError):
             get_testbed("testbed_iii")
-
-    def test_with_noise_copy(self):
-        tb = make_testbed_i().with_noise(0.0)
-        assert tb.noise_sigma == 0.0
-        assert make_testbed_i().noise_sigma > 0.0
 
     def test_custom_machine_parameters(self):
         m = custom_machine(h2d_gb=5.0, dgemm_tflops=2.0, mem_gb=4.0)

@@ -36,9 +36,8 @@ class TestUnits:
         assert units.from_tflops(3.0) == 3e12
 
     def test_binary_sizes(self):
-        assert units.mib(1) == 1 << 20
         assert units.gib(2) == 2 << 30
-        assert units.mib(0.5) == 1 << 19
+        assert units.gib(0.5) == 1 << 29
 
 
 class TestErrorHierarchy:
