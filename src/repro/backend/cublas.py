@@ -117,10 +117,34 @@ class MatrixView:
         return a[: self.rows, : self.cols]
 
 
-def _check_pinned(host: HostArray) -> None:
+_UNPINNED = "async transfer requires pinned host memory (operand {})"
+
+
+def _check_window(host: HostArray, row0: int, col0: int,
+                  rows: int, cols: int) -> None:
+    """A matrix transfer's host side: pinned, 2-D, holding the window."""
     if not host.pinned:
-        raise BlasError(
-            f"async transfer requires pinned host memory (operand {host.name})"
+        raise BlasError(_UNPINNED.format(host.name))
+    if len(host.shape) != 2:
+        raise BlasError(f"matrix transfer on non-matrix host operand {host.name}")
+    h_rows, h_cols = host.shape
+    if row0 < 0 or col0 < 0 or row0 + rows > h_rows or col0 + cols > h_cols:
+        raise SimulationError(
+            f"transfer window [{row0}:{row0 + rows}, {col0}:{col0 + cols}] "
+            f"outside host operand {host.name} of shape {host.shape}"
+        )
+
+
+def _check_span(host: HostArray, off: int, n: int) -> None:
+    """A vector transfer's host side: pinned, 1-D, holding the span."""
+    if not host.pinned:
+        raise BlasError(_UNPINNED.format(host.name))
+    if len(host.shape) != 1:
+        raise BlasError(f"vector transfer on non-vector host operand {host.name}")
+    if off < 0 or off + n > host.shape[0]:
+        raise SimulationError(
+            f"transfer span [{off}:{off + n}] outside host operand "
+            f"{host.name} of length {host.shape[0]}"
         )
 
 
@@ -130,6 +154,9 @@ class CublasContext:
     def __init__(self, device: GpuDevice) -> None:
         self.device = device
         self._kernels = device.config.kernels
+        #: A tag is read only by the trace and by fault diagnostics, so
+        #: a call without one gets a default name only when either is on.
+        self._tagged = device.trace is not None or device.faults is not None
 
     @staticmethod
     def _integrity_hooks(src_getter, dst_getter):
@@ -175,11 +202,10 @@ class CublasContext:
         tag: str = "",
     ) -> Operation:
         """Copy host[row0:row0+dst.rows, col0:col0+dst.cols] to device."""
-        _check_pinned(host)
         rows, cols = dst.rows, dst.cols
-        self._check_window(host, row0, col0, rows, cols)
+        _check_window(host, row0, col0, rows, cols)
         payload = verify = corrupt = None
-        if host.has_data and dst.array is not None:
+        if host.array is not None and dst.array is not None:
             src_view = host.array[row0:row0 + rows, col0:col0 + cols]
 
             def payload() -> None:
@@ -190,11 +216,11 @@ class CublasContext:
                 verify, corrupt = self._integrity_hooks(
                     lambda: src_view, lambda: dst.array)
 
+        if not tag and self._tagged:
+            tag = f"h2d:{host.name}[{row0},{col0}]"
         return self.device.memcpy_h2d_async(
-            rows * cols * dtype_size(dst.dtype), stream,
-            tag=tag or f"h2d:{host.name}[{row0},{col0}]", payload=payload,
-            verify=verify, corrupt=corrupt,
-        )
+            rows * cols * dst.dtype.itemsize, stream, tag, payload, verify,
+            corrupt)
 
     def get_matrix_async(
         self,
@@ -206,11 +232,10 @@ class CublasContext:
         tag: str = "",
     ) -> Operation:
         """Copy the device matrix into host[row0:.., col0:..]."""
-        _check_pinned(host)
         rows, cols = src.rows, src.cols
-        self._check_window(host, row0, col0, rows, cols)
+        _check_window(host, row0, col0, rows, cols)
         payload = verify = corrupt = None
-        if host.has_data and src.array is not None:
+        if host.array is not None and src.array is not None:
             dst_view = host.array[row0:row0 + rows, col0:col0 + cols]
             src_mat = src
 
@@ -222,11 +247,11 @@ class CublasContext:
                 verify, corrupt = self._integrity_hooks(
                     lambda: src_mat.array, lambda: dst_view)
 
+        if not tag and self._tagged:
+            tag = f"d2h:{host.name}[{row0},{col0}]"
         return self.device.memcpy_d2h_async(
-            rows * cols * dtype_size(src.dtype), stream,
-            tag=tag or f"d2h:{host.name}[{row0},{col0}]", payload=payload,
-            verify=verify, corrupt=corrupt,
-        )
+            rows * cols * src.dtype.itemsize, stream, tag, payload, verify,
+            corrupt)
 
     def set_vector_async(
         self,
@@ -237,11 +262,10 @@ class CublasContext:
         tag: str = "",
     ) -> Operation:
         """Copy host[off:off+dst.n] to the device vector."""
-        _check_pinned(host)
         n = dst.n
-        self._check_span(host, off, n)
+        _check_span(host, off, n)
         payload = verify = corrupt = None
-        if host.has_data and dst.array is not None:
+        if host.array is not None and dst.array is not None:
             src_view = host.array[off:off + n]
 
             def payload() -> None:
@@ -252,11 +276,10 @@ class CublasContext:
                 verify, corrupt = self._integrity_hooks(
                     lambda: src_view, lambda: dst.array)
 
+        if not tag and self._tagged:
+            tag = f"h2d:{host.name}[{off}]"
         return self.device.memcpy_h2d_async(
-            n * dtype_size(dst.dtype), stream,
-            tag=tag or f"h2d:{host.name}[{off}]", payload=payload,
-            verify=verify, corrupt=corrupt,
-        )
+            n * dst.dtype.itemsize, stream, tag, payload, verify, corrupt)
 
     def get_vector_async(
         self,
@@ -267,11 +290,10 @@ class CublasContext:
         tag: str = "",
     ) -> Operation:
         """Copy the device vector into host[off:off+src.n]."""
-        _check_pinned(host)
         n = src.n
-        self._check_span(host, off, n)
+        _check_span(host, off, n)
         payload = verify = corrupt = None
-        if host.has_data and src.array is not None:
+        if host.array is not None and src.array is not None:
             dst_view = host.array[off:off + n]
             src_vec = src
 
@@ -283,11 +305,10 @@ class CublasContext:
                 verify, corrupt = self._integrity_hooks(
                     lambda: src_vec.array, lambda: dst_view)
 
+        if not tag and self._tagged:
+            tag = f"d2h:{host.name}[{off}]"
         return self.device.memcpy_d2h_async(
-            n * dtype_size(src.dtype), stream,
-            tag=tag or f"d2h:{host.name}[{off}]", payload=payload,
-            verify=verify, corrupt=corrupt,
-        )
+            n * src.dtype.itemsize, stream, tag, payload, verify, corrupt)
 
     # ------------------------------------------------------------------
     # kernels
@@ -332,10 +353,10 @@ class CublasContext:
                 rhs = b.array.T if transb else b.array
                 c.array[:, :] = dt(alpha) * (a.array @ rhs) + dt(beta) * c.array
 
-        return self.device.launch_async(
-            duration, stream, tag=tag or f"gemm{m}x{n}x{k}",
-            flops=2.0 * m * n * k, payload=payload,
-        )
+        if not tag and self._tagged:
+            tag = f"gemm{m}x{n}x{k}"
+        return self.device.launch_async(duration, stream, tag,
+                                        2.0 * m * n * k, payload)
 
     def gemv_async(
         self,
@@ -364,10 +385,10 @@ class CublasContext:
                 y.buf.check_alive()
                 y.array[:] = dt(alpha) * (a.array @ x.array) + dt(beta) * y.array
 
-        return self.device.launch_async(
-            duration, stream, tag=tag or f"gemv{m}x{n}",
-            flops=2.0 * m * n, payload=payload,
-        )
+        if not tag and self._tagged:
+            tag = f"gemv{m}x{n}"
+        return self.device.launch_async(duration, stream, tag,
+                                        2.0 * m * n, payload)
 
     def axpy_async(
         self,
@@ -391,33 +412,7 @@ class CublasContext:
                 y.buf.check_alive()
                 y.array[:] = dt(alpha) * x.array + y.array
 
-        return self.device.launch_async(
-            duration, stream, tag=tag or f"axpy{x.n}",
-            flops=2.0 * x.n, payload=payload,
-        )
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_window(host: HostArray, row0: int, col0: int,
-                      rows: int, cols: int) -> None:
-        if len(host.shape) != 2:
-            raise BlasError(f"matrix transfer on non-matrix host operand {host.name}")
-        h_rows, h_cols = host.shape
-        if row0 < 0 or col0 < 0 or row0 + rows > h_rows or col0 + cols > h_cols:
-            raise SimulationError(
-                f"transfer window [{row0}:{row0 + rows}, {col0}:{col0 + cols}] "
-                f"outside host operand {host.name} of shape {host.shape}"
-            )
-
-    @staticmethod
-    def _check_span(host: HostArray, off: int, n: int) -> None:
-        if len(host.shape) != 1:
-            raise BlasError(f"vector transfer on non-vector host operand {host.name}")
-        if off < 0 or off + n > host.shape[0]:
-            raise SimulationError(
-                f"transfer span [{off}:{off + n}] outside host operand "
-                f"{host.name} of length {host.shape[0]}"
-            )
+        if not tag and self._tagged:
+            tag = f"axpy{x.n}"
+        return self.device.launch_async(duration, stream, tag,
+                                        2.0 * x.n, payload)

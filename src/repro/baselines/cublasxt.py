@@ -49,9 +49,6 @@ class _Slot:
         #: next overwrite must wait for it.
         self.guard: Optional[CudaEvent] = None
 
-    def view(self, rows: int, cols: int) -> MatrixView:
-        return MatrixView(self.matrix, rows, cols)
-
     def free(self) -> None:
         self.matrix.free()
 
@@ -149,19 +146,18 @@ class CublasXtScheduler(_PipelineBase):
     # ------------------------------------------------------------------
 
     def _stage_tile(self, worker: _Worker, slot: _Slot, name: str,
-                    grid: Grid2D, i: int, j: int,
+                    window: Tuple[int, int, int, int], tag: str,
                     extra_wait: Optional[CudaEvent] = None) -> MatrixView:
-        """h2d a host-resident tile into a worker slot."""
-        host = self.hosts[name]
-        r0, c0, rows, cols = grid.tile_window(i, j)
+        """h2d the host-resident tile at ``window`` into a worker slot."""
+        r0, c0, rows, cols = window
+        s_h2d = worker.s_h2d
         if slot.guard is not None:
-            worker.s_h2d.wait_event(slot.guard)
+            s_h2d.wait_event(slot.guard)
         if extra_wait is not None:
-            worker.s_h2d.wait_event(extra_wait)
-        view = slot.view(rows, cols)
-        self.ctx.set_matrix_async(
-            host, r0, c0, view, worker.s_h2d,
-            tag=f"h2d:{name}({i},{j})" if self._tagged else "")
+            s_h2d.wait_event(extra_wait)
+        view = MatrixView(slot.matrix, rows, cols)
+        self.ctx.set_matrix_async(self.hosts[name], r0, c0, view, s_h2d,
+                                  tag)
         return view
 
     def _issue(self) -> None:
@@ -169,6 +165,7 @@ class CublasXtScheduler(_PipelineBase):
         a_dev, b_dev, c_dev = (op.loc is Loc.DEVICE
                                for op in self.problem.operands)
         c_host = self.hosts["C"]
+        tagged = self._tagged
         tasks = [
             (i, j, l) for (i, j) in self.grid_c for l in range(kt)
         ]
@@ -180,13 +177,17 @@ class CublasXtScheduler(_PipelineBase):
             if a_dev:
                 a_view = self._fetch("A", i, l).matrix
             else:
-                a_view = self._stage_tile(worker, worker.a_slots[phase],
-                                          "A", self.grid_a, i, l)
+                a_view = self._stage_tile(
+                    worker, worker.a_slots[phase], "A",
+                    self.grid_a.tile_window(i, l),
+                    f"h2d:A({i},{l})" if tagged else "")
             if b_dev:
                 b_view = self._fetch("B", l, j).matrix
             else:
-                b_view = self._stage_tile(worker, worker.b_slots[phase],
-                                          "B", self.grid_b, l, j)
+                b_view = self._stage_tile(
+                    worker, worker.b_slots[phase], "B",
+                    self.grid_b.tile_window(l, j),
+                    f"h2d:B({l},{j})" if tagged else "")
             # --- C (round-trips when host-resident) ---
             prev_c = self._c_order.get((i, j))
             if c_dev:
@@ -194,15 +195,16 @@ class CublasXtScheduler(_PipelineBase):
                 if prev_c is not None:
                     worker.s_exec.wait_event(prev_c)
             else:
-                c_slot = worker.c_slots[phase]
-                c_view = self._stage_tile(worker, c_slot, "C", self.grid_c,
-                                          i, j, extra_wait=prev_c)
+                c_window = self.grid_c.tile_window(i, j)
+                c_view = self._stage_tile(
+                    worker, worker.c_slots[phase], "C", c_window,
+                    f"h2d:C({i},{j})" if tagged else "", extra_wait=prev_c)
             if not (a_dev and b_dev and c_dev):
                 worker.s_exec.wait_event(worker.s_h2d.record_event())
             self.ctx.gemm_async(
                 a_view, b_view, c_view, worker.s_exec,
                 alpha=self.alpha, beta=self.beta if l == 0 else 1.0,
-                tag=f"gemm({i},{j},{l})" if self._tagged else "",
+                tag=f"gemm({i},{j},{l})" if tagged else "",
             )
             kernel_ev = worker.s_exec.record_event()
             if not a_dev:
@@ -213,10 +215,9 @@ class CublasXtScheduler(_PipelineBase):
                 self._c_order[(i, j)] = kernel_ev
             else:
                 worker.s_d2h.wait_event(kernel_ev)
-                r0, c0, _, _ = self.grid_c.tile_window(i, j)
                 self.ctx.get_matrix_async(
-                    c_view, c_host, r0, c0, worker.s_d2h,
-                    tag=f"d2h:C({i},{j},{l})" if self._tagged else "")
+                    c_view, c_host, c_window[0], c_window[1], worker.s_d2h,
+                    tag=f"d2h:C({i},{j},{l})" if tagged else "")
                 d2h_ev = worker.s_d2h.record_event()
                 worker.c_slots[phase].guard = d2h_ev
                 self._c_order[(i, j)] = d2h_ev

@@ -39,16 +39,8 @@ class RectTile:
         if min(self.tm, self.tn, self.tk) <= 0:
             raise ModelError(f"non-positive rect tile {self}")
 
-    @property
-    def volume(self) -> int:
-        return self.tm * self.tn * self.tk
-
     def as_tuple(self) -> Tuple[int, int, int]:
         return (self.tm, self.tn, self.tk)
-
-    @classmethod
-    def square(cls, t: int) -> "RectTile":
-        return cls(t, t, t)
 
 
 def _dim_fill(d: int, t: int) -> float:

@@ -11,9 +11,8 @@ or :class:`~repro.sim.device.GpuDevice`.  Design rules:
   behaviour change.
 * **No clocks, no locks.**  All values come from the simulation, which
   is single-threaded and deterministic; the registry never reads wall
-  time, so metrics are exactly reproducible.
-* **Mergeable.**  Histograms with identical bucket bounds merge
-  associatively, so per-shard registries can be combined (multi-GPU).
+  time, so metrics are exactly reproducible.  Multi-GPU runs share one
+  registry rather than combining per-shard ones.
 
 Metric naming convention: dot-separated, namespaced by layer —
 ``sim.*`` (link/compute engines), ``runtime.*`` (scheduler/routines),
@@ -95,10 +94,7 @@ class Histogram:
 
     ``bounds`` are the bucket *upper* edges (strictly increasing); an
     observation lands in the first bucket whose bound is >= the value,
-    or in the implicit overflow bucket.  Because the bounds are fixed
-    at construction, :meth:`merge` is a plain element-wise sum and is
-    therefore associative and commutative — the property the
-    multi-shard aggregation relies on.
+    or in the implicit overflow bucket.
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum",
@@ -142,23 +138,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms with identical bounds (associative)."""
-        if self.bounds != other.bounds:
-            raise MetricsError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        merged = Histogram(self.name, self.bounds)
-        merged.bucket_counts = [
-            a + b for a, b in zip(self.bucket_counts, other.bucket_counts)
-        ]
-        merged.count = self.count + other.count
-        merged.sum = self.sum + other.sum
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -31,7 +31,7 @@ from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
 from ..sim.interconnect import Interconnect, TopologySpec
 from ..sim.machine import MachineConfig
-from ..sim.stream import KIND_H2D, CudaEvent, Operation, _complete_operation
+from ..sim.stream import KIND_H2D, CudaEvent, Operation
 from .offload import OffloadLibrary, bind_operands, host_operands, offload_result
 from .result import RunResult
 from .scheduler import GemmTileScheduler, ScheduleStats
@@ -256,8 +256,8 @@ class MultiGpuCoCoPeLia(OffloadLibrary):
             def start(tile=tile, dests=dests, nbytes=nbytes) -> None:
                 fabric.multicast(
                     0, dests, nbytes,
-                    on_arrive=lambda node, tile=tile: _complete_operation(
-                        gates[(node, tile)]),
+                    on_arrive=lambda node, tile=tile:
+                        gates[(node, tile)].complete(),
                     tag=f"bcast:A{tile}" if self.trace else "")
 
             if entry0.fetch_op is None:

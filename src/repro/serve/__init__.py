@@ -26,7 +26,6 @@ from .report import (
     serve_document,
     serve_report,
     validate_serve_json,
-    validate_tail_block,
 )
 from .request import Request, RequestQueue, RequestState, ServeError
 from .resilience import (
@@ -74,5 +73,4 @@ __all__ = [
     "serve_report",
     "spec_as_dict",
     "validate_serve_json",
-    "validate_tail_block",
 ]

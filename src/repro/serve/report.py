@@ -302,11 +302,6 @@ SERVE_SCHEMA = {
 }
 
 
-def validate_tail_block(tail: object, path: str) -> None:
-    """Check a ``prediction.tail`` block on its own; raise on mismatch."""
-    validate(tail, TAIL_SCHEMA, "serve", path)
-
-
 def validate_serve_json(doc: object) -> None:
     """Check a serve document against schema v1; raise on mismatch.
 

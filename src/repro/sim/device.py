@@ -41,7 +41,6 @@ from .stream import (
     ComputeEngine,
     Operation,
     Stream,
-    _complete_operation,
 )
 from .trace import TraceRecorder
 
@@ -205,7 +204,7 @@ class GpuDevice:
         """Enqueue a host-to-device copy of ``nbytes`` on ``stream``."""
         if self.recorder is not None:
             self.recorder.memcpy_h2d(nbytes, stream, tag)
-        op = Operation(KIND_H2D, nbytes=nbytes, tag=tag, payload=payload)
+        op = Operation(KIND_H2D, nbytes, 0.0, 0.0, tag, payload)
         if self.faults is None:
             stream.enqueue(op, self._dispatch_h2d)
         else:
@@ -225,7 +224,7 @@ class GpuDevice:
         """Enqueue a device-to-host copy of ``nbytes`` on ``stream``."""
         if self.recorder is not None:
             self.recorder.memcpy_d2h(nbytes, stream, tag)
-        op = Operation(KIND_D2H, nbytes=nbytes, tag=tag, payload=payload)
+        op = Operation(KIND_D2H, nbytes, 0.0, 0.0, tag, payload)
         if self.faults is None:
             stream.enqueue(op, self._dispatch_d2h)
         else:
@@ -251,8 +250,7 @@ class GpuDevice:
             raise SimulationError(f"negative kernel duration: {duration}")
         if self.recorder is not None:
             self.recorder.launch(duration, stream, tag, flops)
-        op = Operation(KIND_EXEC, duration=duration, flops=flops, tag=tag,
-                       payload=payload)
+        op = Operation(KIND_EXEC, 0, duration, flops, tag, payload)
         if self.faults is None:
             stream.enqueue(op, self._dispatch_exec)
         else:
@@ -280,8 +278,7 @@ class GpuDevice:
 def _submit_transfer(link: DuplexLink, direction: Direction,
                      op: Operation) -> None:
     """Dispatch of a fault-free transfer: hand ``op`` to the link."""
-    link.submit(direction, op.nbytes,
-                on_complete=partial(_complete_operation, op), tag=op.tag)
+    link.submit(direction, op.nbytes, op.complete, op.tag)
 
 
 class _RetryScope:
@@ -387,7 +384,7 @@ class _TransferRetry(_Retry):
             self._retry_or_park(op, "tile corruption")
             return
         op.payload = None  # already ran; don't run it again
-        _complete_operation(op)
+        op.complete()
 
 
 class _KernelRetry(_Retry):

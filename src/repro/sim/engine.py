@@ -1,45 +1,55 @@
 """Discrete-event simulation core.
 
 A :class:`Simulator` owns a virtual clock and an event queue: one
-binary heap of ``(time, seq, event)`` entries.  Components schedule
-callbacks at absolute or relative virtual times; running the simulator
-pops events in time order (FIFO among equal timestamps, by ``seq``) and
-invokes them.  Events can be cancelled, which is how the duplex link
-re-plans in-flight transfers when contention changes: a cancelled entry
-stays in the heap and is skipped when it reaches the top.
+binary heap of ``[time, seq, fn, arg]`` lists.  Running the simulator
+pops entries in time order (FIFO among equal timestamps, by ``seq``)
+and calls ``fn(arg)``.  Components schedule zero-argument callbacks
+through :meth:`Simulator.schedule`/:meth:`~Simulator.schedule_at`,
+which return a cancellable :class:`ScheduledEvent`.  The duplex link
+and the compute engine, which schedule nearly every event of a run,
+push ``[time, next(sim._seqs), fn, arg]`` onto ``sim._heap``
+themselves (never before the current time) and keep the bare entry,
+so one of their events costs one list and no handle, tuple, ``partial``
+or Python call.
+
+Cancelling an entry empties its ``fn`` slot (``entry[2] = None``; the
+public handle's ``cancel()`` empties ``arg`` too), which drops whatever
+the callback captured at once.
+The entry stays in the heap and is skipped when it reaches the top.
+This is how the duplex link re-plans an in-flight transfer when
+contention changes.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Tuple
+from itertools import count
+from typing import Callable, List
 
 from ..errors import SimulationError
 
 
-class ScheduledEvent:
-    """Handle for a scheduled callback; supports O(1) cancellation."""
+def _fire(callback: Callable[[], None]) -> None:
+    callback()
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
+class ScheduledEvent(list):
+    """A public event's heap entry, ``[time, seq, fire, callback]``,
+    with O(1) cancellation."""
+
+    __slots__ = ()
 
     def cancel(self) -> None:
-        """Mark the event as cancelled; it will be skipped when popped.
+        """Empty the entry; it will be skipped when popped.
 
         The callback is dropped now rather than when the entry leaves
         the heap, so whatever it captured is freed at cancellation.
         """
-        self.cancelled = True
-        self.callback = None
+        self[2] = self[3] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.9f} seq={self.seq} {state}>"
+        state = "cancelled" if self[2] is None else "pending"
+        return f"<ScheduledEvent t={self[0]:.9f} seq={self[1]} {state}>"
 
 
 class Simulator:
@@ -52,10 +62,12 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._seq = 0
-        #: (time, seq, handle) entries; seq values are unique, so tuple
-        #: comparison never reaches the (uncomparable-by-design) handle
-        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
+        #: tie-break sequence numbers, shared by every pusher
+        self._seqs = count()
+        #: [time, seq, fn, arg] entries; seq values are unique, so list
+        #: comparison never reaches the (uncomparable-by-design) slots
+        #: after it
+        self._heap: List[list] = []
         self._running = False
 
     @property
@@ -63,21 +75,11 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending_events(self) -> int:
-        """Scheduled, not-yet-cancelled events."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = ScheduledEvent(time, seq, callback)
-        heappush(self._heap, (time, seq, ev))
-        return ev
+        return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` at absolute virtual time ``time``."""
@@ -85,10 +87,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        ev = ScheduledEvent(time, seq, callback)
-        heappush(self._heap, (time, seq, ev))
+        ev = ScheduledEvent((time, next(self._seqs), _fire, callback))
+        heappush(self._heap, ev)
         return ev
 
     # ------------------------------------------------------------------
@@ -111,11 +111,11 @@ class Simulator:
         heap = self._heap
         try:
             while heap:
-                time, _, ev = heappop(heap)
-                if ev.cancelled:
+                time, _, fn, arg = heappop(heap)
+                if fn is None:
                     continue
                 self._now = time
-                ev.callback()
+                fn(arg)
                 fired += 1
                 if fired > max_events:
                     raise SimulationError(
@@ -140,11 +140,11 @@ class Simulator:
         heap = self._heap
         try:
             while heap and not handle.done:
-                time, _, ev = heappop(heap)
-                if ev.cancelled:
+                time, _, fn, arg = heappop(heap)
+                if fn is None:
                     continue
                 self._now = time
-                ev.callback()
+                fn(arg)
                 fired += 1
                 if fired > max_events:
                     raise SimulationError(
@@ -172,11 +172,11 @@ class Simulator:
         heap = self._heap
         try:
             while heap and heap[0][0] <= time:
-                t, _, ev = heappop(heap)
-                if ev.cancelled:
+                t, _, fn, arg = heappop(heap)
+                if fn is None:
                     continue
                 self._now = t
-                ev.callback()
+                fn(arg)
                 fired += 1
                 if fired > max_events:
                     raise SimulationError(
@@ -189,6 +189,4 @@ class Simulator:
         return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Simulator now={self._now:.9f} pending={self.pending_events}>"
-        )
+        return f"<Simulator now={self._now:.9f} queued={len(self._heap)}>"

@@ -18,14 +18,11 @@ schedule against:
   contention machinery; direction names are overridden to
   ``peer{i}>{j}`` so merged traces show collective spans as their own
   transfer engines.
-* Collectives — ``send`` (store-and-forward routing), ``broadcast`` /
-  ``multicast`` (full-payload chain on a ring, parallel direct sends
-  all-to-all), and ``pipelined_broadcast`` (payload split into panels;
-  per-link FIFO naturally overlaps panel ``p``'s hop ``h+1`` with
-  panel ``p+1``'s hop ``h``, the classic pipelined-ring broadcast).
+* Collectives — ``send`` (store-and-forward routing) and ``multicast``
+  (full-payload chain on a ring, parallel direct sends all-to-all).
 
 Payload conservation (pinned by property tests): a ring chain moves the
-full payload once per hop, so a broadcast to ``d`` destinations puts
+full payload once per hop, so a multicast to ``d`` destinations puts
 exactly ``d * payload`` bytes on the fabric in either wiring; the
 handle's ``hop_bytes`` counter exposes that invariant.
 
@@ -51,9 +48,7 @@ TOPOLOGY_KINDS = ("ring", "all_to_all")
 
 #: Collective/transfer kinds recorded on handles.
 KIND_SEND = "send"
-KIND_BROADCAST = "broadcast"
 KIND_MULTICAST = "multicast"
-KIND_PIPELINED = "pipelined_broadcast"
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,6 @@ class CollectiveHandle:
     dests: Tuple[int, ...]
     nbytes: int
     start_time: float
-    n_panels: int = 1
     done: bool = False
     end_time: Optional[float] = None
     arrived: Dict[int, float] = field(default_factory=dict)
@@ -153,8 +147,7 @@ class CollectiveHandle:
 class Interconnect:
     """Peer links between the GPUs of one shared-clock simulator.
 
-    All callbacks (``on_arrive(gpu)``, ``on_panel(gpu, panel)``,
-    ``on_complete()``) fire inside the simulator's event loop at the
+    All callbacks (``on_arrive(gpu)``, ``on_complete()``) fire inside the simulator's event loop at the
     corresponding virtual times, so runtimes can launch kernels the
     instant an operand lands (the comm/comp overlap the distributed
     pipelines are built on).
@@ -272,21 +265,10 @@ class Interconnect:
     # collectives
     # ------------------------------------------------------------------
 
-    def broadcast(self, root: int, nbytes: int,
-                  on_arrive: Optional[Callable[[int], None]] = None,
-                  on_complete: Optional[Callable[[], None]] = None,
-                  tag: str = "") -> CollectiveHandle:
-        """Full payload from ``root`` to every other GPU."""
-        dests = tuple(g for g in range(self.spec.n_gpus) if g != root)
-        return self.multicast(root, dests, nbytes, on_arrive=on_arrive,
-                              on_complete=on_complete, tag=tag,
-                              _kind=KIND_BROADCAST)
-
     def multicast(self, root: int, dests: Sequence[int], nbytes: int,
                   on_arrive: Optional[Callable[[int], None]] = None,
                   on_complete: Optional[Callable[[], None]] = None,
-                  tag: str = "", _kind: str = KIND_MULTICAST,
-                  ) -> CollectiveHandle:
+                  tag: str = "") -> CollectiveHandle:
         """Full payload from ``root`` to a destination subset.
 
         All-to-all wiring sends directly to every destination (distinct
@@ -299,7 +281,7 @@ class Interconnect:
         self._check_gpu(root, "multicast root")
         dest_set = self._check_dests(root, dests)
         handle = CollectiveHandle(
-            kind=_kind, root=root, dests=tuple(sorted(dest_set)),
+            kind=KIND_MULTICAST, root=root, dests=tuple(sorted(dest_set)),
             nbytes=nbytes, start_time=self.sim.now,
         )
         if not dest_set:
@@ -338,87 +320,6 @@ class Interconnect:
             self._submit_hop(cur, nxt, nbytes, landed, tag)
 
         forward(0)
-        return handle
-
-    def pipelined_broadcast(self, root: int, nbytes: int, n_panels: int,
-                            dests: Optional[Sequence[int]] = None,
-                            on_panel: Optional[
-                                Callable[[int, int], None]] = None,
-                            on_arrive: Optional[
-                                Callable[[int], None]] = None,
-                            on_complete: Optional[
-                                Callable[[], None]] = None,
-                            tag: str = "") -> CollectiveHandle:
-        """Panel-split broadcast overlapping hops across panels.
-
-        The payload is split into ``n_panels`` near-equal chunks, each
-        forwarded independently along the chain; per-link FIFO order
-        pipelines them, so on a ring the last destination finishes after
-        ``(d - 1)`` fill hops plus ``n_panels`` panel slots instead of
-        ``d`` full-payload hops.  ``on_panel(gpu, panel)`` fires per
-        panel landing; ``on_arrive(gpu)`` once all panels landed.
-        """
-        self._check_gpu(root, "broadcast root")
-        if dests is None:
-            dests = tuple(g for g in range(self.spec.n_gpus) if g != root)
-        dest_set = self._check_dests(root, dests)
-        if not 1 <= n_panels:
-            raise SimulationError(
-                f"pipelined broadcast needs n_panels >= 1, got {n_panels}")
-        handle = CollectiveHandle(
-            kind=KIND_PIPELINED, root=root, dests=tuple(sorted(dest_set)),
-            nbytes=nbytes, start_time=self.sim.now, n_panels=n_panels,
-        )
-        if not dest_set:
-            handle.done = True
-            handle.end_time = self.sim.now
-            if on_complete is not None:
-                on_complete()
-            return handle
-        if nbytes < n_panels:
-            raise SimulationError(
-                f"cannot split {nbytes} bytes into {n_panels} panels")
-        base, extra = divmod(nbytes, n_panels)
-        sizes = [base + 1] * extra + [base] * (n_panels - extra)
-        landed_count = {d: 0 for d in dest_set}
-
-        def panel_landed(node: int, panel: int) -> None:
-            if on_panel is not None:
-                on_panel(node, panel)
-            landed_count[node] += 1
-            if landed_count[node] == n_panels:
-                self._arrive(handle, node, on_arrive, on_complete)
-
-        if self.spec.kind == "all_to_all":
-            for dst in handle.dests:
-                for p, size in enumerate(sizes):
-                    def landed(dst: int = dst, p: int = p,
-                               size: int = size) -> None:
-                        self._count_hop(handle, size)
-                        panel_landed(dst, p)
-
-                    self._submit_hop(root, dst, size, landed, tag)
-            return handle
-
-        n = self.spec.n_gpus
-        max_dist = max((d - root) % n for d in dest_set)
-
-        def forward(panel: int, step: int) -> None:
-            size = sizes[panel]
-            cur = (root + step) % n
-            nxt = (root + step + 1) % n
-
-            def landed() -> None:
-                self._count_hop(handle, size)
-                if step + 1 < max_dist:
-                    forward(panel, step + 1)
-                if nxt in dest_set:
-                    panel_landed(nxt, panel)
-
-            self._submit_hop(cur, nxt, size, landed, tag)
-
-        for p in range(n_panels):  # FIFO on the first link pipelines them
-            forward(p, 0)
         return handle
 
     # ------------------------------------------------------------------

@@ -16,17 +16,23 @@ far are integrated at the old rate and the completion event is
 rescheduled at the new rate.  This is what produces the partial-overlap
 behaviour of the paper's Eq. 3 as *ground truth*.
 
-Hot-path notes: this module fires a handful of callbacks per simulated
-transfer, so the inner machinery avoids per-call lookups — direction
-state is held in plain slotted objects (no enum-keyed dict on the
-transfer path) and metric handles are resolved at construction.
+Hot-path notes: a transfer costs two events (latency end, flow end)
+plus one re-plan per opposite-direction flow start or end while it
+flows, so the inner machinery avoids per-event calls and lookups.
+Direction state is held in plain slotted objects (no enum-keyed dict on
+the transfer path) with the contended byte rate precomputed, metric
+handles are resolved at construction, the clock is read as
+``sim._now``, the opposite state is picked inline and re-planned only
+while it flows, and events are pushed straight onto the simulator's
+heap (``repro.sim.engine``).  The latency event is never cancelled: it
+has fired by the time a flow can be re-planned.
 
 Ownership: the link owns its two direction states and nothing points
 back up.  A state does not know its opposite (the link picks it), and
-each latency/flow/completion event gets a fresh ``partial`` bound to
-the link instead of one stored on the state.  Only the state's
-``completion`` handle keeps an event past its firing, and it is
-cancelled or cleared as the transfer moves on, so a link whose
+each event's heap entry holds a fresh bound method of the link and the
+state as its argument, not a callback stored on the state.  Only the
+state's ``completion`` entry is kept, until the flow is re-planned
+(which cancels it) or completes (which clears it), so a link whose
 transfers have drained is freed by reference counting alone.
 """
 
@@ -35,11 +41,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from heapq import heappush
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import InvalidTransferError, SimulationError
-from .engine import ScheduledEvent, Simulator
+from .engine import Simulator
 from .faults import FaultInjector
 from .noise import NoiseModel
 
@@ -107,6 +113,7 @@ class _Job:
         on_complete: Optional[Callable[[], None]],
         tag: str,
         rate_scale: float,
+        submit_time: float,
     ) -> None:
         self.nbytes = nbytes
         self.on_complete = on_complete
@@ -118,7 +125,7 @@ class _Job:
         self.rate_scale = rate_scale
         #: injected transient failure: occupies the link, then fails
         self.fail = False
-        self.submit_time: float = 0.0
+        self.submit_time = submit_time
         self.start_time: float = 0.0
 
 
@@ -140,7 +147,7 @@ class _DirectionState:
         "name",
         "latency",
         "bandwidth",
-        "slowdown",
+        "contended_bandwidth",
         "queue",
         "active",
         "phase",
@@ -159,11 +166,13 @@ class _DirectionState:
         # Scalar copies of the config, read on every event.
         self.latency = cfg.latency
         self.bandwidth = cfg.bandwidth
-        self.slowdown = cfg.bid_slowdown
+        #: byte rate while the opposite direction flows too
+        self.contended_bandwidth = cfg.bandwidth / cfg.bid_slowdown
         self.queue: Deque[_Job] = deque()
         self.active: Optional[_Job] = None
         self.phase = _IDLE
-        self.completion: Optional[ScheduledEvent] = None
+        #: heap entry of the planned flow completion
+        self.completion: Optional[list] = None
         self.last_update = 0.0
         self.rate = 0.0
         self.stats = DirectionStats()
@@ -189,6 +198,9 @@ class DuplexLink:
         names: Optional[Tuple[str, str]] = None,
     ) -> None:
         self._sim = sim
+        # The simulator's queue, pushed to directly (see repro.sim.engine).
+        self._heap = sim._heap
+        self._seqs = sim._seqs
         #: Engine names used for trace spans and metric prefixes; the
         #: inter-GPU interconnect overrides them (e.g. ``peer0>1``) so
         #: peer links are distinguishable from the PCIe ``h2d``/``d2h``
@@ -242,101 +254,103 @@ class DuplexLink:
         scale = 1.0
         if self._noise is not None:
             scale = self._noise.rate_factor()
-        job = _Job(nbytes, on_complete, tag, scale)
+        job = _Job(nbytes, on_complete, tag, scale, self._sim._now)
         if self._faults is not None:
             outcome = self._faults.transfer_outcome(direction.value)
             job.fail = outcome.fail
             job.rate_scale *= outcome.rate_factor
             job.on_fault = on_fault
-        job.submit_time = self._sim.now
         st = self._h2d if direction is Direction.H2D else self._d2h
-        st.queue.append(job)
+        queue = st.queue
+        queue.append(job)
         if st.active is None:
-            self._try_start(st)
+            self._start(st, queue.popleft())
 
     # ------------------------------------------------------------------
     # internal machinery
     # ------------------------------------------------------------------
 
-    def _try_start(self, st: _DirectionState) -> None:
-        if st.active is not None or not st.queue:
-            return
-        job = st.queue.popleft()
+    def _start(self, st: _DirectionState, job: _Job) -> None:
+        """Begin ``job``'s latency phase on the idle direction ``st``.
+
+        The latency event is not kept: nothing cancels it.
+        """
         st.active = job
         st.phase = _LATENCY
-        job.start_time = self._sim.now
+        now = self._sim._now
+        job.start_time = now
         latency = st.latency
         if self._noise is not None:
             latency *= self._noise.latency_factor()
-        st.completion = self._sim.schedule(
-            latency, partial(self._begin_flow, st))
-
-    def _other(self, st: _DirectionState) -> _DirectionState:
-        return self._d2h if st is self._h2d else self._h2d
+        heappush(self._heap,
+                 [now + latency, next(self._seqs), self._begin_flow, st])
 
     def _begin_flow(self, st: _DirectionState) -> None:
-        if st.active is None:
+        job = st.active
+        if job is None:
             raise SimulationError("flow began with no active transfer")
         st.phase = _FLOW
-        st.last_update = self._sim.now
-        if st.active.remaining <= 0.0:
+        now = self._sim._now
+        st.last_update = now
+        if job.remaining <= 0.0:
             # Zero-byte transfer: latency only.
             self._complete(st)
             return
-        self._reschedule(st)
-        # The opposite direction just gained a contender: slow it down.
-        self._replan(self._other(st))
+        other = self._d2h if st is self._h2d else self._h2d
+        contended = other.phase == _FLOW
+        self._plan(st, contended, now)
+        if contended:
+            # The opposite direction just gained a contender: slow it.
+            self._replan(other, True, now)
 
-    def _reschedule(self, st: _DirectionState) -> None:
-        """(Re)compute the completion event from current remaining bytes."""
-        if st.completion is not None:
-            st.completion.cancel()
-        # Byte rate given both directions' phases.
-        rate = st.bandwidth
-        if self._other(st).phase == _FLOW:
-            rate /= st.slowdown
-        rate *= st.active.rate_scale
+    def _plan(self, st: _DirectionState, contended: bool,
+              now: float) -> None:
+        """Schedule the flowing ``st``'s completion from its remaining
+        bytes, at the rate the opposite direction's phase allows."""
+        job = st.active
+        rate = (st.contended_bandwidth if contended
+                else st.bandwidth) * job.rate_scale
         st.rate = rate
-        st.completion = self._sim.schedule(
-            st.active.remaining / rate, partial(self._complete, st)
-        )
+        entry = [now + job.remaining / rate, next(self._seqs),
+                 self._complete, st]
+        heappush(self._heap, entry)
+        st.completion = entry
 
-    def _accrue(self, st: _DirectionState, elapsed: float) -> None:
-        """Account flow time (and contended flow time) for a span during
-        which the contention state was constant.
+    def _accrue(self, st: _DirectionState, now: float) -> float:
+        """Account the flow span of ``st`` that ends ``now`` and return
+        its length.
 
-        Whether the span was contended is derived from the rate in force
-        during the span (``st.rate``), which encodes the old contention
-        state even when this is called mid-transition.
+        Whether the span was contended is read from the rate in force
+        during it (``st.rate``).
         """
-        if elapsed <= 0:
-            return
-        stats = st.stats
-        stats.flow_time += elapsed
-        uncontended = st.bandwidth * st.active.rate_scale
-        if st.rate < uncontended * (1.0 - 1e-12):
-            stats.bid_overlap_time += elapsed
-
-    def _replan(self, st: _DirectionState) -> None:
-        """Integrate progress and re-plan after a contention change."""
-        if st.phase != _FLOW or st.active is None:
-            return
-        now = self._sim.now
         elapsed = now - st.last_update
         if elapsed > 0:
-            done = elapsed * st.rate
-            st.active.remaining = max(0.0, st.active.remaining - done)
-            self._accrue(st, elapsed)
+            stats = st.stats
+            stats.flow_time += elapsed
+            if st.rate < st.bandwidth * st.active.rate_scale * (1.0 - 1e-12):
+                stats.bid_overlap_time += elapsed
+        return elapsed
+
+    def _replan(self, st: _DirectionState, contended: bool,
+                now: float) -> None:
+        """Integrate the flowing ``st``'s progress, cancel its planned
+        completion and plan it again after the opposite direction
+        started (``contended``) or stopped flowing."""
+        elapsed = self._accrue(st, now)
+        if elapsed > 0:
+            job = st.active
+            job.remaining = max(0.0, job.remaining - elapsed * st.rate)
         st.last_update = now
-        self._reschedule(st)
+        st.completion[2] = None  # cancel the completion planned before
+        self._plan(st, contended, now)
 
     def _complete(self, st: _DirectionState) -> None:
         job = st.active
         if job is None:
             raise SimulationError("completion fired with no active transfer")
-        now = self._sim.now
+        now = self._sim._now
         if st.phase == _FLOW:
-            self._accrue(st, now - st.last_update)
+            self._accrue(st, now)
         job.remaining = 0.0
         st.phase = _IDLE
         st.active = None
@@ -362,10 +376,13 @@ class DuplexLink:
                 nbytes=job.nbytes,
             )
         # The opposite direction lost its contender: speed it up.
-        self._replan(self._other(st))
+        other = self._d2h if st is self._h2d else self._h2d
+        if other.phase == _FLOW:
+            self._replan(other, False, now)
         if job.fail:
             if job.on_fault is not None:
                 job.on_fault()
         elif job.on_complete is not None:
             job.on_complete()
-        self._try_start(st)
+        if st.active is None and st.queue:
+            self._start(st, st.queue.popleft())

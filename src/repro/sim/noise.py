@@ -7,25 +7,28 @@ simulation, every simulated duration is perturbed by a small
 multiplicative lognormal factor drawn from a seeded RNG, so runs are
 noisy but reproducible.
 
-Hot-path notes: each substream is a generator that builds its RNG on
-the first draw, draws normal deviates in blocks and yields
-``math.exp(sigma * x)`` one at a time.  NumPy generators produce the
-*same* deviate sequence whether drawn singly or in blocks of any size,
-so every factor is bit-identical to one ``standard_normal()`` call per
-draw.  The first block is small (:data:`_FIRST_BLOCK`) because most
-devices are short-lived: the serving layer builds a fresh device per
-batch, each drawing about a dozen factors per substream, and a
-substream a device never touches costs nothing at all.  Longer-lived
-devices (the Table IV sweep draws about 184 per substream) refill in
-:data:`_BLOCK`-sized blocks.  Nothing is shared between models: every
-batch seed differs, so a cache of blocks across models would only hold
-memory.
+Hot-path notes: each substream is the ``__next__`` of an endless
+iterator, built when the model is (or reset), that chains blocks of
+factors: a block draws normal deviates in one call and maps them to
+``math.exp(sigma * x)``.  NumPy generators produce the *same* deviate
+sequence whether drawn singly or in blocks of any size, so every factor
+is bit-identical to one ``standard_normal()`` call per draw, and a draw
+runs no Python frame besides the factor method itself.  The RNG is
+built on the first draw, and the first block is small
+(:data:`_FIRST_BLOCK`) because most devices are short-lived: the
+serving layer builds a fresh device per batch, each drawing about a
+dozen factors per substream, and a substream a device never touches
+draws nothing.  Longer-lived devices (the Table IV sweep draws about
+184 per substream) refill in :data:`_BLOCK`-sized blocks.  Nothing is
+shared between models: every batch seed differs, so a cache of blocks
+across models would only hold memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Callable, Iterator, List
 
 import numpy as np
 
@@ -41,15 +44,21 @@ _FIRST_BLOCK = 16
 _BLOCK = 256
 
 
-def _factors(stream: int, seed: int, sigma: float) -> Iterator[float]:
-    """Endless lognormal factors of substream ``(stream, seed)``."""
+def _blocks(stream: int, seed: int, sigma: float) -> Iterator[List[float]]:
+    """Endless blocks of lognormal factors of substream ``(stream, seed)``."""
     rng = np.random.default_rng((stream, seed))
     exp = math.exp
     n = _FIRST_BLOCK
     while True:
-        for x in rng.standard_normal(n).tolist():
-            yield exp(sigma * x)
+        yield [exp(sigma * x) for x in rng.standard_normal(n).tolist()]
         n = _BLOCK
+
+
+def _factors(stream: int, seed: int, sigma: float) -> Callable[[], float]:
+    """The next-factor function of substream ``(stream, seed)``."""
+    if sigma == 0.0:
+        return repeat(1.0).__next__
+    return chain.from_iterable(_blocks(stream, seed, sigma)).__next__
 
 
 class NoiseModel:
@@ -69,37 +78,30 @@ class NoiseModel:
             raise ValueError(f"negative noise sigma: {sigma}")
         self.seed = seed
         self.sigma = sigma
-        self._streams = {}
+        self.reset()
 
     @classmethod
     def disabled(cls) -> "NoiseModel":
         """A noise model that always returns exactly 1.0."""
         return cls(seed=0, sigma=0.0)
 
-    def _factor(self, stream: str) -> float:
-        if self.sigma == 0.0:
-            return 1.0
-        factors = self._streams.get(stream)
-        if factors is None:
-            factors = self._streams[stream] = _factors(
-                _FACTOR_STREAMS[stream], self.seed, self.sigma)
-        return next(factors)
-
     def duration_factor(self) -> float:
         """Factor applied to a kernel execution duration."""
-        return self._factor("duration")
+        return self._duration()
 
     def latency_factor(self) -> float:
         """Factor applied to a transfer's setup latency."""
-        return self._factor("latency")
+        return self._latency()
 
     def rate_factor(self) -> float:
         """Factor applied to a transfer's effective bandwidth."""
-        return self._factor("rate")
+        return self._rate()
 
     def reset(self) -> None:
         """Rewind all substreams to the seed (identical future draws)."""
-        self._streams = {}
+        self._duration, self._latency, self._rate = (
+            _factors(_FACTOR_STREAMS[name], self.seed, self.sigma)
+            for name in ("duration", "latency", "rate"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NoiseModel(seed={self.seed}, sigma={self.sigma})"

@@ -12,12 +12,19 @@ Semantics mirror the subset of CUDA the paper's library uses:
 Engines pick among *ready* operations in issue order (no head-of-line
 blocking across streams), which matches the behaviour of modern CUDA
 hardware queues closely enough for the paper's pipelines.
+
+Hot-path notes: an op is handed to its engine by :meth:`Stream.enqueue`
+when it is ready there, or else by the :meth:`Operation.complete` of
+its last dependency; an engine finishes it by calling ``op.complete``
+(the link takes the bound method as its completion callback, so no
+``partial`` is built per transfer).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, List, Optional
 
 from ..errors import StreamError
@@ -86,18 +93,6 @@ class Operation:
         self.fault = False
         self.on_fault: Optional[Callable[["Operation"], None]] = None
 
-    def add_dependency(self, dep: "Operation") -> None:
-        """Make this op wait for ``dep`` (no-op if dep already done)."""
-        if self.issued:
-            raise StreamError("cannot add a dependency to an issued operation")
-        if dep.done:
-            return
-        if dep.dependents is None:
-            dep.dependents = [self]
-        else:
-            dep.dependents.append(self)
-        self.remaining_deps += 1
-
     def on_done(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` at the op's completion time (immediately if done)."""
         if self.done:
@@ -107,21 +102,45 @@ class Operation:
         else:
             self.callbacks.append(fn)
 
-    def _dispatch(self) -> None:
-        """Hand the op to its engine, exactly once.
+    def complete(self) -> None:
+        """Run the payload, mark done, release dependents and callbacks.
 
-        The dispatch callback is called with this op rather than
-        capturing it, so an op that never dispatches (its stream
-        wedged behind a failed transfer) is in no cycle through its
-        callback.  The callback is dropped before it runs, and ops are
-        freed by reference counting alone.
+        Engines call this when the op's work lands.  The payload is
+        dropped before it runs: its closure holds views of the caller's
+        host arrays and a device tile that points back at the device,
+        so a kept payload would close a cycle pinning those arrays
+        until the next garbage collection.
         """
-        if self.issued:
-            raise StreamError(f"operation dispatched twice: {self!r}")
-        self.issued = True
-        dispatch = self._dispatch_fn
-        self._dispatch_fn = None
-        dispatch(self)
+        payload = self.payload
+        if payload is not None:
+            self.payload = None
+            payload()
+        self.done = True
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = None
+            for cb in callbacks:
+                cb()
+        dependents = self.dependents
+        if dependents:
+            self.dependents = None
+            for dep in dependents:
+                remaining = dep.remaining_deps - 1
+                dep.remaining_deps = remaining
+                if remaining == 0 and not dep.done:
+                    # Hand the dependent to its engine, exactly once.
+                    # Its dispatch callback takes the op rather than
+                    # capturing it, so an op that never dispatches
+                    # (wedged behind a failed transfer) is in no cycle
+                    # through its callback; the callback is dropped
+                    # before it runs.
+                    if dep.issued:
+                        raise StreamError(
+                            f"operation dispatched twice: {dep!r}")
+                    dep.issued = True
+                    dispatch = dep._dispatch_fn
+                    dep._dispatch_fn = None
+                    dispatch(dep)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("issued" if self.issued else "pending")
@@ -129,27 +148,22 @@ class Operation:
 
 
 class CudaEvent:
-    """Cross-stream synchronization marker (cudaEventRecord/WaitEvent)."""
+    """Cross-stream synchronization marker (cudaEventRecord/WaitEvent).
+
+    A recorded event holds the last op its stream had enqueued (None
+    for an empty stream); it is complete once that op is done.
+    """
 
     __slots__ = ("_marker", "_recorded")
 
-    def __init__(self) -> None:
-        self._marker: Optional[Operation] = None
-        self._recorded = False
+    def __init__(self, marker: Optional[Operation] = None,
+                 recorded: bool = False) -> None:
+        self._marker = marker
+        self._recorded = recorded
 
     def _bind(self, marker: Optional[Operation]) -> None:
         self._marker = marker
         self._recorded = True
-
-    @property
-    def recorded(self) -> bool:
-        return self._recorded
-
-    @property
-    def complete(self) -> bool:
-        if not self._recorded:
-            return False
-        return self._marker is None or self._marker.done
 
 
 class ComputeEngine:
@@ -158,6 +172,9 @@ class ComputeEngine:
     def __init__(self, sim: Simulator, noise=None, trace=None,
                  metrics=None) -> None:
         self._sim = sim
+        # The simulator's queue, pushed to directly (see repro.sim.engine).
+        self._heap = sim._heap
+        self._seqs = sim._seqs
         self._noise = noise
         self._trace = trace
         #: duck-typed MetricsRegistry (repro.obs.metrics); None = off
@@ -179,24 +196,23 @@ class ComputeEngine:
         return self._active is None and not self._queue
 
     def submit(self, op: Operation) -> None:
-        self._queue.append(op)
-        self._maybe_start()
+        queue = self._queue
+        queue.append(op)
+        if self._active is None:
+            self._start(queue.popleft())
 
-    def _maybe_start(self) -> None:
-        if self._active is not None or not self._queue:
-            return
-        op = self._queue.popleft()
+    def _start(self, op: Operation) -> None:
         self._active = op
-        self._start_time = self._sim.now
+        now = self._sim._now
+        self._start_time = now
         duration = op.duration
         if self._noise is not None:
             duration *= self._noise.duration_factor()
-        self._sim.schedule(duration, self._finish)
+        heappush(self._heap,
+                 [now + duration, next(self._seqs), self._finish, op])
 
-    def _finish(self) -> None:
-        op = self._active
-        assert op is not None
-        now = self._sim.now
+    def _finish(self, op: Operation) -> None:
+        now = self._sim._now
         self.kernels_run += 1
         self.busy_time += now - self._start_time
         if self._trace is not None:
@@ -223,36 +239,9 @@ class ComputeEngine:
                 op.on_fault = None
                 on_fault(op)
         else:
-            _complete_operation(op)
-        self._maybe_start()
-
-
-def _complete_operation(op: Operation) -> None:
-    """Run the payload, mark done, release dependents and callbacks.
-
-    The payload is dropped before it runs: its closure holds views of
-    the caller's host arrays and a device tile that points back at the
-    device, so a kept payload would close a cycle pinning those arrays
-    until the next garbage collection.
-    """
-    payload = op.payload
-    if payload is not None:
-        op.payload = None
-        payload()
-    op.done = True
-    callbacks = op.callbacks
-    if callbacks:
-        op.callbacks = None
-        for cb in callbacks:
-            cb()
-    dependents = op.dependents
-    if dependents:
-        op.dependents = None
-        for dep in dependents:
-            remaining = dep.remaining_deps - 1
-            dep.remaining_deps = remaining
-            if remaining == 0 and not dep.done:
-                dep._dispatch()
+            op.complete()
+        if self._active is None and self._queue:
+            self._start(self._queue.popleft())
 
 
 class Stream:
@@ -265,7 +254,7 @@ class Stream:
     """
 
     __slots__ = ("_sim", "_failures", "name", "_last", "_pending_waits",
-                 "ops_enqueued", "_recorder")
+                 "_recorder")
 
     def __init__(self, device, name: str = "") -> None:
         self._sim: Simulator = device.sim
@@ -274,7 +263,6 @@ class Stream:
         self.name = name or f"stream{next(_op_ids)}"
         self._last: Optional[Operation] = None
         self._pending_waits: List[Operation] = []
-        self.ops_enqueued = 0
         self._recorder = device.recorder
         if self._recorder is not None:
             self._recorder.stream(self)
@@ -285,25 +273,22 @@ class Stream:
 
     def wait_event(self, event: CudaEvent) -> None:
         """All work enqueued after this call waits for ``event``."""
-        if not event.recorded:
+        if not event._recorded:
             raise StreamError("waiting on an event that was never recorded")
         if self._recorder is not None:
             self._recorder.wait_event(self, event)
-        if event._marker is not None and not event._marker.done:
-            self._pending_waits.append(event._marker)
+        marker = event._marker
+        if marker is not None and not marker.done:
+            self._pending_waits.append(marker)
 
     def enqueue(self, op: Operation,
                 dispatch: Callable[[Operation], None]) -> None:
         """Attach stream-order dependencies and issue when ready.
 
-        ``dispatch(op)`` hands the op to its engine; it runs now if all
-        dependencies are already satisfied, later otherwise.
-
-        The dependency attachment is ``Operation.add_dependency``
-        inlined (a fresh op is never issued, so the issued guard is
-        statically satisfied): this runs once per simulated operation.
+        ``dispatch(op)`` hands the op to its engine: now if all
+        dependencies are already satisfied, otherwise from the
+        :meth:`Operation.complete` of the last one.
         """
-        op._dispatch_fn = dispatch
         deps = 0
         last = self._last
         if last is not None and not last.done:
@@ -322,17 +307,19 @@ class Stream:
                         marker.dependents.append(op)
                     deps += 1
             waits.clear()
+        self._last = op
         if deps:
             op.remaining_deps += deps
-        self._last = op
-        self.ops_enqueued += 1
-        if op.remaining_deps == 0:
-            op._dispatch()
+            op._dispatch_fn = dispatch
+        elif op.issued:
+            raise StreamError(f"operation dispatched twice: {op!r}")
+        else:
+            op.issued = True
+            dispatch(op)
 
     def record_event(self) -> CudaEvent:
         """Record an event capturing all work enqueued so far."""
-        ev = CudaEvent()
-        ev._bind(self._last)
+        ev = CudaEvent(self._last, True)
         if self._recorder is not None:
             self._recorder.record_event(self, ev)
         return ev

@@ -17,10 +17,8 @@ from repro.runtime import CoCoPeLiaLibrary
 
 
 class TestRectTile:
-    def test_square_factory(self):
-        t = RectTile.square(512)
-        assert t.as_tuple() == (512, 512, 512)
-        assert t.volume == 512 ** 3
+    def test_extents_in_order(self):
+        assert RectTile(512, 256, 128).as_tuple() == (512, 256, 128)
 
     def test_non_positive_rejected(self):
         with pytest.raises(ModelError):
@@ -42,7 +40,7 @@ class TestRectModel:
         prediction (both use edge-aware averages and bid overlap)."""
         p = gemm_problem(4096, 4096, 4096)
         for t in (1024, 2048):
-            rect = predict_dr_rect(p, RectTile.square(t), models_tb2)
+            rect = predict_dr_rect(p, RectTile(t, t, t), models_tb2)
             square = predict_dr(p, t, models_tb2, interpolate=True)
             assert rect == pytest.approx(square, rel=0.15)
 
@@ -57,14 +55,14 @@ class TestRectModel:
         from repro.core import axpy_problem
 
         with pytest.raises(ModelError):
-            predict_dr_rect(axpy_problem(1 << 20), RectTile.square(256),
+            predict_dr_rect(axpy_problem(1 << 20), RectTile(256, 256, 256),
                             models_tb2)
 
     def test_location_awareness(self, models_tb2):
         full = gemm_problem(4096, 4096, 4096)
         partial = gemm_problem(4096, 4096, 4096, loc_a=Loc.DEVICE,
                                loc_b=Loc.DEVICE)
-        tile = RectTile.square(1024)
+        tile = RectTile(1024, 1024, 1024)
         assert predict_dr_rect(partial, tile, models_tb2) < \
             predict_dr_rect(full, tile, models_tb2)
 

@@ -75,24 +75,6 @@ class TestHistogram:
         with pytest.raises(MetricsError, match=">= 1 bound"):
             Histogram("h", bounds=[])
 
-    def test_merge_requires_identical_bounds(self):
-        a = Histogram("h", bounds=[1.0])
-        b = Histogram("h", bounds=[2.0])
-        with pytest.raises(MetricsError, match="different bounds"):
-            a.merge(b)
-
-    def test_merge_sums_everything(self):
-        a = Histogram("h", bounds=[1.0, 10.0])
-        b = Histogram("h", bounds=[1.0, 10.0])
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(50.0)
-        m = a.merge(b)
-        assert m.bucket_counts == [1, 1, 1]
-        assert m.count == 3
-        assert m.sum == pytest.approx(55.5)
-        assert m.min == 0.5 and m.max == 50.0
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from tests.sim.events import pending_events
 
 
 def test_clock_starts_at_zero():
@@ -108,7 +109,7 @@ def test_run_done_stops_at_the_completing_event():
         sim.schedule(float(i + 1), lambda i=i: tick(i))
     assert sim.run_done(handle) == 3
     assert len(counter) == 3
-    assert sim.pending_events == 7
+    assert pending_events(sim) == 7
     sim.run()
     assert len(counter) == 10
 
@@ -129,7 +130,7 @@ def test_pending_events_counts_only_live():
     sim.schedule(1.0, lambda: None)
     ev = sim.schedule(2.0, lambda: None)
     ev.cancel()
-    assert sim.pending_events == 1
+    assert pending_events(sim) == 1
 
 
 def test_reentrant_run_rejected():

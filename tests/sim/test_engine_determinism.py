@@ -26,6 +26,7 @@ from repro.serve.chaos import build_scenario, run_chaos
 from repro.sim import Direction, DuplexLink, LinkDirectionConfig, Simulator
 
 from tests.obs.test_golden_trace import run_golden_workload
+from tests.sim.events import pending_events
 
 
 def _trace_rows(trace):
@@ -131,7 +132,7 @@ class TestIndependentSimulators:
         # turn, as the cluster coordinator does with its nodes.
         fleet = [_loaded_link(*shape) for shape in shapes]
         t = 0.0
-        while any(sim.pending_events for sim, _ in fleet):
+        while any(pending_events(sim) for sim, _ in fleet):
             t += 2.5e-3
             for sim, _ in fleet:
                 sim.run_to(t)

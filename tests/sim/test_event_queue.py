@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from tests.sim.events import pending_events
 
 
 def _key(entry):
@@ -69,7 +70,7 @@ class TestAgainstReferenceModel:
         entries = schedule_all(sim, times, fired)
         assert sim.run() == len(entries)
         assert fired == sorted(entries, key=_key)
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(ops=ops_strategy)
@@ -91,7 +92,7 @@ class TestAgainstReferenceModel:
                 assert fired[before:] == expect
                 assert sim.now == target
                 model = [e for e in model if e[0] > target]
-            assert sim.pending_events == len(model)
+            assert pending_events(sim) == len(model)
         sim.run()
         assert sorted(fired, key=_key) == fired
 
@@ -110,7 +111,7 @@ class TestAgainstReferenceModel:
                 handle.cancel()
         live = [(t, idx) for idx, (t, cancel) in enumerate(zip(times, mask))
                 if not cancel]
-        assert sim.pending_events == len(live)
+        assert pending_events(sim) == len(live)
         assert sim.run() == len(live)
         assert fired == sorted(live, key=_key)
 
@@ -175,10 +176,10 @@ class TestQueueShapes:
         sim = Simulator()
         fired = []
         entries = schedule_all(sim, [0.001 * i for i in range(600)], fired)
-        assert sim.pending_events == 600
+        assert pending_events(sim) == 600
         sim.run()
         assert fired == entries
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
 
     def test_reverse_scheduled_events_fire_in_time_order(self):
         sim = Simulator()
@@ -227,7 +228,7 @@ class TestRunToBoundaries:
             sim.schedule_at(t, lambda t=t: fired.append(t))
         assert sim.run_to(2.0) == 3
         assert fired == [1.0, 2.0, 2.0]
-        assert sim.now == 2.0 and sim.pending_events == 1
+        assert sim.now == 2.0 and pending_events(sim) == 1
 
     def test_idle_run_to_sets_the_clock_exactly(self):
         sim = Simulator()
@@ -254,7 +255,7 @@ class TestRunToBoundaries:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         assert sim.run_done(types.SimpleNamespace(done=True)) == 0
-        assert sim.now == 0.0 and sim.pending_events == 1
+        assert sim.now == 0.0 and pending_events(sim) == 1
 
 
 class TestOneEngine:

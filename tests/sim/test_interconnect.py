@@ -34,6 +34,12 @@ def make_fabric(kind="ring", n_gpus=4, gb_per_s=8.0, latency=5e-6,
     return sim, Interconnect(sim, topo, trace=trace)
 
 
+def broadcast(fabric, root, nbytes, **kwargs):
+    """Multicast from ``root`` to every other GPU of the fabric."""
+    others = [g for g in range(fabric.spec.n_gpus) if g != root]
+    return fabric.multicast(root, others, nbytes, **kwargs)
+
+
 class TestTopologySpec:
     def test_hop_time_arithmetic(self):
         topo = ring_topology(4, gb_per_s=8.0, latency=5e-6)
@@ -106,8 +112,8 @@ class TestBroadcast:
     def test_ring_broadcast_arrival_order_and_times(self):
         sim, fabric = make_fabric("ring")
         arrivals = {}
-        fabric.broadcast(0, MB,
-                         on_arrive=lambda g: arrivals.setdefault(g, sim.now))
+        broadcast(fabric, 0, MB,
+                  on_arrive=lambda g: arrivals.setdefault(g, sim.now))
         sim.run()
         hop = 5e-6 + MB / 8e9
         assert arrivals[1] == pytest.approx(1 * hop)
@@ -117,8 +123,8 @@ class TestBroadcast:
     def test_all_to_all_broadcast_is_parallel(self):
         sim, fabric = make_fabric("all_to_all")
         arrivals = {}
-        fabric.broadcast(0, MB,
-                         on_arrive=lambda g: arrivals.setdefault(g, sim.now))
+        broadcast(fabric, 0, MB,
+                  on_arrive=lambda g: arrivals.setdefault(g, sim.now))
         sim.run()
         hop = 5e-6 + MB / 8e9
         # Distinct links: every destination lands after one hop time.
@@ -142,45 +148,10 @@ class TestBroadcast:
     def test_trace_records_peer_engines(self):
         sim = Simulator()
         fabric = Interconnect(sim, ring_topology(3), trace=True)
-        fabric.broadcast(0, MB)
+        broadcast(fabric, 0, MB)
         sim.run()
         engines = {ev.engine for ev in fabric.trace.events}
         assert engines == {"peer0>1", "peer1>2"}
-
-
-class TestPipelinedBroadcast:
-    def test_beats_monolithic_on_ring(self):
-        sim1, mono = make_fabric("ring")
-        mono.broadcast(0, 32 * MB)
-        sim1.run()
-        t_mono = sim1.now
-
-        sim2, piped = make_fabric("ring")
-        piped.pipelined_broadcast(0, 32 * MB, n_panels=8)
-        sim2.run()
-        # d + n - 1 panel slots instead of d * n: strictly faster once
-        # panels pipeline across the chain.
-        assert sim2.now < t_mono
-        assert piped.total_hop_bytes == mono.total_hop_bytes
-
-    def test_panel_split_conserves_bytes(self):
-        sim, fabric = make_fabric("ring", n_gpus=4)
-        fabric.pipelined_broadcast(0, 10 * MB + 3, n_panels=4)
-        sim.run()
-        # Every byte crosses every one of the 3 chain hops exactly once.
-        assert fabric.total_hop_bytes == 3 * (10 * MB + 3)
-
-    def test_last_arrival_matches_fill_plus_drain(self):
-        n_panels, payload = 4, 8 * MB
-        sim, fabric = make_fabric("ring", n_gpus=4)
-        arrivals = {}
-        fabric.pipelined_broadcast(
-            0, payload, n_panels=n_panels,
-            on_arrive=lambda g: arrivals.setdefault(g, sim.now))
-        sim.run()
-        panel_hop = 5e-6 + (payload // n_panels) / 8e9
-        # GPU 3 is 3 hops out: 2 fill hops, then n_panels panel slots.
-        assert arrivals[3] == pytest.approx((2 + n_panels) * panel_hop)
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +174,7 @@ def test_broadcast_payload_conservation(kind, n_gpus, nbytes):
     """
     sim, fabric = make_fabric(kind, n_gpus=n_gpus)
     arrived = []
-    fabric.broadcast(0, nbytes, on_arrive=arrived.append)
-    sim.run()
-    assert sorted(arrived) == list(range(1, n_gpus))
-    assert fabric.total_hop_bytes == (n_gpus - 1) * nbytes
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_gpus=gpu_counts,
-       nbytes=st.integers(min_value=16, max_value=64 * MB),
-       n_panels=st.integers(min_value=1, max_value=16))
-def test_pipelined_broadcast_payload_conservation(n_gpus, nbytes, n_panels):
-    """Panel splitting never changes total fabric traffic on a ring."""
-    sim, fabric = make_fabric("ring", n_gpus=n_gpus)
-    arrived = []
-    fabric.pipelined_broadcast(0, nbytes, n_panels=n_panels,
-                               on_arrive=arrived.append)
+    broadcast(fabric, 0, nbytes, on_arrive=arrived.append)
     sim.run()
     assert sorted(arrived) == list(range(1, n_gpus))
     assert fabric.total_hop_bytes == (n_gpus - 1) * nbytes

@@ -21,6 +21,7 @@ from repro.obs import verify_trace
 from repro.sim import Direction, DuplexLink, LinkDirectionConfig, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.trace import TraceRecorder
+from tests.sim.events import pending_events
 
 _H2D = LinkDirectionConfig(latency=1e-5, bandwidth=8e9, bid_slowdown=1.3)
 _D2H = LinkDirectionConfig(latency=1e-5, bandwidth=6e9, bid_slowdown=1.8)
@@ -209,7 +210,7 @@ class TestEpochStepping:
         # not move a single completion.
         def stepped(sim):
             t = 0.0
-            while sim.pending_events:
+            while pending_events(sim):
                 t += epoch
                 sim.run_to(t)
 

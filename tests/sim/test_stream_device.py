@@ -18,6 +18,11 @@ H2D_BW = 8e9  # custom_machine default 8 GB/s
 LAT = 5e-6
 
 
+def event_complete(ev) -> bool:
+    """cudaEventQuery: the event's captured work has all finished."""
+    return ev._recorded and (ev._marker is None or ev._marker.done)
+
+
 class TestStreamOrdering:
     def test_same_stream_serializes(self, dev):
         s = dev.create_stream()
@@ -63,7 +68,7 @@ class TestEvents:
     def test_event_on_empty_stream_is_complete(self, dev):
         s = dev.create_stream()
         ev = s.record_event()
-        assert ev.complete
+        assert event_complete(ev)
 
     def test_wait_unrecorded_event_rejected(self, dev):
         from repro.sim.stream import CudaEvent
@@ -76,9 +81,9 @@ class TestEvents:
         s = dev.create_stream()
         dev.launch_async(1e-3, s)
         ev = s.record_event()
-        assert not ev.complete
+        assert not event_complete(ev)
         dev.synchronize()
-        assert ev.complete
+        assert event_complete(ev)
 
     def test_wait_event_only_affects_later_ops(self, dev):
         """Ops enqueued BEFORE wait_event are not delayed by it."""

@@ -4,34 +4,39 @@ A public top-level function or class, or a public method of a
 top-level class, that only tests call is an extension nobody uses: it
 costs reading and upkeep and hides which code the program runs.  This
 scan parses ``src/repro`` and requires each such name to occur as an
-identifier somewhere in the Python files of ``src/``, ``benchmarks/``
-or ``examples/`` besides its own definition.  Re-exports in
-``__init__.py`` files do not count as uses.
+identifier in the code of the Python files of ``src/``, ``benchmarks/``
+or ``examples/`` besides its own definition.  Comments, docstrings and
+strings do not count, and neither do re-exports in ``__init__.py``
+files.
 
-The match is by word, not by resolved object: ``Foo.run`` passes when
-anything in those files says ``run``, in code or in prose.  The scan
-is a floor against new test-only names, not a call graph.
+The match is by name, not by resolved object: ``Foo.run`` passes when
+any code in those files says ``run``.  The scan is a floor against new
+test-only names, not a call graph.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
+import tokenize
 from collections import Counter
 from typing import Dict, Iterator, List, Tuple
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 USE_TREES = ("src", "benchmarks", "examples")
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: f-string delimiters (token types of Python 3.12+; -1 never matches)
+FSTRING_START = getattr(tokenize, "FSTRING_START", -1)
+FSTRING_END = getattr(tokenize, "FSTRING_END", -1)
 
 #: Public names with no caller in the scanned trees, each with why it
 #: stays.
 ALLOWED: Dict[str, str] = {
     "NoiseModel.disabled": "a noise-free model for residual studies "
                            "(tests and what-if runs build one)",
-    "validate_tail_block": "CI's percentile-smoke job validates the tail "
-                           "block with it (.github/workflows/ci.yml)",
+    "verify_requests": "a test-facing invariant checker of the repro.obs "
+                       "API (request conservation)",
+    "verify_trace": "a test-facing invariant checker of the repro.obs API "
+                    "(the check_trace fixture wraps it)",
 }
 
 
@@ -68,16 +73,33 @@ def public_names() -> List[Tuple[str, str]]:
     return found
 
 
+def code_names(path: str) -> Iterator[str]:
+    """The identifiers of ``path``'s code: ``tokenize`` NAME tokens,
+    so words in comments, docstrings and other strings do not count.
+
+    Python 3.12 tokenizes the expressions inside f-strings too; they
+    are skipped so that every version counts the same names.
+    """
+    depth = 0
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == FSTRING_START:
+                depth += 1
+            elif tok.type == FSTRING_END:
+                depth -= 1
+            elif tok.type == tokenize.NAME and not depth:
+                yield tok.string
+
+
 def identifier_counts() -> Counter:
-    """How often each identifier-shaped word occurs outside tests,
+    """How often each identifier occurs in code outside tests,
     ignoring ``__init__.py`` re-exports."""
     counts: Counter = Counter()
     for tree in USE_TREES:
         for path in _py_files(tree):
             if os.path.basename(path) == "__init__.py":
                 continue
-            with open(path, encoding="utf-8") as fh:
-                counts.update(IDENTIFIER.findall(fh.read()))
+            counts.update(code_names(path))
     return counts
 
 
@@ -94,3 +116,15 @@ def test_every_public_name_has_a_non_test_use():
 def test_allowlist_entries_exist():
     defined = {q for q, _ in public_names()}
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined
+
+
+def test_only_code_counts(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Mentions alpha."""\n'
+        "# beta\n"
+        "x = 'gamma' + f'{delta}'\n"
+        "epsilon(x)\n")
+    names = set(code_names(str(source)))
+    assert {"x", "epsilon"} <= names
+    assert not names & {"alpha", "beta", "gamma", "delta"}
