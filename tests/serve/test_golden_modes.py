@@ -5,6 +5,9 @@ The benchmark suite's seed-11 digests pin the default configuration
 other modes of the serving decision path: round-robin placement, no
 and downgrade admission, percentile admission, hedging under a GPU
 kill, and the cluster with percentile admission and with a node kill.
+Two more pin the recovery paths: event faults that wedge batches
+(watchdog timeouts, host fallbacks, breaker drains, requeues and
+half-open probes), and a flapping device (drain, requeue, half-open).
 Each case emits its document at a small size and compares the sha256
 of its canonical bytes with ``tests/data/golden_serve_modes.json``.
 
@@ -31,6 +34,7 @@ from repro.serve import (BlasServer, ServerConfig, WorkloadSpec,
                          dump_serve_document, generate_workload,
                          serve_document)
 from repro.serve.chaos import dump_chaos_document, run_chaos
+from repro.sim.faults import resolve_plan
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_serve_modes.json"
 
@@ -40,8 +44,14 @@ TIGHT = WorkloadSpec(arrival="bursty", rate=4000.0, n_requests=96,
                      slack_lo=0.5, slack_hi=3.0, burst_size=16)
 
 
-def _serve(machines, config, spec=TIGHT) -> str:
+#: Half of all transfers fail: batches exhaust their retries and wedge.
+EVENT_FAULTS = "transfer_fail_rate=0.5,seed=3"
+
+
+def _serve(machines, config, spec=TIGHT, faults=None) -> str:
     machine, models = machines["testbed_ii"]
+    if faults is not None:
+        machine = machine.with_faults(resolve_plan(faults))
     metrics = MetricsRegistry()
     outcome = BlasServer(machine, models, config,
                          metrics=metrics).serve(generate_workload(spec))
@@ -59,13 +69,10 @@ def _cluster(machines, server_config, spec, nodes=2, autoscale=True,
     return dump_cluster_document(cluster_document(outcome))
 
 
-def _chaos(machines) -> str:
+def _chaos(machines, scenario, spec, config) -> str:
     machine, models = machines["testbed_ii"]
-    spec = WorkloadSpec(n_requests=48, rate=2000.0, scale="tiny", seed=7,
-                        slack_lo=0.5, slack_hi=1.5)
-    config = ServerConfig(n_gpus=4, hedging=True, seed=7)
     return dump_chaos_document(run_chaos(
-        machine, models, "kill-one-gpu", spec=spec, config=config, seed=7))
+        machine, models, scenario, spec=spec, config=config, seed=7))
 
 
 CASES = {
@@ -77,7 +84,19 @@ CASES = {
         m, ServerConfig(n_gpus=2, admission="downgrade", seed=7)),
     "serve-p99": lambda m: _serve(
         m, ServerConfig(n_gpus=2, admission_percentile=99.0, seed=7)),
-    "chaos-kill-one-gpu-hedging": _chaos,
+    "serve-event-faults": lambda m: _serve(
+        m, ServerConfig(n_gpus=2, seed=7), faults=EVENT_FAULTS),
+    "chaos-kill-one-gpu-hedging": lambda m: _chaos(
+        m, "kill-one-gpu",
+        WorkloadSpec(n_requests=48, rate=2000.0, scale="tiny", seed=7,
+                     slack_lo=0.5, slack_hi=1.5),
+        ServerConfig(n_gpus=4, hedging=True, seed=7)),
+    "chaos-flapping-device": lambda m: _chaos(
+        m, "flapping-device",
+        WorkloadSpec(arrival="bursty", rate=4000.0, n_requests=96,
+                     scale="tiny", seed=7, slack_lo=0.5, slack_hi=3.0,
+                     burst_size=16),
+        ServerConfig(n_gpus=4, seed=7)),
     "cluster-p99": lambda m: _cluster(
         m, ServerConfig(seed=7, admission_percentile=99.0),
         ClusterWorkloadSpec(n_requests=160, rate=4000.0, seed=7,
