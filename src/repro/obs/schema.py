@@ -78,46 +78,50 @@ def validate(doc: object, schema, kind: str, path: str = "$") -> None:
     ``kind`` names the document in the error ("serve", "cluster", ...)
     and ``path`` is the JSON path of ``doc`` itself.
     """
+    _walk(doc, schema, path, kind)
 
-    def fail(at: str, message: str) -> None:
-        raise ReproError(f"invalid {kind} document at {at}: {message}")
 
-    def walk(value: object, schema, path: str) -> None:
-        if isinstance(schema, Null):
-            if value is None:
-                return
-            schema = schema.schema
-        elif value is None:
-            fail(path, "must not be null")
-        if isinstance(schema, Rule):
-            walk(value, schema.schema, path)
-            for check in schema.checks:
-                error = check(value)
-                if error is not None:
-                    fail(path + error[0], error[1])
-        elif isinstance(schema, dict):
-            walk(value, dict, path)
-            for key, sub in schema.items():
-                if isinstance(sub, Opt):
-                    if key not in value:
-                        continue
-                    sub = sub.schema
-                elif key not in value:
-                    fail(f"{path}.{key}", "missing required field")
-                walk(value[key], sub, f"{path}.{key}")
-        elif isinstance(schema, list):
-            walk(value, list, path)
-            for i, item in enumerate(value):
-                walk(item, schema[0], f"{path}[{i}]")
-        elif isinstance(schema, Each):
-            walk(value, dict, path)
-            for key, item in value.items():
-                walk(item, schema.schema, f"{path}.{key}")
-        elif not _matches(value, schema):
-            fail(path, f"expected {_NAMES[schema]}, "
-                       f"got {type(value).__name__}")
+def _fail(kind: str, at: str, message: str) -> None:
+    raise ReproError(f"invalid {kind} document at {at}: {message}")
 
-    walk(doc, schema, path)
+
+def _walk(value: object, schema, path: str, kind: str) -> None:
+    """Check one value.  Module-level rather than a closure: a nested
+    recursive function refers to itself through its closure cell, so
+    every call would leave a reference cycle for the collector."""
+    if isinstance(schema, Null):
+        if value is None:
+            return
+        schema = schema.schema
+    elif value is None:
+        _fail(kind, path, "must not be null")
+    if isinstance(schema, Rule):
+        _walk(value, schema.schema, path, kind)
+        for check in schema.checks:
+            error = check(value)
+            if error is not None:
+                _fail(kind, path + error[0], error[1])
+    elif isinstance(schema, dict):
+        _walk(value, dict, path, kind)
+        for key, sub in schema.items():
+            if isinstance(sub, Opt):
+                if key not in value:
+                    continue
+                sub = sub.schema
+            elif key not in value:
+                _fail(kind, f"{path}.{key}", "missing required field")
+            _walk(value[key], sub, f"{path}.{key}", kind)
+    elif isinstance(schema, list):
+        _walk(value, list, path, kind)
+        for i, item in enumerate(value):
+            _walk(item, schema[0], f"{path}[{i}]", kind)
+    elif isinstance(schema, Each):
+        _walk(value, dict, path, kind)
+        for key, item in value.items():
+            _walk(item, schema.schema, f"{path}.{key}", kind)
+    elif not _matches(value, schema):
+        _fail(kind, path, f"expected {_NAMES[schema]}, "
+                          f"got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

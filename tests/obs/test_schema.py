@@ -2,6 +2,7 @@
 ``repro.*/v1`` schemas written with it."""
 
 import copy
+import gc
 import re
 
 import pytest
@@ -121,6 +122,21 @@ class TestWalker:
         with pytest.raises(ReproError, match=re.escape(
                 "invalid test document at $.tail.x: missing required")):
             validate({}, {"x": int}, "test", "$.tail")
+
+    def test_a_validation_leaves_no_reference_cycle(self):
+        # The walker recurses; as a nested closure it would refer to
+        # itself through its cell and leave a cycle behind every call.
+        doc = {"a": [{"b": 1, "c": None}], "d": {"x": 0.5}}
+        schema = {"a": [{"b": COUNT, "c": Null(int)}],
+                  "d": Each(FRACTION), "e": Opt(str)}
+        gc.collect()
+        gc.disable()
+        try:
+            check(doc, schema)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 # ---------------------------------------------------------------------------
