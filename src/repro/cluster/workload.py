@@ -36,11 +36,10 @@ import numpy as np
 
 from ..serve.request import Request, ServeError
 from ..serve.workload import (
-    ARRIVAL_KINDS,
     ProblemPool,
-    WorkloadSpec,
     _FACTOR_STREAMS,
     _size_pools,
+    check_spec,
 )
 
 
@@ -67,26 +66,9 @@ class ClusterWorkloadSpec:
     phases: Tuple[float, ...] = (1.0, 2.5, 0.4)
 
     def __post_init__(self) -> None:
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ServeError(
-                f"unknown arrival process {self.arrival!r}; "
-                f"valid: {ARRIVAL_KINDS}")
-        if self.rate <= 0:
-            raise ServeError(f"non-positive arrival rate: {self.rate}")
-        if self.n_requests <= 0:
-            raise ServeError(f"non-positive request count: {self.n_requests}")
-        if not self.phases or any(m <= 0 for m in self.phases):
+        check_spec(self)
+        if not self.phases or not all(m > 0 for m in self.phases):
             raise ServeError(f"phases must be positive: {self.phases}")
-        if self.burst_size <= 0:
-            raise ServeError(f"non-positive burst size: {self.burst_size}")
-        if self.slack_lo > self.slack_hi:
-            raise ServeError(
-                f"slack_lo {self.slack_lo} > slack_hi {self.slack_hi}")
-        # Reuse the single-node spec's scale/fraction validation.
-        WorkloadSpec(arrival=self.arrival, rate=self.rate,
-                     n_requests=self.n_requests, scale=self.scale,
-                     axpy_fraction=self.axpy_fraction,
-                     burst_size=self.burst_size)
 
 
 def _substreams(seed: int):
@@ -145,8 +127,7 @@ def iter_cluster_workload(spec: ClusterWorkloadSpec) -> Iterator[Request]:
     rngs = _substreams(spec.seed)
     n = spec.n_requests
     arrivals = cluster_arrivals(spec)
-    large, small, axpy_sizes = _size_pools(
-        WorkloadSpec(scale=spec.scale, n_requests=n))
+    large, small, axpy_sizes = _size_pools(spec.scale)
 
     # One bulk draw per factor (substream isolation preserved).
     is_axpy = rngs["routine"].random(n) < spec.axpy_fraction

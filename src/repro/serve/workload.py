@@ -16,6 +16,7 @@ host-crossover paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -88,22 +89,44 @@ class WorkloadSpec:
     burst_spread: float = 0.02       #: intra-burst spacing / inter-burst gap
 
     def __post_init__(self) -> None:
-        if self.arrival not in ARRIVAL_KINDS:
-            raise ServeError(
-                f"unknown arrival process {self.arrival!r}; "
-                f"valid: {ARRIVAL_KINDS}")
-        _check_scale(self.scale)
-        if self.rate <= 0:
-            raise ServeError(f"non-positive arrival rate: {self.rate}")
-        if self.n_requests <= 0:
-            raise ServeError(f"non-positive request count: {self.n_requests}")
-        if not 0.0 <= self.axpy_fraction <= 1.0:
-            raise ServeError(f"axpy_fraction outside [0,1]: {self.axpy_fraction}")
-        if self.slack_lo > self.slack_hi:
-            raise ServeError(
-                f"slack_lo {self.slack_lo} > slack_hi {self.slack_hi}")
-        if self.burst_size <= 0:
-            raise ServeError(f"non-positive burst size: {self.burst_size}")
+        check_spec(self)
+
+
+def check_spec(spec) -> None:
+    """Fail fast on a spec no generator can draw a sane trace from.
+
+    Shared by :class:`WorkloadSpec` and the cluster's
+    ``ClusterWorkloadSpec``, which carry the same fields.  Every
+    rejection is a :class:`ServeError` (an unknown scale keeps the
+    experiment tables' ``ReproError``); comparisons are written so that
+    NaN fails them.
+    """
+    if spec.arrival not in ARRIVAL_KINDS:
+        raise ServeError(
+            f"unknown arrival process {spec.arrival!r}; "
+            f"valid: {ARRIVAL_KINDS}")
+    _check_scale(spec.scale)
+    if not (spec.rate > 0 and math.isfinite(spec.rate)):
+        raise ServeError(
+            f"arrival rate must be positive and finite: {spec.rate}")
+    if spec.n_requests <= 0:
+        raise ServeError(f"non-positive request count: {spec.n_requests}")
+    for name in ("axpy_fraction", "small_fraction", "deadline_fraction"):
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ServeError(f"{name} outside [0,1]: {value}")
+    if spec.n_groups < 1:
+        raise ServeError(f"non-positive group count: {spec.n_groups}")
+    if spec.n_priorities < 1:
+        raise ServeError(
+            f"non-positive priority count: {spec.n_priorities}")
+    if not spec.slack_lo <= spec.slack_hi:
+        raise ServeError(
+            f"slack_lo {spec.slack_lo} > slack_hi {spec.slack_hi}")
+    if spec.burst_size <= 0:
+        raise ServeError(f"non-positive burst size: {spec.burst_size}")
+    if not spec.burst_spread >= 0:
+        raise ServeError(f"negative burst spread: {spec.burst_spread}")
 
 
 def _substreams(seed: int):
@@ -133,9 +156,9 @@ def _arrival_times(spec: WorkloadSpec, rng) -> List[float]:
     return times
 
 
-def _size_pools(spec: WorkloadSpec):
+def _size_pools(scale: str):
     """(large gemm dims, small gemm dims, axpy sizes) for the scale."""
-    squares = _GEMM_SQUARES[spec.scale]
+    squares = _GEMM_SQUARES[scale]
     large = [(d, d, d) for d in squares]
     small = []
     for d in squares:
@@ -145,14 +168,14 @@ def _size_pools(spec: WorkloadSpec):
             s = max(d // frac, 256)
             small.append((s, s, s))
     small = sorted(set(small))
-    return large, small, list(_DAXPY_SIZES[spec.scale])
+    return large, small, list(_DAXPY_SIZES[scale])
 
 
 def generate_workload(spec: WorkloadSpec) -> List[Request]:
     """Generate the request list for ``spec`` (sorted by arrival)."""
     rngs = _substreams(spec.seed)
     arrivals = _arrival_times(spec, rngs["arrival"])
-    large, small, axpy_sizes = _size_pools(spec)
+    large, small, axpy_sizes = _size_pools(spec.scale)
 
     pool = ProblemPool()
     requests: List[Request] = []

@@ -19,18 +19,51 @@ def _fingerprint(requests):
              r.deadline, r.group) for r in requests]
 
 
+#: Fields both workload specs carry, each set to a value neither
+#: generator can draw a sane trace from, and the error it must raise.
+BAD_FIELDS = [
+    ({"arrival": "uniform"}, "arrival process"),
+    ({"rate": 0.0}, "rate"),
+    ({"n_requests": 0}, "request count"),
+    ({"axpy_fraction": 1.5}, "axpy_fraction"),
+    ({"slack_lo": 9.0, "slack_hi": 2.0}, "slack"),
+    ({"burst_size": 0}, "burst size"),
+    ({"rate": float("nan")}, "rate"),
+    ({"rate": float("inf")}, "rate"),
+    ({"rate": -5.0}, "rate"),
+    ({"axpy_fraction": float("nan")}, "axpy_fraction"),
+    ({"small_fraction": -0.1}, "small_fraction"),
+    ({"small_fraction": 1.5}, "small_fraction"),
+    ({"deadline_fraction": -0.5}, "deadline_fraction"),
+    ({"deadline_fraction": 1.01}, "deadline_fraction"),
+    ({"n_groups": 0}, "group count"),
+    ({"n_priorities": 0}, "priority count"),
+    ({"slack_lo": float("nan")}, "slack"),
+    ({"burst_spread": -0.01}, "burst spread"),
+    ({"burst_spread": float("nan")}, "burst spread"),
+]
+
+
 class TestSpecValidation:
-    @pytest.mark.parametrize("kwargs,match", [
-        ({"arrival": "uniform"}, "arrival process"),
-        ({"rate": 0.0}, "rate"),
-        ({"n_requests": 0}, "request count"),
-        ({"axpy_fraction": 1.5}, "axpy_fraction"),
-        ({"slack_lo": 9.0, "slack_hi": 2.0}, "slack"),
-        ({"burst_size": 0}, "burst size"),
-    ])
+    @pytest.mark.parametrize("kwargs,match", BAD_FIELDS)
     def test_bad_fields_rejected(self, kwargs, match):
         with pytest.raises(ServeError, match=match):
             WorkloadSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,match", BAD_FIELDS)
+    def test_cluster_spec_rejects_the_same_fields(self, kwargs, match):
+        with pytest.raises(ServeError, match=match):
+            ClusterWorkloadSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"small_fraction": 0.0, "deadline_fraction": 1.0,
+         "burst_spread": 0.0, "n_groups": 1, "n_priorities": 1},
+        {"small_fraction": 1.0, "deadline_fraction": 0.0},
+    ])
+    def test_edge_values_accepted_by_both_specs(self, kwargs):
+        assert generate_workload(WorkloadSpec(n_requests=8, **kwargs))
+        assert list(iter_cluster_workload(
+            ClusterWorkloadSpec(n_requests=8, **kwargs)))
 
     def test_bad_scale_rejected(self):
         with pytest.raises(Exception):
