@@ -178,7 +178,7 @@ class ClusterNode:
         """JSON-ready per-node block for the cluster report."""
         from ..obs.stats import latency_summary
 
-        busy = sum(s.busy_seconds for s in self.server._stats)
+        busy = sum(g.busy_seconds for g in self.server.dispatcher.gpus)
         return {
             "node": self.name,
             "state": self.state,

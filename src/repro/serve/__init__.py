@@ -34,7 +34,7 @@ from .resilience import (
     HealthState,
     ResilienceStats,
 )
-from .server import BlasServer, ServeOutcome, ServerConfig, WorkerStats
+from .server import BlasServer, ServeOutcome, ServerConfig
 from .workload import (
     ARRIVAL_KINDS,
     WorkloadSpec,
@@ -62,7 +62,6 @@ __all__ = [
     "ServeError",
     "ServeOutcome",
     "ServerConfig",
-    "WorkerStats",
     "WorkloadSpec",
     "batchable",
     "coalesce",

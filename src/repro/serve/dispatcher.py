@@ -27,10 +27,9 @@ multiplier: the tail bank's inflation at the admission percentile, or
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc, gemm_problem
@@ -41,15 +40,14 @@ from ..sim.machine import MachineConfig
 from .request import Request, RequestQueue, ServeError
 from .resilience import HealthMonitor
 
+if TYPE_CHECKING:  # pragma: no cover - typing only (server imports us)
+    from .server import ServerConfig
+
 PLACEMENT_POLICIES = ("model", "round_robin")
 ADMISSION_MODES = ("none", "shed", "downgrade")
 
 #: Worker name of the host CPU path.
 HOST_WORKER = "host"
-
-
-def gpu_worker(index: int) -> str:
-    return f"gpu{index}"
 
 
 #: Weight-cache-aware placement: re-predict with the A operand
@@ -59,26 +57,57 @@ LOCALITY = True
 WEIGHT_CACHE_FRACTION = 0.5
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkerState:
-    """Dispatcher-visible state of one worker: a simulated GPU, or the
-    host CPU fallback (``index`` None; its cache is unmodelled, so its
-    residency map stays empty)."""
+    """Everything about one serving worker: a simulated GPU ``gpuN``, or
+    the host CPU fallback (``index`` None; its cache is unmodelled, so
+    its residency map stays empty).
 
+    The dispatcher reads the queue, backlog and residency; the server
+    owns the in-flight slot and the report counters.  Records compare
+    by identity: a placement names its worker by the record itself.
+    """
+
+    name: str = HOST_WORKER
     index: Optional[int] = None
     queue: RequestQueue = field(default_factory=RequestQueue)
+    #: The batch in flight; None is the one idle marker.
+    inflight: Optional[object] = None
     #: Predicted absolute end time of the in-flight batch (0 = idle).
     running_pred_end: float = 0.0
-    busy: bool = False
     #: LRU weight cache: residency key -> bytes (see _residency_key).
     resident: "OrderedDict[Tuple, int]" = field(default_factory=OrderedDict)
     #: Running total of the resident map's byte values.  Maintained
     #: incrementally by ``note_resident`` so eviction is O(evictions)
     #: instead of re-summing the whole cache per loop iteration.
     resident_bytes: int = 0
+    # -- report counters, charged as each batch settles ------------------
+    busy_seconds: float = 0.0
+    batches: int = 0
+    requests: int = 0
+    h2d_bytes: int = 0
+    d2h_bytes: int = 0
+    kernels: int = 0
+    locality_hits: int = 0
+    #: Per-batch device event streams (trace mode).  Each batch ran on
+    #: a fresh device, so each inner stream is a self-contained trace
+    #: that verifies on its own; one flat splice would alias tile tags
+    #: across batches.
+    traces: List[list] = field(default_factory=list)
+
+    def occupy(self, batch: object, pred_end: float) -> None:
+        """Put ``batch`` in flight, predicted to end at ``pred_end``."""
+        self.inflight = batch
+        self.running_pred_end = pred_end
+
+    def free(self) -> None:
+        """Take the in-flight batch out: the worker is idle."""
+        self.inflight = None
+        self.running_pred_end = 0.0
 
     def backlog(self, now: float) -> float:
-        running = max(self.running_pred_end - now, 0.0) if self.busy else 0.0
+        running = (max(self.running_pred_end - now, 0.0)
+                   if self.inflight is not None else 0.0)
         return running + self.queue.total_predicted()
 
     def drop_residency(self) -> None:
@@ -91,7 +120,7 @@ class WorkerState:
 class Placement:
     """A placement decision for one request."""
 
-    worker: str                   #: "gpuN" or "host"
+    worker: WorkerState           #: a GPU's record or the host's
     predicted_seconds: float      #: predicted service time (mean)
     predicted_completion: float   #: now + backlog + service (mean)
     #: The admission estimate: the service time scaled by the tail
@@ -99,7 +128,6 @@ class Placement:
     #: where both equal the mean values), and its completion.
     admission_seconds: float
     admission_completion: float
-    locality_hit: bool = False    #: weight group was device-resident
 
 
 def _residency_key(problem: CoCoProblem, group: str) -> Tuple:
@@ -108,16 +136,15 @@ def _residency_key(problem: CoCoProblem, group: str) -> Tuple:
     return (group, a.s1, a.s2, str(problem.dtype))
 
 
-def _placement(worker: str, now: float, backlog: float, service: float,
-               hit: bool, mult: float) -> Placement:
+def _placement(worker: WorkerState, now: float, backlog: float,
+               service: float, mult: float) -> Placement:
     """Place on ``worker`` with ``service`` predicted behind ``backlog``;
     the admission estimate scales the service time by ``mult``."""
     return Placement(
         worker=worker, predicted_seconds=service,
         predicted_completion=now + backlog + service,
         admission_seconds=service * mult,
-        admission_completion=now + backlog + service * mult,
-        locality_hit=hit)
+        admission_completion=now + backlog + service * mult)
 
 
 def _with_device_a(problem: CoCoProblem) -> CoCoProblem:
@@ -140,41 +167,23 @@ class Dispatcher:
         self,
         machine: MachineConfig,
         models: MachineModels,
-        n_gpus: int,
-        model: str = "auto",
-        policy: str = "model",
-        admission: str = "shed",
-        host_offload: bool = True,
+        config: "ServerConfig",
         prediction_cache: Optional[PredictionCache] = None,
         monitor: Optional[HealthMonitor] = None,
-        admission_percentile: Optional[float] = None,
         tail_bank: Optional[PercentileBank] = None,
     ) -> None:
-        if n_gpus <= 0:
-            raise ServeError(f"non-positive GPU count: {n_gpus}")
-        if admission_percentile is not None:
-            f = float(admission_percentile)
-            if math.isnan(f) or not 0.0 < f <= 100.0:
-                raise ServeError(
-                    f"admission percentile outside (0, 100]: "
-                    f"{admission_percentile}")
-            admission_percentile = f
-        if policy not in PLACEMENT_POLICIES:
-            raise ServeError(
-                f"unknown placement policy {policy!r}; "
-                f"valid: {PLACEMENT_POLICIES}")
-        if admission not in ADMISSION_MODES:
-            raise ServeError(
-                f"unknown admission mode {admission!r}; "
-                f"valid: {ADMISSION_MODES}")
+        """``config`` is already validated (``ServerConfig`` checks its
+        fields on construction); the dispatcher reads its GPU count,
+        prediction model, placement policy, admission mode, host offload
+        and admission percentile."""
         self.machine = machine
         self.models = models
-        self.model = model
-        self.policy = policy
-        self.admission = admission
-        self.host_offload = host_offload
-        self.gpus = [WorkerState(i) for i in range(n_gpus)]
+        self.config = config
+        self.gpus = [WorkerState(f"gpu{i}", i) for i in range(config.n_gpus)]
         self.host = WorkerState()
+        #: Every worker, in report and evacuation order: GPUs by index,
+        #: then the host.
+        self.workers = (*self.gpus, self.host)
         #: Optional health monitor: failed domains are excluded from
         #: placement, degraded/half-open domains are score-penalized.
         self.monitor = monitor
@@ -193,6 +202,8 @@ class Dispatcher:
         #: cluster-shared bank) > the machine's deployed fit
         #: (models.tail) > a fresh bank that starts at mean behaviour
         #: and refines online.
+        p = config.admission_percentile
+        admission_percentile = None if p is None else float(p)
         self.admission_percentile = admission_percentile
         if admission_percentile is not None:
             if tail_bank is None:
@@ -214,7 +225,7 @@ class Dispatcher:
         O(1) after the first scoring of a problem signature: placement
         evaluates every GPU candidate per arrival, and all of them hit
         the prediction cache past the first."""
-        return select_tile(problem, self.models, model=self.model,
+        return select_tile(problem, self.models, model=self.config.model,
                            cache=self.prediction_cache)
 
     def predict_host(self, problem: CoCoProblem) -> Optional[float]:
@@ -242,11 +253,10 @@ class Dispatcher:
             return False
         return _residency_key(request.problem, request.group) in gpu.resident
 
-    def note_resident(self, gpu_index: int, request: Request) -> None:
-        """Record that a group's A tiles now live on ``gpu_index``."""
+    def note_resident(self, gpu: WorkerState, request: Request) -> None:
+        """Record that a group's A tiles now live on ``gpu``."""
         if request.group is None or request.problem.routine.name != "gemm":
             return
-        gpu = self.gpus[gpu_index]
         key = _residency_key(request.problem, request.group)
         a = request.problem.operands[0]
         size = a.elements() * request.problem.elem_size
@@ -332,29 +342,31 @@ class Dispatcher:
         # is bit-equal to service, so mean scores need no branch.
         mult = self.tail_multiplier(request.problem)
         monitor = self.monitor
-        gpus = (self._round_robin(take_turn) if self.policy == "round_robin"
-                else self.gpus)
-        # Keyed on (admission completion, worker), building only the
-        # winning Placement: this runs once per GPU per arrival.
-        best = best_key = None
+        gpus = (self._round_robin(take_turn)
+                if self.config.placement == "round_robin" else self.gpus)
+        # Keeps the earliest admission completion, building only the
+        # winning Placement: this runs once per GPU per arrival.  GPUs
+        # are scanned by index, so a strict ``<`` sends ties to the
+        # lowest one.
+        best = best_at = None
         for gpu in gpus:
             if monitor is not None and not monitor.available(gpu.index):
                 continue
-            hit, _, _, service = self.score_gpu(gpu, request)
+            service = self.score_gpu(gpu, request)[3]
             backlog = gpu.backlog(now)
-            key = (now + backlog + service * mult, gpu_worker(gpu.index))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (backlog, service, hit)
-        placement = (None if best is None
-                     else _placement(best_key[1], now, *best, mult))
+            at = now + backlog + service * mult
+            if best_at is None or at < best_at:
+                best_at = at
+                best = (gpu, backlog, service)
+        placement = None if best is None else _placement(
+            best[0], now, best[1], best[2], mult)
         # The host path competes when offload is enabled, and serves as
         # the placement of last resort when every GPU domain is failed.
-        if self.host_offload or placement is None:
+        if self.config.host_offload or placement is None:
             service = self.predict_host(request.problem)
             if service is not None:
-                host = _placement(HOST_WORKER, now, self.host.backlog(now),
-                                  service, False, mult)
+                host = _placement(self.host, now, self.host.backlog(now),
+                                  service, mult)
                 if (placement is None or host.admission_completion
                         < placement.admission_completion):
                     return host
@@ -373,7 +385,8 @@ class Dispatcher:
         prediction squeaks under.  Mean admission is the same rule at
         multiplier 1.
         """
-        if self.admission == "none" or request.deadline is None:
+        admission = self.config.admission
+        if admission == "none" or request.deadline is None:
             return "accept"
         if placement.admission_completion <= request.deadline:
             return "accept"
@@ -382,7 +395,7 @@ class Dispatcher:
             # is the tail inflation's alone (never under mean admission,
             # where the two completions are equal).
             self.tail_rejections += 1
-        if self.admission == "shed":
+        if admission == "shed":
             return "shed"
         request.downgraded = True
         # Keep the original SLO around: a downgraded request no longer
@@ -393,20 +406,8 @@ class Dispatcher:
         request.priority = min(request.priority, 0)
         return "downgrade"
 
-    # -- state lookups used by the server ------------------------------
-
-    def state_for(self, worker: str) -> WorkerState:
-        if worker == HOST_WORKER:
-            return self.host
-        if worker.startswith("gpu"):
-            index = int(worker[3:])
-            if 0 <= index < len(self.gpus):
-                return self.gpus[index]
-        raise ServeError(f"unknown worker {worker!r}")
-
     def queue_depth(self) -> int:
-        return (sum(len(g.queue) for g in self.gpus)
-                + len(self.host.queue))
+        return sum(len(w.queue) for w in self.workers)
 
 
 # ---------------------------------------------------------------------------

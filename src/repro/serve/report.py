@@ -45,23 +45,24 @@ from ..obs.schema import (
 from ..obs.stats import latency_summary, percentiles
 from .request import RequestState
 from .resilience import HealthState
-from .server import ServeOutcome, WorkerStats
+from .dispatcher import WorkerState
+from .server import ServeOutcome
 
 SERVE_SCHEMA_VERSION = "repro.serve/v1"
 
 
-def _worker_dict(stats: WorkerStats, makespan: float) -> Dict[str, object]:
-    util = stats.busy_seconds / makespan if makespan > 0 else 0.0
+def _worker_dict(worker: WorkerState, makespan: float) -> Dict[str, object]:
+    util = worker.busy_seconds / makespan if makespan > 0 else 0.0
     return {
-        "worker": stats.worker,
-        "busy_seconds": stats.busy_seconds,
+        "worker": worker.name,
+        "busy_seconds": worker.busy_seconds,
         "utilization": util,
-        "batches": stats.batches,
-        "requests": stats.requests,
-        "h2d_bytes": stats.h2d_bytes,
-        "d2h_bytes": stats.d2h_bytes,
-        "kernels": stats.kernels,
-        "locality_hits": stats.locality_hits,
+        "batches": worker.batches,
+        "requests": worker.requests,
+        "h2d_bytes": worker.h2d_bytes,
+        "d2h_bytes": worker.d2h_bytes,
+        "kernels": worker.kernels,
+        "locality_hits": worker.locality_hits,
     }
 
 
@@ -104,9 +105,8 @@ def serve_report(outcome: ServeOutcome) -> Dict[str, object]:
         prediction["tail"] = outcome.tail
 
     workers: List[Dict[str, object]] = [
-        _worker_dict(s, makespan) for s in outcome.gpu_stats
+        _worker_dict(w, makespan) for w in (*outcome.gpus, outcome.host)
     ]
-    workers.append(_worker_dict(outcome.host_stats, makespan))
 
     batch_sizes: Dict[int, int] = {}
     for r in done:

@@ -61,13 +61,12 @@ from ..sim.machine import MachineConfig
 from ..sim.noise import NoiseModel
 from .dispatcher import (
     ADMISSION_MODES,
-    HOST_WORKER,
     PLACEMENT_POLICIES,
     Dispatcher,
+    Placement,
     WorkerState,
     batchable,
     coalesce,
-    gpu_worker,
 )
 from .request import Request, RequestState, ServeError
 from .resilience import HealthMonitor, HealthState, ResilienceStats
@@ -110,6 +109,9 @@ class ServerConfig:
     admission_percentile: Optional[float] = None
 
     def __post_init__(self) -> None:
+        n = self.n_gpus
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ServeError(f"GPU count must be a positive int, got {n!r}")
         if self.placement not in PLACEMENT_POLICIES:
             raise ServeError(f"unknown placement policy {self.placement!r}")
         if self.admission not in ADMISSION_MODES:
@@ -125,34 +127,17 @@ class ServerConfig:
 
 
 @dataclass
-class WorkerStats:
-    """Per-worker accounting for the serve report."""
-
-    worker: str
-    busy_seconds: float = 0.0
-    batches: int = 0
-    requests: int = 0
-    h2d_bytes: int = 0
-    d2h_bytes: int = 0
-    kernels: int = 0
-    locality_hits: int = 0
-
-
-@dataclass
 class ServeOutcome:
     """Everything one serving run produced."""
 
     requests: List[Request]
     config: ServerConfig
-    gpu_stats: List[WorkerStats]
-    host_stats: WorkerStats
+    #: The worker records, with their report counters and (trace mode)
+    #: per-batch device traces.
+    gpus: List[WorkerState]
+    host: WorkerState
     n_batches: int = 0
     end_time: float = 0.0
-    #: Per-GPU list of per-batch device event streams (trace mode).
-    #: Each batch ran on a fresh device, so each inner stream is a
-    #: self-contained trace that verifies on its own; one flat splice
-    #: would alias tile tags across batches.
-    gpu_traces: List[List[list]] = field(default_factory=list)
     #: True when the machine carried a fault plan with any active fault
     #: (the serve report emits its resilience block only then, keeping
     #: fault-free reports byte-identical to pre-resilience runs).
@@ -177,27 +162,27 @@ class _Batch:
     """One in-flight unit of execution on a worker."""
 
     __slots__ = ("batch_id", "members", "problem", "worker", "t0",
-                 "predicted", "device", "pipeline", "watchdog",
-                 "pending_ops", "settled", "locality_hit", "cancelled",
-                 "is_hedge", "twin")
+                 "predicted", "device", "pipeline", "timer",
+                 "pending_ops", "settled", "cancelled", "is_hedge", "twin")
 
     def __init__(self, batch_id: int, members: List[Request],
-                 problem: CoCoProblem, worker: str, t0: float,
-                 predicted: float) -> None:
+                 problem: CoCoProblem, worker: WorkerState,
+                 t0: float) -> None:
         self.batch_id = batch_id
         self.members = members
         self.problem = problem
         self.worker = worker
         self.t0 = t0
-        self.predicted = predicted
+        self.predicted = 0.0
         self.device = None
         #: the live scheduler or program replay; ``release()`` frees
         #: its device tiles
         self.pipeline = None
-        self.watchdog = None
+        #: The event that ends the batch unless something else does
+        #: first: a GPU batch's watchdog, a host batch's completion.
+        self.timer = None
         self.pending_ops = 0
         self.settled = False
-        self.locality_hit = False
         #: Cancelled batches (drained domain / lost hedge race) run
         #: their remaining simulated events out but complete nobody.
         self.cancelled = False
@@ -221,16 +206,9 @@ class BlasServer:
         self.metrics = metrics
         self.sim = Simulator()
         self.monitor = HealthMonitor(self.config.n_gpus)
-        self.dispatcher = Dispatcher(
-            machine, models, self.config.n_gpus,
-            model=self.config.model, policy=self.config.placement,
-            admission=self.config.admission,
-            host_offload=self.config.host_offload,
-            prediction_cache=prediction_cache,
-            monitor=self.monitor,
-            admission_percentile=self.config.admission_percentile,
-            tail_bank=tail_bank,
-        )
+        self.dispatcher = Dispatcher(machine, models, self.config,
+                                     prediction_cache, self.monitor,
+                                     tail_bank)
         #: Residual-quantile bank of percentile-aware admission (None
         #: under mean admission); the dispatcher resolves which bank.
         self.tail_bank = self.dispatcher.tail_bank
@@ -239,22 +217,12 @@ class BlasServer:
         self._host_noise = NoiseModel(seed=self.config.seed + 7919,
                                       sigma=machine.noise_sigma)
         self._next_batch = 0
-        self._stats = [WorkerStats(gpu_worker(i))
-                       for i in range(self.config.n_gpus)]
-        self._host_stats = WorkerStats(HOST_WORKER)
-        self._gpu_traces: List[List[list]] = [
-            [] for _ in range(self.config.n_gpus)]
         #: Set by serve() and by the first submit(); serve() then
         #: refuses to run.
         self._submitted = False
         self._on_terminal = on_terminal
         self._outstanding = 0
-        #: In-flight host batch and its completion event, tracked so a
-        #: cluster evacuation can cancel host work mid-service.
-        self._host_inflight: Optional[Tuple[_Batch, object]] = None
         # -- fault-domain state --------------------------------------
-        #: In-flight batch per GPU index (drains cancel through this).
-        self._inflight: Dict[int, _Batch] = {}
         #: Ground-truth degradation per GPU index, set by lifecycle
         #: windows.  Deliberately invisible to monitor and dispatcher:
         #: they only ever react to *observed* latency inflation.
@@ -304,11 +272,10 @@ class BlasServer:
         return ServeOutcome(
             requests=requests,
             config=self.config,
-            gpu_stats=self._stats,
-            host_stats=self._host_stats,
+            gpus=self.dispatcher.gpus,
+            host=self.dispatcher.host,
             n_batches=self._next_batch,
             end_time=end,
-            gpu_traces=self._gpu_traces,
             faulted=self._faulted,
             resilience=self._device_counters,
             resilience_stats=self._stats_res,
@@ -354,9 +321,7 @@ class BlasServer:
         arrival and deadline untouched."""
         request.state = RequestState.MIGRATED
         request.worker = None
-        request.dispatch_t = None
-        request.first_t = None
-        request.batch_id = None
+        request.dispatch_t = request.first_t = request.batch_id = None
         self._outstanding -= 1
         return request
 
@@ -375,40 +340,27 @@ class BlasServer:
         to re-place elsewhere.
         """
         moved: List[Request] = []
-        for state in (*self.dispatcher.gpus, self.dispatcher.host):
-            while state.queue:
-                moved.append(self._migrate(state.queue.pop()))
+        for worker in self.dispatcher.workers:
+            while worker.queue:
+                moved.append(self._migrate(worker.queue.pop()))
         return moved
 
     def evacuate(self) -> List[Request]:
         """Hard stop (node kill): drain queues AND cancel in-flight.
 
-        Cancelled batches are accounted like a domain drain — device
-        time charged, counters folded — and their still-RUNNING members
-        come back MIGRATED alongside the queued work.  The node's clock
-        survives but nothing new will fire for these requests.
+        Cancelled batches are settled like a domain drain — worker time
+        charged, device counters folded — and their still-RUNNING
+        members come back MIGRATED alongside the queued work, GPUs by
+        index, then the host.  The node's clock survives but nothing
+        new will fire for these requests.
         """
         moved = self.drain_queued()
-        for index in sorted(self._inflight):
-            batch = self._inflight[index]
-            if batch.settled:
+        for worker in self.dispatcher.workers:
+            batch = worker.inflight
+            if batch is None:
                 continue
             batch.cancelled = True
-            self._settle_gpu_batch(index, batch)
-            state = self.dispatcher.gpus[index]
-            state.busy = False
-            state.running_pred_end = 0.0
-            moved.extend(self._migrate_running(batch))
-        self._inflight.clear()
-        if self._host_inflight is not None:
-            batch, ev = self._host_inflight
-            ev.cancel()
-            self._host_inflight = None
-            self._host_stats.busy_seconds += self.sim.now - batch.t0
-            self._host_stats.batches += 1
-            host = self.dispatcher.host
-            host.busy = False
-            host.running_pred_end = 0.0
+            self._settle(batch)
             moved.extend(self._migrate_running(batch))
         return moved
 
@@ -460,7 +412,7 @@ class BlasServer:
     def _half_open(self, index: int) -> None:
         """Cool-off elapsed or device returned: admit one probe batch."""
         if self.monitor.begin_recovery(index, self.sim.now):
-            self._maybe_dispatch(gpu_worker(index))
+            self._maybe_dispatch(self.dispatcher.gpus[index])
 
     def _batch_machine(self, index: int
                        ) -> Tuple[Tuple[float, float], MachineConfig]:
@@ -501,21 +453,12 @@ class BlasServer:
     # -- arrival & admission --------------------------------------------
 
     def _on_arrival(self, request: Request) -> None:
-        now = self.sim.now
         self._count("serve.requests")
-        placement = self.dispatcher.place(request, now)
+        request.enqueue_t = self.sim.now
+        placement = self._place(request)
         if placement is None:
-            # Every fault domain is failed and the host cannot serve
-            # this routine: shedding is the only terminal state left.
-            request.enqueue_t = now
-            request.state = RequestState.SHED
-            self._stats_res.unavailable_shed += 1
-            self._count("serve.shed")
-            self._count("serve.unavailable_shed")
-            self._terminal(request)
             return
         decision = self.dispatcher.admit(request, placement)
-        request.enqueue_t = now
         if decision == "shed":
             request.state = RequestState.SHED
             self._count("serve.shed")
@@ -528,78 +471,112 @@ class BlasServer:
         if decision == "downgrade":
             self._count("serve.downgraded")
         self._count("serve.admitted")
-        request.state = RequestState.QUEUED
-        request.worker = placement.worker
-        request.predicted_seconds = placement.predicted_seconds
-        request.predicted_completion = placement.predicted_completion
-        request.admission_seconds = placement.admission_seconds
-        self.dispatcher.state_for(placement.worker).queue.push(request)
+        self._enqueue(request, placement.worker,
+                      placement.predicted_seconds,
+                      placement.admission_seconds,
+                      placement.predicted_completion)
         self._gauge_depth()
         self._maybe_dispatch(placement.worker)
 
+    def _place(self, request: Request) -> Optional[Placement]:
+        """Place ``request`` now, or shed it when nothing can serve it.
+
+        ``None`` means every fault domain is failed and the host cannot
+        serve the routine: shedding is the only terminal state left.
+        """
+        placement = self.dispatcher.place(request, self.sim.now)
+        if placement is None:
+            request.state = RequestState.SHED
+            request.worker = None
+            self._stats_res.unavailable_shed += 1
+            self._count("serve.shed")
+            self._count("serve.unavailable_shed")
+            self._terminal(request)
+        return placement
+
+    def _enqueue(self, request: Request, worker: WorkerState,
+                 service: float, admission: float,
+                 completion: Optional[float]) -> None:
+        """Queue ``request`` on ``worker`` with its service prediction,
+        admission estimate and predicted completion.
+
+        Arrival, requeue and host fallback all come through here.  The
+        original ``arrival`` and ``deadline`` are kept, so the request
+        keeps its honest EDF slack; only the worker and its predictions
+        change.  A request queued again forgets its earlier dispatch.
+        """
+        request.state = RequestState.QUEUED
+        request.worker = worker.name
+        request.dispatch_t = request.first_t = request.batch_id = None
+        request.predicted_seconds = service
+        request.predicted_completion = completion
+        request.admission_seconds = admission
+        worker.queue.push(request)
+
     # -- dispatch -------------------------------------------------------
 
-    def _maybe_dispatch(self, worker: str) -> None:
-        state = self.dispatcher.state_for(worker)
-        if state.busy or not state.queue:
+    def _maybe_dispatch(self, worker: WorkerState) -> None:
+        if worker.inflight is not None or not worker.queue:
             return
-        if worker != HOST_WORKER and not self.monitor.available(state.index):
+        on_gpu = worker.index is not None
+        if on_gpu and not self.monitor.available(worker.index):
             return
         now = self.sim.now
-        head = state.queue.pop()
+        head = worker.queue.pop()
         members = [head]
-        if (self.config.batching and worker != HOST_WORKER
+        if (self.config.batching and on_gpu
                 and head.problem.flops() <= BATCH_SMALL_FLOPS):
-            for other in list(state.queue):
+            for other in list(worker.queue):
                 if len(members) >= BATCH_MAX:
                     break
                 if batchable(head, other, BATCH_SMALL_FLOPS):
-                    state.queue.remove(other)
+                    worker.queue.remove(other)
                     members.append(other)
         problem = coalesce(members) if len(members) > 1 else head.problem
-        batch = _Batch(self._next_batch, members, problem, worker, now, 0.0)
+        batch = _Batch(self._next_batch, members, problem, worker, now)
         self._next_batch += 1
         for member in members:
             member.state = RequestState.RUNNING
             member.dispatch_t = now
-            member.worker = worker
+            member.worker = worker.name
             member.batch_id = batch.batch_id
             self._observe("serve.wait_seconds", member.wait or 0.0)
         if len(members) > 1:
             self._count("serve.batches")
             self._count("serve.batched_requests", len(members))
         self._gauge_depth()
-        if worker == HOST_WORKER:
-            self._run_on_host(batch)
+        if on_gpu:
+            self._run_on_gpu(batch)
         else:
-            self._run_on_gpu(state, batch)
+            self._run_on_host(batch)
 
     # -- GPU execution --------------------------------------------------
 
-    def _run_on_gpu(self, state: WorkerState, batch: _Batch) -> None:
-        self._launch_on_device(state, batch)
+    def _run_on_gpu(self, batch: _Batch) -> None:
+        self._launch_on_device(batch)
         if batch.settled or not self.config.hedging:
             return
         head = batch.members[0]
         if (len(batch.members) == 1 and head.deadline is not None
                 and batch.twin is None and not batch.is_hedge):
-            slack = head.deadline - state.running_pred_end
+            slack = head.deadline - batch.worker.running_pred_end
             if slack < HEDGE_SLACK * batch.predicted:
-                self._hedge(state, batch)
+                self._hedge(batch)
 
-    def _launch_on_device(self, state: WorkerState, batch: _Batch) -> None:
+    def _launch_on_device(self, batch: _Batch) -> None:
         cfg = self.config
+        worker = batch.worker
+        index = worker.index
         head = batch.members[0]
         hit, problem, choice, _ = self.dispatcher.score_gpu(
-            state, head, batch.problem)
+            worker, head, batch.problem)
         if hit:
-            batch.locality_hit = True
-            self._stats[state.index].locality_hits += len(batch.members)
+            worker.locality_hits += len(batch.members)
         batch.predicted = choice.predicted_time
         batch.problem = problem
 
-        machine_key, machine = self._batch_machine(state.index)
-        seed = cfg.seed + 37 * head.req_id + state.index
+        machine_key, machine = self._batch_machine(index)
+        seed = cfg.seed + 37 * head.req_id + index
         # Each batch draws its own fault sequence, offset from the
         # plan's seed by the batch seed (the library offsets by call).
         plan = machine.fault_plan
@@ -609,11 +586,8 @@ class BlasServer:
             machine, sim=self.sim, seed=seed, trace=cfg.trace,
             faults=faults, metrics=self.metrics,
         )
-        state.busy = True
-        state.running_pred_end = self.sim.now + batch.predicted
-        self._inflight[state.index] = batch
-        if (self.monitor.devices[state.index].state
-                is HealthState.RECOVERING):
+        worker.occupy(batch, self.sim.now + batch.predicted)
+        if self.monitor.devices[index].state is HealthState.RECOVERING:
             self._stats_res.probes += 1
             self._count("serve.probes")
         streams = self._issue_pipeline(batch, choice.t_best, machine_key)
@@ -621,10 +595,10 @@ class BlasServer:
         last_ops = [s.last_op for s in streams if s.last_op is not None]
         batch.pending_ops = len(last_ops)
         if not last_ops:
-            self._finish_gpu_batch(state, batch)
+            self._finish_gpu_batch(batch)
             return
         for op in last_ops:
-            op.on_done(lambda s=state, b=batch: self._on_stream_done(s, b))
+            op.on_done(lambda b=batch: self._on_stream_done(b))
         deadline = batch.predicted * TIMEOUT_FACTOR + TIMEOUT_FLOOR
         # Ordering contract (pinned): the watchdog is scheduled at
         # launch, so if a stream completion lands at exactly the
@@ -633,8 +607,8 @@ class BlasServer:
         # completion a no-op either way, so the tie is deterministic
         # under any FIFO scheduler.  Regression:
         # tests/sim/test_tie_ordering.py.
-        batch.watchdog = self.sim.schedule(
-            deadline, lambda s=state, b=batch: self._on_timeout(s, b))
+        batch.timer = self.sim.schedule(
+            deadline, lambda b=batch: self._on_timeout(b))
 
     def _issue_pipeline(self, batch: _Batch, t: int,
                         machine_key: Tuple[float, float]) -> tuple:
@@ -674,7 +648,7 @@ class BlasServer:
             self.programs[key] = program
         return scheduler.streams
 
-    def _hedge(self, state: WorkerState, batch: _Batch) -> None:
+    def _hedge(self, batch: _Batch) -> None:
         """Mirror a near-deadline solo request onto an idle worker.
 
         First completion wins: the winner completes the request and
@@ -685,7 +659,7 @@ class BlasServer:
         """
         mirror = None
         for gpu in self.dispatcher.gpus:
-            if gpu.index == state.index or gpu.busy or gpu.queue:
+            if gpu is batch.worker or gpu.inflight is not None or gpu.queue:
                 continue
             if not self.monitor.available(gpu.index):
                 continue
@@ -698,46 +672,41 @@ class BlasServer:
         self._stats_res.hedges += 1
         self._count("serve.hedges")
         hedge = _Batch(self._next_batch, batch.members, head.problem,
-                       gpu_worker(mirror.index), self.sim.now, 0.0)
+                       mirror, self.sim.now)
         self._next_batch += 1
         hedge.is_hedge = True
         hedge.twin = batch
         batch.twin = hedge
-        self._launch_on_device(mirror, hedge)
+        self._launch_on_device(hedge)
 
-    def _on_stream_done(self, state: WorkerState, batch: _Batch) -> None:
+    def _on_stream_done(self, batch: _Batch) -> None:
         batch.pending_ops -= 1
         if batch.pending_ops == 0 and not batch.settled:
-            self._finish_gpu_batch(state, batch)
+            self._finish_gpu_batch(batch)
 
-    def _finish_gpu_batch(self, state: WorkerState, batch: _Batch) -> None:
+    def _finish_gpu_batch(self, batch: _Batch) -> None:
+        worker = batch.worker
+        device = batch.device
+        worker.h2d_bytes += device.bytes_moved(Direction.H2D)
+        worker.d2h_bytes += device.bytes_moved(Direction.D2H)
+        worker.kernels += device.compute.kernels_run
+        events = (list(device.trace.events)
+                  if device.trace is not None else None)
+        if events is not None:
+            worker.traces.append(events)
         # Read before settling, which unlinks a pair whose twin has
         # already settled.
         twin = batch.twin
-        self._settle_gpu_batch(state.index, batch)
+        self._settle(batch)
         end = self.sim.now
         service = end - batch.t0
-        device = batch.device
-        stats = self._stats[state.index]
-        if device is not None:
-            stats.h2d_bytes += device.bytes_moved(Direction.H2D)
-            stats.d2h_bytes += device.bytes_moved(Direction.D2H)
-            stats.kernels += device.compute.kernels_run
-        events = (list(device.trace.events)
-                  if device is not None and device.trace is not None else None)
-        if events is not None:
-            self._gpu_traces[state.index].append(events)
         if batch.cancelled:
             # This copy lost its hedge race: the members already
-            # completed on the twin.  Account the device time, free the
-            # worker, complete nobody.
-            if batch.pipeline is not None:
-                batch.pipeline.release()
-            state.busy = False
-            state.running_pred_end = 0.0
-            self._maybe_dispatch(gpu_worker(state.index))
+            # completed on the twin.  The device time is charged and
+            # the worker is free; nobody completes.
+            self._maybe_dispatch(worker)
             return
-        stats.requests += len(batch.members)
+        worker.requests += len(batch.members)
         if twin is not None:
             if not twin.settled:
                 twin.cancelled = True
@@ -747,35 +716,31 @@ class BlasServer:
             else:
                 self._stats_res.hedge_cancels += 1
                 self._count("serve.hedge_cancels")
-        probe = (self.monitor.devices[state.index].state
+        probe = (self.monitor.devices[worker.index].state
                  is HealthState.RECOVERING)
-        self.monitor.on_success(state.index, service, batch.predicted, end)
+        self.monitor.on_success(worker.index, service, batch.predicted, end)
         if probe:
             self._stats_res.recoveries += 1
             self._count("serve.recoveries")
         for member in batch.members:
             if batch.is_hedge:
                 # The hedge copy won: attribute the execution to it.
-                member.worker = batch.worker
+                member.worker = worker.name
                 member.batch_id = batch.batch_id
                 member.dispatch_t = batch.t0
             self._complete_request(member, end, service, events)
-        if batch.pipeline is not None:
-            batch.pipeline.release()
-        self.dispatcher.note_resident(state.index, batch.members[0])
-        state.busy = False
-        state.running_pred_end = 0.0
-        self._maybe_dispatch(gpu_worker(state.index))
+        self.dispatcher.note_resident(worker, batch.members[0])
+        self._maybe_dispatch(worker)
 
-    def _on_timeout(self, state: WorkerState, batch: _Batch) -> None:
+    def _on_timeout(self, batch: _Batch) -> None:
         """The batch wedged (fault retries exhausted): abandon & recover."""
         if batch.settled:
             return
-        self._settle_gpu_batch(state.index, batch)
+        worker = batch.worker
+        failures = len(batch.device._fault_failures)
+        self._settle(batch)
         end = self.sim.now
         self._count("serve.timeouts")
-        failures = (len(batch.device._fault_failures)
-                    if batch.device is not None else 0)
         self._count("serve.fault_failures", max(failures, 1))
         # Members that finished (or still run) on a hedge twin are left
         # alone: only this wedged copy is abandoned.
@@ -783,19 +748,17 @@ class BlasServer:
         if not batch.cancelled and (twin is None or twin.settled):
             for member in batch.members:
                 self._fallback_to_host(member)
-        opened = self.monitor.on_fault(state.index, end)
-        state.busy = False
-        state.running_pred_end = 0.0
+        opened = self.monitor.on_fault(worker.index, end)
         if opened:
             self._stats_res.breaker_opens += 1
             self._count("serve.breaker_opens")
-            self._drain_domain(state)
+            self._drain_domain(worker)
             self.sim.schedule(
                 BREAKER_COOLOFF,
-                lambda i=state.index: self._half_open(i))
+                lambda i=worker.index: self._half_open(i))
         self._gauge_depth()
-        self._maybe_dispatch(HOST_WORKER)
-        self._maybe_dispatch(gpu_worker(state.index))
+        self._maybe_dispatch(self.dispatcher.host)
+        self._maybe_dispatch(worker)
 
     def _fallback_to_host(self, member: Request) -> None:
         """Re-queue one member of a wedged batch onto the host worker.
@@ -805,19 +768,18 @@ class BlasServer:
         everything already queued on the host — must not reset just
         because a device ate its first attempt.  Only the service
         prediction, and the admission estimate with it, is refreshed for
-        the new worker.
+        the new worker; the predicted completion stays the one it was
+        admitted with.
         """
         service = (self.dispatcher.predict_host(member.problem)
                    if self.config.host_offload else None)
         if service is not None:
             member.fallback = True
-            member.state = RequestState.QUEUED
-            member.worker = HOST_WORKER
-            member.predicted_seconds = service
-            member.admission_seconds = (
-                service * self.dispatcher.tail_multiplier(member.problem))
             self._count("serve.host_fallbacks")
-            self.dispatcher.host.queue.push(member)
+            self._enqueue(
+                member, self.dispatcher.host, service,
+                service * self.dispatcher.tail_multiplier(member.problem),
+                member.predicted_completion)
         else:
             member.state = RequestState.FAILED
             self._count("serve.failed")
@@ -825,7 +787,7 @@ class BlasServer:
 
     # -- drain & requeue ------------------------------------------------
 
-    def _drain_domain(self, state: WorkerState) -> None:
+    def _drain_domain(self, worker: WorkerState) -> None:
         """Gracefully drain a failed domain.
 
         The in-flight batch (if any) is cancelled — its simulated
@@ -837,121 +799,108 @@ class BlasServer:
         self._stats_res.drains += 1
         self._count("serve.drains")
         moved: List[Request] = []
-        batch = self._inflight.pop(state.index, None)
-        if batch is not None and not batch.settled:
+        batch = worker.inflight
+        if batch is not None:
             batch.cancelled = True
-            self._settle_gpu_batch(state.index, batch)
+            self._settle(batch)
             # A hedge copy still running elsewhere becomes the sole
             # runner; only without one are the members requeued.
             twin = batch.twin
             if twin is None or twin.settled:
                 moved.extend(m for m in batch.members
                              if m.state is RequestState.RUNNING)
-        while state.queue:
-            moved.append(state.queue.pop())
-        state.drop_residency()
-        state.busy = False
-        state.running_pred_end = 0.0
+        while worker.queue:
+            moved.append(worker.queue.pop())
+        worker.drop_residency()
         if moved:
             self._stats_res.drained_requests += len(moved)
             self._count("serve.drained_requests", len(moved))
-        targets: List[str] = []
+        targets: List[WorkerState] = []
         for member in moved:
-            worker = self._requeue(member)
-            if worker is not None and worker not in targets:
-                targets.append(worker)
+            target = self._requeue(member)
+            if target is not None and target not in targets:
+                targets.append(target)
         self._gauge_depth()
-        for worker in targets:
-            self._maybe_dispatch(worker)
+        for target in targets:
+            self._maybe_dispatch(target)
 
-    def _settle_gpu_batch(self, index: int, batch: _Batch) -> None:
-        """Take a GPU batch out of flight, however it ended: charge its
-        device time so far and fold in its fault counters.
+    def _settle(self, batch: _Batch, busy: Optional[float] = None) -> None:
+        """Take a batch out of flight, however it ended — completed,
+        timed out, drained, evacuated or hedge-cancelled — and free its
+        worker.
 
-        The watchdog reference is dropped, and a hedge pair is unlinked
-        once both copies have settled, so a settled batch is freed by
-        reference counting (nothing it owns points back at it)."""
+        The worker is charged ``busy`` seconds (default: the time since
+        launch) and one batch, and a GPU batch's fault counters are
+        folded in.  Then the batch lets go of everything it owns: its
+        timer is cancelled, its pipeline's device tiles are released,
+        the device and pipeline references are dropped (a wedged or
+        zombie pipeline still holds this batch in its completion
+        callbacks), and a hedge pair is unlinked once both copies have
+        settled.  So a settled batch is freed by reference counting.
+        """
         batch.settled = True
-        if batch.watchdog is not None:
-            batch.watchdog.cancel()
-            batch.watchdog = None
+        worker = batch.worker
+        worker.free()
+        worker.busy_seconds += (self.sim.now - batch.t0
+                                if busy is None else busy)
+        worker.batches += 1
+        if batch.timer is not None:
+            batch.timer.cancel()
+            batch.timer = None
+        if batch.device is not None:
+            self._device_counters.add(batch.device.resilience)
+            batch.device = None
+        if batch.pipeline is not None:
+            batch.pipeline.release()
+            batch.pipeline = None
         twin = batch.twin
         if twin is not None and twin.settled:
             batch.twin = twin.twin = None
-        if self._inflight.get(index) is batch:
-            del self._inflight[index]
-        stats = self._stats[index]
-        stats.busy_seconds += self.sim.now - batch.t0
-        stats.batches += 1
-        if batch.device is not None:
-            self._device_counters.add(batch.device.resilience)
 
-    def _requeue(self, request: Request) -> Optional[str]:
+    def _requeue(self, request: Request) -> Optional[WorkerState]:
         """Re-place one drained request on a surviving worker.
 
-        The original ``arrival`` and ``deadline`` are preserved — the
-        request keeps its true EDF slack — only the worker and its
-        admission-time prediction change.  Returns the new worker, or
-        None when every domain is failed and the host cannot serve the
-        routine (the request is then shed: still a terminal state, so
-        request conservation holds).
+        Returns the new worker, or None when every domain is failed and
+        the host cannot serve the routine (the request is then shed:
+        still a terminal state, so request conservation holds).
         """
-        now = self.sim.now
         request.requeues += 1
-        placement = self.dispatcher.place(request, now)
+        placement = self._place(request)
         if placement is None:
-            request.state = RequestState.SHED
-            request.worker = None
-            self._stats_res.unavailable_shed += 1
-            self._count("serve.shed")
-            self._count("serve.unavailable_shed")
-            self._terminal(request)
             return None
-        request.state = RequestState.QUEUED
-        request.worker = placement.worker
-        request.dispatch_t = None
-        request.first_t = None
-        request.batch_id = None
-        if placement.worker == HOST_WORKER:
+        worker = placement.worker
+        if worker is self.dispatcher.host:
             request.fallback = True
-        request.predicted_seconds = placement.predicted_seconds
-        request.predicted_completion = placement.predicted_completion
-        request.admission_seconds = placement.admission_seconds
-        self.dispatcher.state_for(placement.worker).queue.push(request)
+        self._enqueue(request, worker, placement.predicted_seconds,
+                      placement.admission_seconds,
+                      placement.predicted_completion)
         self._stats_res.requeues += 1
         self._count("serve.requeues")
-        return placement.worker
+        return worker
 
     # -- host execution -------------------------------------------------
 
     def _run_on_host(self, batch: _Batch) -> None:
-        host = self.dispatcher.host
         service = self.dispatcher.predict_host(batch.problem)
         if service is None:
             raise ServeError(
                 f"routine {batch.problem.routine.name!r} has no host path")
         batch.predicted = service
         service *= self._host_noise.duration_factor()
-        host.busy = True
-        host.running_pred_end = self.sim.now + service
+        batch.worker.occupy(batch, self.sim.now + service)
         for member in batch.members:
             member.first_t = self.sim.now
-        ev = self.sim.schedule(
+        batch.timer = self.sim.schedule(
             service, lambda b=batch, s=service: self._finish_host(b, s))
-        self._host_inflight = (batch, ev)
 
     def _finish_host(self, batch: _Batch, service: float) -> None:
-        host = self.dispatcher.host
-        self._host_inflight = None
+        host = batch.worker
         end = self.sim.now
-        self._host_stats.busy_seconds += service
-        self._host_stats.batches += 1
-        self._host_stats.requests += len(batch.members)
+        self._settle(batch, busy=service)
+        host.requests += len(batch.members)
         for member in batch.members:
             self._complete_request(member, end, service, None)
-        host.busy = False
-        host.running_pred_end = 0.0
-        self._maybe_dispatch(HOST_WORKER)
+        self._maybe_dispatch(host)
 
     # -- completion -----------------------------------------------------
 

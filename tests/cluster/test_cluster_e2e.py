@@ -177,7 +177,7 @@ class TestNodePlacement:
         outcome = coord.run(iter_cluster_workload(
             ClusterWorkloadSpec(n_requests=400, rate=300.0, seed=5)))
         assert outcome.conservation_ok
-        served = [[stats.requests for stats in node.server._stats]
+        served = [[gpu.requests for gpu in node.server.dispatcher.gpus]
                   for node in outcome.nodes]
         assert len(served) == 2
         for per_gpu in served:

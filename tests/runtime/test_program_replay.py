@@ -23,7 +23,7 @@ from repro.runtime.program import ALLOC, ProgramRecorder
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.serve import WorkloadSpec, generate_workload
 from repro.serve.dispatcher import Dispatcher, coalesce
-from repro.serve.server import BATCH_MAX, BATCH_SMALL_FLOPS
+from repro.serve.server import BATCH_MAX, BATCH_SMALL_FLOPS, ServerConfig
 from repro.sim.device import GpuDevice
 from repro.sim.faults import FaultPlan
 from repro.sim.link import Direction
@@ -113,7 +113,7 @@ def assert_equivalent(machine, problem, t):
 
 
 def tile_for(machine, models, problem):
-    return Dispatcher(machine, models, 1).predict_gpu(problem).t_best
+    return Dispatcher(machine, models, ServerConfig(n_gpus=1)).predict_gpu(problem).t_best
 
 
 class TestServingShapes:

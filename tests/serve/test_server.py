@@ -42,8 +42,8 @@ class TestEndToEnd:
             assert r.worker is not None
             assert r.latency > 0 and r.service_seconds > 0
         # Worker accounting covers every completed request exactly once.
-        counted = (sum(s.requests for s in outcome.gpu_stats)
-                   + outcome.host_stats.requests)
+        counted = (sum(g.requests for g in outcome.gpus)
+                   + outcome.host.requests)
         assert counted == len(done)
 
     def test_serve_twice_rejected(self, tb2, models_tb2):
@@ -59,8 +59,8 @@ class TestEndToEnd:
         server = BlasServer(tb2, models_tb2,
                             ServerConfig(n_gpus=2, trace=True, seed=3))
         outcome = server.serve(generate_workload(spec))
-        batch_traces = [events for per_gpu in outcome.gpu_traces
-                        for events in per_gpu]
+        batch_traces = [events for gpu in outcome.gpus
+                        for events in gpu.traces]
         assert batch_traces, "trace mode recorded no batches"
         for events in batch_traces:
             check_trace(events, requests=outcome.requests)

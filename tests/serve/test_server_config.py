@@ -6,9 +6,14 @@ The thresholds are module constants, read where they are used.  Each
 keeps the value its knob defaulted to, which is what keeps same-seed
 serve, chaos and cluster documents byte-identical; the knobs must not
 come back as config fields or as keywords one layer down.
+
+The config validates its fields once, on construction, and the
+dispatcher takes it whole: no config field comes back as a dispatcher
+keyword to be validated a second time.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -60,7 +65,34 @@ class TestFields:
     def test_dispatcher_takes_no_threshold_keyword(self, tb2, models_tb2,
                                                    name):
         with pytest.raises(TypeError, match=name):
-            Dispatcher(tb2, models_tb2, n_gpus=2, **{name: 1})
+            Dispatcher(tb2, models_tb2, ServerConfig(n_gpus=2),
+                       **{name: 1})
+
+    def test_dispatcher_takes_the_config_whole(self):
+        params = list(inspect.signature(Dispatcher).parameters)
+        assert params == ["machine", "models", "config",
+                          "prediction_cache", "monitor", "tail_bank"]
+
+    @pytest.mark.parametrize("name", ("n_gpus", "model", "policy",
+                                      "placement", "admission",
+                                      "host_offload",
+                                      "admission_percentile"))
+    def test_dispatcher_takes_no_config_field_keyword(self, tb2,
+                                                      models_tb2, name):
+        with pytest.raises(TypeError, match=name):
+            Dispatcher(tb2, models_tb2, ServerConfig(), **{name: 1})
+
+    def test_dispatcher_reads_its_fields_from_the_config(self, tb2,
+                                                         models_tb2):
+        config = ServerConfig(n_gpus=3, placement="round_robin",
+                              admission="downgrade", model="dr",
+                              host_offload=False, admission_percentile=99)
+        d = Dispatcher(tb2, models_tb2, config)
+        assert d.config is config
+        assert [g.name for g in d.gpus] == ["gpu0", "gpu1", "gpu2"]
+        # An int percentile is read as a float, once.
+        assert d.admission_percentile == 99.0
+        assert type(d.admission_percentile) is float
 
     @pytest.mark.parametrize("name", ("alpha", "degraded_inflation",
                                       "recovered_inflation",
@@ -100,3 +132,13 @@ class TestValidation:
     def test_unknown_admission_rejected(self, bad):
         with pytest.raises(ServeError, match="unknown admission mode"):
             ServerConfig(admission=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, None, "2"])
+    def test_bad_gpu_count_rejected(self, bad):
+        with pytest.raises(ServeError, match="GPU count"):
+            ServerConfig(n_gpus=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 100.5, float("nan"), True, "99"])
+    def test_bad_admission_percentile_rejected(self, bad):
+        with pytest.raises(ServeError, match="admission_percentile"):
+            ServerConfig(admission_percentile=bad)

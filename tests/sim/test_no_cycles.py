@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.serve import server as server_module
 from repro.sim.device import GpuDevice
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, resolve_plan
 from tests.machines import custom_machine
 
 FAULTS = FaultPlan(name="no-cycles", seed=3, transfer_fail_rate=0.05,
@@ -81,7 +81,7 @@ def wedge_schedule(machine, problem, t):
 
 def gpu_batches(server):
     """GPU batches the server launched (each settles exactly once)."""
-    return sum(stats.batches for stats in server._stats)
+    return sum(gpu.batches for gpu in server.dispatcher.gpus)
 
 
 class TestSchedules:
@@ -175,6 +175,26 @@ class TestServing:
         assert found == 0
         assert outcome.resilience_stats.hedges >= 1
         assert 0 < len(server.programs) < gpu_batches(server)
+
+    def test_event_faulted_blas_server(self, tb2, models_tb2):
+        # Half of all transfers fail: batches wedge and time out, their
+        # members fall back to the host, breakers open and drain their
+        # domains, and the drained work is requeued.  A wedged or
+        # drained batch's device still holds the batch in its pending
+        # completion callbacks, so settling must let go of the device.
+        machine = tb2.with_faults(
+            resolve_plan("transfer_fail_rate=0.5,seed=3"))
+        requests = generate_workload(WorkloadSpec(
+            arrival="bursty", rate=4000.0, n_requests=96, scale="tiny",
+            seed=7, deadline_fraction=0.9, slack_lo=0.5, slack_hi=3.0,
+            burst_size=16))
+        server = BlasServer(machine, models_tb2,
+                            ServerConfig(n_gpus=2, seed=7))
+        found, outcome = cyclic_garbage(lambda: server.serve(requests))
+        assert found == 0
+        stats = outcome.resilience_stats
+        assert stats.breaker_opens and stats.drains and stats.requeues
+        assert any(r.fallback for r in outcome.requests)
 
     @pytest.mark.parametrize("kills", [None, [(0.4, "node1")]])
     def test_cluster_coordinator(self, tb1, models_tb1, kills):
