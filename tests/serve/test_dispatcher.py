@@ -1,13 +1,20 @@
 """Dispatcher unit tests: scoring, locality, admission, batching."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.core.params import Loc, axpy_problem, gemm_problem
-from repro.serve import (Dispatcher, HOST_WORKER, HealthMonitor,
-                         HealthState, Request, ServeError, ServerConfig)
+from repro.core.params import CoCoProblem, Loc, axpy_problem, gemm_problem
+from repro.core.predcache import PredictionCache
+from repro.core.tailbank import PercentileBank
+from repro.serve import (BlasServer, Dispatcher, HOST_WORKER, HealthMonitor,
+                         HealthState, Request, ServeError, ServerConfig,
+                         generate_workload)
 from repro.serve import dispatcher as dispatcher_module
 from repro.serve.dispatcher import batchable, coalesce
+
+from .test_golden_modes import TIGHT
 
 
 def make(tb2, models_tb2, monitor=None, **fields):
@@ -101,18 +108,25 @@ class TestPlacement:
         assert (placement.admission_completion
                 == placement.predicted_completion)
 
-    def test_score_gpu_penalizes_the_score_not_the_choice(self, tb2,
-                                                          models_tb2):
+    def test_health_penalizes_the_score_not_the_choice(self, tb2,
+                                                       models_tb2):
         monitor = HealthMonitor(2)
         monitor.devices[0].state = HealthState.DEGRADED
         monitor.devices[0].ewma = 3.0
-        d = make(tb2, models_tb2, n_gpus=2, monitor=monitor)
+        d = make(tb2, models_tb2, n_gpus=2, monitor=monitor,
+                 placement="round_robin", host_offload=False)
         r = req(0)
-        hit, problem, choice, service = d.score_gpu(d.gpus[0], r)
+        hit = d.residency_key(r) in d.gpus[0].resident
+        problem, choice = d.gpu_view(r.problem, hit)
         assert not hit and problem is r.problem
         assert choice is d.predict_gpu(r.problem)
-        assert service == choice.predicted_time * 3.0
-        assert d.score_gpu(d.gpus[1], r)[3] == choice.predicted_time
+        # Round-robin scores gpu0 (degraded) and then gpu1 (healthy).
+        on_degraded = d.place(r, now=0.0)
+        assert on_degraded.worker is d.gpus[0]
+        assert on_degraded.predicted_seconds == choice.predicted_time * 3.0
+        on_healthy = d.place(req(1), now=0.0)
+        assert on_healthy.worker is d.gpus[1]
+        assert on_healthy.predicted_seconds == choice.predicted_time
 
     def test_small_gemm_crosses_over_to_host(self, dispatcher):
         """A sub-crossover gemm beats any GPU placement on the host
@@ -156,9 +170,10 @@ class TestLocality:
     def test_residency_recorded_and_predicts_faster(self, tb2, models_tb2):
         d = make(tb2, models_tb2, n_gpus=2, host_offload=False)
         r = self._grouped(0)
-        assert not d._is_resident(d.gpus[1], r)
+        key = d.residency_key(r)
+        assert key is not None and key not in d.gpus[1].resident
         d.note_resident(d.gpus[1], r)
-        assert d._is_resident(d.gpus[1], r)
+        assert key in d.gpus[1].resident
         # Re-predicting with A device-resident must be strictly cheaper,
         # which pulls the placement to the caching GPU despite the tie.
         placement = d.place(self._grouped(1), now=0.0)
@@ -171,7 +186,27 @@ class TestLocality:
         r = self._grouped(0)
         d.note_resident(d.gpus[0], r)
         bare = req(1, gemm_problem(1024, 1024, 1024, np.float64))
-        assert not d._is_resident(d.gpus[0], bare)
+        assert d.residency_key(bare) is None
+        assert d.residency_key(bare) not in d.gpus[0].resident
+
+    def test_device_resident_a_never_hits(self, tb2, models_tb2):
+        d = make(tb2, models_tb2, n_gpus=1, host_offload=False)
+        dev_a = req(0, gemm_problem(1024, 1024, 1024, np.float64,
+                                    Loc.DEVICE), group="g0")
+        d.note_resident(d.gpus[0], dev_a)
+        assert d.residency_key(dev_a) is None
+
+    def test_twin_is_built_once_per_signature(self, tb2, models_tb2):
+        d = make(tb2, models_tb2, n_gpus=1)
+        r = self._grouped(0)
+        twin, choice = d.gpu_view(r.problem, True)
+        assert twin.dims == r.problem.dims
+        assert [op.loc for op in twin.operands] == [Loc.DEVICE, Loc.HOST,
+                                                    Loc.HOST]
+        assert choice is d.predict_gpu(twin)
+        again = self._grouped(1).problem  # a new object, same signature
+        assert d.gpu_view(again, True)[0] is twin
+        assert d.gpu_view(again, False)[0] is again
 
     def test_lru_eviction_keeps_at_least_one(self, tb2, models_tb2,
                                              monkeypatch):
@@ -308,3 +343,189 @@ class TestBatching:
     def test_coalesce_singleton_is_identity(self):
         r = self._small(0)
         assert coalesce([r]) is r.problem
+
+
+# ---------------------------------------------------------------------------
+# one placement pass: equivalence with per-GPU scoring, and its budget
+# ---------------------------------------------------------------------------
+
+def reference_place(d, request, now):
+    """The placement of a per-GPU scorer, kept as the reference: every
+    available GPU tests residency on its own, re-poses A device-resident
+    on a hit and selects a tile.  It takes no round-robin turn."""
+
+    def is_resident(gpu):
+        problem = request.problem
+        if not dispatcher_module.LOCALITY or request.group is None:
+            return False
+        if problem.routine.name != "gemm":
+            return False
+        if problem.operands[0].loc is not Loc.HOST:
+            return False
+        a = problem.operands[0]
+        key = (request.group, a.s1, a.s2, str(problem.dtype))
+        return key in gpu.resident
+
+    def score_gpu(gpu):
+        problem = request.problem
+        if is_resident(gpu):
+            m, n, k = problem.dims
+            locs = [op.loc for op in problem.operands]
+            problem = gemm_problem(m, n, k, problem.dtype, Loc.DEVICE,
+                                   locs[1], locs[2])
+        service = d.predict_gpu(problem).predicted_time
+        if d.monitor is not None:
+            penalty = d.monitor.penalty(gpu.index)
+            if penalty != 1.0:
+                service = service * penalty
+        return service
+
+    mult = d.tail_multiplier(request.problem)
+    monitor = d.monitor
+    gpus = (d._round_robin(False)
+            if d.config.placement == "round_robin" else d.gpus)
+    best = best_at = None
+    for gpu in gpus:
+        if monitor is not None and not monitor.available(gpu.index):
+            continue
+        service = score_gpu(gpu)
+        backlog = gpu.backlog(now)
+        at = now + backlog + service * mult
+        if best_at is None or at < best_at:
+            best_at = at
+            best = (gpu, backlog, service)
+    placement = None if best is None else dispatcher_module._placement(
+        best[0], now, best[1], best[2], mult)
+    if d.config.host_offload or placement is None:
+        service = d.predict_host(request.problem)
+        if service is not None:
+            host = dispatcher_module._placement(
+                d.host, now, d.host.backlog(now), service, mult)
+            if (placement is None or host.admission_completion
+                    < placement.admission_completion):
+                return host
+    return placement
+
+
+def _bits(placement):
+    """A placement's worker record and the exact bits of its floats."""
+    if placement is None:
+        return None
+    return (placement.worker,
+            placement.predicted_seconds.hex(),
+            placement.predicted_completion.hex(),
+            placement.admission_seconds.hex(),
+            placement.admission_completion.hex())
+
+
+#: Problems of the generated states: grouped and groupless gemms around
+#: the host crossover, an f32 gemm, a gemm with A already on the device
+#: (never a locality hit) and an axpy (no host path).
+POOL = (
+    (gemm_problem(1024, 1024, 1024, np.float64), "g0"),
+    (gemm_problem(1024, 512, 1024, np.float64), "g0"),
+    (gemm_problem(2048, 2048, 2048, np.float64), "g1"),
+    (gemm_problem(256, 256, 256, np.float64), "g2"),
+    (gemm_problem(1024, 1024, 1024, np.float32), "g0"),
+    (gemm_problem(1024, 1024, 1024, np.float64), None),
+    (gemm_problem(1024, 1024, 1024, np.float64, Loc.DEVICE), "g0"),
+    (axpy_problem(1 << 22, np.float64), None),
+)
+
+
+def _tail_bank(rng):
+    """A bank fitted to ratios above 1, so p99 inflates some scores."""
+    bank = PercentileBank()
+    for problem, _group in POOL:
+        for _ in range(40):
+            bank.observe(problem, 1.0, rng.uniform(0.8, 3.0))
+    return bank
+
+
+class TestOnePlacementPass:
+    def _state(self, rng, tb2, models_tb2):
+        """A dispatcher in a generated state: any config of the policy,
+        host offload and admission percentile, and per GPU any health,
+        in-flight batch, queue and residency."""
+        n = rng.randint(1, 4)
+        monitor = HealthMonitor(n)
+        percentile = rng.choice((None, 99.0))
+        d = Dispatcher(
+            tb2, models_tb2,
+            ServerConfig(n_gpus=n,
+                         placement=rng.choice(("model", "round_robin")),
+                         host_offload=rng.random() < 0.5,
+                         admission_percentile=percentile),
+            monitor=monitor,
+            tail_bank=None if percentile is None else _tail_bank(rng))
+        ids = iter(range(1000, 2000))
+        for gpu, health in zip(d.gpus, monitor.devices):
+            health.state = rng.choice(list(HealthState))
+            health.ewma = rng.uniform(0.5, 4.0)
+            if rng.random() < 0.4:
+                gpu.occupy(object(), rng.uniform(0.0, 0.02))
+            for _ in range(rng.randint(0, 2)):
+                waiting = req(next(ids))
+                waiting.predicted_seconds = rng.uniform(0.0, 0.01)
+                gpu.queue.push(waiting)
+            for problem, group in rng.sample(POOL, rng.randint(0, 4)):
+                d.note_resident(gpu, req(next(ids), problem, group=group))
+        return d
+
+    def test_place_and_preview_equal_per_gpu_scoring(self, tb2, models_tb2):
+        rng = random.Random(29)
+        seen = {"hit": 0, "miss": 0, "inflated": 0, "penalized": 0,
+                "none": 0, "host": 0}
+        for _ in range(150):
+            d = self._state(rng, tb2, models_tb2)
+            for i in range(4):
+                problem, group = rng.choice(POOL)
+                r = req(i, problem, group=group)
+                now = rng.uniform(0.0, 0.01)
+                want = _bits(reference_place(d, r, now))
+                assert _bits(d.preview(r, now)) == want
+                assert _bits(d.place(r, now)) == want
+                key = d.residency_key(r)
+                hits = [key in g.resident for g in d.gpus]
+                seen["hit"] += any(hits)
+                seen["miss"] += not all(hits)
+                seen["inflated"] += d.tail_multiplier(problem) > 1.0
+                seen["penalized"] += any(
+                    d.monitor.penalty(g.index) != 1.0 for g in d.gpus)
+                seen["none"] += want is None
+                seen["host"] += want is not None and want[0] is d.host
+        # The generated states reach every branch of the pass.
+        assert all(seen.values()), seen
+
+    def test_one_warm_placement_builds_no_problem(self, tb2, models_tb2,
+                                                  monkeypatch):
+        d = make(tb2, models_tb2, n_gpus=4, host_offload=False)
+        problem = gemm_problem(1024, 1024, 1024, np.float64)
+        d.note_resident(d.gpus[2], req(0, problem, group="g0"))
+        assert d.place(req(1, problem, group="g0"), now=0.0).worker \
+            is d.gpus[2]
+        built = []
+        init = CoCoProblem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoCoProblem, "__init__", counting_init)
+        stats = d.prediction_cache.stats
+        before = stats.lookups
+        placement = d.place(req(2, problem, group="g0"), now=0.0)
+        assert placement.worker is d.gpus[2]
+        assert built == []
+        # Two variants on four GPUs: one selection each.
+        assert stats.lookups - before == 2
+
+    def test_lookups_within_two_per_request_and_one_per_batch(
+            self, tb2, models_tb2):
+        cache = PredictionCache()
+        requests = generate_workload(TIGHT)
+        outcome = BlasServer(tb2, models_tb2,
+                             ServerConfig(n_gpus=4, seed=7),
+                             prediction_cache=cache).serve(requests)
+        assert outcome.n_batches > 0
+        assert cache.stats.lookups <= 2 * len(requests) + outcome.n_batches
