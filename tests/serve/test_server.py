@@ -18,7 +18,10 @@ from repro.serve import (
     serve_report,
 )
 from repro.serve import server as server_module
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultPlan, resolve_plan
+from repro.sim.link import Direction
+
+from .test_golden_modes import EVENT_FAULTS, TIGHT
 
 
 def small_gemm(req_id, arrival, group="g0", n=256):
@@ -124,6 +127,28 @@ class TestFaultRecovery:
                     for d in devices}
         assert len(devices) == len(requests)
         assert len(injected) > 1, injected
+
+    def test_batches_that_settle_early_report_their_traffic(
+            self, tb2, models_tb2, monkeypatch):
+        """Batches that time out or are drained settle before their
+        pipeline ends; the h2d bytes their devices moved still reach the
+        GPU workers' counters."""
+        devices = []
+        real = server_module.GpuDevice
+
+        def spy(*args, **kwargs):
+            devices.append(real(*args, **kwargs))
+            return devices[-1]
+
+        monkeypatch.setattr(server_module, "GpuDevice", spy)
+        machine = tb2.with_faults(resolve_plan(EVENT_FAULTS))
+        metrics = MetricsRegistry()
+        outcome = BlasServer(machine, models_tb2,
+                             ServerConfig(n_gpus=2, seed=7),
+                             metrics=metrics).serve(generate_workload(TIGHT))
+        assert metrics.as_dict()["counters"]["serve.timeouts"] > 0
+        assert (sum(gpu.h2d_bytes for gpu in outcome.gpus)
+                == sum(d.bytes_moved(Direction.H2D) for d in devices))
 
     def test_wedged_gemms_fall_back_to_host(self, tb2, models_tb2):
         """With every transfer failing, retries exhaust, the pipeline
