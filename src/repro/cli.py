@@ -468,7 +468,6 @@ def cmd_chaos(args) -> int:
     config = ServerConfig(
         n_gpus=args.gpus,
         placement=args.placement,
-        hedging=args.hedging,
         seed=args.seed,
     )
     doc = run_chaos(
@@ -478,7 +477,6 @@ def cmd_chaos(args) -> int:
             "scale": args.scale,
             "n_gpus": args.gpus,
             "placement": args.placement,
-            "hedging": args.hedging,
         })
 
     chaos_path = _write_document(args.out_dir, "chaos.json",
@@ -516,8 +514,7 @@ def cmd_chaos(args) -> int:
     stats = doc["resilience"]["stats"]
     print(f"  drained {stats['drained_requests']} requests in "
           f"{stats['drains']} drains, {stats['requeues']} requeues, "
-          f"{stats['hedges']} hedges, {stats['breaker_opens']} breaker "
-          f"opens")
+          f"{stats['breaker_opens']} breaker opens")
     conservation = doc["conservation"]
     print(f"  conservation: "
           f"{'ok' if conservation['ok'] else 'VIOLATED'}")
@@ -782,9 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--placement", default="model",
                          choices=("model", "round_robin"),
                          help="placement policy (default: model)")
-    p_chaos.add_argument("--hedging", action="store_true",
-                         help="mirror near-deadline solo requests onto a "
-                              "second worker (first completion wins)")
     _add_out_dir(p_chaos, "chaos.json")
 
     p_cluster = sub.add_parser("cluster", help="serve a phased trace on a "

@@ -287,12 +287,12 @@ def find_conservation_violations(
 ) -> List[Tuple[str, str]]:
     """Request-conservation violations as ``(invariant, message)`` pairs.
 
-    Chaos runs drain failing fault domains, requeue their work, and may
-    hedge a request onto two workers at once.  Whatever the failure
-    pattern, every request offered to the server must end in **exactly
-    one** terminal state — done, shed, or failed — and must have
-    completed exactly once iff that state is done.  Anything else means
-    a drain or hedge lost the request (stuck queued/running, zero
+    Chaos runs drain failing fault domains and requeue their work onto
+    survivors or the host.  Whatever the failure pattern, every request
+    offered to the server must end in **exactly one** terminal state —
+    done, shed, or failed — and must have completed exactly once iff
+    that state is done.  Anything else means
+    a drain or requeue lost the request (stuck queued/running, zero
     completions) or double-served it (two completions).
 
     Cluster runs add *migration*: a node drain may hand a request off
@@ -342,7 +342,7 @@ def find_conservation_violations(
             violations.append((
                 "request-conservation",
                 f"request #{rid}: non-terminal final state {stray[0]} "
-                f"(lost by a drain or hedge)"))
+                f"(lost by a drain or requeue)"))
             continue
         if not terminal:
             # every view migrated away and nobody finished the job

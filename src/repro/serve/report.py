@@ -6,7 +6,7 @@ through :mod:`repro.obs.schema`.
 
 The optional ``resilience`` block appears only when the run carried an
 active fault plan or the resilience machinery actually did something
-(drains, hedges, breaker trips) — fault-free documents stay
+(drains, requeues, breaker trips) — fault-free documents stay
 byte-identical to pre-resilience servers.
 
 SLO accounting judges each request against the deadline it *arrived*
@@ -162,11 +162,10 @@ def serve_report(outcome: ServeOutcome) -> Dict[str, object]:
 def _resilience_block(outcome: ServeOutcome) -> Optional[Dict[str, object]]:
     """The fault-domain accounting block, or None on clean runs.
 
-    Emitted when the machine carried an active fault plan, or when the
-    resilience machinery demonstrably acted (a hedging-enabled run with
-    no faults still reports its hedges).  Plain fault-free runs omit
-    the key entirely so their documents stay byte-identical to servers
-    that predate fault domains.
+    Emitted when the machine carried an active fault plan, or when any
+    serve-level resilience counter is non-zero.  Plain fault-free runs
+    omit the key entirely so their documents stay byte-identical to
+    servers that predate fault domains.
     """
     stats = outcome.resilience_stats
     acted = stats is not None and any(stats.as_dict().values())

@@ -85,15 +85,12 @@ class Request:
     fallback: bool = False
     #: Times this request reached DONE.  The request-conservation
     #: invariant (obs.verify) requires exactly 1 for DONE requests and
-    #: 0 otherwise; anything else means a drain or hedge double-served
+    #: 0 otherwise; anything else means a drain or requeue double-served
     #: or lost the request.
     completions: int = 0
     #: Times the request was pulled out of a failing domain and
     #: re-placed (original arrival/deadline preserved).
     requeues: int = 0
-    #: True when a deadline hedge mirrored this request onto a second
-    #: worker (first completion wins).
-    hedged: bool = False
     #: Device event stream of the execution (trace mode only).
     trace_events: Optional[list] = field(default=None, repr=False)
 

@@ -89,9 +89,6 @@ class ResilienceStats:
     drains: int = 0             #: fault domains drained
     drained_requests: int = 0   #: requests pulled out of failing domains
     requeues: int = 0           #: drained requests re-placed on survivors
-    hedges: int = 0             #: near-deadline requests mirrored
-    hedge_wins: int = 0         #: hedge finished first (primary cancelled)
-    hedge_cancels: int = 0      #: hedge cancelled (primary finished first)
     breaker_opens: int = 0      #: circuit breakers opened
     probes: int = 0             #: half-open probe batches dispatched
     recoveries: int = 0         #: breakers closed after a good probe
@@ -102,9 +99,6 @@ class ResilienceStats:
             "drains": self.drains,
             "drained_requests": self.drained_requests,
             "requeues": self.requeues,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedge_cancels": self.hedge_cancels,
             "breaker_opens": self.breaker_opens,
             "probes": self.probes,
             "recoveries": self.recoveries,

@@ -3,8 +3,8 @@
 The benchmark suite's seed-11 digests pin the default configuration
 (model placement, shed admission, mean estimates).  These cases pin the
 other modes of the serving decision path: round-robin placement, no
-and downgrade admission, percentile admission, hedging under a GPU
-kill, and the cluster with percentile admission and with a node kill.
+and downgrade admission, percentile admission, tight deadlines under a
+GPU kill, and the cluster with percentile admission and with a node kill.
 Two more pin the recovery paths: event faults that wedge batches
 (watchdog timeouts, host fallbacks, breaker drains, requeues and
 half-open probes), and a flapping device (drain, requeue, half-open).
@@ -86,11 +86,11 @@ CASES = {
         m, ServerConfig(n_gpus=2, admission_percentile=99.0, seed=7)),
     "serve-event-faults": lambda m: _serve(
         m, ServerConfig(n_gpus=2, seed=7), faults=EVENT_FAULTS),
-    "chaos-kill-one-gpu-hedging": lambda m: _chaos(
+    "chaos-kill-one-gpu": lambda m: _chaos(
         m, "kill-one-gpu",
         WorkloadSpec(n_requests=48, rate=2000.0, scale="tiny", seed=7,
                      slack_lo=0.5, slack_hi=1.5),
-        ServerConfig(n_gpus=4, hedging=True, seed=7)),
+        ServerConfig(n_gpus=4, seed=7)),
     "chaos-flapping-device": lambda m: _chaos(
         m, "flapping-device",
         WorkloadSpec(arrival="bursty", rate=4000.0, n_requests=96,

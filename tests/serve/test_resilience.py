@@ -1,4 +1,4 @@
-"""Fault-domain serving tests: health monitor, breaker, drain, hedging.
+"""Fault-domain serving tests: health monitor, breaker, drain, requeue.
 
 Covers the :class:`repro.serve.resilience.HealthMonitor` state machine
 in isolation, the requeue-preserves-arrival contract, and end-to-end
@@ -165,7 +165,6 @@ class TestServerConfigValidation:
         for value in (server_module.TIMEOUT_FACTOR,
                       server_module.TIMEOUT_FLOOR,
                       server_module.BREAKER_COOLOFF,
-                      server_module.HEDGE_SLACK,
                       resilience.RECOVERED_INFLATION):
             assert 0.0 < value < float("inf")
         assert server_module.TIMEOUT_FACTOR > 1.0
@@ -315,35 +314,3 @@ class TestLifecycleServing:
         outcome = self.run(tb2, models_tb2, plan)
         assert outcome.resilience_stats.drains == 0
         assert all(tr["device"] != 7 for tr in outcome.health_transitions)
-
-
-class TestHedging:
-    def test_hedge_first_completion_wins_and_conserves(self, tb2,
-                                                       models_tb2,
-                                                       monkeypatch):
-        # Tight deadlines + hedging on: solo near-deadline dispatches
-        # mirror onto the idle second GPU.
-        requests = [
-            Request(req_id=i, arrival=i * 2e-3, deadline=i * 2e-3 + 5e-3,
-                    problem=gemm_problem(1024, 1024, 1024, np.float64))
-            for i in range(6)
-        ]
-        monkeypatch.setattr(server_module, "HEDGE_SLACK", 50.0)
-        config = ServerConfig(n_gpus=2, seed=4, hedging=True,
-                              host_offload=False)
-        outcome = BlasServer(tb2, models_tb2, config).serve(requests)
-        stats = outcome.resilience_stats
-        assert stats.hedges >= 1
-        assert stats.hedge_wins + stats.hedge_cancels == stats.hedges
-        assert not find_conservation_violations(outcome.requests)
-        for r in outcome.requests:
-            if r.hedged:
-                assert r.completions <= 1
-
-    def test_hedging_off_by_default(self, tb2, models_tb2):
-        spec = WorkloadSpec(n_requests=12, rate=4000.0, seed=4)
-        outcome = BlasServer(tb2, models_tb2,
-                             ServerConfig(n_gpus=2, seed=4)).serve(
-            generate_workload(spec))
-        assert outcome.resilience_stats.hedges == 0
-        assert "resilience" not in serve_report(outcome)

@@ -1,4 +1,4 @@
-"""The serving configuration surface: the ten ``ServerConfig`` fields,
+"""The serving configuration surface: the nine ``ServerConfig`` fields,
 their validation, and the fixed thresholds that replaced the knobs no
 run ever set.
 
@@ -24,8 +24,7 @@ from repro.serve import resilience
 from repro.serve import server as server_module
 
 FIELDS = ("n_gpus", "placement", "admission", "model", "batching",
-          "host_offload", "seed", "trace", "hedging",
-          "admission_percentile")
+          "host_offload", "seed", "trace", "admission_percentile")
 
 #: (module, constant, the default of the config field it replaced)
 CONSTANTS = [
@@ -36,7 +35,6 @@ CONSTANTS = [
     (server_module, "TIMEOUT_FACTOR", 50.0),
     (server_module, "TIMEOUT_FLOOR", 0.05),
     (server_module, "BREAKER_COOLOFF", 0.05),
-    (server_module, "HEDGE_SLACK", 1.0),
     (resilience, "HEALTH_ALPHA", 0.25),
     (resilience, "DEGRADED_INFLATION", 2.5),
     (resilience, "RECOVERED_INFLATION", 1.25),
@@ -48,11 +46,11 @@ REMOVED_FIELDS = ("locality", "weight_cache_fraction", "batch_max",
                   "batch_small_flops", "timeout_factor", "timeout_floor",
                   "health_alpha", "degraded_inflation",
                   "recovered_inflation", "breaker_faults",
-                  "breaker_cooloff", "hedge_slack")
+                  "breaker_cooloff", "hedge_slack", "hedging")
 
 
 class TestFields:
-    def test_exactly_the_ten_fields(self):
+    def test_exactly_the_nine_fields(self):
         names = tuple(f.name for f in dataclasses.fields(ServerConfig))
         assert names == FIELDS
 

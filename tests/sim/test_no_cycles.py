@@ -32,12 +32,10 @@ from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.serve import (
     BlasServer,
-    Request,
     ServerConfig,
     WorkloadSpec,
     generate_workload,
 )
-from repro.serve import server as server_module
 from repro.sim.device import GpuDevice
 from repro.sim.faults import FaultPlan, resolve_plan
 from tests.machines import custom_machine
@@ -158,22 +156,6 @@ class TestServing:
         assert found == 0
         assert outcome.done_requests()
         # Most batches replayed a recorded program.
-        assert 0 < len(server.programs) < gpu_batches(server)
-
-    def test_hedged_blas_server(self, tb2, models_tb2, monkeypatch):
-        # Tight deadlines with hedging on: solo near-deadline batches
-        # are mirrored onto the idle second GPU, so batches form pairs.
-        requests = [
-            Request(req_id=i, arrival=i * 2e-3, deadline=i * 2e-3 + 5e-3,
-                    problem=gemm_problem(1024, 1024, 1024, np.float64))
-            for i in range(6)
-        ]
-        monkeypatch.setattr(server_module, "HEDGE_SLACK", 50.0)
-        server = BlasServer(tb2, models_tb2, ServerConfig(
-            n_gpus=2, seed=4, hedging=True, host_offload=False))
-        found, outcome = cyclic_garbage(lambda: server.serve(requests))
-        assert found == 0
-        assert outcome.resilience_stats.hedges >= 1
         assert 0 < len(server.programs) < gpu_batches(server)
 
     def test_event_faulted_blas_server(self, tb2, models_tb2):

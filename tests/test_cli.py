@@ -348,7 +348,6 @@ OPTIONS = {
         "requests": (48, None),
         "workload_scale": ("tiny", ("tiny", "quick")),
         "placement": ("model", ("model", "round_robin")),
-        "hedging": (False, None),
         "seed": (0, None),
         "out_dir": (".", None),
     },
