@@ -19,7 +19,7 @@ import numpy as np
 
 from ..baselines import BlasXLibrary, CublasXtLibrary
 from ..core.params import CoCoProblem, Loc, gemm_problem
-from ..parallel import ParallelConfig, pmap, task_seed
+from ..parallel import pmap, task_seed
 from ..runtime import CoCoPeLiaLibrary
 from ..sim.machine import MachineConfig
 from . import workloads
@@ -127,9 +127,9 @@ def run(scale: str = "quick",
                     tasks.append((machine, scale, problem, xt_tiles,
                                   seed_base))
                     keys.append((machine.name, routine, scenario))
-    cfg = ParallelConfig.resolve(parallel)
-    payload = warm_payload(machines, scale) if cfg.enabled else []
-    points = pmap(_fig7_task, tasks, parallel=cfg,
+    pooled = isinstance(parallel, int) and parallel > 1
+    payload = warm_payload(machines, scale) if pooled else []
+    points = pmap(_fig7_task, tasks, workers=parallel,
                   initializer=prime_worker, initargs=(payload,))
     for key, point in zip(keys, points):
         result.points.setdefault(key, []).append(point)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..baselines import BlasXLibrary, CublasXtLibrary, UnifiedMemoryLibrary
 from ..core.params import CoCoProblem
-from ..parallel import ParallelConfig, pmap, task_seed
+from ..parallel import pmap, task_seed
 from ..runtime import CoCoPeLiaLibrary
 from ..sim.machine import MachineConfig
 from . import workloads
@@ -111,9 +111,9 @@ def run(scale: str = "quick",
             meta.append((machine.name, "daxpy",
                          "full" if workloads.is_full_offload(problem)
                          else "partial"))
-    cfg = ParallelConfig.resolve(parallel)
-    payload = warm_payload(machines, scale) if cfg.enabled else []
-    times = pmap(_table4_task, tasks, parallel=cfg,
+    pooled = isinstance(parallel, int) and parallel > 1
+    payload = warm_payload(machines, scale) if pooled else []
+    times = pmap(_table4_task, tasks, workers=parallel,
                  initializer=prime_worker, initargs=(payload,))
 
     # Aggregate per (machine, routine) in submission order, preserving

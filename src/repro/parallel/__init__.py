@@ -8,12 +8,10 @@ without giving up the repo's byte-identical determinism contract (see
 sweeps fan out and why the others stay serial).
 """
 
-from .pool import SERIAL, ParallelConfig, default_chunksize, pmap
+from .pool import default_chunksize, pmap
 from .seeds import task_seed
 
 __all__ = [
-    "ParallelConfig",
-    "SERIAL",
     "default_chunksize",
     "pmap",
     "task_seed",

@@ -1,4 +1,4 @@
-"""Deterministic process-pool fan-out (``ParallelConfig`` + ``pmap``).
+"""Deterministic process-pool fan-out (``pmap``).
 
 The determinism contract, relied on by the byte-identical CI gates:
 
@@ -7,9 +7,9 @@ The determinism contract, relied on by the byte-identical CI gates:
   mutable state, so a task computes the same result in any process;
 * results merge in **submission order** — completion order, which
   varies with scheduling, is never observable;
-* ``workers <= 1`` (or an unavailable pool) degrades to running the
-  same task functions serially in-process, which is why serial and
-  parallel runs are byte-identical rather than merely close.
+* ``workers`` of None, 0 or 1 (or an unavailable pool) degrades to
+  running the same task functions serially in-process, which is why
+  serial and parallel runs are byte-identical rather than merely close.
 
 Worker processes rebuild expensive shared state (deployed model
 databases, prediction caches) once per process via the pool
@@ -29,8 +29,7 @@ import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -43,48 +42,6 @@ _IN_WORKER = False
 #: Chunks submitted per worker; >1 smooths load imbalance without
 #: drowning in submission overhead.
 _CHUNKS_PER_WORKER = 4
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How to fan a task grid out across processes.
-
-    workers
-        Process count; ``0`` and ``1`` both mean serial in-process
-        execution.  Negative values are a configuration error.
-
-    Tasks go to the pool in chunks of :func:`default_chunksize`.
-    """
-
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ParallelError(
-                f"workers must be >= 0, got {self.workers}")
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this config asks for an actual process pool."""
-        return self.workers > 1 and not _IN_WORKER
-
-    @staticmethod
-    def resolve(parallel: "Union[ParallelConfig, int, None]"
-                ) -> "ParallelConfig":
-        """Coerce the common ``parallel=`` argument forms to a config."""
-        if parallel is None:
-            return SERIAL
-        if isinstance(parallel, ParallelConfig):
-            return parallel
-        if isinstance(parallel, int) and not isinstance(parallel, bool):
-            return ParallelConfig(workers=parallel)
-        raise ParallelError(
-            f"parallel must be None, an int, or a ParallelConfig, "
-            f"got {parallel!r}")
-
-
-#: The default: run everything in-process.
-SERIAL = ParallelConfig(workers=1)
 
 
 def _worker_bootstrap(initializer: Optional[Callable[..., None]],
@@ -118,6 +75,19 @@ def _run_serial(fn: Callable, tasks: Sequence[Tuple]) -> List[Any]:
     return [fn(*args) for args in tasks]
 
 
+def _check_workers(workers: Optional[int]) -> int:
+    """The process count asked for: None is serial (1); a negative
+    count or a non-int is a configuration error."""
+    if workers is None:
+        return 1
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ParallelError(
+            f"workers must be None or an int, got {workers!r}")
+    if workers < 0:
+        raise ParallelError(f"workers must be >= 0, got {workers}")
+    return workers
+
+
 def _check_tasks(tasks: Sequence) -> List[Tuple]:
     checked = []
     for i, args in enumerate(tasks):
@@ -137,7 +107,7 @@ def default_chunksize(ntasks: int, workers: int) -> int:
 def pmap(
     fn: Callable,
     tasks: Sequence[Tuple],
-    parallel: "Union[ParallelConfig, int, None]" = None,
+    workers: Optional[int] = None,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
 ) -> List[Any]:
@@ -146,20 +116,22 @@ def pmap(
     ``tasks`` is a sequence of positional-argument tuples; the result
     list matches its order exactly regardless of which worker finished
     first.  ``fn`` must be a module-level (picklable) function whose
-    output depends only on its arguments.
+    output depends only on its arguments.  ``workers`` is the process
+    count; None, 0 and 1 all run serially in-process, and so does a
+    call from inside a worker (no nested pools).
 
     ``initializer(*initargs)`` runs once per worker process before any
     task (warm caches); it does not run on the serial path, where the
     parent's caches are already warm.
     """
-    cfg = ParallelConfig.resolve(parallel)
+    workers = _check_workers(workers)
     tasks = _check_tasks(tasks)
     if not tasks:
         return []
-    if not cfg.enabled or len(tasks) == 1:
+    if workers <= 1 or _IN_WORKER or len(tasks) == 1:
         return _run_serial(fn, tasks)
 
-    workers = min(cfg.workers, len(tasks))
+    workers = min(workers, len(tasks))
     chunksize = default_chunksize(len(tasks), workers)
     chunks = [tasks[i:i + chunksize]
               for i in range(0, len(tasks), chunksize)]
