@@ -110,6 +110,22 @@ class TestMultiGpuScaling:
         assert r.gflops > 0
 
 
+class TestMultiGpuTraces:
+    DIMS = (512, 768, 640)
+
+    def test_one_recorder_per_gpu_no_peer_engine(self, tb2, models_tb2):
+        lib = MultiGpuCoCoPeLia(tb2, 4, models_tb2, trace=True)
+        lib.gemm(*self.DIMS)
+        assert len(lib.last_traces) == 4
+        engines = {ev.engine for t in lib.last_traces for ev in t.events}
+        assert not any(e.startswith("peer") for e in engines)
+
+    def test_run_twice_identical(self, tb2, models_tb2):
+        a = MultiGpuCoCoPeLia(tb2, 4, models_tb2).gemm(*self.DIMS)
+        b = MultiGpuCoCoPeLia(tb2, 4, models_tb2).gemm(*self.DIMS)
+        assert a.seconds == b.seconds
+
+
 class TestMultiGpuPrediction:
     def test_prediction_tracks_measurement(self, tb2, models_tb2):
         dims = (4096, 4096, 4096)
