@@ -52,8 +52,7 @@ SUMMA_VARIANTS = ("pipelined", "blocking")
 def shard_columns(n: int, n_gpus: int) -> List[Tuple[int, int]]:
     """(offset, width) of each GPU's column block (ceil-balanced).
 
-    The canonical sharding used by every distributed routine; re-exported
-    by ``repro.runtime.multigpu`` for backward compatibility.
+    The canonical sharding used by every distributed routine.
     """
     if n_gpus <= 0:
         raise SchedulerError(f"need at least one GPU, got {n_gpus}")

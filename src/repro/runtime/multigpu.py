@@ -4,10 +4,11 @@ vision of providing a portable auto-tuned heterogeneous BLAS library").
 Architecture: ``G`` simulated GPUs share one virtual clock; each has
 its own PCIe link and engines (dedicated lanes, as on multi-socket
 nodes — host-memory contention between GPUs is not modeled).  The
-output matrix is split into ``G`` column blocks; GPU ``g`` receives the
-full A (broadcast), its B and C column blocks, and runs the standard
-CoCoPeLia reuse pipeline on its shard.  The makespan is the slowest
-shard's finish time.
+output matrix is split into ``G`` column blocks; GPU ``g`` fetches the
+full A over its own PCIe link, plus its B and C column blocks, and runs
+the standard CoCoPeLia reuse pipeline on its shard with a tile chosen
+for that shard.  The shards are independent — no peer links, no shared
+tiles — and the makespan is the slowest shard's finish time.
 
 Modeling composes directly: each shard is itself a gemm problem
 ``(M, N/G, K)``, so the multi-GPU prediction is the max of the DR model
@@ -17,29 +18,23 @@ machinery, exactly the portability story the paper closes on.
 
 from __future__ import annotations
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..backend.cublas import CublasContext
 from ..blas.spec import GEMM
+from ..core.distributed import shard_columns
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc, gemm_problem
 from ..core.select import select_tile
 from ..errors import BlasError, SchedulerError
 from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
-from ..sim.interconnect import Interconnect, TopologySpec
 from ..sim.machine import MachineConfig
-from ..sim.stream import KIND_H2D, CudaEvent, Operation
 from .offload import OffloadLibrary, bind_operands, host_operands, offload_result
 from .result import RunResult
 from .scheduler import GemmTileScheduler, ScheduleStats
-
-
-# Canonical sharding lives with the distributed prediction models;
-# re-exported here for backward compatibility.
-from ..core.distributed import shard_columns  # noqa: E402
 
 
 def shard_problem(problem: CoCoProblem, width: int) -> CoCoProblem:
@@ -100,25 +95,12 @@ class MultiGpuCoCoPeLia(OffloadLibrary):
         seed: int = 53,
         trace: bool = False,
         metrics=None,
-        topology: Optional[TopologySpec] = None,
     ) -> None:
         if n_gpus <= 0:
             raise SchedulerError(f"need at least one GPU, got {n_gpus}")
-        if topology is not None and topology.n_gpus != n_gpus:
-            raise SchedulerError(
-                f"topology is wired for {topology.n_gpus} GPUs, "
-                f"library created with {n_gpus}")
         super().__init__(machine, seed)
         self.n_gpus = n_gpus
         self.models = models
-        #: Optional inter-GPU fabric.  Without one (the default), every
-        #: GPU fetches the full A over its own PCIe lane — the original
-        #: independent-copies behaviour, byte-identical to before the
-        #: interconnect existed.  With one, only GPU 0 fetches A from
-        #: the host and then multicasts each tile to its peers, so
-        #: traces show collective spans and host-side A traffic drops
-        #: to a single copy.
-        self.topology = topology
         #: Record per-device timelines; the most recent call's streams
         #: are exposed as ``last_traces`` (one recorder per shard, all
         #: on the shared clock, so they merge into one timeline).
@@ -160,45 +142,19 @@ class MultiGpuCoCoPeLia(OffloadLibrary):
                       trace=self.trace, metrics=self.metrics)
             for g in range(len(shards))
         ]
-        fabric: Optional[Interconnect] = None
-        if self.topology is not None and len(shards) > 1:
-            fabric = Interconnect(sim, self.topology, trace=self.trace,
-                                  metrics=self.metrics)
         if self.trace:
             self.last_traces = [dev.trace for dev in devices]
-            if fabric is not None:
-                self.last_traces.append(fabric.trace)
-        #: broadcast-gated A tiles: (gpu, (i, l)) -> standalone gate op
-        #: completed when the multicast delivers the tile to that GPU.
-        gates: Dict[Tuple[int, Tuple[int, int]], Operation] = {}
-        elem = problem.elem_size
-
-        def make_provider(g: int):
-            def provider(i: int, l: int, rows: int, cols: int) -> CudaEvent:
-                op = Operation(KIND_H2D, nbytes=rows * cols * elem,
-                               tag=f"bcast:A({i},{l})" if self.trace else "")
-                ev = CudaEvent()
-                ev._bind(op)
-                gates[(g, (i, l))] = op
-                return ev
-            return provider
 
         schedulers: List[GemmTileScheduler] = []
-        uniform_t = tile_size
         for g, (off, width) in enumerate(shards):
             sub = shard_problem(problem, width)
-            t = uniform_t
+            t = tile_size
             if t is None:
                 if self.models is None:
                     raise BlasError(
                         "automatic tile selection requires deployed models"
                     )
                 t = select_tile(sub, self.models).t_best
-                if fabric is not None:
-                    # A tiles are shared through the fabric, so every
-                    # shard must agree on the tile grid: GPU 0 (the
-                    # widest shard) picks for everyone.
-                    uniform_t = t
             hosts = host_operands(sub, (
                 a,
                 np.ascontiguousarray(b[:, off:off + width]) if b is not None
@@ -206,17 +162,12 @@ class MultiGpuCoCoPeLia(OffloadLibrary):
                 c[:, off:off + width] if c is not None else None,
             ))
             ctx = CublasContext(devices[g])
-            schedulers.append(GemmTileScheduler(
-                ctx, sub, t, hosts, alpha=alpha, beta=beta,
-                a_provider=make_provider(g) if fabric is not None and g > 0
-                else None,
-            ))
+            schedulers.append(GemmTileScheduler(ctx, sub, t, hosts,
+                                                alpha=alpha, beta=beta))
         # Issue all shards, then run the shared clock once.
         t0 = sim.now
         for sched in schedulers:
             sched._issue()
-        if fabric is not None:
-            self._wire_broadcasts(fabric, schedulers[0], gates)
         sim.run()
         end = sim.now
         results = []
@@ -230,37 +181,3 @@ class MultiGpuCoCoPeLia(OffloadLibrary):
                                           stats, sched.t))
         return MultiGpuResult(seconds=end - t0, shards=results,
                               n_gpus=len(shards))
-
-    def _wire_broadcasts(
-        self,
-        fabric: Interconnect,
-        sched0: GemmTileScheduler,
-        gates: Dict[Tuple[int, Tuple[int, int]], Operation],
-    ) -> None:
-        """Feed the peers' gated A tiles from GPU 0's fetched copies.
-
-        Each A tile GPU 0 fetches (or holds device-resident) is
-        multicast to every GPU whose scheduler registered a gate for
-        it; the gate op completes on arrival, releasing that GPU's
-        kernels exactly as a local h2d completion would.
-        """
-        by_tile: Dict[Tuple[int, int], List[int]] = {}
-        for (g, tile) in gates:
-            by_tile.setdefault(tile, []).append(g)
-        for tile, gpus in sorted(by_tile.items()):
-            i, l = tile
-            entry0 = sched0.cache.get(("A", i, l))
-            nbytes = entry0.matrix.nbytes
-            dests = tuple(sorted(gpus))
-
-            def start(tile=tile, dests=dests, nbytes=nbytes) -> None:
-                fabric.multicast(
-                    0, dests, nbytes,
-                    on_arrive=lambda node, tile=tile:
-                        gates[(node, tile)].complete(),
-                    tag=f"bcast:A{tile}" if self.trace else "")
-
-            if entry0.fetch_op is None:
-                start()  # device-resident on the gateway: send now
-            else:
-                entry0.fetch_op.on_done(start)

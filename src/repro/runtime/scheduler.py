@@ -122,8 +122,7 @@ class _PipelineBase:
 
     def _plan_fetches(self, grids: Dict[str, object],
                       streamed: Sequence[str] = (),
-                      uncounted: Sequence[str] = (),
-                      providers: Optional[Dict[str, object]] = None) -> None:
+                      uncounted: Sequence[str] = ()) -> None:
         """Fix how :meth:`_fetch` treats each operand.
 
         ``grids`` maps every operand to its :class:`Grid1D` (vector) or
@@ -132,11 +131,8 @@ class _PipelineBase:
         for tiles used exactly once: no cache probe; the output stays
         cached, for write-back and read-back); fetches of
         ``uncounted`` operands are not reported to the
-        ``runtime.cache.*`` metrics.  A provider (see
-        :class:`GemmTileScheduler`'s ``a_provider``) replaces the PCIe
-        fetch of a host-resident operand.
+        ``runtime.cache.*`` metrics.
         """
-        providers = providers or {}
         counting = self.metrics is not None
         plans = {}
         for op in self.problem.operands:
@@ -145,7 +141,7 @@ class _PipelineBase:
             plans[name] = (
                 grids[name], self.hosts[name], resident,
                 name not in streamed, counting and name not in uncounted,
-                None if resident else providers.get(name), op.is_vector,
+                op.is_vector,
             )
         self._plans = plans
 
@@ -155,8 +151,7 @@ class _PipelineBase:
         A cached tile is transferred at most once; tiles of
         device-resident operands are registered without a transfer.
         """
-        grid, host, resident, cached, counted, provider, vector = \
-            self._plans[name]
+        grid, host, resident, cached, counted, vector = self._plans[name]
         key = (name, i, j)
         if cached:
             entry = self.cache.lookup(key)
@@ -184,11 +179,9 @@ class _PipelineBase:
         except DeviceMemoryError as exc:
             raise exc.with_tile(self.t) from None
         entry = TileEntry(matrix=buf)
-        if resident or provider is not None:
-            # Already on the GPU (or delivered by the provider): no
-            # timed PCIe transfer, only the data copy in compute mode.
-            if provider is not None:
-                entry.ready = provider(i, j, rows, cols)
+        if resident:
+            # Already on the GPU: no timed PCIe transfer, only the data
+            # copy in compute mode.
             if host.has_data:
                 buf.array[...] = host.array[grid.tile_slices(i, j)]
         else:
@@ -296,7 +289,6 @@ class GemmTileScheduler(_PipelineBase):
         order: str = "reuse",
         use_cache: bool = True,
         prefetch_depth: Optional[int] = None,
-        a_provider=None,
     ) -> None:
         super().__init__(ctx, problem, hosts)
         if prefetch_depth is not None and prefetch_depth < 1:
@@ -339,18 +331,9 @@ class GemmTileScheduler(_PipelineBase):
         # inner-dimension accumulation requires each output tile to stay
         # resident until its last subkernel (this is also what cuBLASXt
         # does — only *input* reuse is absent there).
-        #
-        # ``a_provider`` is an optional external source for host-resident
-        # A tiles: called as ``a_provider(i, l, rows, cols)`` instead of
-        # issuing a PCIe fetch, returning the
-        # :class:`~repro.sim.stream.CudaEvent` that fires when the tile
-        # lands.  The multi-GPU runtime uses this to feed non-gateway
-        # GPUs from the interconnect's broadcast instead of per-GPU h2d
-        # copies.
         self._plan_fetches(
             {"A": self.grid_a, "B": self.grid_b, "C": self.grid_c},
             streamed=() if use_cache else ("A", "B"),
-            providers={"A": a_provider},
         )
 
     # ------------------------------------------------------------------

@@ -55,9 +55,8 @@ KIND_MULTICAST = "multicast"
 class TopologySpec:
     """Ground-truth peer-fabric description (homogeneous links).
 
-    ``bandwidth`` may be ``math.inf`` (with ``latency`` 0 this is the
-    zero-cost fabric the multi-GPU retrofit pin tests use: any wiring
-    collapses to the same schedule).
+    ``bandwidth`` may be ``math.inf`` (with ``latency`` 0 the fabric is
+    free: any wiring collapses to the same schedule).
     """
 
     kind: str
@@ -179,10 +178,6 @@ class Interconnect:
             return [(i, j) for i in range(n) for j in range(i + 1, n)]
         pairs = {tuple(sorted((g, (g + 1) % n))) for g in range(n)}
         return sorted(pairs)  # ring: n links (1 link when n == 2)
-
-    def link(self, i: int, j: int) -> DuplexLink:
-        """The duplex link of pair ``{i, j}`` (tests/inspection)."""
-        return self._links[(min(i, j), max(i, j))]
 
     # ------------------------------------------------------------------
 
@@ -335,13 +330,3 @@ class Interconnect:
                 raise SimulationError(f"duplicate destination {d}")
             seen.add(d)
         return frozenset(seen)
-
-    def stats(self) -> Dict[str, Tuple[int, int]]:
-        """Per-engine (transfers, bytes) across all peer links."""
-        out: Dict[str, Tuple[int, int]] = {}
-        for (i, j), link in sorted(self._links.items()):
-            fwd = link.stats(Direction.H2D)
-            rev = link.stats(Direction.D2H)
-            out[f"peer{i}>{j}"] = (fwd.transfers, fwd.bytes_moved)
-            out[f"peer{j}>{i}"] = (rev.transfers, rev.bytes_moved)
-        return out

@@ -161,10 +161,6 @@ class CudaEvent:
         self._marker = marker
         self._recorded = recorded
 
-    def _bind(self, marker: Optional[Operation]) -> None:
-        self._marker = marker
-        self._recorded = True
-
 
 class ComputeEngine:
     """The GPU's kernel execution engine: one kernel at a time, FIFO."""

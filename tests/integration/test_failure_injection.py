@@ -43,8 +43,7 @@ class TestDeadlockDetection:
         # Never enqueued: recording an event against it by hand.
         from repro.sim.stream import CudaEvent
 
-        fake = CudaEvent()
-        fake._bind(orphan)
+        fake = CudaEvent(orphan, recorded=True)
         s2.wait_event(fake)
         dev.memcpy_h2d_async(100, s2)
         with pytest.raises(StreamError, match="deadlock"):
@@ -55,8 +54,7 @@ class TestDeadlockDetection:
 
         s = dev.create_stream()
         orphan = Operation("exec", duration=1.0, tag="never")
-        fake = CudaEvent()
-        fake._bind(orphan)
+        fake = CudaEvent(orphan, recorded=True)
         s.wait_event(fake)
         dev.launch_async(1e-3, s)
         with pytest.raises(StreamError, match="drain"):

@@ -42,7 +42,6 @@ from repro.core.params import Loc
 from repro.deploy import DeploymentConfig, deploy
 from repro.runtime import CoCoPeLiaLibrary, MultiGpuCoCoPeLia
 from repro.sim import FaultPlan
-from repro.sim.interconnect import ring_topology
 from repro.sim.machine import testbed_ii as _testbed_ii
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "data",
@@ -235,12 +234,6 @@ CASES = {
     "mg-gemm-devC": (lambda: MultiGpuCoCoPeLia(_machine(), 2), "gemm",
                      lambda r: _gemm_arrays(r, 256, 320, 192),
                      dict(tile_size=64, loc_c=D)),
-    "mg-gemm-fabric": (
-        lambda: MultiGpuCoCoPeLia(_machine(), 2,
-                                  topology=ring_topology(2, gb_per_s=50.0,
-                                                         latency=1e-6)),
-        "gemm", lambda r: _gemm_arrays(r, 256, 320, 192),
-        dict(tile_size=64)),
 }
 
 #: Which array each routine writes.
