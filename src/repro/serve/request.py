@@ -16,8 +16,8 @@ the whole serving simulation — is fully deterministic.
 
 from __future__ import annotations
 
+import bisect
 import enum
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
@@ -154,68 +154,58 @@ class Request:
 class RequestQueue:
     """EDF-within-priority queue with deterministic ordering.
 
-    Backed by a heap with lazy deletion, so :meth:`remove` (used by the
-    dispatcher's batch coalescing) is O(1) and :meth:`pop` amortizes the
-    cleanup.  Iteration yields live requests in queue order without
-    disturbing the heap.
+    One list kept sorted on ``(queue_key, req_id, request)``: ``push``
+    inserts by bisection, ``pop`` takes the head, :meth:`remove` (used
+    by the dispatcher's batch coalescing) deletes the entry found by
+    bisection, and iteration walks the list in queue order.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[Tuple[float, float, float, int], int, Request]] = []
-        self._removed: set = set()
-        self._live = 0
-        # total_predicted() memo: (live-set version it was computed at,
-        # value).  The dispatcher reads the backlog of every worker per
-        # arrival but mutates at most one queue, so the sum is reused
-        # across reads and recomputed — by the same sorted iteration,
-        # so identical float rounding — only after a push/pop/remove.
-        self._version = 0
-        self._pred_at = -1
-        self._pred_sum = 0.0
+        self._entries: List[Tuple[Tuple[float, float, float, int], int,
+                                  Request]] = []
+        # total_predicted() memo, None after any push/pop/remove.  The
+        # dispatcher reads the backlog of every worker per arrival but
+        # mutates at most one queue, so the sum is reused across reads
+        # and recomputed — in queue order, so identical float rounding
+        # — only after a change.
+        self._pred_sum: Optional[float] = None
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return bool(self._entries)
 
     def push(self, request: Request) -> None:
-        heapq.heappush(self._heap, (request.queue_key(), request.req_id,
-                                    request))
-        self._live += 1
-        self._version += 1
+        bisect.insort(self._entries, (request.queue_key(), request.req_id,
+                                      request))
+        self._pred_sum = None
 
     def pop(self) -> Request:
-        self._prune()
-        if not self._heap:
+        if not self._entries:
             raise ServeError("pop from an empty request queue")
-        _key, _rid, request = heapq.heappop(self._heap)
-        self._live -= 1
-        self._version += 1
+        _key, _rid, request = self._entries.pop(0)
+        self._pred_sum = None
         return request
 
     def remove(self, request: Request) -> None:
-        """Lazily remove a specific queued request (for coalescing)."""
-        if request.req_id in self._removed:
-            raise ServeError(f"request {request.req_id} removed twice")
-        self._removed.add(request.req_id)
-        self._live -= 1
-        self._version += 1
-
-    def _prune(self) -> None:
-        while self._heap and self._heap[0][1] in self._removed:
-            _key, rid, _req = heapq.heappop(self._heap)
-            self._removed.discard(rid)
+        """Remove a specific queued request (for coalescing)."""
+        entries = self._entries
+        rid = request.req_id
+        i = bisect.bisect_left(entries, (request.queue_key(), rid))
+        if i == len(entries) or entries[i][1] != rid:
+            raise ServeError(
+                f"request {rid} removed twice or never queued")
+        del entries[i]
+        self._pred_sum = None
 
     def __iter__(self) -> Iterator[Request]:
-        """Live requests in queue order (non-destructive)."""
-        for _key, rid, request in sorted(self._heap):
-            if rid not in self._removed:
-                yield request
+        """Queued requests in queue order (non-destructive)."""
+        for _key, _rid, request in self._entries:
+            yield request
 
     def total_predicted(self) -> float:
         """Sum of admission-time service predictions of queued work."""
-        if self._pred_at != self._version:
+        if self._pred_sum is None:
             self._pred_sum = sum(r.predicted_seconds or 0.0 for r in self)
-            self._pred_at = self._version
         return self._pred_sum

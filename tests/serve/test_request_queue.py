@@ -107,6 +107,15 @@ class TestQueueMechanics:
         with pytest.raises(ServeError, match="removed twice"):
             q.remove(r)
 
+    def test_remove_never_queued_rejected(self):
+        q = RequestQueue()
+        a = req(0)
+        q.push(a)
+        with pytest.raises(ServeError, match="removed twice"):
+            q.remove(req(1))
+        assert len(q) == 1
+        assert list(q) == [a]
+
     def test_iteration_in_order_and_non_destructive(self):
         q = RequestQueue()
         rs = [req(i, deadline=float(10 - i)) for i in range(4)]
