@@ -277,6 +277,8 @@ def cmd_profile(args) -> int:
     from .obs import (MetricsRegistry, merge_chrome_traces, merge_traces,
                       profile_document, profile_trace)
 
+    if args.gpus < 1:
+        raise ReproError(f"profile needs at least 1 GPU, got {args.gpus}")
     machine, models = _models_for(args)
     plan = resolve_plan(args.faults)
     if plan is not None:
@@ -357,6 +359,7 @@ def cmd_summa(args) -> int:
     """Run the distributed SUMMA/streaming-gemv suite; emit summa.json."""
     from .experiments import summa as summa_exp
 
+    summa_exp.check_gpus(args.gpus)
     _machine, models = _models_for(args)
     doc = summa_exp.run(
         scale=args.scale,

@@ -88,6 +88,13 @@ _GEMV_SUITE = {
 }
 
 
+def check_gpus(n_gpus: int) -> None:
+    """Reject GPU counts the suite cannot run: with one GPU there is no
+    communication to hide, so the measured hidden time is noise."""
+    if n_gpus < 2:
+        raise ReproError(f"summa needs at least 2 GPUs, got {n_gpus}")
+
+
 def summa_deployment_config(scale: str) -> DeploymentConfig:
     """Deployment including the dgemv model the chunk predictor needs."""
     routines = DEFAULT_ROUTINES + (("gemv", np.float64),)
@@ -146,6 +153,7 @@ def run(
     models=None,
 ) -> dict:
     """Run the distributed suite; returns a ``repro.summa/v1`` document."""
+    check_gpus(n_gpus)
     config = get_testbed(machine)
     if models is None:
         models = models_for(config, scale,

@@ -57,6 +57,14 @@ class TestDocument:
         assert "geomean speedup" in text
 
 
+class TestGpuCount:
+    @pytest.mark.parametrize("n_gpus", [1, 0])
+    def test_run_rejects_fewer_than_two_gpus(self, n_gpus):
+        with pytest.raises(ReproError,
+                           match=f"at least 2 GPUs, got {n_gpus}"):
+            summa.run(scale="tiny", n_gpus=n_gpus)
+
+
 class TestValidator:
     def test_rejects_wrong_schema(self, doc):
         bad = copy.deepcopy(doc)
