@@ -199,10 +199,6 @@ class MetricsRegistry:
             )
         return metric
 
-    def names(self) -> List[str]:
-        return sorted(set(self._counters) | set(self._gauges)
-                      | set(self._histograms))
-
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready snapshot: {counters, gauges, histograms}."""
         return {

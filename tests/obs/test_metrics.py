@@ -107,4 +107,3 @@ class TestRegistry:
         assert d["counters"] == {"c": 3.0}
         assert d["gauges"] == {"g": 1.5}
         assert d["histograms"]["h"]["count"] == 1
-        assert reg.names() == ["c", "g", "h"]

@@ -160,9 +160,6 @@ class TestTrace:
         assert tr.busy_time("h2d") == pytest.approx(1.0)
         assert tr.busy_time("exec") == pytest.approx(1.5)
 
-    def test_makespan(self):
-        assert self._trace().makespan() == pytest.approx(2.5)
-
     def test_overlap_time(self):
         tr = self._trace()
         assert tr.overlap_time("h2d", "exec") == pytest.approx(0.5)
@@ -180,7 +177,6 @@ class TestTrace:
         tr = self._trace()
         tr.clear()
         assert tr.events == []
-        assert tr.makespan() == 0.0
 
     def test_disabled_recorder_drops_events(self):
         tr = TraceRecorder()

@@ -3,14 +3,15 @@
 A public top-level function or class, or a public method of a
 top-level class, that only tests call is an extension nobody uses: it
 costs reading and upkeep and hides which code the program runs.  This
-scan parses ``src/repro`` and requires each such name to occur as an
-identifier in the code of the Python files of ``src/``, ``benchmarks/``
-or ``examples/`` besides its own definition.  Comments, docstrings and
-strings do not count, and neither do re-exports in ``__init__.py``
-files.
+scan parses ``src/repro`` and requires each such name to be used in
+the code of the Python files of ``src/``, ``benchmarks/`` or
+``examples/``: a top-level name must occur as an identifier besides
+its own definition, and a method must occur as an attribute access
+(``.name``).  Comments, docstrings and strings do not count, and
+neither do re-exports in ``__init__.py`` files.
 
 The match is by name, not by resolved object: ``Foo.run`` passes when
-any code in those files says ``run``.  The scan is a floor against new
+any code in those files says ``.run``.  The scan is a floor against new
 test-only names, not a call graph.
 """
 
@@ -53,8 +54,9 @@ def _parse(path: str) -> ast.Module:
         return ast.parse(fh.read(), filename=path)
 
 
-def public_names() -> List[Tuple[str, str]]:
-    """``(qualified name, bare name)`` of every public definition."""
+def public_names() -> List[Tuple[str, str, bool]]:
+    """``(qualified name, bare name, is a method)`` of every public
+    definition."""
     found = []
     for path in _py_files(os.path.join("src", "repro")):
         for node in _parse(path).body:
@@ -63,58 +65,76 @@ def public_names() -> List[Tuple[str, str]]:
                 continue
             if node.name.startswith("_"):
                 continue
-            found.append((node.name, node.name))
+            found.append((node.name, node.name, False))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, (ast.FunctionDef,
                                           ast.AsyncFunctionDef))
                             and not item.name.startswith("_")):
-                        found.append((f"{node.name}.{item.name}", item.name))
+                        found.append((f"{node.name}.{item.name}", item.name,
+                                      True))
     return found
 
 
-def code_names(path: str) -> Iterator[str]:
-    """The identifiers of ``path``'s code: ``tokenize`` NAME tokens,
-    so words in comments, docstrings and other strings do not count.
+def code_names(path: str) -> Iterator[Tuple[str, bool]]:
+    """The identifiers of ``path``'s code, each with whether it follows
+    a ``.`` (an attribute access): ``tokenize`` NAME tokens, so words
+    in comments, docstrings and other strings do not count.
 
     Python 3.12 tokenizes the expressions inside f-strings too; they
     are skipped so that every version counts the same names.
     """
     depth = 0
+    after_dot = False
     with open(path, "rb") as fh:
         for tok in tokenize.tokenize(fh.readline):
             if tok.type == FSTRING_START:
                 depth += 1
             elif tok.type == FSTRING_END:
                 depth -= 1
-            elif tok.type == tokenize.NAME and not depth:
-                yield tok.string
+            elif depth:
+                continue
+            elif tok.type == tokenize.NAME:
+                yield tok.string, after_dot
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                after_dot = tok.type == tokenize.OP and tok.string == "."
 
 
-def identifier_counts() -> Counter:
-    """How often each identifier occurs in code outside tests,
-    ignoring ``__init__.py`` re-exports."""
-    counts: Counter = Counter()
+def identifier_counts() -> Tuple[Counter, Counter]:
+    """How often each identifier occurs in code outside tests, and how
+    often as an attribute access, ignoring ``__init__.py`` re-exports."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for tree in USE_TREES:
         for path in _py_files(tree):
             if os.path.basename(path) == "__init__.py":
                 continue
-            counts.update(code_names(path))
-    return counts
+            for name, is_attribute in code_names(path):
+                names[name] += 1
+                attributes[name] += is_attribute
+    return names, attributes
+
+
+def _used(bare: str, method: bool, names: Counter,
+          attributes: Counter) -> bool:
+    if method:
+        return attributes[bare] >= 1
+    # Its own ``def``/``class`` line is one occurrence; a use is another.
+    return names[bare] >= 2
 
 
 def test_every_public_name_has_a_non_test_use():
-    counts = identifier_counts()
-    # Its own ``def``/``class`` line is one occurrence; a use is another.
-    unused = sorted(q for q, bare in public_names()
-                    if counts[bare] < 2 and q not in ALLOWED)
+    names, attributes = identifier_counts()
+    unused = sorted(q for q, bare, method in public_names()
+                    if not _used(bare, method, names, attributes)
+                    and q not in ALLOWED)
     assert unused == [], (
         "public names that only tests use; delete them, move them into a "
         f"tests/ helper, or allowlist them with a reason: {unused}")
 
 
 def test_allowlist_entries_exist():
-    defined = {q for q, _ in public_names()}
+    defined = {q for q, _, _ in public_names()}
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined
 
 
@@ -125,6 +145,16 @@ def test_only_code_counts(tmp_path):
         "# beta\n"
         "x = 'gamma' + f'{delta}'\n"
         "epsilon(x)\n")
-    names = set(code_names(str(source)))
+    names = {name for name, _ in code_names(str(source))}
     assert {"x", "epsilon"} <= names
     assert not names & {"alpha", "beta", "gamma", "delta"}
+
+
+def test_methods_count_only_attribute_access(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def run(job):\n"
+        "    job.start()\n"
+        "    return stop(job)\n")
+    tokens = dict(code_names(str(source)))
+    assert tokens["start"] and not tokens["stop"] and not tokens["run"]
