@@ -14,6 +14,7 @@ from typing import Optional
 
 from ..backend.cublas import CublasContext
 from ..core.params import gemm_problem
+from ..obs.profiler import pair_overlap, profile_trace
 from ..runtime.offload import host_operands
 from ..runtime.scheduler import GemmTileScheduler
 from ..sim.device import GpuDevice
@@ -52,15 +53,16 @@ def run(scale: str = "quick",
     sched.release()
     trace = device.trace
     assert trace is not None
+    report = profile_trace(trace)
     return Fig2Result(
         machine=machine.name,
         size=size,
         tile=tile,
         seconds=stats.seconds,
-        h2d_busy=trace.busy_time("h2d"),
-        exec_busy=trace.busy_time("exec"),
-        d2h_busy=trace.busy_time("d2h"),
-        h2d_exec_overlap=trace.overlap_time("h2d", "exec"),
+        h2d_busy=report.engines["h2d"].busy_time,
+        exec_busy=report.engines["exec"].busy_time,
+        d2h_busy=report.engines["d2h"].busy_time,
+        h2d_exec_overlap=pair_overlap(report, "h2d", "exec"),
         timeline=render_timeline(trace, width=100,
                                  engines=["h2d", "exec", "d2h"]),
     )

@@ -88,6 +88,13 @@ def complement_spans(spans: Sequence[Span], t0: float, t1: float
     return gaps
 
 
+def pair_overlap(report: "ProfileReport", a: str, b: str) -> float:
+    """Time engines ``a`` and ``b`` were both busy (inclusion-exclusion)."""
+    pa, pb = report.engines[a], report.engines[b]
+    return max(pa.busy_time + pb.busy_time - spans_total(
+        merge_spans(pa.busy_spans + pb.busy_spans)), 0.0)
+
+
 def _sweep(per_engine: Dict[str, List[Span]], t0: float, t1: float,
            exec_engines: Sequence[str]) -> Tuple[float, float, float, float]:
     """One boundary sweep: (overlap_time, compute, exposed_transfer, idle).

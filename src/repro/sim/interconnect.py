@@ -105,11 +105,19 @@ class TopologySpec:
         return n_dests if self.kind == "ring" else 1
 
 
+def _bandwidth(gb_per_s: float) -> float:
+    """Bytes/s of a per-hop bandwidth given in GB/s, checked in GB/s."""
+    if not gb_per_s > 0.0:
+        raise SimulationError(
+            f"per-hop bandwidth must be > 0 GB/s, got {gb_per_s:g}")
+    return from_gb_per_s(gb_per_s)
+
+
 def ring_topology(n_gpus: int, gb_per_s: float = 8.0,
                   latency: float = 5e-6,
                   bid_slowdown: float = 1.0) -> TopologySpec:
     """Unidirectional-routed ring (payloads forwarded clockwise)."""
-    bw = math.inf if math.isinf(gb_per_s) else from_gb_per_s(gb_per_s)
+    bw = _bandwidth(gb_per_s)
     return TopologySpec("ring", n_gpus, latency, bw, bid_slowdown)
 
 
@@ -117,7 +125,7 @@ def all_to_all_topology(n_gpus: int, gb_per_s: float = 12.0,
                         latency: float = 5e-6,
                         bid_slowdown: float = 1.0) -> TopologySpec:
     """Fully connected fabric: every pair has a direct duplex link."""
-    bw = math.inf if math.isinf(gb_per_s) else from_gb_per_s(gb_per_s)
+    bw = _bandwidth(gb_per_s)
     return TopologySpec("all_to_all", n_gpus, latency, bw, bid_slowdown)
 
 

@@ -1,10 +1,11 @@
 """Timeline tracing for the simulated engines.
 
 Every engine activity (h2d transfer, d2h transfer, kernel execution)
-can be recorded as a :class:`TraceEvent`.  The recorder feeds two
-consumers: assertions in tests (e.g. "the compute engine was never idle
-between subkernels") and the Fig. 2-style ASCII pipeline rendering used
-by ``repro.experiments.fig2_pipeline``.
+can be recorded as a :class:`TraceEvent`.  The recorder feeds three
+consumers: the overlap profiler (``repro.obs.profiler``, which measures
+busy and overlap times from the events), the trace-invariant verifier
+(``repro.obs.verify``), and the Fig. 2-style ASCII pipeline rendering
+used by ``repro.experiments.fig2_pipeline``.
 """
 
 from __future__ import annotations
@@ -77,25 +78,6 @@ class TraceRecorder:
         for ev in self.events:
             seen.setdefault(ev.engine, None)
         return list(seen)
-
-    def busy_time(self, engine: str) -> float:
-        """Total busy time of an engine (intervals never overlap because
-        each engine processes one job at a time)."""
-        return sum(ev.duration for ev in self.by_engine(engine))
-
-    def overlap_time(self, engine_a: str, engine_b: str) -> float:
-        """Total time during which both engines were simultaneously busy."""
-        total = 0.0
-        evs_b = sorted(self.by_engine(engine_b), key=lambda e: e.start)
-        for ea in self.by_engine(engine_a):
-            for eb in evs_b:
-                lo = max(ea.start, eb.start)
-                hi = min(ea.end, eb.end)
-                if hi > lo:
-                    total += hi - lo
-                if eb.start >= ea.end:
-                    break
-        return total
 
 
 def render_timeline(

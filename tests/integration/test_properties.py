@@ -29,6 +29,7 @@ from repro.core.models import (
 )
 from repro.core.params import gemm_problem
 from repro.core.transfer_model import LinkModel, TransferFit
+from repro.obs.profiler import profile_trace
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import GemmTileScheduler
 from repro.runtime.tiles import Grid2D
@@ -101,8 +102,8 @@ class TestPipelineBounds:
         hosts = host_operands(problem)
         sched = GemmTileScheduler(ctx, problem, t, hosts)
         stats = sched.run()
-        trace = device.trace
-        busy = [trace.busy_time(e) for e in ("h2d", "exec", "d2h")]
+        engines = profile_trace(device.trace).engines
+        busy = [engines[e].busy_time for e in ("h2d", "exec", "d2h")]
         assert stats.seconds >= max(busy) - 1e-12
         assert stats.seconds <= sum(busy) + 1e-12
         sched.release()

@@ -7,6 +7,7 @@ from repro.backend.cublas import CublasContext
 from repro.blas import assert_allclose_blas, ref_axpy, ref_gemm
 from repro.core.params import Loc, axpy_problem, gemm_problem
 from repro.errors import SchedulerError
+from repro.obs.profiler import pair_overlap, profile_trace
 from repro.runtime.offload import host_operands
 from repro.runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from repro.sim.device import GpuDevice
@@ -195,8 +196,9 @@ class TestGemmTiming:
         stats = sched.run()
         trace = ctx.device.trace
         check_trace(trace)
-        serial = (trace.busy_time("h2d") + trace.busy_time("exec")
-                  + trace.busy_time("d2h"))
+        engines = profile_trace(trace).engines
+        serial = (engines["h2d"].busy_time + engines["exec"].busy_time
+                  + engines["d2h"].busy_time)
         assert stats.seconds < serial
         sched.release()
 
@@ -208,8 +210,9 @@ class TestGemmTiming:
         stats = sched.run()
         trace = ctx.device.trace
         check_trace(trace)
+        engines = profile_trace(trace).engines
         for engine in ("h2d", "exec", "d2h"):
-            assert stats.seconds >= trace.busy_time(engine) - 1e-12
+            assert stats.seconds >= engines[engine].busy_time - 1e-12
         sched.release()
 
     def test_transfers_overlap_compute(self, check_trace):
@@ -220,8 +223,9 @@ class TestGemmTiming:
         sched.run()
         trace = ctx.device.trace
         check_trace(trace)
-        overlap = trace.overlap_time("h2d", "exec")
-        assert overlap > 0.3 * trace.busy_time("h2d")
+        report = profile_trace(trace)
+        overlap = pair_overlap(report, "h2d", "exec")
+        assert overlap > 0.3 * report.engines["h2d"].busy_time
         sched.release()
 
 

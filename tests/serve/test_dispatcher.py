@@ -14,7 +14,7 @@ from repro.serve import (BlasServer, Dispatcher, HOST_WORKER, HealthMonitor,
 from repro.serve import dispatcher as dispatcher_module
 from repro.serve.dispatcher import batchable, coalesce
 
-from .test_golden_modes import TIGHT
+from tests.test_golden_documents import TIGHT
 
 
 def make(tb2, models_tb2, monitor=None, **fields):

@@ -21,7 +21,7 @@ from repro.serve import server as server_module
 from repro.sim.faults import FaultPlan, resolve_plan
 from repro.sim.link import Direction
 
-from .test_golden_modes import EVENT_FAULTS, TIGHT
+from tests.test_golden_documents import EVENT_FAULTS, TIGHT
 
 
 def small_gemm(req_id, arrival, group="g0", n=256):

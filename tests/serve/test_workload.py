@@ -1,7 +1,6 @@
 """Seeded workload generation: determinism and substream independence."""
 
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from repro.core.params import axpy_problem, gemm_problem
 from repro.serve import (ServeError, WorkloadSpec, generate_workload,
                          reference_time, spec_as_dict)
 from repro.serve.workload import ProblemPool
+from tests.test_golden_documents import SUITE_TRACES
 
 
 def _fingerprint(requests):
@@ -159,59 +159,12 @@ class TestGeneratedShape:
         assert 0 < small < large
 
 
-def _trace_digest(requests):
-    h = hashlib.sha256()
-    for r in requests:
-        h.update(repr((r.req_id, r.arrival, r.problem.routine.name,
-                       r.problem.dims, r.priority, r.deadline,
-                       r.group)).encode())
-    return h.hexdigest()
-
-
 class TestGoldenTraces:
-    """The benchmark suite's traces, pinned to digests recorded before
-    the generators shared a problem pool."""
-
-    # The suite's serve_steady / serve_overload / cluster_phased specs
-    # (benchmarks/suite/workloads.py), at its default seed and seed 3.
-    SERVE = {
-        "serve_steady": dict(arrival="poisson", rate=2000.0,
-                             n_requests=8000, small_fraction=0.5),
-        "serve_overload": dict(arrival="bursty", rate=8000.0,
-                               n_requests=20000, small_fraction=0.5),
-    }
-    CLUSTER = dict(arrival="bursty", rate=500.0, n_requests=20000,
-                   phases=(1.0, 2.5, 0.4))
-    GOLDEN = {
-        ("serve_steady", 11): "337180c31283ccb32c5fc8f4bb53b865"
-                              "ffbbffd0b04e2a24fe1b23fda4a3b6dc",
-        ("serve_overload", 11): "1be480d12b817d11de465e6a6d8b2c2d"
-                                "4cac221ab5cebb904fc6f45c01478a54",
-        ("cluster_phased", 11): "44ddd5a4b15e7f5c9bc67ff136f3ed60"
-                                "dc72d178c9acbe86c56ede6bcb06bfa8",
-        ("serve_steady", 3): "3f6df340f2ee31645451d475b1c22357"
-                             "176a743e62906d820d159bf8eec25d0c",
-        ("serve_overload", 3): "6492b6556721a1f2d7d9174d24b6f3d6"
-                               "764fdc138c84920976ad3d386fb73b9f",
-        ("cluster_phased", 3): "24fa1cac902b829ed60fd4a8ed6edf6c"
-                               "b8077b58a95b5770f54f02ea851e76b6",
-    }
-
-    def _trace(self, name, seed):
-        if name == "cluster_phased":
-            return iter_cluster_workload(ClusterWorkloadSpec(
-                scale="tiny", seed=seed, **self.CLUSTER))
-        return generate_workload(WorkloadSpec(
-            scale="tiny", seed=seed, **self.SERVE[name]))
-
-    @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
-    def test_trace_matches_golden(self, name, seed):
-        assert (_trace_digest(self._trace(name, seed))
-                == self.GOLDEN[name, seed])
+    """The suite's traces; their digests are cases of the golden table
+    (``tests/test_golden_documents.py``)."""
 
     def test_trace_shares_one_problem_per_shape(self):
-        reqs = generate_workload(WorkloadSpec(
-            scale="tiny", seed=11, **self.SERVE["serve_overload"]))
+        reqs = SUITE_TRACES["serve_overload"](11)
         keys = {(r.problem.routine.name, r.problem.dims) for r in reqs}
         assert len(reqs) == 20000
         assert len({id(r.problem) for r in reqs}) <= len(keys) < 40

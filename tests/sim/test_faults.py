@@ -32,6 +32,7 @@ from repro.sim import (
     tile_checksum,
 )
 from repro.sim import faults as faults_module
+from repro.obs.profiler import profile_trace
 from repro.sim.faults import MAX_ATTEMPTS, as_injector, backoff, corrupt_array
 from tests.machines import custom_machine
 from repro.sim.noise import NoiseModel
@@ -293,7 +294,8 @@ class TestDeviceFaults:
         assert ran == [1]  # payload only runs on the clean attempt
         assert dev.resilience.kernel_retries == 1
         # aborted launch occupies the engine for half its nominal time
-        assert dev.trace.busy_time("exec") == pytest.approx(1.5e-3)
+        assert profile_trace(dev.trace).engines["exec"].busy_time == \
+            pytest.approx(1.5e-3)
         assert [e.tag for e in dev.trace.by_engine("exec")] == \
             ["k0!fault", "k0"]
         check_trace(dev.trace)

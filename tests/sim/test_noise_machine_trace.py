@@ -12,6 +12,7 @@ from tests.machines import custom_machine
 from repro.sim.machine import testbed_i as make_testbed_i
 from repro.sim.machine import testbed_ii as make_testbed_ii
 from repro.errors import SimulationError
+from repro.obs.profiler import pair_overlap, profile_trace
 from repro.sim.noise import NoiseModel
 from repro.sim.trace import TraceRecorder, render_timeline
 from repro.units import from_gb_per_s
@@ -156,14 +157,14 @@ class TestTrace:
         return tr
 
     def test_busy_time(self):
-        tr = self._trace()
-        assert tr.busy_time("h2d") == pytest.approx(1.0)
-        assert tr.busy_time("exec") == pytest.approx(1.5)
+        engines = profile_trace(self._trace()).engines
+        assert engines["h2d"].busy_time == pytest.approx(1.0)
+        assert engines["exec"].busy_time == pytest.approx(1.5)
 
     def test_overlap_time(self):
-        tr = self._trace()
-        assert tr.overlap_time("h2d", "exec") == pytest.approx(0.5)
-        assert tr.overlap_time("h2d", "d2h") == 0.0
+        report = profile_trace(self._trace())
+        assert pair_overlap(report, "h2d", "exec") == pytest.approx(0.5)
+        assert pair_overlap(report, "h2d", "d2h") == 0.0
 
     def test_engines_in_first_seen_order(self):
         assert self._trace().engines() == ["h2d", "exec", "d2h"]

@@ -229,23 +229,18 @@ class TestServe:
 
 
 class TestProfileCli:
-    #: sha256 of the two-GPU profile.json below; the document is
-    #: deterministic, so any change to the multi-GPU schedule moves it.
-    TWO_GPU_DIGEST = ("f5d90f4f999e6817930f31c5ca74f1279a1ce4ab8d5f52cf"
-                      "456049c28a315810")
-
     def test_two_gpus_profile_one_process_per_gpu(self, capsys, db_dir,
                                                   tmp_path):
         import hashlib
         import json
 
         from repro.obs import validate_profile_json
+        from tests.test_golden_documents import PINS
 
+        case = PINS["cases"]["cli-profile-2gpu"]
         out_dir = tmp_path / "profile"
-        code, out, _ = run_cli(
-            capsys, "profile", "gemm", "2048", "2048", "2048",
-            "--scale", "tiny", "--gpus", "2", "--db-dir", db_dir,
-            "--out-dir", str(out_dir))
+        code, out, _ = run_cli(capsys, *case["argv"], "--db-dir", db_dir,
+                               "--out-dir", str(out_dir))
         assert code == 0
         assert "2 GPUs" in out
         raw = (out_dir / "profile.json").read_bytes()
@@ -256,7 +251,7 @@ class TestProfileCli:
         processes = sorted(ev["args"]["name"] for ev in chrome
                            if ev.get("name") == "process_name")
         assert processes == ["gpu0", "gpu1"]
-        assert hashlib.sha256(raw).hexdigest() == self.TWO_GPU_DIGEST
+        assert hashlib.sha256(raw).hexdigest() == case["sha256"]
 
     @pytest.mark.parametrize("gpus", ["0", "-1"])
     def test_rejects_fewer_than_one_gpu(self, capsys, db_dir, tmp_path,
@@ -310,6 +305,18 @@ class TestSummaCli:
             "--db-dir", db_dir, "--out-dir", str(out_dir))
         assert code == 2
         assert "summa needs at least 2 GPUs, got 1" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("topology", ["ring", "all_to_all"])
+    def test_summa_rejects_bandwidth_in_gb_per_s(self, capsys, db_dir,
+                                                 tmp_path, topology):
+        out_dir = tmp_path / "summa"
+        code, _, err = run_cli(
+            capsys, "summa", "--scale", "tiny", "--topology", topology,
+            "--gb-per-s", "-1", "--db-dir", db_dir,
+            "--out-dir", str(out_dir))
+        assert code == 2
+        assert "per-hop bandwidth must be > 0 GB/s, got -1\n" in err
         assert not out_dir.exists()
 
     def test_summa_all_to_all_and_knobs(self, capsys, db_dir, tmp_path):
