@@ -16,7 +16,7 @@ router scores with) acts as the pressure-relief override: when the
 models say the fleet is already ``UP_BACKLOG`` seconds behind per
 node, scale up even if the rate EWMA hasn't caught up yet.
 
-Scale-up provisions a cold node (warm-up delay, empty weight caches);
+Scale-up provisions a cold node (warm-up delay, empty queues);
 scale-down gracefully drains the highest-index active node —
 arrival-preserving requeue, in-flight work finishes where it started.
 A cooldown between actions stops the controller from flapping inside

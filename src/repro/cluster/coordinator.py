@@ -267,7 +267,8 @@ class ClusterCoordinator:
         if len(active) <= self.config.autoscaler.min_nodes:
             return None
         # Youngest-first: the highest-index active node drains, so the
-        # long-lived shard owners keep their warm weight caches.
+        # long-lived shard owners keep co-locating their groups for
+        # batching.
         node = max(active, key=lambda n: n.index)
         moved = node.drain()
         event = self.autoscaler.events[-1]

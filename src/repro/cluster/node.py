@@ -14,8 +14,8 @@ Node lifecycle::
 
     warming -> active -> draining -> stopped
 
-A provisioned node spends ``warmup`` simulated seconds WARMING (cold
-weight caches, not yet routable), serves while ACTIVE, stops taking
+A provisioned node spends ``warmup`` simulated seconds WARMING (not yet
+routable), serves while ACTIVE, stops taking
 new work while DRAINING (in-flight finishes here, queued work migrates
 away), and is deregistered once STOPPED.
 """

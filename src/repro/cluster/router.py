@@ -4,9 +4,9 @@ Grouped requests (shared weights) shard by **consistent hashing**: a
 ring of ``REPLICAS`` points per node, keyed by sha1 — deliberately
 *not* Python's builtin ``hash()``, which is salted per process and
 would wreck cross-run determinism — maps each weight group to a
-primary node, so a group's weight cache stays warm on one node across
-fleet membership changes (only ~1/N of groups move when a node joins
-or leaves).
+primary node, so a group's requests meet in one node's queues, where
+the server can batch them, across fleet membership changes (only ~1/N
+of groups move when a node joins or leaves).
 
 Sharding alone herds a hot group onto one overloaded node, so the
 router allows **bounded spill**: when the primary's predicted backlog
@@ -20,7 +20,7 @@ completion) — not instantaneous queue length: service times in one
 trace span orders of magnitude, so one queued giant outweighs ten
 queued batchable gemms, and only the prediction sees that.
 
-Ungrouped requests (large gemms, axpy) have no cache affinity and go
+Ungrouped requests (large gemms, axpy) never batch with a group and go
 straight to the fleet-wide minimum predicted backlog.
 
 A ``least_connections`` policy — argmin over outstanding request
@@ -130,7 +130,8 @@ class ClusterRouter:
         if primary.predicted_backlog(now) <= SPILL_BACKLOG:
             return primary
         # Ties break toward ring order, so an idle fleet still lands a
-        # group on its primary (warm weight cache) rather than node 0.
+        # group on its primary (where its batch mates queue) rather
+        # than node 0.
         chosen = min(enumerate(candidates),
                      key=lambda kv: (kv[1].predicted_backlog(now), kv[0]))[1]
         if chosen is not primary:

@@ -146,8 +146,8 @@ def iter_cluster_workload(spec: ClusterWorkloadSpec) -> Iterator[Request]:
         elif size_u[i] < spec.small_fraction:
             # A weight group is one model: its shared A operand has ONE
             # shape, bound to the group id — so every two requests of a
-            # group are batchable (same M, K) and its weight-cache entry
-            # is a single residency key.
+            # group are batchable (same M, K), and sharding the group
+            # onto one node co-locates its batch mates.
             g = int(groups[i])
             key = ("gemm", small[g % len(small)])
             group = f"g{g}"

@@ -1,11 +1,10 @@
 """Memoized tile choices (hot-path pass).
 
 Tile selection sweeps every benchmarked candidate ``T`` through a
-prediction model; the serving dispatcher does this once per residency
-variant of a placement and once per batch launch, the library once per
-call.  Most selections repeat the exact same (models, model, problem)
-triple — serving asks about a few problem shapes thousands of times —
-so this module provides a :class:`PredictionCache` that memoizes whole
+prediction model; the serving dispatcher does this once per placement
+and once per batch launch, the library once per call.  Most selections
+repeat the exact same (models, model, problem) triple — serving asks
+about a few problem shapes thousands of times — so this module provides a :class:`PredictionCache` that memoizes whole
 :class:`~repro.core.select.TileChoice` results.
 
 Keys combine the *instance* of the deployed

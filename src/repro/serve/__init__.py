@@ -4,7 +4,7 @@ The serving layer turns the one-call-at-a-time runtime into a loaded
 multi-GPU service: seeded open-loop workloads
 (:mod:`~repro.serve.workload`) flow through an EDF-within-priority
 queue (:mod:`~repro.serve.request`), a CoCoPeLia-model-guided
-dispatcher with locality-aware placement, batching, host crossover and
+dispatcher with backlog-aware placement, batching, host crossover and
 SLO admission control (:mod:`~repro.serve.dispatcher`), and an
 event-driven execution engine on the shared simulator clock
 (:mod:`~repro.serve.server`), producing a versioned ``repro.serve/v1``

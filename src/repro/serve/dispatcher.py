@@ -5,15 +5,13 @@ request it evaluates the deployed CoCoPeLia models to predict service
 time on the simulated GPUs, scores each placement by *predicted
 completion time*
 
-    score(g) = now + backlog(g) + T_pred(problem | locality(g))
+    score(g) = now + backlog(g) + T_pred(problem)
 
 where ``backlog(g)`` is the remaining predicted time of the request
 currently running on ``g`` plus the admission-time predictions of its
-queued work, and ``locality(g)`` re-predicts with the A operand
-device-resident when ``g`` still caches the request's weight group.
-A request thus has two variants, cold and warm, and one placement pass
-selects a tile at most once per variant, however many GPUs it scores.
-Placement routes to the argmin (ties to the lowest GPU index).  A
+queued work.  ``T_pred`` is the same on every GPU, so one placement
+pass selects a tile once, however many GPUs it scores.  Placement
+routes to the argmin (ties to the lowest GPU index).  A
 ``round_robin`` policy is kept as the baseline: same execution path,
 placement by turn.
 
@@ -29,12 +27,11 @@ multiplier: the tail bank's inflation at the admission percentile, or
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.instantiation import MachineModels
-from ..core.params import CoCoProblem, Loc, gemm_problem
+from ..core.params import CoCoProblem, gemm_problem
 from ..core.predcache import PredictionCache
 from ..core.select import TileChoice, select_tile
 from ..core.tailbank import PercentileBank
@@ -52,22 +49,14 @@ ADMISSION_MODES = ("none", "shed", "downgrade")
 HOST_WORKER = "host"
 
 
-#: Weight-cache-aware placement: re-predict with the A operand
-#: device-resident when a GPU still caches the request's weight group.
-LOCALITY = True
-#: Share of each GPU's memory the LRU weight cache may hold.
-WEIGHT_CACHE_FRACTION = 0.5
-
-
 @dataclass(eq=False)
 class WorkerState:
     """Everything about one serving worker: a simulated GPU ``gpuN``, or
-    the host CPU fallback (``index`` None; its cache is unmodelled, so
-    its residency map stays empty).
+    the host CPU fallback (``index`` None).
 
-    The dispatcher reads the queue, backlog and residency; the server
-    owns the in-flight slot and the report counters.  Records compare
-    by identity: a placement names its worker by the record itself.
+    The dispatcher reads the queue and backlog; the server owns the
+    in-flight slot and the report counters.  Records compare by
+    identity: a placement names its worker by the record itself.
     """
 
     name: str = HOST_WORKER
@@ -77,12 +66,6 @@ class WorkerState:
     inflight: Optional[object] = None
     #: Predicted absolute end time of the in-flight batch (0 = idle).
     running_pred_end: float = 0.0
-    #: LRU weight cache: residency key -> bytes (see _residency_key).
-    resident: "OrderedDict[Tuple, int]" = field(default_factory=OrderedDict)
-    #: Running total of the resident map's byte values.  Maintained
-    #: incrementally by ``note_resident`` so eviction is O(evictions)
-    #: instead of re-summing the whole cache per loop iteration.
-    resident_bytes: int = 0
     # -- report counters, charged as each batch settles ------------------
     busy_seconds: float = 0.0
     batches: int = 0
@@ -90,7 +73,6 @@ class WorkerState:
     h2d_bytes: int = 0
     d2h_bytes: int = 0
     kernels: int = 0
-    locality_hits: int = 0
     #: Per-batch device event streams (trace mode).  Each batch ran on
     #: a fresh device, so each inner stream is a self-contained trace
     #: that verifies on its own; one flat splice would alias tile tags
@@ -112,11 +94,6 @@ class WorkerState:
                    if self.inflight is not None else 0.0)
         return running + self.queue.total_predicted()
 
-    def drop_residency(self) -> None:
-        """Forget every cached weight group (drain/fault path)."""
-        self.resident.clear()
-        self.resident_bytes = 0
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -130,12 +107,6 @@ class Placement:
     #: where both equal the mean values), and its completion.
     admission_seconds: float
     admission_completion: float
-
-
-def _residency_key(problem: CoCoProblem, group: str) -> Tuple:
-    """Cache key of a group's shared A operand (its "weights")."""
-    a = problem.operands[0]
-    return (group, a.s1, a.s2, problem.signature()[2])
 
 
 def _placement(worker: WorkerState, now: float, backlog: float,
@@ -154,7 +125,7 @@ class Dispatcher:
 
     The dispatcher owns no clock and runs nothing — it only answers
     "where should this go and will it make its deadline", and tracks
-    the backlog/residency state those answers depend on.  The server
+    the backlog state those answers depend on.  The server
     drives it and reports dispatch/completion events back.
     """
 
@@ -182,7 +153,6 @@ class Dispatcher:
         #: Optional health monitor: failed domains are excluded from
         #: placement, degraded/half-open domains are score-penalized.
         self.monitor = monitor
-        self._cache_capacity = WEIGHT_CACHE_FRACTION * machine.gpu_mem_bytes
         self._rr_next = 0
         #: Memoized (model, problem signature) -> TileChoice scoring;
         #: pass a shared PredictionCache to reuse predictions across
@@ -211,8 +181,6 @@ class Dispatcher:
         #: Requests rejected *only* because of the tail inflation (their
         #: mean predicted completion still made the deadline).
         self.tail_rejections = 0
-        #: Problem signature -> the same gemm with A device-resident.
-        self._device_a: Dict[Tuple, CoCoProblem] = {}
 
     # -- predictions ---------------------------------------------------
 
@@ -220,7 +188,7 @@ class Dispatcher:
         """Model-predicted best tile and service time on one GPU.
 
         O(1) after the first scoring of a problem signature: a placement
-        asks once per residency variant, the launch once per batch."""
+        asks once per pass, the launch once per batch."""
         return select_tile(problem, self.models, model=self.config.model,
                            cache=self.prediction_cache)
 
@@ -237,58 +205,6 @@ class Dispatcher:
         if self.tail_bank is None:
             return 1.0
         return self.tail_bank.multiplier(problem, self.admission_percentile)
-
-    # -- residency / locality ------------------------------------------
-
-    def residency_key(self, request: Request) -> Optional[Tuple]:
-        """The key a GPU caches ``request``'s weight group under, or None
-        when locality cannot apply (no group, not a gemm, or A not on
-        the host).  None is never resident, so ``key in gpu.resident``
-        is the whole per-GPU residency test."""
-        problem = request.problem
-        if (not LOCALITY or request.group is None
-                or problem.routine.name != "gemm"
-                or problem.operands[0].loc is not Loc.HOST):
-            return None
-        return _residency_key(problem, request.group)
-
-    def gpu_view(self, problem: CoCoProblem,
-                 hit: bool) -> Tuple[CoCoProblem, TileChoice]:
-        """The problem a GPU runs for ``problem`` and its predicted best
-        tile and time.  On a locality ``hit`` that is the same gemm with
-        A already device-resident, built once per problem signature."""
-        if hit:
-            sig = problem.signature()
-            twin = self._device_a.get(sig)
-            if twin is None:
-                m, n, k = problem.dims
-                locs = [op.loc for op in problem.operands]
-                twin = self._device_a[sig] = gemm_problem(
-                    m, n, k, problem.dtype, Loc.DEVICE, locs[1], locs[2])
-            problem = twin
-        return problem, self.predict_gpu(problem)
-
-    def note_resident(self, gpu: WorkerState, request: Request) -> None:
-        """Record that a group's A tiles now live on ``gpu``."""
-        if request.group is None or request.problem.routine.name != "gemm":
-            return
-        key = _residency_key(request.problem, request.group)
-        a = request.problem.operands[0]
-        size = a.elements() * request.problem.elem_size
-        prev = gpu.resident.get(key)
-        if prev is not None:
-            gpu.resident_bytes -= prev
-        gpu.resident[key] = size
-        gpu.resident.move_to_end(key)
-        gpu.resident_bytes += size
-        # Evict LRU-first off the running byte total: O(evictions), not
-        # O(len(resident)) re-sums per loop iteration.  The byte values
-        # are ints, so the running total equals the exact sum and the
-        # eviction order is identical to the re-summing loop's.
-        while (gpu.resident_bytes > self._cache_capacity
-               and len(gpu.resident) > 1):
-            _evicted_key, evicted = gpu.resident.popitem(last=False)
-            gpu.resident_bytes -= evicted
 
     # -- placement -----------------------------------------------------
 
@@ -334,21 +250,17 @@ class Dispatcher:
         monitor = self.monitor
         gpus = (self._round_robin(take_turn)
                 if self.config.placement == "round_robin" else self.gpus)
-        # ``times`` holds each variant's predicted time (cold, warm),
-        # selected at most once; a GPU's service is its variant's time
+        # One selection scores every GPU; a GPU's service is that time
         # times its health penalty.  GPUs are scanned by index, so a
         # strict ``<`` sends ties to the lowest one.
-        key = self.residency_key(request)
-        times: List[Optional[float]] = [None, None]
+        predicted = None
         best = best_at = None
         for gpu in gpus:
             if monitor is not None and not monitor.available(gpu.index):
                 continue
-            hit = key in gpu.resident
-            service = times[hit]
-            if service is None:
-                service = times[hit] = self.gpu_view(
-                    request.problem, hit)[1].predicted_time
+            if predicted is None:
+                predicted = self.predict_gpu(request.problem).predicted_time
+            service = predicted
             if monitor is not None:
                 penalty = monitor.penalty(gpu.index)
                 if penalty != 1.0:

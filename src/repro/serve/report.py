@@ -62,7 +62,6 @@ def _worker_dict(worker: WorkerState, makespan: float) -> Dict[str, object]:
         "h2d_bytes": worker.h2d_bytes,
         "d2h_bytes": worker.d2h_bytes,
         "kernels": worker.kernels,
-        "locality_hits": worker.locality_hits,
     }
 
 
@@ -284,7 +283,7 @@ SERVE_SCHEMA = {
             "worker": str, "busy_seconds": float,
             "utilization": Rule(float, _utilization),
             "batches": int, "requests": int, "h2d_bytes": int,
-            "d2h_bytes": int, "kernels": int, "locality_hits": int,
+            "d2h_bytes": int, "kernels": int,
         }], "must list at least one worker"),
         "resilience": Opt({
             "counters": Each(COUNT),

@@ -4,8 +4,8 @@ A :class:`Request` wraps one BLAS problem with serving metadata: when
 it arrived, how urgent it is (integer priority, larger = more urgent),
 an optional absolute completion deadline, and an optional *group* key
 naming shared input data (for gemm, the A operand — the "weights" of an
-inference-style workload; requests in one group may be batched and
-benefit from data-locality placement).
+inference-style workload; requests in one group with the same M and K
+may be batched into one wider gemm).
 
 :class:`RequestQueue` orders pending work EDF-within-priority: the
 highest priority class is served first, and inside a class the request

@@ -538,12 +538,8 @@ class BlasServer:
         worker = batch.worker
         index = worker.index
         head = batch.members[0]
-        hit = self.dispatcher.residency_key(head) in worker.resident
-        problem, choice = self.dispatcher.gpu_view(batch.problem, hit)
-        if hit:
-            worker.locality_hits += len(batch.members)
+        choice = self.dispatcher.predict_gpu(batch.problem)
         batch.predicted = choice.predicted_time
-        batch.problem = problem
 
         machine_key, machine = self._batch_machine(index)
         seed = cfg.seed + 37 * head.req_id + index
@@ -641,7 +637,6 @@ class BlasServer:
             self._count("serve.recoveries")
         for member in batch.members:
             self._complete_request(member, end, service, events)
-        self.dispatcher.note_resident(worker, batch.members[0])
         self._maybe_dispatch(worker)
 
     def _on_timeout(self, batch: _Batch) -> None:
@@ -701,8 +696,7 @@ class BlasServer:
         The in-flight batch (if any) is cancelled — its simulated
         pipeline runs out as a zombie that completes nobody — and both
         its running members and the whole backlog are re-placed on
-        surviving workers with arrival/deadline preserved.  The weight
-        cache is invalidated: residency on a failed device is gone.
+        surviving workers with arrival/deadline preserved.
         """
         self._stats_res.drains += 1
         self._count("serve.drains")
@@ -713,7 +707,6 @@ class BlasServer:
             moved.extend(batch.members)
         while worker.queue:
             moved.append(worker.queue.pop())
-        worker.drop_residency()
         if moved:
             self._stats_res.drained_requests += len(moved)
             self._count("serve.drained_requests", len(moved))

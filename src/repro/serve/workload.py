@@ -188,7 +188,7 @@ def generate_workload(spec: WorkloadSpec) -> List[Request]:
         elif float(rngs["size"].random()) < spec.small_fraction:
             dims = small[int(rngs["size"].integers(len(small)))]
             # Small gemms share weights: the A operand is a group's
-            # "model", enabling batching and locality-aware placement.
+            # "model", so requests of one group can be batched.
             group = f"g{int(rngs['group'].integers(spec.n_groups))}"
         else:
             dims = large[int(rngs["size"].integers(len(large)))]

@@ -107,8 +107,7 @@ class TestTrace:
 
     def test_group_binds_shape(self):
         # One weight group = one model = one A shape: every grouped
-        # request of g must carry identical gemm dims (batchable, one
-        # weight-cache residency key).
+        # request of g must carry identical gemm dims (batchable).
         reqs = list(iter_cluster_workload(self.SPEC))
         dims_by_group = {}
         for r in reqs:

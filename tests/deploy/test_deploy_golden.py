@@ -1,7 +1,8 @@
 """Deployments pinned to a recorded golden, at quick and paper scale.
 
-For both testbeds the golden holds the repetition count of every
-``measure_until_stable`` call (in call order), the sha256 of the
+For both testbeds the ``deploy`` block of the table of pinned digests
+(``tests/data/golden_documents.json``) holds the repetition count of
+every ``measure_until_stable`` call (in call order), the sha256 of the
 deployed ``MachineModels.to_dict()`` JSON without its slope p-values,
 and those p-values.  Everything but the p-values must match exactly.
 The p-values depend on the last few ulps of the Student-t survival
@@ -9,19 +10,20 @@ function, which no two implementations share (they differ from the
 exact value by up to ~30 ulps in the deep tail), so they are held to
 ``P_VALUE_REL`` of the recorded value.
 
-Re-record (only when a deliberate model change moves the database)::
+The table's one re-record command re-records the block too (only when
+a deliberate model change moves the database)::
 
-    PYTHONPATH=src python tests/deploy/test_deploy_golden.py
+    PYTHONPATH=src python -m tests.test_golden_documents
 """
 
 import hashlib
 import json
-import re
 from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_deploy.json"
+TABLE = (Path(__file__).resolve().parents[1] / "data"
+         / "golden_documents.json")
 SCALES = ("quick", "paper")
 TESTBEDS = ("testbed_i", "testbed_ii")
 P_VALUE_KEYS = ("p_value", "p_value_bid")
@@ -52,10 +54,15 @@ def deploy_record(scale, name, monkeypatch):
             "models_sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def deploy_block(monkeypatch):
+    """The table's ``deploy`` block, recorded afresh."""
+    return {scale: {name: deploy_record(scale, name, monkeypatch)
+                    for name in TESTBEDS} for scale in SCALES}
+
+
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN) as fh:
-        return json.load(fh)
+    return json.loads(TABLE.read_text())["deploy"]
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -70,14 +77,3 @@ def test_deploy_matches_golden(scale, name, golden, monkeypatch):
         assert got["p_values"][key] == pytest.approx(
             p, rel=P_VALUE_REL, abs=0), key
 
-
-if __name__ == "__main__":
-    with pytest.MonkeyPatch.context() as mp:
-        record = {scale: {name: deploy_record(scale, name, mp)
-                          for name in TESTBEDS} for scale in SCALES}
-    text = json.dumps(record, indent=1, sort_keys=True)
-    # One line per list of repetition counts.
-    text = re.sub(r"\[\s+([\d,\s]+?)\s+\]",
-                  lambda m: "[" + " ".join(m.group(1).split()) + "]", text)
-    GOLDEN.write_text(text + "\n")
-    print(f"wrote {GOLDEN}")

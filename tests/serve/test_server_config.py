@@ -19,7 +19,6 @@ import pytest
 
 from repro.serve import (ADMISSION_MODES, PLACEMENT_POLICIES, Dispatcher,
                          HealthMonitor, ServeError, ServerConfig)
-from repro.serve import dispatcher as dispatcher_module
 from repro.serve import resilience
 from repro.serve import server as server_module
 
@@ -28,8 +27,6 @@ FIELDS = ("n_gpus", "placement", "admission", "model", "batching",
 
 #: (module, constant, the default of the config field it replaced)
 CONSTANTS = [
-    (dispatcher_module, "LOCALITY", True),
-    (dispatcher_module, "WEIGHT_CACHE_FRACTION", 0.5),
     (server_module, "BATCH_MAX", 4),
     (server_module, "BATCH_SMALL_FLOPS", 4.0e9),
     (server_module, "TIMEOUT_FACTOR", 50.0),

@@ -20,10 +20,12 @@ as the sha256 of the document's bytes:
 
 The table's ``suite`` block holds the benchmark suite's seed-11
 digests.  A sweep rep is too slow for tier-1, so only CI's suite smoke
-job checks them.
+job checks them.  Its ``deploy`` block holds the quick and paper model
+databases of both testbeds, checked by
+``tests/deploy/test_deploy_golden.py``.
 
-Re-record the whole table, suite block included (only after an
-intentional change to a pinned document)::
+Re-record the whole table, suite and deploy blocks included (only
+after an intentional change to a pinned document)::
 
     PYTHONPATH=src python -m tests.test_golden_documents
 """
@@ -204,7 +206,9 @@ SEAM = re.compile(r"""["']\s*["']""")
 
 
 def test_no_digest_outside_the_table():
-    files = [CI, *sorted((ROOT / "tests").rglob("*.py"))]
+    data = [path for path in sorted((ROOT / "tests" / "data").glob("*.json"))
+            if path != TABLE]
+    files = [CI, *sorted((ROOT / "tests").rglob("*.py")), *data]
     found = [str(path.relative_to(ROOT)) for path in files
              if HEX64.search(SEAM.sub("", path.read_text()))]
     assert not found, f"digests written outside {TABLE.name}: {found}"
@@ -221,6 +225,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
 
     from repro.deploy import DeploymentConfig, deploy
     from repro.sim.machine import testbed_i, testbed_ii
+    from tests.deploy.test_deploy_golden import deploy_block
 
     sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
     import workloads
@@ -240,7 +245,13 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     suite = {name: workloads.execute(
                  name, workloads.prepare(name, SUITE_SEED)[0]).sha256
              for name in workloads.WORKLOADS}
-    doc = {"cases": cases, "suite": suite}
-    TABLE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(cases)} cases and {len(doc['suite'])} suite "
-          f"digests to {TABLE}", file=sys.stderr)
+    with pytest.MonkeyPatch.context() as mp:
+        deployed = deploy_block(mp)
+    doc = {"cases": cases, "deploy": deployed, "suite": suite}
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    # One line per list of repetition counts.
+    text = re.sub(r"\[\s+([\d,\s]+?)\s+\]",
+                  lambda m: "[" + " ".join(m.group(1).split()) + "]", text)
+    TABLE.write_text(text + "\n")
+    print(f"wrote {len(cases)} cases, {len(doc['suite'])} suite digests "
+          f"and the deploy block to {TABLE}", file=sys.stderr)
