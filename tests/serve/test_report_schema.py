@@ -48,6 +48,13 @@ class TestWellFormedDocuments:
         names = [w["worker"] for w in document["report"]["workers"]]
         assert names == ["gpu0", "gpu1", "host"]
 
+    def test_worker_records_carry_exactly_their_counters(self, document):
+        # No residency counter: the dispatcher keeps no weight cache.
+        for worker in document["report"]["workers"]:
+            assert list(worker) == [
+                "worker", "busy_seconds", "utilization", "batches",
+                "requests", "h2d_bytes", "d2h_bytes", "kernels"]
+
     def test_metrics_section_present(self, document):
         counters = document["metrics"]["counters"]
         assert counters["serve.requests"] == 16
