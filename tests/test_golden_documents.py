@@ -225,7 +225,8 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
 
     from repro.deploy import DeploymentConfig, deploy
     from repro.sim.machine import testbed_i, testbed_ii
-    from tests.deploy.test_deploy_golden import deploy_block
+    from tests.deploy.test_deploy_golden import (deploy_block,
+                                                 keep_recorded_p_values)
 
     sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
     import workloads
@@ -246,7 +247,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
                  name, workloads.prepare(name, SUITE_SEED)[0]).sha256
              for name in workloads.WORKLOADS}
     with pytest.MonkeyPatch.context() as mp:
-        deployed = deploy_block(mp)
+        deployed = keep_recorded_p_values(deploy_block(mp), PINS["deploy"])
     doc = {"cases": cases, "deploy": deployed, "suite": suite}
     text = json.dumps(doc, indent=1, sort_keys=True)
     # One line per list of repetition counts.
