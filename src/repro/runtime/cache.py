@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, ItemsView, Optional, Set, Tuple
 
-from ..backend.cublas import CublasContext, DeviceMatrix, DeviceVector
+from ..backend.cublas import CublasContext
 from ..errors import SchedulerError
+from ..sim.memory import DeviceBuffer
 from ..sim.stream import CudaEvent, Operation, Stream
 
 TileKey = Tuple[str, int, int]
@@ -33,7 +34,7 @@ TileKey = Tuple[str, int, int]
 class TileEntry:
     """One resident device tile (a matrix tile or a vector chunk)."""
 
-    matrix: "DeviceMatrix | DeviceVector"
+    tile: DeviceBuffer
     #: Completion event of the fetch; None for device-resident tiles.
     ready: Optional[CudaEvent] = None
     #: The fetch transfer itself; under fault injection its ``attempts``
@@ -102,8 +103,9 @@ class TileCache:
         return entry
 
     def free_all(self) -> None:
+        free = self._ctx.device.free
         for entry in self._tiles.values():
-            entry.matrix.free()
+            free(entry.tile)
         self._tiles.clear()
 
     def items(self) -> ItemsView[TileKey, TileEntry]:

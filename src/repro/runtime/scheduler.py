@@ -37,7 +37,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.cublas import CublasContext
+from ..backend.cublas import CublasContext, window
 from ..core.params import CoCoProblem, Loc
 from ..errors import DeviceMemoryError, SchedulerError
 from ..sim.link import Direction
@@ -126,7 +126,8 @@ class _PipelineBase:
         """Fix how :meth:`_fetch` treats each operand.
 
         ``grids`` maps every operand to its :class:`Grid1D` (vector) or
-        :class:`Grid2D` (matrix).  Tiles of ``streamed`` input operands
+        :class:`Grid2D` (matrix); both answer ``tile(i, j)`` and name
+        their tiles by ``TILE_TAG``.  Tiles of ``streamed`` input operands
         are fetched afresh on every use instead of cached (also right
         for tiles used exactly once: no cache probe; the output stays
         cached, for write-back and read-back); fetches of
@@ -138,10 +139,11 @@ class _PipelineBase:
         for op in self.problem.operands:
             name = op.name
             resident = op.loc is Loc.DEVICE
+            grid = grids[name]
             plans[name] = (
-                grids[name], self.hosts[name], resident,
+                grid, self.hosts[name], resident,
                 name not in streamed, counting and name not in uncounted,
-                op.is_vector,
+                name + grid.TILE_TAG,
             )
         self._plans = plans
 
@@ -151,7 +153,7 @@ class _PipelineBase:
         A cached tile is transferred at most once; tiles of
         device-resident operands are registered without a transfer.
         """
-        grid, host, resident, cached, counted, vector = self._plans[name]
+        grid, host, resident, cached, counted, tile_tag = self._plans[name]
         key = (name, i, j)
         if cached:
             entry = self.cache.lookup(key)
@@ -162,38 +164,26 @@ class _PipelineBase:
         if counted:
             self._m_cache_misses.inc()
         ctx = self.ctx
-        tagged = self._tagged
+        label = tile_tag.format(i, j) if self._tagged else ""
+        origin, shape = grid.tile(i, j)
         # Allocation errors carry the tiling size, so the routine layer's
         # degradation ladder can downshift to a smaller T.
         try:
-            if vector:
-                off, length = grid.tile_span(i)
-                buf = ctx.alloc_vector(
-                    length, self.problem.dtype, with_data=host.has_data,
-                    name=f"{name}[{i}]" if tagged else "")
-            else:
-                r0, c0, rows, cols = grid.tile_window(i, j)
-                buf = ctx.alloc_matrix(
-                    rows, cols, self.problem.dtype, with_data=host.has_data,
-                    name=f"{name}({i},{j})" if tagged else "")
+            tile = ctx.alloc(shape, self.problem.dtype,
+                             with_data=host.has_data, name=label)
         except DeviceMemoryError as exc:
             raise exc.with_tile(self.t) from None
-        entry = TileEntry(matrix=buf)
+        entry = TileEntry(tile)
         if resident:
             # Already on the GPU: no timed PCIe transfer, only the data
             # copy in compute mode.
             if host.has_data:
-                buf.array[...] = host.array[grid.tile_slices(i, j)]
+                tile.array[...] = host.array[window(origin, shape)]
         else:
             s_h2d = self.s_h2d
-            if vector:
-                entry.fetch_op = ctx.set_vector_async(
-                    host, off, buf, s_h2d,
-                    tag=f"h2d:{name}[{i}]" if tagged else "")
-            else:
-                entry.fetch_op = ctx.set_matrix_async(
-                    host, r0, c0, buf, s_h2d,
-                    tag=f"h2d:{name}({i},{j})" if tagged else "")
+            entry.fetch_op = ctx.set_async(
+                host, origin, tile, s_h2d,
+                tag="h2d:" + label if label else "")
             entry.ready = s_h2d.record_event()
         if cached:
             self.cache.insert(key, entry)
@@ -205,18 +195,10 @@ class _PipelineBase:
         """d2h the finished output tile ``(i, j)`` after the kernels so far."""
         s_d2h = self.s_d2h
         s_d2h.wait_event(self.s_exec.record_event())
-        name = self._output.name
-        grid, host, *_, vector = self._plans[name]
-        tagged = self._tagged
-        if vector:
-            off, _ = grid.tile_span(i)
-            self.ctx.get_vector_async(entry.matrix, host, off, s_d2h,
-                                      tag=f"d2h:{name}[{i}]" if tagged else "")
-        else:
-            r0, c0, _, _ = grid.tile_window(i, j)
-            self.ctx.get_matrix_async(
-                entry.matrix, host, r0, c0, s_d2h,
-                tag=f"d2h:{name}({i},{j})" if tagged else "")
+        grid, host, *_, tile_tag = self._plans[self._output.name]
+        self.ctx.get_async(
+            entry.tile, host, grid.tile(i, j)[0], s_d2h,
+            tag="d2h:" + tile_tag.format(i, j) if self._tagged else "")
 
     def _snapshot(self) -> Tuple[int, ...]:
         """Device counters, in :class:`ScheduleStats` field order."""
@@ -260,16 +242,17 @@ class _PipelineBase:
         for (tile_name, i, j), entry in self.cache.items():
             if tile_name != name:
                 continue
-            if entry.matrix.array is None:
+            if entry.tile.array is None:
                 raise SchedulerError("no data to read back (timing mode)")
-            out[grid.tile_slices(i, j)] = entry.matrix.array
+            out[window(*grid.tile(i, j))] = entry.tile.array
         return out
 
     def release(self) -> None:
         """Free every device tile this schedule fetched."""
         self.cache.free_all()
+        free = self.device.free
         for entry in self._streamed:
-            entry.matrix.free()
+            free(entry.tile)
         self._streamed.clear()
 
 
@@ -378,7 +361,7 @@ class GemmTileScheduler(_PipelineBase):
             ec.make_stream_wait(s_exec)
             done = done_k.get((i, j), 0)
             gemm_async(
-                ea.matrix, eb.matrix, ec.matrix, s_exec,
+                ea.tile, eb.tile, ec.tile, s_exec,
                 alpha=alpha, beta=beta if done == 0 else 1.0,
                 tag=f"gemm({i},{j},{l})" if tagged else "",
             )
@@ -442,7 +425,7 @@ class SyrkTileScheduler(_PipelineBase):
                     beta_eff = self.beta if l == 0 else 1.0
                     # C(i,j) += A(i,:) @ A(j,:)^T — a transb gemm tile.
                     self.ctx.gemm_async(
-                        ea.matrix, eb.matrix, ec.matrix, self.s_exec,
+                        ea.tile, eb.tile, ec.tile, self.s_exec,
                         alpha=self.alpha, beta=beta_eff, transb=True,
                         tag=f"syrk({i},{j},{l})" if self._tagged else "",
                     )
@@ -498,7 +481,7 @@ class GemvTileScheduler(_PipelineBase):
                 ea = self._fetch("A", i, j)
                 ea.make_stream_wait(s_exec)
                 self.ctx.gemv_async(
-                    ea.matrix, ex.matrix, ey.matrix, s_exec,
+                    ea.tile, ex.tile, ey.tile, s_exec,
                     alpha=self.alpha, beta=self.beta if j == 0 else 1.0,
                     tag=f"gemv({i},{j})" if self._tagged else "",
                 )
@@ -538,7 +521,7 @@ class AxpyTileScheduler(_PipelineBase):
             ey = self._fetch("y", i)
             ex.make_stream_wait(s_exec)
             ey.make_stream_wait(s_exec)
-            self.ctx.axpy_async(ex.matrix, ey.matrix, s_exec,
+            self.ctx.axpy_async(ex.tile, ey.tile, s_exec,
                                 alpha=self.alpha,
                                 tag=f"axpy[{i}]" if tagged else "")
             if y_set:

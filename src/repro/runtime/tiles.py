@@ -3,7 +3,10 @@
 The paper's libraries split matrices into ``T x T`` squares (vectors
 into length-``T`` chunks).  These grids own the index arithmetic: tile
 counts, per-tile shapes including ragged edges, and the host offsets
-each tile maps to.
+each tile maps to.  Both grids answer one question,
+``tile(i, j=0) -> (origin, shape)``, with one entry per axis (a chunk
+is a tile of rank 1), so the schedulers fetch, write back and read
+back every tile the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ class Grid1D:
     n: int
     t: int
 
+    #: How tile ``(i, j)`` is written in tags and buffer names.
+    TILE_TAG = "[{0}]"
+
     def __post_init__(self) -> None:
         if self.n <= 0 or self.t <= 0:
             raise SchedulerError(f"invalid 1-D grid: n={self.n}, t={self.t}")
@@ -44,21 +50,17 @@ class Grid1D:
         # does not affect eq/hash/repr.)
         object.__setattr__(self, "n_tiles", math.ceil(self.n / self.t))
         # Span table vectorized up front: the tile schedulers call
-        # tile_span several times per chunk (fetch + writeback +
+        # tile() several times per chunk (fetch + writeback +
         # read-back), so per-call arithmetic becomes a tuple lookup.
         object.__setattr__(self, "spans", _span_table(self.n, self.t,
                                                       self.n_tiles))
 
-    def tile_span(self, i: int) -> Tuple[int, int]:
-        """(offset, length) of chunk ``i``."""
+    def tile(self, i: int, j: int = 0) -> Tuple[Tuple[int], Tuple[int]]:
+        """``((offset,), (length,))`` of chunk ``i`` (``j`` unused)."""
         if not 0 <= i < self.n_tiles:
             raise SchedulerError(f"chunk index {i} out of range [0, {self.n_tiles})")
-        return self.spans[i]
-
-    def tile_slices(self, i: int, j: int = 0) -> Tuple[slice]:
-        """Numpy index of chunk ``i`` in the whole vector (``j`` unused)."""
-        off, length = self.tile_span(i)
-        return (slice(off, off + length),)
+        off, length = self.spans[i]
+        return (off,), (length,)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n_tiles))
@@ -78,6 +80,8 @@ class Grid2D:
     t: int
     t_col: int = 0  # 0 means "same as t"
 
+    TILE_TAG = "({0},{1})"
+
     def __post_init__(self) -> None:
         if self.t_col == 0:
             object.__setattr__(self, "t_col", self.t)
@@ -86,7 +90,7 @@ class Grid2D:
                 f"invalid 2-D grid: {self.rows}x{self.cols}, "
                 f"t={self.t}x{self.t_col}"
             )
-        # Tile counts precomputed once: tile_window and the scheduler
+        # Tile counts precomputed once: tile() and the scheduler
         # inner loops read them per subkernel.  (Plain attributes on a
         # frozen dataclass — not fields, so eq/hash/repr are unchanged.)
         set_ = object.__setattr__
@@ -94,14 +98,15 @@ class Grid2D:
         set_(self, "col_tiles", math.ceil(self.cols / self.t_col))
         set_(self, "n_tiles", self.row_tiles * self.col_tiles)
         # Per-axis span tables vectorized up front (see Grid1D.spans);
-        # tile_window composes one row span and one column span.
+        # tile() composes one row span and one column span.
         set_(self, "row_spans", _span_table(self.rows, self.t,
                                             self.row_tiles))
         set_(self, "col_spans", _span_table(self.cols, self.t_col,
                                             self.col_tiles))
 
-    def tile_window(self, i: int, j: int) -> Tuple[int, int, int, int]:
-        """(row0, col0, rows, cols) of tile (i, j), edge-aware."""
+    def tile(self, i: int, j: int = 0
+             ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """``((row0, col0), (rows, cols))`` of tile (i, j), edge-aware."""
         if not (0 <= i < self.row_tiles and 0 <= j < self.col_tiles):
             raise SchedulerError(
                 f"tile ({i}, {j}) out of range "
@@ -109,12 +114,7 @@ class Grid2D:
             )
         r0, rows = self.row_spans[i]
         c0, cols = self.col_spans[j]
-        return (r0, c0, rows, cols)
-
-    def tile_slices(self, i: int, j: int) -> Tuple[slice, slice]:
-        """Numpy index of tile (i, j) in the whole matrix."""
-        r0, c0, rows, cols = self.tile_window(i, j)
-        return (slice(r0, r0 + rows), slice(c0, c0 + cols))
+        return (r0, c0), (rows, cols)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for i in range(self.row_tiles):

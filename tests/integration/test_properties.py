@@ -50,7 +50,7 @@ class TestGridProperties:
         g = Grid2D(rows, cols, t)
         seen_area = 0
         for i, j in g:
-            r0, c0, r, c = g.tile_window(i, j)
+            (r0, c0), (r, c) = g.tile(i, j)
             assert 0 < r <= t and 0 < c <= t
             assert r0 + r <= rows and c0 + c <= cols
             seen_area += r * c

@@ -15,27 +15,27 @@ class TestGrid1D:
     def test_exact_division(self):
         g = Grid1D(1000, 250)
         assert g.n_tiles == 4
-        assert g.tile_span(0) == (0, 250)
-        assert g.tile_span(3) == (750, 250)
+        assert g.tile(0) == ((0,), (250,))
+        assert g.tile(3) == ((750,), (250,))
 
     def test_ragged_edge(self):
         g = Grid1D(1000, 300)
         assert g.n_tiles == 4
-        assert g.tile_span(3) == (900, 100)
+        assert g.tile(3) == ((900,), (100,))
 
     def test_tile_larger_than_vector(self):
         g = Grid1D(100, 300)
         assert g.n_tiles == 1
-        assert g.tile_span(0) == (0, 100)
+        assert g.tile(0) == ((0,), (100,))
 
     def test_spans_cover_exactly(self):
         g = Grid1D(1234, 100)
-        total = sum(g.tile_span(i)[1] for i in g)
+        total = sum(g.tile(i)[1][0] for i in g)
         assert total == 1234
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SchedulerError):
-            Grid1D(100, 10).tile_span(10)
+            Grid1D(100, 10).tile(10)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(SchedulerError):
@@ -48,25 +48,25 @@ class TestGrid2D:
     def test_exact_division(self):
         g = Grid2D(1000, 600, 200)
         assert (g.row_tiles, g.col_tiles) == (5, 3)
-        assert g.tile_window(0, 0) == (0, 0, 200, 200)
-        assert g.tile_window(4, 2) == (800, 400, 200, 200)
+        assert g.tile(0, 0) == ((0, 0), (200, 200))
+        assert g.tile(4, 2) == ((800, 400), (200, 200))
 
     def test_ragged_edges(self):
         g = Grid2D(1000, 700, 300)
         assert (g.row_tiles, g.col_tiles) == (4, 3)
-        assert g.tile_window(3, 2) == (900, 600, 100, 100)
-        assert g.tile_window(0, 2) == (0, 600, 300, 100)
+        assert g.tile(3, 2) == ((900, 600), (100, 100))
+        assert g.tile(0, 2) == ((0, 600), (300, 100))
 
     def test_clamped_tile(self):
         g = Grid2D(100, 5000, 1024)
         assert g.row_tiles == 1
-        assert g.tile_window(0, 0) == (0, 0, 100, 1024)
+        assert g.tile(0, 0) == ((0, 0), (100, 1024))
 
     def test_windows_partition_matrix(self):
         g = Grid2D(777, 555, 128)
         covered = np.zeros((777, 555), dtype=int)
         for i, j in g:
-            r0, c0, rows, cols = g.tile_window(i, j)
+            (r0, c0), (rows, cols) = g.tile(i, j)
             covered[r0:r0 + rows, c0:c0 + cols] += 1
         assert np.all(covered == 1)
 
@@ -76,7 +76,7 @@ class TestGrid2D:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SchedulerError):
-            Grid2D(100, 100, 10).tile_window(10, 0)
+            Grid2D(100, 100, 10).tile(10, 0)
 
 
 class TestTileCache:
@@ -85,7 +85,7 @@ class TestTileCache:
         return CublasContext(GpuDevice(custom_machine(noise_sigma=0.0)))
 
     def _entry(self, ctx, t=16):
-        return TileEntry(matrix=ctx.alloc_matrix(t, t, np.float64))
+        return TileEntry(tile=ctx.alloc((t, t), np.float64))
 
     def test_insert_and_get(self, ctx):
         cache = TileCache(ctx)
@@ -138,7 +138,7 @@ class TestTileCache:
         s_h2d = dev.create_stream("h")
         s_exec = dev.create_stream("e")
         dev.memcpy_h2d_async(1000, s_h2d)
-        entry = TileEntry(matrix=ctx.alloc_matrix(4, 4, np.float64),
+        entry = TileEntry(tile=ctx.alloc((4, 4), np.float64),
                           ready=s_h2d.record_event())
         entry.make_stream_wait(s_exec)
         entry.make_stream_wait(s_exec)
