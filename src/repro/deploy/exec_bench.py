@@ -55,75 +55,52 @@ class ExecBenchConfig:
         )
 
 
-def _timed_gemm(ctx: CublasContext, t: int, dtype) -> float:
+def _timed(ctx: CublasContext, kernel: str, shapes, dtype, size: int
+           ) -> float:
+    """Allocate tiles of ``shapes``, run one ``kernel`` launch on them
+    and free them; the launch's simulated duration."""
     device = ctx.device
-    a = ctx.alloc_matrix(t, t, dtype)
-    b = ctx.alloc_matrix(t, t, dtype)
-    c = ctx.alloc_matrix(t, t, dtype)
+    tiles = [ctx.alloc(shape, dtype) for shape in shapes]
     stream = device.create_stream()
     t0 = device.sim.now
-    ctx.gemm_async(a, b, c, stream, tag=f"bench-gemm{t}")
+    launch = getattr(ctx, f"{kernel}_async")
+    launch(*tiles, stream, tag=f"bench-{kernel}{size}")
     stream.synchronize()
     elapsed = device.sim.now - t0
-    for m in (a, b, c):
-        m.free()
+    for tile in tiles:
+        device.free(tile)
     return elapsed
 
 
-def _timed_gemv(ctx: CublasContext, t: int, dtype) -> float:
-    device = ctx.device
-    a = ctx.alloc_matrix(t, t, dtype)
-    x = ctx.alloc_vector(t, dtype)
-    y = ctx.alloc_vector(t, dtype)
-    stream = device.create_stream()
-    t0 = device.sim.now
-    ctx.gemv_async(a, x, y, stream, tag=f"bench-gemv{t}")
-    stream.synchronize()
-    elapsed = device.sim.now - t0
-    a.free()
-    x.free()
-    y.free()
-    return elapsed
+#: routine -> (the config's tile sizes, the kernel timed, its operand
+#: shapes for tile size ``t``).  The tiled syrk executes its subkernels
+#: as transb gemm tiles, so its t_GPU^T is the gemm tile time measured
+#: the same way.
+_SWEEPS = {
+    "gemm": ("gemm_tiles", "gemm", lambda t: ((t, t),) * 3),
+    "syrk": ("gemm_tiles", "gemm", lambda t: ((t, t),) * 3),
+    "gemv": ("gemv_tiles", "gemv", lambda t: ((t, t), (t,), (t,))),
+    "axpy": ("axpy_tiles", "axpy", lambda t: ((t,), (t,))),
+}
 
 
-def _timed_axpy(ctx: CublasContext, n: int, dtype) -> float:
-    device = ctx.device
-    x = ctx.alloc_vector(n, dtype)
-    y = ctx.alloc_vector(n, dtype)
-    stream = device.create_stream()
-    t0 = device.sim.now
-    ctx.axpy_async(x, y, stream, tag=f"bench-axpy{n}")
-    stream.synchronize()
-    elapsed = device.sim.now - t0
-    x.free()
-    y.free()
-    return elapsed
-
-
-def _routine_sweep(routine: str, cfg: ExecBenchConfig):
-    """(tile sizes, timing fn) for one routine; raises if unsupported."""
-    if routine == "gemm":
-        return cfg.gemm_tiles, _timed_gemm
-    if routine == "axpy":
-        return cfg.axpy_tiles, _timed_axpy
-    if routine == "gemv":
-        return cfg.gemv_tiles, _timed_gemv
-    if routine == "syrk":
-        # The tiled syrk executes its subkernels as transb gemm tiles,
-        # so its t_GPU^T is the gemm tile time measured the same way.
-        return cfg.gemm_tiles, _timed_gemm
-    raise DeploymentError(
-        f"no execution benchmark defined for routine {routine!r}"
-    )
+def _sweep(routine: str):
+    """The :data:`_SWEEPS` entry of one routine; raises if unsupported."""
+    try:
+        return _SWEEPS[routine]
+    except KeyError:
+        raise DeploymentError(
+            f"no execution benchmark defined for routine {routine!r}"
+        ) from None
 
 
 def _exec_point_task(machine: MachineConfig, routine: str, dtype, t: int,
                      cfg: ExecBenchConfig, seed: int) -> float:
     """Measure one tile size on a fresh, pre-seeded device/context."""
-    _, timed = _routine_sweep(routine, cfg)
+    _, kernel, shapes = _sweep(routine)
     ctx = CublasContext(GpuDevice(machine, seed=seed))
     mean, _ = measure_until_stable(
-        lambda: timed(ctx, t, dtype),
+        lambda: _timed(ctx, kernel, shapes(t), dtype, t),
         rel_half_width=cfg.rel_half_width,
         confidence=cfg.confidence,
         min_reps=cfg.min_reps,
@@ -145,7 +122,7 @@ def bench_exec_table(
     independent task per grid point), in tile order.
     """
     routine = routine.lower()
-    tiles, _ = _routine_sweep(routine, cfg)
+    tiles = getattr(cfg, _sweep(routine)[0])
     lookup = ExecLookup(routine, prefix_for(dtype))
     for t in tiles:
         lookup.add(t, _exec_point_task(machine, routine, dtype, t, cfg,
