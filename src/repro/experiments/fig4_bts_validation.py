@@ -10,99 +10,41 @@ distributions as violin plots, reproduced here as quartile summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..baselines import CublasXtLibrary
-from ..core.registry import predict
-from ..core.select import candidate_tiles
 from ..runtime import CoCoPeLiaLibrary
 from ..sim.machine import MachineConfig
 from . import workloads
-from .harness import models_for, run_axpy, run_gemm, testbeds
-from .metrics import ErrorDistribution, percent_error
-from .report import format_table
+from .harness import ErrorSweep, models_for, render_errors, testbeds
 
 #: Models compared in Fig. 4.
 MODELS = ("bts", "cso")
 
 
-@dataclass
-class Fig4Result:
-    scale: str
-    #: (machine, routine, model) -> error samples in percent
-    samples: Dict[Tuple[str, str, str], List[float]] = field(
-        default_factory=dict)
-
-    def distributions(self) -> List[ErrorDistribution]:
-        return [
-            ErrorDistribution.from_samples(
-                f"{machine}/{routine}/{model}", vals
-            )
-            for (machine, routine, model), vals in sorted(self.samples.items())
-        ]
-
-
-def _subsample(tiles: Sequence[int], limit: int) -> List[int]:
-    tiles = list(tiles)
-    if len(tiles) <= limit:
-        return tiles
-    idx = np.linspace(0, len(tiles) - 1, limit).round().astype(int)
-    return [tiles[i] for i in sorted(set(idx.tolist()))]
-
-
 def run(scale: str = "quick",
         machines: Optional[Sequence[MachineConfig]] = None,
-        tiles_per_problem: int = 4) -> Fig4Result:
+        tiles_per_problem: int = 4) -> ErrorSweep:
     machines = list(machines) if machines is not None else testbeds()
-    result = Fig4Result(scale=scale)
+    result = ErrorSweep(scale=scale)
     for machine in machines:
         models = models_for(machine, scale)
         # --- daxpy, measured on the CoCoPeLia chunked implementation ---
-        cc = CoCoPeLiaLibrary(machine, models)
-        for problem in workloads.daxpy_validation_set(scale):
-            tiles = _subsample(candidate_tiles(problem, models, clamped=False),
-                               tiles_per_problem)
-            for t in tiles:
-                measured = run_axpy(cc, problem, tile_size=t).seconds
-                for model in MODELS:
-                    err = percent_error(
-                        predict(model, problem, t, models), measured
-                    )
-                    result.samples.setdefault(
-                        (machine.name, "daxpy", model), []
-                    ).append(err)
+        result.measure(CoCoPeLiaLibrary(machine, models), machine.name,
+                       "daxpy", workloads.daxpy_validation_set(scale),
+                       models, MODELS, tiles_per_problem)
         # --- gemm, measured on the cuBLASXt-like library (no reuse) ---
         xt = CublasXtLibrary(machine)
         for dtype, prefix in ((np.float64, "d"), (np.float32, "s")):
-            for problem in workloads.gemm_validation_set(scale, dtype):
-                tiles = _subsample(candidate_tiles(problem, models, clamped=False),
-                                   tiles_per_problem)
-                for t in tiles:
-                    measured = run_gemm(xt, problem, tile_size=t).seconds
-                    for model in MODELS:
-                        err = percent_error(
-                            predict(model, problem, t, models), measured
-                        )
-                        result.samples.setdefault(
-                            (machine.name, f"{prefix}gemm", model), []
-                        ).append(err)
+            result.measure(xt, machine.name, f"{prefix}gemm",
+                           workloads.gemm_validation_set(scale, dtype),
+                           models, MODELS, tiles_per_problem)
     return result
 
 
-def render(result: Fig4Result) -> str:
-    rows = []
-    for dist in result.distributions():
-        rows.append([
-            dist.label, dist.n, round(dist.median, 1), round(dist.mean, 1),
-            round(dist.q1, 1), round(dist.q3, 1),
-            round(dist.min, 1), round(dist.max, 1),
-        ])
-    return format_table(
-        ["machine/routine/model", "n", "median e%", "mean e%", "q1", "q3",
-         "min", "max"],
-        rows,
-        title="Fig. 4: BTS vs CSO relative prediction error (violin summary)",
-    )
+def render(result: ErrorSweep) -> str:
+    return render_errors(
+        result,
+        title="Fig. 4: BTS vs CSO relative prediction error (violin summary)")

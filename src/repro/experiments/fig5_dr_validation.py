@@ -2,81 +2,42 @@
 
 The DR model (Eq. 5) targets the data-reuse implementation: the
 CoCoPeLia library's own sgemm/dgemm, which fetch each tile once.  Same
-protocol as Fig. 4: measure every (validation problem, valid tile size)
-pair and summarize both models' relative errors.
+protocol as Fig. 4 (:class:`~repro.experiments.harness.ErrorSweep`):
+measure every (validation problem, valid tile size) pair and summarize
+both models' relative errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.registry import predict
-from ..core.select import candidate_tiles
 from ..runtime import CoCoPeLiaLibrary
 from ..sim.machine import MachineConfig
 from . import workloads
-from .fig4_bts_validation import _subsample
-from .harness import models_for, run_gemm, testbeds
-from .metrics import ErrorDistribution, percent_error
-from .report import format_table
+from .harness import ErrorSweep, models_for, render_errors, testbeds
 
 MODELS = ("dr", "cso")
 
 
-@dataclass
-class Fig5Result:
-    scale: str
-    samples: Dict[Tuple[str, str, str], List[float]] = field(
-        default_factory=dict)
-
-    def distributions(self) -> List[ErrorDistribution]:
-        return [
-            ErrorDistribution.from_samples(
-                f"{machine}/{routine}/{model}", vals
-            )
-            for (machine, routine, model), vals in sorted(self.samples.items())
-        ]
-
-
 def run(scale: str = "quick",
         machines: Optional[Sequence[MachineConfig]] = None,
-        tiles_per_problem: int = 4) -> Fig5Result:
+        tiles_per_problem: int = 4) -> ErrorSweep:
     machines = list(machines) if machines is not None else testbeds()
-    result = Fig5Result(scale=scale)
+    result = ErrorSweep(scale=scale)
     for machine in machines:
         models = models_for(machine, scale)
         cc = CoCoPeLiaLibrary(machine, models)
         for dtype, prefix in ((np.float64, "d"), (np.float32, "s")):
-            for problem in workloads.gemm_validation_set(scale, dtype):
-                tiles = _subsample(candidate_tiles(problem, models, clamped=False),
-                                   tiles_per_problem)
-                for t in tiles:
-                    measured = run_gemm(cc, problem, tile_size=t).seconds
-                    for model in MODELS:
-                        err = percent_error(
-                            predict(model, problem, t, models), measured
-                        )
-                        result.samples.setdefault(
-                            (machine.name, f"{prefix}gemm", model), []
-                        ).append(err)
+            result.measure(cc, machine.name, f"{prefix}gemm",
+                           workloads.gemm_validation_set(scale, dtype),
+                           models, MODELS, tiles_per_problem)
     return result
 
 
-def render(result: Fig5Result) -> str:
-    rows = []
-    for dist in result.distributions():
-        rows.append([
-            dist.label, dist.n, round(dist.median, 1), round(dist.mean, 1),
-            round(dist.q1, 1), round(dist.q3, 1),
-            round(dist.min, 1), round(dist.max, 1),
-        ])
-    return format_table(
-        ["machine/routine/model", "n", "median e%", "mean e%", "q1", "q3",
-         "min", "max"],
-        rows,
+def render(result: ErrorSweep) -> str:
+    return render_errors(
+        result,
         title="Fig. 5: DR vs CSO relative prediction error on the "
-              "CoCoPeLia library (violin summary)",
-    )
+              "CoCoPeLia library (violin summary)")

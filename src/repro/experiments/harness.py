@@ -8,17 +8,21 @@ measurement loops the figure modules build on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.instantiation import MachineModels
 from ..core.params import CoCoProblem, Loc
+from ..core.registry import predict
+from ..core.select import candidate_tiles
 from ..deploy import DeploymentConfig, deploy
 from ..errors import ReproError
 from ..runtime.result import RunResult
 from ..sim.machine import MachineConfig, get_testbed
+from .metrics import ErrorDistribution, percent_error
+from .report import format_table
 
 #: In-process cache of deployed model databases, keyed by
 #: (machine name, scale, config fingerprint); deployment is
@@ -194,6 +198,70 @@ def best_point(points: Sequence[SweepPoint]) -> SweepPoint:
     if not points:
         raise ReproError("empty sweep")
     return min(points, key=lambda p: p.result.seconds)
+
+
+def _subsample(tiles: Sequence[int], limit: int) -> List[int]:
+    """At most ``limit`` of ``tiles``, evenly spread, ends included."""
+    tiles = list(tiles)
+    if len(tiles) <= limit:
+        return tiles
+    idx = np.linspace(0, len(tiles) - 1, limit).round().astype(int)
+    return [tiles[i] for i in sorted(set(idx.tolist()))]
+
+
+@dataclass
+class ErrorSweep:
+    """Relative prediction errors of a model-validation figure (Figs. 4
+    and 5), one sample list per violin."""
+
+    scale: str
+    #: (machine, routine, model) -> error samples in percent
+    samples: Dict[Tuple[str, str, str], List[float]] = field(
+        default_factory=dict)
+
+    def measure(self, lib, machine: str, routine: str,
+                problems: Iterable[CoCoProblem], models: MachineModels,
+                model_names: Sequence[str], tiles_per_problem: int) -> None:
+        """Run ``lib`` on every problem at up to ``tiles_per_problem`` of
+        its valid tile sizes and record each named model's ``e%``
+        under ``(machine, routine, model)``."""
+        for problem in problems:
+            tiles = _subsample(candidate_tiles(problem, models, clamped=False),
+                               tiles_per_problem)
+            for t in tiles:
+                measured = run_problem(lib, problem, tile_size=t).seconds
+                for model in model_names:
+                    err = percent_error(
+                        predict(model, problem, t, models), measured
+                    )
+                    self.samples.setdefault(
+                        (machine, routine, model), []
+                    ).append(err)
+
+    def distributions(self) -> List[ErrorDistribution]:
+        return [
+            ErrorDistribution.from_samples(
+                f"{machine}/{routine}/{model}", vals
+            )
+            for (machine, routine, model), vals in sorted(self.samples.items())
+        ]
+
+
+def render_errors(result: ErrorSweep, title: str) -> str:
+    """The violin summaries of ``result`` as a table."""
+    rows = []
+    for dist in result.distributions():
+        rows.append([
+            dist.label, dist.n, round(dist.median, 1), round(dist.mean, 1),
+            round(dist.q1, 1), round(dist.q3, 1),
+            round(dist.min, 1), round(dist.max, 1),
+        ])
+    return format_table(
+        ["machine/routine/model", "n", "median e%", "mean e%", "q1", "q3",
+         "min", "max"],
+        rows,
+        title=title,
+    )
 
 
 def testbeds(names: Optional[Sequence[str]] = None) -> List[MachineConfig]:
