@@ -37,8 +37,8 @@ import numpy as np
 from ..serve.request import Request, ServeError
 from ..serve.workload import (
     ProblemPool,
-    _FACTOR_STREAMS,
     _size_pools,
+    _substreams,
     check_spec,
 )
 
@@ -69,11 +69,6 @@ class ClusterWorkloadSpec:
         check_spec(self)
         if not self.phases or not all(m > 0 for m in self.phases):
             raise ServeError(f"phases must be positive: {self.phases}")
-
-
-def _substreams(seed: int):
-    return {name: np.random.default_rng([index, seed])
-            for name, index in _FACTOR_STREAMS.items()}
 
 
 def _phase_counts(n: int, phases: Tuple[float, ...]) -> List[int]:
