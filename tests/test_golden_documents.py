@@ -10,7 +10,8 @@ as the sha256 of the document's bytes:
   admission, percentile admission, event faults that wedge batches
   (watchdog timeouts, host fallbacks, breaker drains, requeues and
   half-open probes), two chaos scenarios, and the cluster with
-  percentile admission and with a node kill;
+  percentile admission and with a node kill, and noise-free twins of
+  six of them;
 * the trace cases (``trace-*``) pin the request traces the suite's
   serving workloads generate, at its seed and at seed 3;
 * the CLI cases (named ``cli-*``) record their ``repro`` arguments and
@@ -33,6 +34,7 @@ after an intentional change to a pinned document)::
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -158,6 +160,21 @@ IN_PROCESS = {
     **{f"trace-{name}-{seed}": _trace(name, seed)
        for name in SUITE_TRACES for seed in (SUITE_SEED, 3)},
 }
+
+
+def _noise_free(machines):
+    """The same machines with their noise model off."""
+    return {name: (dataclasses.replace(machine, noise_sigma=0.0), models)
+            for name, (machine, models) in machines.items()}
+
+
+#: Noise-free twins of the fault-free serving, chaos and cluster cases:
+#: their bytes do not depend on how the devices seed their noise.
+IN_PROCESS.update({
+    f"{name}-noise-free": (lambda m, case=IN_PROCESS[name]:
+                           case(_noise_free(m)))
+    for name in ("serve-round-robin", "serve-p99", "chaos-kill-one-gpu",
+                 "chaos-flapping-device", "cluster-kill", "cluster-p99")})
 
 PINS = json.loads(TABLE.read_text())
 #: The CLI cases, as recorded in the table.
