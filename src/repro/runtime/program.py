@@ -119,7 +119,7 @@ class DeviceProgram:
 class ProgramRecorder:
     """Collects the device program of one live schedule.
 
-    Construct it on a fresh device before the scheduler creates its
+    Construct it on the device before the scheduler creates its
     streams; the device and those streams then report each call.
     :meth:`detach` ends the recording and :meth:`program` returns it.
     """

@@ -5,24 +5,22 @@ simulated machine on **one shared simulator clock**.  Arrivals are
 pre-scheduled events; each admitted request is queued on the worker the
 :class:`~repro.serve.dispatcher.Dispatcher` chose; an idle worker pops
 its queue head (EDF-within-priority), coalesces compatible small
-requests into one batch, and executes its tile pipeline on a fresh
-:class:`~repro.sim.device.GpuDevice` sharing the server clock.  The
-first batch of a (problem signature, tile, machine degradation) key
-runs the real tile scheduler and records its device program
-(:mod:`repro.runtime.program`); every later batch of that key replays
-the program onto its own fresh device, through the same device calls.
-Completion is detected with ``Operation.on_done`` on the last op of
-each pipeline stream — no polling, no synchronize.
+requests into one batch, and executes its tile pipeline on the GPU's
+:class:`~repro.sim.device.GpuDevice`, which shares the server clock
+and lasts until a degradation window opens or closes or the domain is
+drained.  The first batch of a (problem signature, tile, machine
+degradation) key runs the real tile scheduler and records its device
+program (:mod:`repro.runtime.program`); every later batch of that key
+replays it through the same device calls.  Completion is detected with
+``Operation.on_done`` on the last op of each pipeline stream — no
+polling, no synchronize.
 
-A fresh device per batch is the repo's isolation idiom (see
-``OffloadLibrary._next_device`` in :mod:`repro.runtime.offload`) and
-doubles as the fault boundary: when injected faults exhaust their retry
-budget the pipeline wedges and never completes, so every batch carries
-a watchdog event at ``TIMEOUT_FACTOR`` times its predicted service
-time (plus ``TIMEOUT_FLOOR``).  If the watchdog fires first,
-the batch's device is abandoned, its gemm members are re-dispatched to
-the host CPU worker (the serving analogue of the PR-1 host fallback),
-and the GPU moves on.
+When injected faults exhaust their retry budget the pipeline wedges, so
+every batch carries a watchdog event at ``TIMEOUT_FACTOR`` times its
+predicted service time (plus ``TIMEOUT_FLOOR``).  If it fires first,
+the batch is settled, its gemm members are re-dispatched to the host
+CPU worker, and the GPU moves on; the batch's work still in flight runs
+out on the device, contending with the next batch.
 
 Each GPU worker is additionally one *fault domain* with a
 :class:`~repro.serve.resilience.HealthMonitor` state machine behind it.
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..backend.cublas import CublasContext
 from ..core.instantiation import MachineModels
@@ -56,7 +54,6 @@ from ..runtime.scheduler import AxpyTileScheduler, GemmTileScheduler
 from ..sim.device import GpuDevice
 from ..sim.engine import Simulator
 from ..sim.faults import LifecycleFault, ResilienceCounters
-from ..sim.link import Direction
 from ..sim.machine import MachineConfig
 from ..sim.noise import NoiseModel
 from .dispatcher import (
@@ -136,7 +133,7 @@ class ServeOutcome:
     #: (the serve report emits its resilience block only then, keeping
     #: fault-free reports byte-identical to pre-resilience runs).
     faulted: bool = False
-    #: Aggregated per-device fault/retry counters across all batches.
+    #: Fault/retry counters summed over every GPU device of the run.
     resilience: Optional[ResilienceCounters] = None
     #: Serve-level drain/requeue/breaker accounting.
     resilience_stats: Optional[ResilienceStats] = None
@@ -156,7 +153,7 @@ class _Batch:
     """One in-flight unit of execution on a worker."""
 
     __slots__ = ("batch_id", "members", "problem", "worker", "t0",
-                 "predicted", "device", "pipeline", "timer",
+                 "predicted", "parked", "pipeline", "timer",
                  "pending_ops", "settled")
 
     def __init__(self, batch_id: int, members: List[Request],
@@ -168,7 +165,7 @@ class _Batch:
         self.worker = worker
         self.t0 = t0
         self.predicted = 0.0
-        self.device = None
+        self.parked = 0  #: failures its device had parked at launch
         #: the live scheduler or program replay; ``release()`` frees
         #: its device tiles
         self.pipeline = None
@@ -216,14 +213,11 @@ class BlasServer:
         #: they only ever react to *observed* latency inflation.
         self._slowdown = [1.0] * self.config.n_gpus
         self._link_factor = [1.0] * self.config.n_gpus
-        #: Memoized degraded machine copies, keyed on the ground truth.
-        self._degraded: Dict[Tuple[float, float], MachineConfig] = {}
         #: Recorded device programs, keyed on (problem signature, tile,
         #: ground-truth degradation): the first batch of a key runs the
         #: tile scheduler, every later one replays its program.
         self.programs: Dict[tuple, DeviceProgram] = {}
         self._stats_res = ResilienceStats()
-        self._device_counters = ResilienceCounters()
         plan = machine.fault_plan
         self._faulted = plan is not None and plan.any_faults
         self._schedule_lifecycle()
@@ -257,6 +251,10 @@ class BlasServer:
             tail = self.tail_bank.snapshot()
             tail["percentile"] = self.config.admission_percentile
             tail["tail_rejections"] = self.dispatcher.tail_rejections
+        counters = ResilienceCounters()
+        for gpu in self.dispatcher.gpus:
+            for device in gpu.devices:
+                counters.add(device.resilience)
         return ServeOutcome(
             requests=requests,
             config=self.config,
@@ -265,7 +263,7 @@ class BlasServer:
             n_batches=self._next_batch,
             end_time=end,
             faulted=self._faulted,
-            resilience=self._device_counters,
+            resilience=counters,
             resilience_stats=self._stats_res,
             health=self.monitor.snapshot(),
             health_transitions=list(self.monitor.transitions),
@@ -395,26 +393,26 @@ class BlasServer:
         if self.monitor.begin_recovery(index, self.sim.now):
             self._maybe_dispatch(self.dispatcher.gpus[index])
 
-    def _batch_machine(self, index: int
-                       ) -> Tuple[Tuple[float, float], MachineConfig]:
-        """The machine a batch launched on ``index`` right now runs on,
-        with its ``(slowdown, link factor)`` key.
-
-        While a degradation/brownout window is open the batch runs on a
-        genuinely slowed copy — the monitor then *observes* the window
-        through inflated latencies rather than being told about it.
+    def _device(self, worker: WorkerState) -> GpuDevice:
+        """GPU ``worker``'s device, replaced when its domain was drained
+        or its ``(slowdown, link factor)`` key changed: a degradation
+        window runs a genuinely slowed machine copy, which the monitor
+        *observes* through inflated latencies.  Device g of GPU i is
+        seeded ``seed + i + n_gpus * g``, and so is its fault sequence.
         """
-        slowdown = self._slowdown[index]
-        link = self._link_factor[index]
-        key = (slowdown, link)
-        if slowdown == 1.0 and link == 1.0:
-            return key, self.machine
-        machine = self._degraded.get(key)
-        if machine is None:
-            machine = self.machine.with_degradation(
-                compute_slowdown=slowdown, bandwidth_factor=link)
-            self._degraded[key] = machine
-        return key, machine
+        index = worker.index
+        key = (self._slowdown[index], self._link_factor[index])
+        if key != worker.device_key:
+            cfg = self.config
+            machine = self.machine.with_degradation(*key)
+            seed = cfg.seed + index + cfg.n_gpus * len(worker.devices)
+            plan = machine.fault_plan
+            faults = None if plan is None else plan.with_seed(plan.seed + seed)
+            worker.devices.append(GpuDevice(
+                machine, sim=self.sim, seed=seed, trace=cfg.trace,
+                faults=faults, metrics=self.metrics))
+            worker.device_key = key
+        return worker.devices[-1]
 
     # -- metrics helpers ------------------------------------------------
 
@@ -534,29 +532,18 @@ class BlasServer:
     # -- GPU execution --------------------------------------------------
 
     def _launch_on_device(self, batch: _Batch) -> None:
-        cfg = self.config
         worker = batch.worker
-        index = worker.index
-        head = batch.members[0]
         choice = self.dispatcher.predict_gpu(batch.problem)
         batch.predicted = choice.predicted_time
-
-        machine_key, machine = self._batch_machine(index)
-        seed = cfg.seed + 37 * head.req_id + index
-        # Each batch draws its own fault sequence, offset from the
-        # plan's seed by the batch seed (the library offsets by call).
-        plan = machine.fault_plan
-        faults = (plan.with_seed(plan.seed + seed)
-                  if plan is not None and plan.any_event_faults else None)
-        batch.device = GpuDevice(
-            machine, sim=self.sim, seed=seed, trace=cfg.trace,
-            faults=faults, metrics=self.metrics,
-        )
+        device = self._device(worker)
+        batch.parked = len(device._fault_failures)
+        if device.trace is not None:
+            device.trace.clear()
         worker.occupy(batch, self.sim.now + batch.predicted)
-        if self.monitor.devices[index].state is HealthState.RECOVERING:
+        if self.monitor.devices[worker.index].state is HealthState.RECOVERING:
             self._stats_res.probes += 1
             self._count("serve.probes")
-        streams = self._issue_pipeline(batch, choice.t_best, machine_key)
+        streams = self._issue_pipeline(batch, device, choice.t_best)
 
         last_ops = [s.last_op for s in streams if s.last_op is not None]
         batch.pending_ops = len(last_ops)
@@ -576,19 +563,17 @@ class BlasServer:
         batch.timer = self.sim.schedule(
             deadline, lambda b=batch: self._on_timeout(b))
 
-    def _issue_pipeline(self, batch: _Batch, t: int,
-                        machine_key: Tuple[float, float]) -> tuple:
-        """Issue the batch's tile pipeline (tile size ``t``) on its
-        device and return the pipeline's streams.
+    def _issue_pipeline(self, batch: _Batch, device: GpuDevice,
+                        t: int) -> tuple:
+        """Issue the batch's tile pipeline (tile size ``t``) on
+        ``device`` and return the pipeline's streams.
 
         The first batch of a (problem, tile, machine) key builds the
         tile scheduler and records its device program; every later one
-        replays that program onto its own fresh device.  A recording
-        whose issue raises stores nothing.
+        replays it.  A recording whose issue raises stores nothing.
         """
-        device = batch.device
         problem = batch.problem
-        key = (problem.signature(), t, machine_key)
+        key = (problem.signature(), t, batch.worker.device_key)
         program = self.programs.get(key)
         if program is not None:
             batch.pipeline = replay = program.replay(device)
@@ -621,7 +606,7 @@ class BlasServer:
 
     def _finish_gpu_batch(self, batch: _Batch) -> None:
         worker = batch.worker
-        trace = batch.device.trace
+        trace = worker.devices[-1].trace
         events = list(trace.events) if trace is not None else None
         if events is not None:
             worker.traces.append(events)
@@ -644,7 +629,7 @@ class BlasServer:
         if batch.settled:
             return
         worker = batch.worker
-        failures = len(batch.device._fault_failures)
+        failures = len(worker.devices[-1]._fault_failures) - batch.parked
         self._settle(batch)
         end = self.sim.now
         self._count("serve.timeouts")
@@ -696,8 +681,10 @@ class BlasServer:
         The in-flight batch (if any) is cancelled — its simulated
         pipeline runs out as a zombie that completes nobody — and both
         its running members and the whole backlog are re-placed on
-        surviving workers with arrival/deadline preserved.
+        surviving workers with arrival/deadline preserved.  The zombie
+        keeps the domain's device; the next batch here gets a new one.
         """
+        worker.device_key = None
         self._stats_res.drains += 1
         self._count("serve.drains")
         moved: List[Request] = []
@@ -724,12 +711,12 @@ class BlasServer:
         timed out, drained or evacuated — and free its worker.
 
         The worker is charged ``busy`` seconds (default: the time since
-        launch) and one batch, and a GPU batch's traffic, kernels and
-        fault counters so far.  Then the batch lets go of all it owns:
+        launch) and one batch.  Then the batch lets go of all it owns:
         its timer is cancelled, its pipeline's device tiles are released,
-        and the device and pipeline references are dropped (a wedged or
-        zombie pipeline still holds this batch in its completion
-        callbacks).  So a settled batch is freed by reference counting.
+        and the pipeline and the device's streams are dropped (a wedged
+        or zombie pipeline still holds this batch and the server in its
+        completion callbacks).  So a settled batch is freed by reference
+        counting.
         """
         batch.settled = True
         worker = batch.worker
@@ -740,16 +727,10 @@ class BlasServer:
         if batch.timer is not None:
             batch.timer.cancel()
             batch.timer = None
-        device = batch.device
-        if device is not None:
-            worker.h2d_bytes += device.bytes_moved(Direction.H2D)
-            worker.d2h_bytes += device.bytes_moved(Direction.D2H)
-            worker.kernels += device.compute.kernels_run
-            self._device_counters.add(device.resilience)
-            batch.device = None
         if batch.pipeline is not None:
             batch.pipeline.release()
             batch.pipeline = None
+            worker.devices[-1].drop_streams()
 
     def _requeue(self, request: Request) -> Optional[WorkerState]:
         """Re-place one drained request on a surviving worker.

@@ -168,6 +168,11 @@ class GpuDevice:
         self._streams[stream.name] = stream
         return stream
 
+    def drop_streams(self) -> None:
+        """Forget the streams made so far (their work runs on), so a
+        device that outlives a pipeline keeps none of its ops."""
+        self._streams.clear()
+
     def synchronize(self) -> float:
         """cudaDeviceSynchronize: drain all pending work.
 

@@ -67,11 +67,10 @@ class MachineConfig:
         ``compute_slowdown`` (>= 1) slows every kernel model uniformly
         (a clocked-down GPU); ``bandwidth_factor`` (in (0, 1]) scales
         both link directions (a browned-out PCIe link).  The serving
-        layer builds per-batch devices from this copy while a
+        layer builds a GPU's device from this copy when a
         :class:`~repro.sim.faults.DeviceDegradation` or
-        :class:`~repro.sim.faults.LinkBrownout` window is open; the
-        identity arguments return configs indistinguishable from the
-        healthy machine.
+        :class:`~repro.sim.faults.LinkBrownout` window opens; the
+        identity arguments return this config itself.
         """
         if not compute_slowdown >= 1.0:
             raise ValueError(

@@ -15,13 +15,13 @@ sequence whether drawn singly or in blocks of any size, so every factor
 is bit-identical to one ``standard_normal()`` call per draw, and a draw
 runs no Python frame besides the factor method itself.  The RNG is
 built on the first draw, and the first block is small
-(:data:`_FIRST_BLOCK`) because most devices are short-lived: the
-serving layer builds a fresh device per batch, each drawing about a
-dozen factors per substream, and a substream a device never touches
-draws nothing.  Longer-lived devices (the Table IV sweep draws about
-184 per substream) refill in :data:`_BLOCK`-sized blocks.  Nothing is
-shared between models: every batch seed differs, so a cache of blocks
-across models would only hold memory.
+(:data:`_FIRST_BLOCK`) because the library builds a short-lived device
+per call, and a substream a device never touches draws nothing.
+Longer-lived devices (a Table IV sweep call draws about 184 per
+substream; a serving GPU's device lasts the run) refill in
+:data:`_BLOCK`-sized blocks.  Nothing is shared between models: every
+device seed differs, so a cache of blocks across models would only
+hold memory.
 """
 
 from __future__ import annotations

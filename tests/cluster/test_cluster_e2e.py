@@ -267,8 +267,8 @@ class TestTailAdmission:
         t_met, t_missed, t_att = attainment(tail_outcome)
         assert t_att > m_att
         assert t_missed < m_missed
-        assert (m_met, m_missed) == (77, 4)
-        assert (t_met, t_missed) == (78, 1)
+        assert (m_met, m_missed) == (77, 3)
+        assert (t_met, t_missed) == (79, 1)
 
     def test_fleet_document_carries_tail_block(self, tail_outcome):
         doc = cluster_document(tail_outcome, context={})

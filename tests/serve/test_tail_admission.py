@@ -66,7 +66,7 @@ class TestTailBeatsMean:
     def test_pinned_numbers(self, mean_outcome, tail_outcome):
         mean = serve_report(mean_outcome)["requests"]["slo"]
         tail = serve_report(tail_outcome)["requests"]["slo"]
-        assert (mean["met"], mean["missed"]) == (60, 8)
+        assert (mean["met"], mean["missed"]) == (59, 8)
         assert (tail["met"], tail["missed"]) == (75, 3)
         assert mean["with_deadline"] == 214
 

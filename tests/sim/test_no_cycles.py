@@ -1,12 +1,13 @@
 """The simulator's per-run object graph is freed by reference counting.
 
-A served batch builds a fresh device, link, streams and ops, and a
-scheduler or the replay of a recorded program.
-If any of them sits in a reference cycle, nothing of the batch is freed
-until the cycle collector runs, and serving pays for full collections
-over an ever larger heap.  Each case below runs with the collector off
-and then asserts that ``gc.collect()`` finds nothing: every object the
-run dropped was already freed when its last reference went away.
+A served batch builds streams and ops on its GPU's device, and a
+scheduler or the replay of a recorded program; a library call builds
+a fresh device and link as well.  If any of them sits in a reference
+cycle, nothing of the batch is freed until the cycle collector runs,
+and serving pays for full collections over an ever larger heap.
+Each case below runs with the collector off and then asserts that
+``gc.collect()`` finds nothing: every object the run dropped was
+already freed when its last reference went away.
 
 The case's own result stays referenced while collecting, so a
 long-lived object the caller still holds is never counted; only what
