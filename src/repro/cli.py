@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -531,7 +532,7 @@ def cmd_chaos(args) -> int:
 def _parse_kill(value: str):
     """Parse a --kill-node spec 'nodeN@T' into (T, 'nodeN')."""
     name, sep, at = value.partition("@")
-    if not sep or not name:
+    if not sep or not re.fullmatch(r"node[0-9]+", name):
         raise ReproError(
             f"bad --kill-node {value!r}; expected 'nodeN@seconds'")
     try:
@@ -552,6 +553,7 @@ def cmd_cluster(args) -> int:
                           dump_cluster_document, iter_cluster_workload)
     from .serve import ServerConfig
 
+    kills = [_parse_kill(v) for v in (args.kill_node or [])]
     machine, models = _models_for(args)
     spec = ClusterWorkloadSpec(**_workload_fields(args))
     scaler = AutoscalerConfig(min_nodes=args.min_nodes,
@@ -568,7 +570,6 @@ def cmd_cluster(args) -> int:
         admission_percentile=args.admission_percentile,
         seed=args.seed,
     )
-    kills = [_parse_kill(v) for v in (args.kill_node or [])]
     coordinator = ClusterCoordinator(machine, models, cluster_config,
                                      server_config)
     outcome = coordinator.run(iter_cluster_workload(spec),

@@ -228,6 +228,21 @@ class TestServe:
                     "--out-dir", str(tmp_path))
 
 
+class TestClusterCli:
+    @pytest.mark.parametrize("kill", ["gpu1@0.01", "node@0.01", "@0.4",
+                                      "node1x@0.4", "Node1@0.4"])
+    def test_kill_node_rejects_a_name_that_is_not_a_node(
+            self, capsys, db_dir, tmp_path, kill):
+        out_dir = tmp_path / "cluster"
+        code, _, err = run_cli(
+            capsys, "cluster", "--scale", "tiny", "--requests", "40",
+            "--kill-node", kill, "--db-dir", db_dir,
+            "--out-dir", str(out_dir))
+        assert code == 2
+        assert f"bad --kill-node {kill!r}; expected 'nodeN@seconds'" in err
+        assert not out_dir.exists()
+
+
 class TestProfileCli:
     def test_two_gpus_profile_one_process_per_gpu(self, capsys, db_dir,
                                                   tmp_path):
